@@ -6,7 +6,5 @@ budgets and outage), topology (per-slot weighted digraphs), routing
 (hierarchical federated averaging on synthetic tasks), sim (multi-round
 scenarios) and cli (command-line front end).
 """
-from ._kernels import IMPLEMENTATION as kernel_implementation
-
 __version__ = "0.1.0"
-__all__ = ["kernel_implementation", "__version__"]
+__all__ = ["__version__"]

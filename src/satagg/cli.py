@@ -95,12 +95,9 @@ def _cmd_generate_constellation(args) -> int:
 
 def _cmd_export_snapshot(args) -> int:
     cfg = cfgmod.build_scenario(cfgmod.read_config(args.config), **_overrides(args))
-    master = np.random.SeedSequence(cfg.rng_seed)
-    power_ss, _ = master.spawn(2)
-    tx_power = topology.tx_power_draw(cfg.spec, np.random.default_rng(power_ss),
-                                      cfg.tx_power_min_w, cfg.tx_power_max_w)
     t_abs = args.slot * cfg.times.slot_len_s
-    g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, t_abs, tx_power,
+    g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, t_abs,
+                                sim.scenario_tx_power(cfg),
                                 slot_index=args.slot % cfg.times.slots_per_period)
     path = _out_path(args, f"snapshot_slot{args.slot}.csv")
     topology.write_snapshot_csv(path, g)

@@ -10,13 +10,17 @@ Tie-breaking is lexicographic by node id everywhere (Dijkstra heap order,
 minimum-incoming-edge choice, cycle detection scan order) so identical inputs
 always produce identical trees.
 """
+import heapq
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import shortest_path_csr
 from .topology import SnapshotGraph
+
+# A node is tied when a second out-edge comes within this fraction of the
+# frame's largest terminal-to-root distance of being its shortest next hop.
+TIE_RTOL = 1e-9
 
 
 class RoutingInfeasibleError(RuntimeError):
@@ -46,12 +50,6 @@ class ShortestPathSet:
     frame: int
     root: int
     paths: dict  # terminal -> ShortestPath
-
-    def path_nodes(self) -> set:
-        out = {self.root}
-        for p in self.paths.values():
-            out.update(p.nodes)
-        return out
 
 
 @dataclass(frozen=True)
@@ -114,6 +112,36 @@ class OrbitForest:
     total_cost: float       # ring energy + uplink energy
 
 
+def shortest_path_csr(indptr, indices, weights, source, target=-1):
+    """Single-source shortest paths on a CSR digraph with weights >= 0.
+
+    Returns (dist, pred) arrays; pred[v] = -1 for the source and unreached
+    nodes. If target >= 0 the search stops once the target is settled, so
+    dist/pred entries for nodes farther than the target are partial. Heap
+    entries are (distance, node) so cost ties pop in ascending node order,
+    and predecessors update only on strict improvement.
+    """
+    n = len(indptr) - 1
+    dist = np.full(n, np.inf)
+    pred = np.full(n, -1, dtype=np.int32)
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        if u == target:
+            break
+        for k in range(indptr[u], indptr[u + 1]):
+            v = indices[k]
+            nd = d + weights[k]
+            if nd < dist[v]:
+                dist[v] = nd
+                pred[v] = u
+                heapq.heappush(heap, (nd, v))
+    return dist, pred
+
+
 def dijkstra(g: SnapshotGraph, u: int, source: int, target: int):
     """Minimum-weight directed path source -> target at frame u.
 
@@ -134,19 +162,43 @@ def dijkstra(g: SnapshotGraph, u: int, source: int, target: int):
 
 
 def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals, root: int) -> ShortestPathSet:
-    """Dijkstra from every terminal to the root; unreachable terminals raise."""
+    """Shortest path from every terminal to the root; unreachable terminals raise.
+
+    One search from the root over the reversed edges gives every node's
+    distance to the root and its next hop. Each terminal's path is read off
+    that tree and its cost summed from source to root, which is what
+    `dijkstra(g, u, t, root)` returns, bit for bit, unless the path passes a
+    tied node (see TIE_RTOL): the forward search breaks such a tie from the
+    terminal and the reverse one from the root, so those terminals take
+    their path from `dijkstra` itself.
+    """
+    terms = [t for t in sorted(set(terminals)) if t != root]
     paths = {}
-    missing = []
-    for t in sorted(set(terminals)):
-        if t == root:
-            continue
-        p = dijkstra(g, u, t, root)
-        if p is None:
-            missing.append(t)
-        else:
-            paths[t] = p
-    if missing:
-        raise RoutingInfeasibleError(missing, what="terminal")
+    if terms:
+        dist, nxt = shortest_path_csr(*g.frame_reverse_csr(u), root)
+        missing = [t for t in terms if not np.isfinite(dist[t])]
+        if missing:
+            raise RoutingInfeasibleError(missing, what="terminal")
+        w = g.weights_j[u]
+        tol = TIE_RTOL * max(dist[t] for t in terms)
+        # Slack is nan between two unreached nodes and -inf from an unreached
+        # node to a reached one, so unreached nodes may count as tied; no
+        # terminal's path passes one.
+        with np.errstate(invalid="ignore"):
+            near = w + dist[g.dst] - dist[g.src] <= tol
+        tied = np.bincount(g.src[near], minlength=g.num_nodes) > 1
+        for t in terms:
+            nodes = [t]
+            while nodes[-1] != root:
+                nodes.append(int(nxt[nodes[-1]]))
+            if tied[nodes[:-1]].any():
+                paths[t] = dijkstra(g, u, t, root)
+                continue
+            eids = tuple(g.edge_index[pair] for pair in zip(nodes, nodes[1:]))
+            cost = 0.0
+            for e in eids:
+                cost += w[e]
+            paths[t] = ShortestPath(tuple(nodes), eids, float(cost))
     return ShortestPathSet(graph=g, frame=u, root=root, paths=paths)
 
 
@@ -285,7 +337,7 @@ def _prune_non_terminal_leaves(edges, root, terminals):
 def taeer(g: SnapshotGraph, u: int, terminals, root: int) -> Arborescence:
     """Topology-aware energy-efficient routing for one frame.
 
-    Per-terminal Dijkstra paths to the root are merged into a substitute
+    Per-terminal shortest paths to the root are merged into a substitute
     graph, an exact minimum spanning arborescence of that graph is computed,
     and non-terminal leaves are pruned away. The result covers every
     terminal; cost is the sum of the surviving edge weights.

@@ -54,6 +54,10 @@ class ScenarioConfig:
             raise ValueError(f"device weights must sum to 1 (got {total!r})")
         if not 0 < self.tx_power_min_w <= self.tx_power_max_w:
             raise ValueError("require 0 < tx_power_min_w <= tx_power_max_w")
+        if self.params.frames_per_slot != self.times.frames_per_slot:
+            raise ValueError(
+                f"params.frames_per_slot={self.params.frames_per_slot} differs from "
+                f"times.frames_per_slot={self.times.frames_per_slot}")
 
     @property
     def outages_enabled(self) -> bool:
@@ -114,6 +118,14 @@ def random_clusters(count: int, rng: np.random.Generator,
                  for i in range(count))
 
 
+def scenario_tx_power(cfg: ScenarioConfig) -> np.ndarray:
+    """Per-satellite transmit powers of the scenario, drawn from the first
+    child of the master seed (the second seeds the rounds)."""
+    power_ss = np.random.SeedSequence(cfg.rng_seed).spawn(2)[0]
+    return topology.tx_power_draw(cfg.spec, np.random.default_rng(power_ss),
+                                  cfg.tx_power_min_w, cfg.tx_power_max_w)
+
+
 def terminals_for_round(cfg: ScenarioConfig, t_abs: float) -> tuple[dict, list]:
     """Serving satellite per cluster at the round epoch; returns the
     cluster -> node map and the deduplicated sorted terminal list."""
@@ -170,11 +182,8 @@ def _simulate(cfg: ScenarioConfig, algorithms, collect_edges: bool = False):
     seeds. Edge collections hold (tx_power, distance) per used LEO-LEO edge
     transmission, for threshold sweeps.
     """
-    master = np.random.SeedSequence(cfg.rng_seed)
-    power_ss, rounds_ss = master.spawn(2)
-    tx_power = topology.tx_power_draw(cfg.spec, np.random.default_rng(power_ss),
-                                      cfg.tx_power_min_w, cfg.tx_power_max_w)
-    round_seeds = rounds_ss.spawn(cfg.rounds)
+    tx_power = scenario_tx_power(cfg)
+    round_seeds = np.random.SeedSequence(cfg.rng_seed).spawn(2)[1].spawn(cfg.rounds)
     u_frames = cfg.times.frames_per_slot
     m_slots = cfg.times.slots_per_period
 

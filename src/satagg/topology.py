@@ -81,13 +81,29 @@ class SnapshotGraph:
         return np.searchsorted(self.src, np.arange(self.num_nodes + 1)).astype(np.int32)
 
     @cached_property
+    def rev_order(self) -> np.ndarray:
+        """Edge rows grouped by dst (then src): the reversed graph's CSR order."""
+        return np.lexsort((self.src, self.dst))
+
+    @cached_property
+    def rev_indptr(self) -> np.ndarray:
+        return np.searchsorted(self.dst[self.rev_order],
+                               np.arange(self.num_nodes + 1)).astype(np.int32)
+
+    @cached_property
     def edge_index(self) -> dict:
         return {(int(u), int(v)): e
                 for e, (u, v) in enumerate(zip(self.src, self.dst))}
 
     def frame_csr(self, u: int):
-        """(indptr, indices, weights) for frame u, ready for the kernel."""
+        """(indptr, indices, weights) for frame u, ready for shortest_path_csr."""
         return self.indptr, self.dst, self.weights_j[u]
+
+    def frame_reverse_csr(self, u: int):
+        """(indptr, indices, weights) of the reversed graph for frame u: row x
+        lists the nodes that transmit to x."""
+        order = self.rev_order
+        return self.rev_indptr, self.src[order], self.weights_j[u][order]
 
     def out_edges(self, node: int):
         lo, hi = self.indptr[node], self.indptr[node + 1]

@@ -1,8 +1,10 @@
+import csv
 import json
 
 import pytest
 
 from satagg import config as cfgmod
+from satagg import sim, topology
 from satagg.cli import parse_and_dispatch
 
 SMALL_CFG = """
@@ -141,6 +143,25 @@ class TestDispatch:
         assert code == 0
         header = (out / "snapshot_slot3.csv").read_text().splitlines()[0]
         assert header.startswith("slot,frame,src_orbit")
+
+    def test_export_snapshot_matches_simulated_round(self, tmp_path, cfg_file,
+                                                     monkeypatch):
+        built = []
+        build_snapshot = topology.build_snapshot
+
+        def record(*args, **kwargs):
+            built.append(build_snapshot(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(topology, "build_snapshot", record)
+        sim.run_scenario(cfgmod.build_scenario(cfgmod.read_config(cfg_file)))
+        monkeypatch.undo()
+        out = tmp_path / "snap"
+        assert parse_and_dispatch(["export-snapshot", "--config", cfg_file,
+                                   "--slot", "1", "--out", str(out)]) == 0
+        with open(out / "snapshot_slot1.csv", newline="") as fh:
+            exported = [row["weight_j"] for row in csv.DictReader(fh)]
+        assert exported == [repr(float(w)) for w in built[1].weights_j.ravel()]
 
     def test_link_sweep(self, tmp_path, cfg_file):
         out = tmp_path / "sweep"

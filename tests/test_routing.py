@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import bellman_ford, enumerate_min_arborescence
-from satagg._kernels import IMPLEMENTATION
-from satagg._kernels import pure as pure_kernel
+from satagg import sim, topology
 from satagg.routing import (
     OracleSizeLimitError,
     RoutingInfeasibleError,
@@ -23,7 +22,7 @@ from satagg.routing import (
 )
 from satagg.topology import SnapshotGraph
 
-from conftest import random_digraph
+from conftest import make_scenario, random_digraph
 
 
 def graph_of(n, edges, frames=1):
@@ -88,22 +87,67 @@ class TestDijkstra:
             assert p.cost == pytest.approx(
                 sum(g.weights_j[0][e] for e in p.edge_ids), rel=1e-12)
 
-    @pytest.mark.skipif(IMPLEMENTATION != "compiled",
-                        reason="compiled kernel not built")
-    def test_compiled_and_pure_kernels_identical(self):
-        rng = np.random.default_rng(42)
-        from satagg._kernels import _dijkstra as compiled
-        for _ in range(200):
-            n, edges = random_digraph(rng, max_nodes=30, p=0.25)
-            if not edges:
-                continue
-            g = graph_of(n, edges)
-            indptr, indices, w = g.frame_csr(0)
-            src = int(rng.integers(n))
-            d1, p1 = compiled.shortest_path_csr(indptr, indices, w, src, -1)
-            d2, p2 = pure_kernel.shortest_path_csr(indptr, indices, w, src, -1)
-            assert np.array_equal(d1, d2)
-            assert np.array_equal(p1, p2)
+
+def assert_paths_match_dijkstra(g, u, terminals, root):
+    """The reverse-tree path set equals per-terminal dijkstra field for field."""
+    got = shortest_paths_to_root(g, u, terminals, root).paths
+    want = {t: dijkstra(g, u, t, root) for t in sorted(set(terminals)) if t != root}
+    assert got.keys() == want.keys()
+    for t, p in want.items():
+        assert got[t].nodes == p.nodes
+        assert got[t].edge_ids == p.edge_ids
+        assert got[t].cost == p.cost  # bit-identical
+
+
+class TestShortestPathsToRoot:
+    @pytest.mark.parametrize("integer_weights", [False, True])
+    def test_matches_dijkstra_on_random_instances(self, integer_weights):
+        rng = np.random.default_rng(60 + integer_weights)
+        for _ in range(500):
+            g, terminals, root = random_dst_instance(
+                rng, max_nodes=10, max_terminals=6, integer_weights=integer_weights)
+            assert_paths_match_dijkstra(g, 0, terminals, root)
+
+    @pytest.mark.parametrize("shell, rho", [("delta", 1.0), ("star", 0.1)])
+    def test_matches_dijkstra_on_constellation_snapshots(
+            self, shell, rho, delta_spec, star_spec):
+        cfg = make_scenario(delta_spec if shell == "delta" else star_spec,
+                            rho=rho, clusters=41, seed=42)
+        tx_power = sim.scenario_tx_power(cfg)
+        for t in (0, 5):
+            t_abs = t * cfg.times.slot_len_s
+            g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, t_abs,
+                                        tx_power)
+            if rho < 1.0:
+                g = topology.robust_weights(g, rho, cfg.params)
+            _, terminals = sim.terminals_for_round(cfg, t_abs)
+            root = select_root(g, 0, terminals)
+            for u in (0, 12, 24):
+                assert_paths_match_dijkstra(g, u, terminals, root)
+
+    def test_tie_falls_back_to_dijkstra(self):
+        # Both routes from 0 cost 3: the reverse tree settles 2 first and
+        # reaches 0 through it, the forward search from 0 settles 3 first.
+        g = graph_of(4, [(0, 3, 1.0), (0, 2, 2.0), (3, 1, 2.0), (2, 1, 1.0)])
+        ps = shortest_paths_to_root(g, 0, [0, 1], 1)
+        assert ps.paths[0].nodes == (0, 3, 1)
+        assert ps.paths[0] == dijkstra(g, 0, 0, 1)
+
+    def test_rounding_tie_falls_back_to_dijkstra(self):
+        # Both routes from 0 cost 0.9 in exact arithmetic. Summed from 0,
+        # 0-2-3-1 rounds to 0.9000000000000001 and loses; summed from the
+        # root it rounds to 0.8999999999999999 and wins the reverse tree.
+        g = graph_of(5, [(0, 2, 0.2), (2, 3, 0.4), (3, 1, 0.3),
+                         (0, 4, 0.1), (4, 1, 0.8)])
+        ps = shortest_paths_to_root(g, 0, [0, 1], 1)
+        assert ps.paths[0].nodes == (0, 4, 1)
+        assert ps.paths[0] == dijkstra(g, 0, 0, 1)
+
+    def test_unreachable_terminals_listed(self):
+        g = graph_of(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        with pytest.raises(RoutingInfeasibleError) as exc:
+            shortest_paths_to_root(g, 0, [0, 1, 2, 3], 1)
+        assert exc.value.stranded == [2, 3]
 
 
 class TestSubstituteGraph:

@@ -28,6 +28,14 @@ class TestScenarioConfig:
                            times=TimeStructure.for_constellation(delta_spec),
                            clusters=clusters)
 
+    def test_rejects_frames_per_slot_mismatch(self, delta_spec):
+        # Energy per frame scales with params.frames_per_slot while the
+        # simulator runs times.frames_per_slot frames: both must agree.
+        params = channel.LinkParams(frames_per_slot=5)
+        with pytest.raises(ValueError, match=r"params\.frames_per_slot=5 .*"
+                                             r"times\.frames_per_slot=25"):
+            make_scenario(delta_spec, params=params)
+
     def test_outage_sampling_defaults_to_rho(self, delta_spec):
         assert not make_scenario(delta_spec, rho=1.0).outages_enabled
         assert make_scenario(delta_spec, rho=0.5).outages_enabled
