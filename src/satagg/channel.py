@@ -189,7 +189,10 @@ def gamma0(p_t_w, d_km, params: LinkParams):
     return float(out) if np.isscalar(d_km) and np.isscalar(p_t_w) else out
 
 
-_erf = np.vectorize(math.erf, otypes=[float])
+def _erf(x):
+    """Elementwise math.erf over an array."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.erf, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def outage_from_gamma0(g0_val, params: LinkParams):

@@ -179,7 +179,8 @@ def isl_feasible(a: SatelliteEphemeris, b: SatelliteEphemeris,
     line). Different orbits: the Euclidean distance must not exceed the smaller
     communication radius of the two shells and b must be a's nearest in-range
     satellite within b's orbit. The full ephemeris list is required to evaluate
-    the nearest-in-orbit rule.
+    the nearest-in-orbit rule. This per-satellite form is the reference that
+    the tests hold `feasible_isl_pairs` to.
     """
     if a.sat_id == b.sat_id:
         raise ConfigurationError("isl_feasible requires two distinct satellites")
@@ -197,33 +198,34 @@ def isl_feasible(a: SatelliteEphemeris, b: SatelliteEphemeris,
 
 
 def feasible_isl_pairs(spec: ConstellationSpec, pos: np.ndarray) -> list[tuple[int, int]]:
-    """Unordered satellite-index pairs holding a feasible ISL.
+    """Unordered satellite-index pairs holding a feasible ISL, sorted.
 
     Intra-orbit: the ring of adjacent slots. Inter-orbit: for each satellite
     and each other orbit, the nearest in-range satellite of that orbit; a pair
-    is kept if either endpoint selects the other.
+    is kept if either endpoint selects the other. This is `isl_feasible` in
+    either direction, with `nearest_in_orbit`'s rule batched: one distance
+    block per source orbit, whose argmin keeps the first minimum too.
     """
-    s = spec.sats_per_orbit
-    pairs = set()
-    for n in range(spec.num_orbits):
-        base = n * s
-        if s == 2:
-            pairs.add((base, base + 1))
-        elif s >= 3:
-            for k in range(s):
-                pairs.add(tuple(sorted((base + k, base + (k + 1) % s))))
+    p, s, total = spec.num_orbits, spec.sats_per_orbit, spec.total_sats
+    lo, hi = [], []
+    if s >= 2:
+        ring = np.arange(total)
+        nxt = ring - ring % s + (ring + 1) % s
+        lo.append(np.minimum(ring, nxt))
+        hi.append(np.maximum(ring, nxt))
     radius = comm_radius_km(spec.altitude_km)
-    for n in range(spec.num_orbits):
-        for m in range(spec.num_orbits):
-            if m == n:
-                continue
-            block = pos[m * s:(m + 1) * s]
-            for k in range(s):
-                i = n * s + k
-                k_near, dist = nearest_in_orbit(pos[i], block)
-                if dist <= radius:
-                    pairs.add(tuple(sorted((i, m * s + k_near))))
-    return sorted(pairs)
+    for n in range(p):
+        d = np.linalg.norm(pos[None, :, :] - pos[n * s:(n + 1) * s, None, :],
+                           axis=2).reshape(s, p, s)
+        k_near = d.argmin(axis=2)                       # (source slot, orbit)
+        ok = d.min(axis=2) <= radius
+        ok[:, n] = False
+        k, m = np.nonzero(ok)
+        i, j = n * s + k, m * s + k_near[k, m]
+        lo.append(np.minimum(i, j))
+        hi.append(np.maximum(i, j))
+    keys = set((np.concatenate(lo) * total + np.concatenate(hi)).tolist())
+    return [divmod(key, total) for key in sorted(keys)]
 
 
 def earth_rotation_deg(t: float) -> float:

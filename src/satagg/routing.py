@@ -12,6 +12,7 @@ always produce identical trees.
 """
 import heapq
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,31 +116,38 @@ class OrbitForest:
 def shortest_path_csr(indptr, indices, weights, source, target=-1):
     """Single-source shortest paths on a CSR digraph with weights >= 0.
 
-    Returns (dist, pred) arrays; pred[v] = -1 for the source and unreached
-    nodes. If target >= 0 the search stops once the target is settled, so
-    dist/pred entries for nodes farther than the target are partial. Heap
-    entries are (distance, node) so cost ties pop in ascending node order,
-    and predecessors update only on strict improvement.
+    Returns (dist, pred) arrays, float64 and int32; pred[v] = -1 for the
+    source and unreached nodes. If target >= 0 the search stops once the
+    target is settled, so dist/pred entries for nodes farther than the target
+    are partial. Heap entries are (distance, node) so cost ties pop in
+    ascending node order, and predecessors update only on strict improvement.
+    The loop runs on list copies of the arrays: indexing a list is several
+    times faster than indexing an array, and Python float addition rounds
+    exactly as float64 addition does.
     """
-    n = len(indptr) - 1
-    dist = np.full(n, np.inf)
-    pred = np.full(n, -1, dtype=np.int32)
+    ptr = np.asarray(indptr).tolist()
+    nbr = np.asarray(indices).tolist()
+    wts = np.asarray(weights).tolist()
+    n = len(ptr) - 1
+    dist = [math.inf] * n
+    pred = [-1] * n
     dist[source] = 0.0
     heap = [(0.0, source)]
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        d, u = heapq.heappop(heap)
+        d, u = pop(heap)
         if d > dist[u]:
             continue
         if u == target:
             break
-        for k in range(indptr[u], indptr[u + 1]):
-            v = indices[k]
-            nd = d + weights[k]
+        for k in range(ptr[u], ptr[u + 1]):
+            v = nbr[k]
+            nd = d + wts[k]
             if nd < dist[v]:
                 dist[v] = nd
                 pred[v] = u
-                heapq.heappush(heap, (nd, v))
-    return dist, pred
+                push(heap, (nd, v))
+    return np.array(dist, dtype=float), np.array(pred, dtype=np.int32)
 
 
 def dijkstra(g: SnapshotGraph, u: int, source: int, target: int):
@@ -186,19 +194,23 @@ def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals, root: int) -> Sh
         # terminal's path passes one.
         with np.errstate(invalid="ignore"):
             near = w + dist[g.dst] - dist[g.src] <= tol
-        tied = np.bincount(g.src[near], minlength=g.num_nodes) > 1
+        tied = (np.bincount(g.src[near], minlength=g.num_nodes) > 1).tolist()
+        nxt = nxt.tolist()
+        w = w.tolist()
         for t in terms:
             nodes = [t]
-            while nodes[-1] != root:
-                nodes.append(int(nxt[nodes[-1]]))
-            if tied[nodes[:-1]].any():
+            x = t
+            while x != root and not tied[x]:
+                x = nxt[x]
+                nodes.append(x)
+            if x != root:
                 paths[t] = dijkstra(g, u, t, root)
                 continue
             eids = tuple(g.edge_index[pair] for pair in zip(nodes, nodes[1:]))
             cost = 0.0
             for e in eids:
                 cost += w[e]
-            paths[t] = ShortestPath(tuple(nodes), eids, float(cost))
+            paths[t] = ShortestPath(tuple(nodes), eids, cost)
     return ShortestPathSet(graph=g, frame=u, root=root, paths=paths)
 
 

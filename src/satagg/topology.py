@@ -179,13 +179,14 @@ def build_snapshot(spec: ConstellationSpec, params: LinkParams,
     pos0 = geometry.positions(spec, t_slot_start)
     pairs = geometry.feasible_isl_pairs(spec, pos0)
 
-    src = np.empty(2 * len(pairs) + n_leo, dtype=np.int32)
+    ij = np.asarray(pairs, dtype=np.int32).reshape(-1, 2)
+    n_isl = 2 * len(ij)
+    src = np.empty(n_isl + n_leo, dtype=np.int32)
     dst = np.empty_like(src)
-    for e, (i, j) in enumerate(pairs):
-        src[2 * e], dst[2 * e] = i, j
-        src[2 * e + 1], dst[2 * e + 1] = j, i
-    src[2 * len(pairs):] = np.arange(n_leo)
-    dst[2 * len(pairs):] = geo
+    src[0:n_isl:2], dst[0:n_isl:2] = ij[:, 0], ij[:, 1]
+    src[1:n_isl:2], dst[1:n_isl:2] = ij[:, 1], ij[:, 0]
+    src[n_isl:] = np.arange(n_leo)
+    dst[n_isl:] = geo
 
     u_frames = times.frames_per_slot
     n_edges = src.shape[0]

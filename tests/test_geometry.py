@@ -145,6 +145,37 @@ class TestIslFeasible:
             assert len(intra) == 2
 
 
+def _pairs_by_rule(spec, t):
+    """feasible_isl_pairs' oracle: pairs where isl_feasible holds either way."""
+    eph = geometry.propagate(spec, t)
+    return [(i, j) for i in range(len(eph)) for j in range(i + 1, len(eph))
+            if geometry.isl_feasible(eph[i], eph[j], spec, eph)
+            or geometry.isl_feasible(eph[j], eph[i], spec, eph)]
+
+
+class TestFeasibleIslPairs:
+    @pytest.mark.parametrize("t", [0.0, 1234.5, 4000.0])
+    @pytest.mark.parametrize("shell", ["delta", "star"])
+    def test_matches_per_satellite_rule(self, shell, t, delta_spec, star_spec):
+        spec = delta_spec if shell == "delta" else star_spec
+        pos = geometry.positions(spec, t)
+        assert geometry.feasible_isl_pairs(spec, pos) == _pairs_by_rule(spec, t)
+
+    @pytest.mark.parametrize("spec", [
+        ConstellationSpec(12, 1, 1200.0, 53.0, 5, "delta"),
+        ConstellationSpec(8, 2, 1200.0, 53.0, 1, "delta"),
+        ConstellationSpec(6, 3, 1200.0, 87.0, 1, "star"),
+        ConstellationSpec(1, 4, 1200.0, 53.0, 0, "delta"),
+    ], ids=lambda spec: f"{spec.num_orbits}x{spec.sats_per_orbit}")
+    @pytest.mark.parametrize("t", [0.0, 1500.0])
+    def test_small_shells_match_per_satellite_rule(self, spec, t):
+        want = _pairs_by_rule(spec, t)
+        s = spec.sats_per_orbit
+        if spec.num_orbits > 1:
+            assert any(i // s != j // s for i, j in want), "no cross-plane pair"
+        assert geometry.feasible_isl_pairs(spec, geometry.positions(spec, t)) == want
+
+
 class TestServingSatellite:
     def test_directly_under(self, star_spec):
         eph = geometry.propagate(star_spec, 0.0)

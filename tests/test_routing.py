@@ -16,6 +16,7 @@ from satagg.routing import (
     exact_dst_oracle,
     orbit_greedy,
     select_root,
+    shortest_path_csr,
     shortest_paths_to_root,
     taeer,
     tree_to_json,
@@ -86,6 +87,31 @@ class TestDijkstra:
                 assert (g.src[e], g.dst[e]) == (a, b)
             assert p.cost == pytest.approx(
                 sum(g.weights_j[0][e] for e in p.edge_ids), rel=1e-12)
+
+
+class TestShortestPathCsr:
+    @pytest.mark.parametrize("shell, rho", [("delta", 1.0), ("star", 0.1)])
+    def test_reverse_search_matches_bellman_ford(self, shell, rho, delta_spec, star_spec):
+        cfg = make_scenario(delta_spec if shell == "delta" else star_spec,
+                            rho=rho, clusters=41, seed=42)
+        g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, 0.0,
+                                    sim.scenario_tx_power(cfg))
+        if rho < 1.0:
+            g = topology.robust_weights(g, rho, cfg.params)
+        root = 3
+        for u in (0, 12):
+            dist, pred = shortest_path_csr(*g.frame_reverse_csr(u), root)
+            assert dist.dtype == np.float64 and pred.dtype == np.int32
+            reversed_edges = list(zip(g.dst.tolist(), g.src.tolist(),
+                                      g.weights_j[u].tolist()))
+            assert dist.tolist() == bellman_ford(g.num_nodes, reversed_edges, root)
+            # The GEO relay transmits to no one, so the reverse search from a
+            # satellite never reaches it.
+            assert dist[g.geo_node] == math.inf
+            reached = np.isfinite(dist)
+            assert pred[root] == -1 and (pred[~reached] == -1).all()
+            reached[root] = False
+            assert (pred[reached] >= 0).all()
 
 
 def assert_paths_match_dijkstra(g, u, terminals, root):
