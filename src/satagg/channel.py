@@ -115,8 +115,14 @@ class GammaApprox:
 
 
 def free_space_loss(d_m, wavelength_m: float):
-    """(lambda / (4*pi*d))^2; accepts scalar or array distance in metres."""
-    return (wavelength_m / (4.0 * math.pi * d_m)) ** 2
+    """(lambda / (4*pi*d))^2; accepts scalar or array distance in metres.
+
+    Squares by multiplying, as numpy does for an array ** 2, so a scalar
+    call rounds exactly as the same element of an array call; a float64
+    scalar ** 2 goes through pow, which is 1 ulp off for some inputs.
+    """
+    ratio = wavelength_m / (4.0 * math.pi * d_m)
+    return ratio * ratio
 
 
 def pointing_loss(theta_rad, params: LinkParams):

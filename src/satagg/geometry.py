@@ -204,7 +204,9 @@ def feasible_isl_pairs(spec: ConstellationSpec, pos: np.ndarray) -> list[tuple[i
     and each other orbit, the nearest in-range satellite of that orbit; a pair
     is kept if either endpoint selects the other. This is `isl_feasible` in
     either direction, with `nearest_in_orbit`'s rule batched: one distance
-    block per source orbit, whose argmin keeps the first minimum too.
+    block per source orbit, whose argmin keeps the first minimum too. The
+    block sums the squared components as (dx^2 + dy^2) + dz^2, the order in
+    which `np.linalg.norm` reduces a length-3 axis, so distances match it.
     """
     p, s, total = spec.num_orbits, spec.sats_per_orbit, spec.total_sats
     lo, hi = [], []
@@ -214,9 +216,13 @@ def feasible_isl_pairs(spec: ConstellationSpec, pos: np.ndarray) -> list[tuple[i
         lo.append(np.minimum(ring, nxt))
         hi.append(np.maximum(ring, nxt))
     radius = comm_radius_km(spec.altitude_km)
+    x, y, z = (np.ascontiguousarray(pos[:, c]) for c in range(3))
     for n in range(p):
-        d = np.linalg.norm(pos[None, :, :] - pos[n * s:(n + 1) * s, None, :],
-                           axis=2).reshape(s, p, s)
+        src = slice(n * s, (n + 1) * s)
+        dx = x - x[src, None]
+        dy = y - y[src, None]
+        dz = z - z[src, None]
+        d = np.sqrt(dx * dx + dy * dy + dz * dz).reshape(s, p, s)
         k_near = d.argmin(axis=2)                       # (source slot, orbit)
         ok = d.min(axis=2) <= radius
         ok[:, n] = False
@@ -224,8 +230,13 @@ def feasible_isl_pairs(spec: ConstellationSpec, pos: np.ndarray) -> list[tuple[i
         i, j = n * s + k, m * s + k_near[k, m]
         lo.append(np.minimum(i, j))
         hi.append(np.maximum(i, j))
-    keys = set((np.concatenate(lo) * total + np.concatenate(hi)).tolist())
-    return [divmod(key, total) for key in sorted(keys)]
+    # A stable sort, and divmod on Python ints rather than numpy's int64 //
+    # and %: numpy runs those through SIMD kernels whose code pages add a few
+    # hundred KB to the peak RSS of an 80-satellite run.
+    keys = np.sort(np.concatenate(lo) * total + np.concatenate(hi), kind="stable")
+    dup = np.zeros(keys.size, dtype=bool)
+    dup[1:] = keys[1:] == keys[:-1]
+    return [divmod(key, total) for key in keys[~dup].tolist()]
 
 
 def earth_rotation_deg(t: float) -> float:

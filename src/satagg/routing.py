@@ -165,7 +165,7 @@ def dijkstra(g: SnapshotGraph, u: int, source: int, target: int):
     while rev[-1] != source:
         rev.append(int(pred[rev[-1]]))
     nodes = tuple(reversed(rev))
-    eids = tuple(g.edge_index[(nodes[i], nodes[i + 1])] for i in range(len(nodes) - 1))
+    eids = tuple(g.edge_rows(nodes[:-1], nodes[1:]).tolist())
     return ShortestPath(nodes, eids, float(dist[target]))
 
 
@@ -178,7 +178,8 @@ def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals, root: int) -> Sh
     `dijkstra(g, u, t, root)` returns, bit for bit, unless the path passes a
     tied node (see TIE_RTOL): the forward search breaks such a tie from the
     terminal and the reverse one from the root, so those terminals take
-    their path from `dijkstra` itself.
+    their path from `dijkstra` itself. The tree edge out of a reached node
+    has slack exactly 0, so an untied node's only near out-edge is its hop.
     """
     terms = [t for t in sorted(set(terminals)) if t != root]
     paths = {}
@@ -194,23 +195,28 @@ def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals, root: int) -> Sh
         # terminal's path passes one.
         with np.errstate(invalid="ignore"):
             near = w + dist[g.dst] - dist[g.src] <= tol
-        tied = (np.bincount(g.src[near], minlength=g.num_nodes) > 1).tolist()
+        rows = np.flatnonzero(near)
+        tied = (np.bincount(g.src[rows], minlength=g.num_nodes) > 1).tolist()
+        hop = np.zeros(g.num_nodes, dtype=np.intp)
+        hop[g.src[rows]] = rows
+        hop = hop.tolist()
         nxt = nxt.tolist()
         w = w.tolist()
         for t in terms:
             nodes = [t]
+            eids = []
+            cost = 0.0
             x = t
             while x != root and not tied[x]:
+                e = hop[x]
+                eids.append(e)
+                cost += w[e]
                 x = nxt[x]
                 nodes.append(x)
             if x != root:
                 paths[t] = dijkstra(g, u, t, root)
                 continue
-            eids = tuple(g.edge_index[pair] for pair in zip(nodes, nodes[1:]))
-            cost = 0.0
-            for e in eids:
-                cost += w[e]
-            paths[t] = ShortestPath(tuple(nodes), eids, cost)
+            paths[t] = ShortestPath(tuple(nodes), tuple(eids), cost)
     return ShortestPathSet(graph=g, frame=u, root=root, paths=paths)
 
 
@@ -363,10 +369,10 @@ def taeer(g: SnapshotGraph, u: int, terminals, root: int) -> Arborescence:
     sub = build_substitute_graph(pathset)
     arb = chu_liu_edmonds(sub, root, u=0)
     kept = _prune_non_terminal_leaves(arb.edges, root, terminals)
-    eids = [g.edge_index[p] for p in kept]
-    cost = float(sum(g.weights_j[u][e] for e in eids))
+    eids = g.edge_rows([c for c, _ in kept], [p for _, p in kept])
+    cost = float(sum(g.weights_j[u][eids]))
     return Arborescence(root=root, edges=tuple(kept), total_cost=cost,
-                        edge_ids=tuple(eids))
+                        edge_ids=tuple(eids.tolist()))
 
 
 def d_merge(g: SnapshotGraph, u: int, terminals, root: int) -> MergedPaths:
@@ -375,10 +381,10 @@ def d_merge(g: SnapshotGraph, u: int, terminals, root: int) -> MergedPaths:
     if root not in terminals:
         raise ValueError("root must be one of the terminals")
     pathset = shortest_paths_to_root(g, u, terminals, root)
+    # Rows are (src, dst)-sorted, so sorted rows give sorted pairs.
     eids = sorted({e for p in pathset.paths.values() for e in p.edge_ids})
-    pairs = sorted((int(g.src[e]), int(g.dst[e])) for e in eids)
-    eids = [g.edge_index[p] for p in pairs]
-    cost = float(sum(g.weights_j[u][e] for e in eids))
+    pairs = zip(g.src[eids].tolist(), g.dst[eids].tolist())
+    cost = float(sum(g.weights_j[u][eids]))
     return MergedPaths(root=root, edges=tuple(pairs), total_cost=cost,
                        edge_ids=tuple(eids))
 
@@ -415,11 +421,8 @@ def orbit_greedy(g: SnapshotGraph, u: int, terminals, rng: np.random.Generator) 
     for t in sorted(set(terminals)):
         by_orbit.setdefault(int(g.node_orbit[t]), []).append(t)
     ring_size = int(np.max(g.node_slot[:g.geo_node])) + 1
-    w_row = g.weights_j[u]
 
-    edges, eids, roots, uplinks = [], [], [], []
-    ring_cost = 0.0
-    uplink_cost = 0.0
+    edges, roots, uplinks = [], [], []
     for orbit in sorted(by_orbit):
         members = by_orbit[orbit]
         base = members[0] - int(g.node_slot[members[0]])
@@ -429,17 +432,16 @@ def orbit_greedy(g: SnapshotGraph, u: int, terminals, rng: np.random.Generator) 
         roots.append((orbit, root))
         for idx in range(len(arc) - 1):
             a, b = base + arc[idx], base + arc[idx + 1]
-            child, parent = (a, b) if idx < root_pos else (b, a)
-            e = g.edge_index[(child, parent)]
-            edges.append((child, parent))
-            eids.append(e)
-            ring_cost += w_row[e]
-        up = g.edge_index[(root, g.geo_node)]
+            edges.append((a, b) if idx < root_pos else (b, a))
         uplinks.append(root)
-        uplink_cost += w_row[up]
+    rows = g.edge_rows([c for c, _ in edges] + uplinks,
+                       [p for _, p in edges] + [g.geo_node] * len(uplinks))
+    w_row = g.weights_j[u]
+    ring_cost = sum(w_row[rows[:len(edges)]])
+    uplink_cost = sum(w_row[rows[len(edges):]])
     order = np.argsort([c for c, _ in edges], kind="stable")
     edges = tuple(edges[i] for i in order)
-    eids = tuple(eids[i] for i in order)
+    eids = tuple(rows[order].tolist())
     return OrbitForest(orbit_roots=tuple(roots), edges=edges, edge_ids=eids,
                        uplink_nodes=tuple(uplinks), uplink_cost=float(uplink_cost),
                        total_cost=float(ring_cost + uplink_cost))
@@ -486,8 +488,7 @@ def select_root(g: SnapshotGraph, u: int, terminals, rule: str = "min_uplink",
         raise ValueError(f"unknown root selection rule: {rule}")
     if g.geo_node is None:
         return terms[0]
-    w_row = g.weights_j[u]
-    costs = [w_row[g.edge_index[(t, g.geo_node)]] for t in terms]
+    costs = g.weights_j[u][g.edge_rows(terms, g.geo_node)]
     return terms[int(np.argmin(costs))]
 
 

@@ -215,30 +215,29 @@ def _simulate(cfg: ScenarioConfig, algorithms, collect_edges: bool = False):
                 for u in range(u_frames):
                     result = _solve_frame(algorithm, route_graph, u, terminals,
                                           root, rng)
-                    eids = [graph.edge_index[pair] for pair in result.edges]
+                    uplinks = _uplink_nodes(result)
+                    rows = graph.edge_rows(
+                        [c for c, _ in result.edges] + list(uplinks),
+                        [p for _, p in result.edges] + [graph.geo_node] * len(uplinks))
+                    eids, up_rows = rows[:len(result.edges)], rows[len(result.edges):]
                     w_true = graph.weights_j[u]
-                    rec.tree_energy_j += float(sum(w_true[e] for e in eids))
-                    for node in _uplink_nodes(result):
-                        rec.geo_energy_j += float(
-                            w_true[graph.edge_index[(node, graph.geo_node)]])
-                    rec.analytic_outage_sum += float(
-                        sum(graph.outage_prob[u][e] for e in eids))
+                    rec.tree_energy_j += float(sum(w_true[eids]))
+                    for w_up in w_true[up_rows].tolist():
+                        rec.geo_energy_j += w_up
+                    rec.analytic_outage_sum += float(sum(graph.outage_prob[u][eids]))
                     rec.edge_frames += len(eids)
+                    p_t, d_km = tx_power[graph.src[eids]], graph.distance_km[u][eids]
                     if collect_edges:
-                        collected[algorithm][0].extend(
-                            tx_power[graph.src[e]] for e in eids)
-                        collected[algorithm][1].extend(
-                            graph.distance_km[u][e] for e in eids)
+                        collected[algorithm][0].extend(p_t)
+                        collected[algorithm][1].extend(d_km)
                     if cfg.outages_enabled:
-                        for e in eids:
-                            g0_val = channel.gamma0(tx_power[graph.src[e]],
-                                                    graph.distance_km[u][e],
-                                                    cfg.params)
+                        g0_vals = channel.gamma0(p_t, d_km, cfg.params).tolist()
+                        for g0_val, w_e in zip(g0_vals, w_true[eids].tolist()):
                             k, ok = sample_attempts(rng, g0_val, cfg.params,
                                                     cfg.max_attempts)
                             rec.attempts += k
                             rec.failures += k - 1 if ok else k
-                            rec.retrans_energy_j += (k - 1) * float(w_true[e])
+                            rec.retrans_energy_j += (k - 1) * w_e
                             if not ok:
                                 rec.failed = True
                     else:

@@ -91,9 +91,27 @@ class SnapshotGraph:
                                np.arange(self.num_nodes + 1)).astype(np.int32)
 
     @cached_property
-    def edge_index(self) -> dict:
-        return {(int(u), int(v)): e
-                for e, (u, v) in enumerate(zip(self.src, self.dst))}
+    def edge_index(self) -> np.ndarray:
+        """Key src * num_nodes + dst of every edge row, int64; ascending
+        because rows are (src, dst)-sorted."""
+        return self.src.astype(np.int64) * self.num_nodes + self.dst
+
+    def edge_rows(self, src, dst) -> np.ndarray:
+        """Rows of the edges (src[i], dst[i]); src and dst broadcast.
+
+        Raises KeyError naming every pair that is not an edge.
+        """
+        src, dst = np.broadcast_arrays(np.asarray(src, dtype=np.int64),
+                                       np.asarray(dst, dtype=np.int64))
+        keys = src * self.num_nodes + dst
+        rows = np.searchsorted(self.edge_index, keys)
+        # With dst in range, a key names one (src, dst) pair.
+        found = (rows < self.num_edges) & (dst >= 0) & (dst < self.num_nodes)
+        found[found] = self.edge_index[rows[found]] == keys[found]
+        if not found.all():
+            absent = list(zip(src[~found].tolist(), dst[~found].tolist()))
+            raise KeyError(f"no edge(s) {absent}")
+        return rows
 
     def frame_csr(self, u: int):
         """(indptr, indices, weights) for frame u, ready for shortest_path_csr."""

@@ -175,6 +175,25 @@ class TestFeasibleIslPairs:
             assert any(i // s != j // s for i, j in want), "no cross-plane pair"
         assert geometry.feasible_isl_pairs(spec, geometry.positions(spec, t)) == want
 
+    @pytest.mark.parametrize("t", [0.0, 1234.5])
+    def test_800_satellite_shell_matches_nearest_in_orbit(self, t):
+        # The 800/20/1 star shell of scenarios/walker_star_800.cfg.
+        spec = ConstellationSpec.walker(800, 20, 1, 700.0, 99.5, "star")
+        pos = geometry.positions(spec, t)
+        s = spec.sats_per_orbit
+        radius = geometry.comm_radius_km(spec.altitude_km)
+        want = set()
+        for i in range(spec.total_sats):
+            ring_next = i - i % s + (i + 1) % s
+            want.add((min(i, ring_next), max(i, ring_next)))
+            for m in range(spec.num_orbits):
+                if m == i // s:
+                    continue
+                k, d = geometry.nearest_in_orbit(pos[i], pos[m * s:(m + 1) * s])
+                if d <= radius:
+                    want.add((min(i, m * s + k), max(i, m * s + k)))
+        assert geometry.feasible_isl_pairs(spec, pos) == sorted(want)
+
 
 class TestServingSatellite:
     def test_directly_under(self, star_spec):

@@ -402,8 +402,8 @@ class TestOrbitGreedy:
     def test_cost_includes_uplinks(self, snapshot):
         res = orbit_greedy(snapshot, 0, [2, 25], np.random.default_rng(1))
         ring = sum(snapshot.weights_j[0][e] for e in res.edge_ids)
-        ups = sum(snapshot.weights_j[0][snapshot.edge_index[(r, snapshot.geo_node)]]
-                  for r in res.uplink_nodes)
+        ups = sum(snapshot.weights_j[0][snapshot.edge_rows(res.uplink_nodes,
+                                                            snapshot.geo_node)])
         assert res.total_cost == pytest.approx(ring + ups, rel=1e-12)
         assert res.uplink_cost == pytest.approx(ups, rel=1e-12)
 
@@ -462,7 +462,7 @@ class TestSelectRoot:
         g = topology.build_snapshot(delta_spec, params, times, 0.0, txp)
         terms = [5, 23, 41, 66]
         root = select_root(g, 0, terms)
-        ups = {t: g.weights_j[0][g.edge_index[(t, g.geo_node)]] for t in terms}
+        ups = dict(zip(terms, g.weights_j[0][g.edge_rows(terms, g.geo_node)]))
         assert ups[root] == min(ups.values())
 
     def test_random_seeded(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario
-from satagg import channel, sim
+from satagg import channel, sim, topology
 from satagg.sim import ScenarioConfig, sample_attempts
 
 
@@ -75,6 +75,19 @@ class TestSampleAttempts:
     def test_zero_gamma_always_first_try(self, params):
         rng = np.random.default_rng(1)
         assert sample_attempts(rng, 0.0, params) == (1, True)
+
+
+def test_gamma0_array_equals_scalar_calls(star_spec):
+    # The simulator computes one gamma0 array per frame, which must equal
+    # the per-edge scalar calls exactly, on every edge of every frame.
+    cfg = make_scenario(star_spec, rho=0.1, clusters=41, seed=42)
+    tx_power = sim.scenario_tx_power(cfg)
+    g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, 0.0, tx_power)
+    for u in range(g.frame_count):
+        p_t, d_km = tx_power[g.src], g.distance_km[u]
+        batched = channel.gamma0(p_t, d_km, cfg.params).tolist()
+        scalar = [channel.gamma0(p, d, cfg.params) for p, d in zip(p_t, d_km)]
+        assert batched == scalar
 
 
 class TestRunScenario:

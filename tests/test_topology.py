@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from satagg import channel, geometry, topology
+from conftest import make_scenario
+from satagg import channel, geometry, sim, topology
 from satagg.topology import SnapshotGraph, TimeStructure
+from test_routing import random_dst_instance
 
 
 @pytest.fixture
@@ -44,7 +46,55 @@ class TestSnapshotGraphContainer:
         assert g.dst.tolist() == [1, 3, 0]
         assert g.weights_j[0].tolist() == [3.0, 2.0, 1.0]
         assert g.indptr.tolist() == [0, 2, 2, 3, 3]
-        assert g.edge_index[(0, 3)] == 1
+        assert g.edge_rows([0], [3]).tolist() == [1]
+
+
+def assert_edge_rows_match_dict(g):
+    """edge_rows over every edge equals a {(src, dst): row} dict oracle."""
+    oracle = {pair: row for row, pair in
+              enumerate(zip(g.src.tolist(), g.dst.tolist()))}
+    src, dst = zip(*oracle)
+    assert g.edge_rows(src, dst).tolist() == list(oracle.values())
+
+
+class TestEdgeRows:
+    def test_every_edge_of_a_snapshot(self, delta_snapshot):
+        g, _, _ = delta_snapshot
+        assert_edge_rows_match_dict(g)
+
+    def test_every_edge_of_a_robust_graph(self, star_spec):
+        cfg = make_scenario(star_spec, rho=0.1, clusters=41, seed=42)
+        g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, 0.0,
+                                    sim.scenario_tx_power(cfg))
+        r = topology.robust_weights(g, cfg.rho, cfg.params)
+        assert_edge_rows_match_dict(r)
+
+    def test_every_edge_of_random_instances(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            g, _, _ = random_dst_instance(rng, max_nodes=10)
+            assert_edge_rows_match_dict(g)
+
+    def test_absent_pairs_raise_naming_them(self, delta_snapshot):
+        g, _, _ = delta_snapshot
+        ring = int(g.dst[g.out_edges(0)[0]])
+        with pytest.raises(KeyError) as exc:
+            # (0, 0) is a self-loop, (geo, 0) the reverse of an uplink.
+            g.edge_rows([0, 0, g.geo_node], [ring, 0, 0])
+        assert exc.value.args[0] == f"no edge(s) [(0, 0), ({g.geo_node}, 0)]"
+
+    def test_out_of_range_node_is_absent(self):
+        # Key 0 * 2 + 2 equals the key of (1, 0); a dst outside the graph
+        # must not alias it.
+        g = SnapshotGraph.from_edge_list(2, [(1, 0, 1.0)])
+        assert g.edge_rows([1], [0]).tolist() == [0]
+        with pytest.raises(KeyError, match=r"\(0, 2\)"):
+            g.edge_rows([0], [2])
+
+    def test_empty_input(self, delta_snapshot):
+        g, _, _ = delta_snapshot
+        rows = g.edge_rows([], [])
+        assert rows.shape == (0,) and rows.dtype == np.intp
 
 
 class TestBuildSnapshot:
@@ -58,8 +108,7 @@ class TestBuildSnapshot:
 
     def test_geo_edge_from_every_leo(self, delta_snapshot, delta_spec):
         g, _, _ = delta_snapshot
-        for i in range(delta_spec.total_sats):
-            assert (i, g.geo_node) in g.edge_index
+        g.edge_rows(np.arange(delta_spec.total_sats), g.geo_node)  # KeyError if absent
         # GEO is a pure sink.
         assert not any(g.src == g.geo_node)
 
@@ -68,9 +117,8 @@ class TestBuildSnapshot:
         assert not np.any(g.src == g.dst)
         non_geo = g.dst != g.geo_node
         for e in np.nonzero(non_geo)[0][:50]:
-            rev = (int(g.dst[e]), int(g.src[e]))
-            assert rev in g.edge_index
-            if g.weights_j[0][g.edge_index[rev]] == g.weights_j[0][e]:
+            (rev,) = g.edge_rows([g.dst[e]], [g.src[e]])
+            if g.weights_j[0][rev] == g.weights_j[0][e]:
                 # Direction weights coincide only if the power draws do.
                 pass
 
