@@ -50,7 +50,6 @@ class LinkParams:
     sigma_p_rad: float = 0.05       # pointing-error scale parameter
     snr_th_db: float = -110.0       # outage SNR threshold
     payload_bits: float = 1e6       # bits transferred per node per slot
-    frames_per_slot: int = 25
 
     def __post_init__(self):
         positive = {
@@ -69,8 +68,6 @@ class LinkParams:
             raise ValueError("theta_0_rad must be >= 0")
         if min(self.t_solar_k, self.t_system_k, self.t_cmb_k) < 0:
             raise ValueError("temperatures must be >= 0")
-        if self.frames_per_slot < 1:
-            raise ValueError("frames_per_slot must be >= 1")
 
     @property
     def wavelength_m(self) -> float:
@@ -106,12 +103,6 @@ class LinkMetrics:
     rate_bps: float
     energy_j: float
     outage_prob: float
-
-
-@dataclass(frozen=True)
-class GammaApprox:
-    alpha: float
-    beta: float
 
 
 def free_space_loss(d_m, wavelength_m: float):
@@ -156,17 +147,18 @@ def achievable_rate(p_r_w, sigma2_w: float, params: LinkParams):
     return params.bandwidth_hz * np.log2(1.0 + np.asarray(p_r_w, dtype=float) / sigma2_w)
 
 
-def frame_energy(p_t_w, rate_bps, params: LinkParams):
-    """Energy to ship one frame's share of the payload: s*P_T/(U*rate), J.
+def frame_energy(p_t_w, rate_bps, params: LinkParams, frames_per_slot: int):
+    """Energy to ship one frame's share of the payload: s*P_T/(U*rate), J,
+    with U = frames_per_slot.
 
     A non-positive rate yields +inf, the infeasible-edge signal; graph
-    builders drop non-finite weights.
+    builders keep such an edge at weight +inf.
     """
     rate = np.asarray(rate_bps, dtype=float)
     with np.errstate(divide="ignore"):
         out = np.where(rate > 0,
                        params.payload_bits * np.asarray(p_t_w, dtype=float)
-                       / (params.frames_per_slot * rate),
+                       / (frames_per_slot * rate),
                        np.inf)
     return float(out) if np.isscalar(rate_bps) and np.isscalar(p_t_w) else out
 
@@ -225,8 +217,10 @@ def sample_pointing_loss(params: LinkParams, rng: np.random.Generator, size=None
     return np.exp(-params.g0 * (params.sigma_p_rad * z) ** 2)
 
 
-def link_metrics(p_t_w: float, d_km: float, params: LinkParams) -> LinkMetrics:
-    """Full per-edge budget evaluation for one transmit power and range."""
+def link_metrics(p_t_w: float, d_km: float, params: LinkParams,
+                 frames_per_slot: int) -> LinkMetrics:
+    """Full per-edge budget evaluation for one transmit power and range;
+    energy_j is the energy of one of frames_per_slot frames."""
     p_r = received_power(p_t_w, d_km, params)
     sigma2 = noise_power(params)
     rate = achievable_rate(p_r, sigma2, params)
@@ -235,17 +229,7 @@ def link_metrics(p_t_w: float, d_km: float, params: LinkParams) -> LinkMetrics:
         rx_power_w=float(p_r),
         snr_linear=float(p_r / sigma2),
         rate_bps=float(rate),
-        energy_j=float(frame_energy(p_t_w, rate, params)),
+        energy_j=float(frame_energy(p_t_w, rate, params, frames_per_slot)),
         outage_prob=float(outage_probability(p_t_w, d_km, params)),
     )
 
-
-def gsl_gamma_approx(m: float, b0: float, omega: float) -> GammaApprox:
-    """Moment-matched Gamma approximation of shadowed-Rician ground-link
-    fading power: alpha = m(2b0+omega)^2 / (4mb0^2+4mb0*omega+omega^2),
-    beta = (4mb0^2+4mb0*omega+omega^2) / (m(2b0+omega))."""
-    if m <= 0 or b0 <= 0 or omega < 0:
-        raise ValueError("require m > 0, b0 > 0, omega >= 0")
-    q = 4.0 * m * b0 ** 2 + 4.0 * m * b0 * omega + omega ** 2
-    s = m * (2.0 * b0 + omega)
-    return GammaApprox(alpha=s * (2.0 * b0 + omega) / q, beta=q / s)

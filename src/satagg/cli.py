@@ -6,6 +6,7 @@ fixed (config, seed) pair. Exit codes: 0 success, 2 usage/validation errors,
 1 runtime failures.
 """
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -110,7 +111,8 @@ def _cmd_link_sweep(args) -> int:
     distances = np.geomspace(100.0, 45000.0, 60)
     powers = [cfg.tx_power_min_w, 0.1, 0.5, 1.0, 2.5, cfg.tx_power_max_w]
     path = _out_path(args, "link_sweep.csv")
-    sim.write_link_sweep_csv(path, cfg.params, distances, powers)
+    sim.write_link_sweep_csv(path, cfg.params, cfg.times.frames_per_slot,
+                             distances, powers)
     print(f"wrote {path}")
     return 0
 
@@ -128,13 +130,7 @@ def _cmd_train(args) -> int:
         batch_size=train.batch_size)
     hierfl.check_learning_rate(tasks)
 
-    energy_cfg = sim.ScenarioConfig(
-        spec=cfg.spec, params=cfg.params, times=cfg.times, clusters=cfg.clusters,
-        algorithms=cfg.algorithms, rho=cfg.rho, rounds=train.rounds,
-        rng_seed=cfg.rng_seed, tx_power_min_w=cfg.tx_power_min_w,
-        tx_power_max_w=cfg.tx_power_max_w, sample_outages=cfg.sample_outages,
-        max_attempts=cfg.max_attempts, root_rule=cfg.root_rule)
-    metrics = sim.run_scenario(energy_cfg)
+    metrics = sim.run_scenario(dataclasses.replace(cfg, rounds=train.rounds))
     energy_per_round = [r.total_energy_j for r in metrics.records]
 
     sgd_rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed, spawn_key=(5,)))

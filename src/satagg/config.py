@@ -48,9 +48,6 @@ DEFAULTS = {
         "tx_power_min_w": "0.0316",
         "tx_power_max_w": "5.0",
     },
-    "gsl": {
-        "wavelength_cm": "2.14",
-    },
     "clusters": {
         "count": "41",
         "lat_band_deg": "60",
@@ -163,7 +160,6 @@ def build_link_params(cfg: dict) -> LinkParams:
             sigma_p_rad=_float(cfg, "link", "pointing_error_scale_rad"),
             snr_th_db=_float(cfg, "link", "snr_threshold_db"),
             payload_bits=_float(cfg, "link", "payload_bits"),
-            frames_per_slot=_int(cfg, "time", "frames_per_slot"),
         )
     except ValueError as exc:
         raise ConfigError("link", str(exc)) from None
@@ -245,9 +241,12 @@ def build_scenario(cfg: dict, seed: int | None = None, rho: float | None = None,
 
     spec = build_constellation(cfg)
     params = build_link_params(cfg)
-    times = TimeStructure.for_constellation(
-        spec, slot_len_s=_float(cfg, "time", "slot_len_s"),
-        frames_per_slot=_int(cfg, "time", "frames_per_slot"))
+    try:
+        times = TimeStructure.for_constellation(
+            spec, slot_len_s=_float(cfg, "time", "slot_len_s"),
+            frames_per_slot=_int(cfg, "time", "frames_per_slot"))
+    except ValueError as exc:
+        raise ConfigError("time", str(exc)) from None
     rounds = _int(cfg, "run", "rounds")
     _require(rounds >= 1, "run.rounds", f"must be >= 1, got {rounds}")
     max_attempts = _int(cfg, "run", "max_attempts")

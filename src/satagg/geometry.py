@@ -255,25 +255,9 @@ def cluster_position_km(cluster: GroundCluster, t: float) -> np.ndarray:
     ])
 
 
-def serving_satellite(cluster: GroundCluster,
-                      ephemerides: list[SatelliteEphemeris]) -> SatId:
-    """Satellite whose sub-satellite point is great-circle closest to the
-    cluster; ties go to the lowest (orbit, slot). Uses the ephemerides' epoch
-    for Earth rotation."""
-    if not ephemerides:
-        raise ConfigurationError("ephemeris list is empty")
-    epoch = ephemerides[0].epoch_s
-    c = cluster_position_km(cluster, epoch)
-    c_unit = c / np.linalg.norm(c)
-    pos = np.array([e.position_km for e in ephemerides])
-    unit = pos / np.linalg.norm(pos, axis=1, keepdims=True)
-    dots = unit @ c_unit  # max dot product = min subtended angle
-    best = np.max(dots)
-    return min(ephemerides[i].sat_id for i in np.nonzero(dots == best)[0])
-
-
 def serving_satellite_index(cluster_pos_unit: np.ndarray, sat_pos: np.ndarray) -> int:
-    """Fast path: index of the serving satellite for a precomputed geometry."""
+    """Row of sat_pos whose sub-satellite point is great-circle closest to
+    the cluster direction cluster_pos_unit; ties go to the lowest row."""
     unit = sat_pos / np.linalg.norm(sat_pos, axis=1, keepdims=True)
     return int(np.argmax(unit @ cluster_pos_unit))
 

@@ -54,10 +54,6 @@ class ScenarioConfig:
             raise ValueError(f"device weights must sum to 1 (got {total!r})")
         if not 0 < self.tx_power_min_w <= self.tx_power_max_w:
             raise ValueError("require 0 < tx_power_min_w <= tx_power_max_w")
-        if self.params.frames_per_slot != self.times.frames_per_slot:
-            raise ValueError(
-                f"params.frames_per_slot={self.params.frames_per_slot} differs from "
-                f"times.frames_per_slot={self.times.frames_per_slot}")
 
     @property
     def outages_enabled(self) -> bool:
@@ -179,8 +175,11 @@ def _simulate(cfg: ScenarioConfig, algorithms, collect_edges: bool = False):
     """Shared driver; returns ({algorithm: RunMetrics}, edge collections).
 
     Every algorithm sees identical terminal sets and identical per-round rng
-    seeds. Edge collections hold (tx_power, distance) per used LEO-LEO edge
-    transmission, for threshold sweeps.
+    seeds. Routers run on the rows of the energy graph (outage blending only
+    re-weights them), so their edge_ids index its true weights. A round
+    whose charged energy is not finite needed an unusable link and is
+    marked failed. Edge collections hold (tx_power, distance) per used
+    LEO-LEO edge transmission, for threshold sweeps.
     """
     tx_power = scenario_tx_power(cfg)
     round_seeds = np.random.SeedSequence(cfg.rng_seed).spawn(2)[1].spawn(cfg.rounds)
@@ -215,11 +214,9 @@ def _simulate(cfg: ScenarioConfig, algorithms, collect_edges: bool = False):
                 for u in range(u_frames):
                     result = _solve_frame(algorithm, route_graph, u, terminals,
                                           root, rng)
+                    eids = np.asarray(result.edge_ids, dtype=np.intp)
                     uplinks = _uplink_nodes(result)
-                    rows = graph.edge_rows(
-                        [c for c, _ in result.edges] + list(uplinks),
-                        [p for _, p in result.edges] + [graph.geo_node] * len(uplinks))
-                    eids, up_rows = rows[:len(result.edges)], rows[len(result.edges):]
+                    up_rows = graph.edge_rows(uplinks, [graph.geo_node] * len(uplinks))
                     w_true = graph.weights_j[u]
                     rec.tree_energy_j += float(sum(w_true[eids]))
                     for w_up in w_true[up_rows].tolist():
@@ -243,6 +240,9 @@ def _simulate(cfg: ScenarioConfig, algorithms, collect_edges: bool = False):
                     else:
                         rec.attempts += len(eids)
             except routing.RoutingInfeasibleError:
+                rec.failed = True
+            # An unusable link (weight +inf) on the tree or the uplink.
+            if not math.isfinite(rec.total_energy_j):
                 rec.failed = True
             records[algorithm].append(rec)
 
@@ -359,9 +359,10 @@ def write_rounds_csv(path, metrics: RunMetrics) -> None:
                         r.attempts, r.failures, int(r.failed)])
 
 
-def write_link_sweep_csv(path, params: LinkParams, distances_km, powers_w) -> None:
+def write_link_sweep_csv(path, params: LinkParams, frames_per_slot: int,
+                         distances_km, powers_w) -> None:
     """Link-budget sweep export (d_km, p_t_w, rx_power_w, snr_db, rate_bps,
-    energy_j, outage_prob) over the given grids."""
+    energy_j, outage_prob) over the given grids; energy_j is per frame."""
     sigma2 = channel.noise_power(params)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -369,7 +370,8 @@ def write_link_sweep_csv(path, params: LinkParams, distances_km, powers_w) -> No
                     "energy_j", "outage_prob"])
         for p_t in powers_w:
             for d in distances_km:
-                m = channel.link_metrics(float(p_t), float(d), params)
+                m = channel.link_metrics(float(p_t), float(d), params,
+                                         frames_per_slot)
                 w.writerow([repr(float(d)), repr(float(p_t)), repr(m.rx_power_w),
                             repr(10.0 * math.log10(m.snr_linear)),
                             repr(m.rate_bps), repr(m.energy_j),

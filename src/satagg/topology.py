@@ -6,7 +6,7 @@ the frame midpoint geometry. Edge (i, j) and (j, i) are distinct entries: the
 weight depends on the transmitter's power draw.
 """
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -54,9 +54,11 @@ class SnapshotGraph:
     """Directed weighted graph of one time slot.
 
     Edges are stored CSR-sorted by (src, dst); weights_j / distance_km /
-    outage_prob are (frames, edges) arrays sharing that column order.
-    geo_node is the index of the aggregate GEO relay (None for synthetic
-    graphs). Instances are immutable; re-weighting returns a new graph.
+    outage_prob are (frames, edges) arrays sharing that column order. A link
+    the model cannot use keeps its row with weight +inf, which no shortest-
+    path search relaxes. geo_node is the index of the aggregate GEO relay
+    (None for synthetic graphs). Instances are immutable; re-weighting
+    returns a new graph on the same rows.
     """
 
     num_nodes: int
@@ -70,11 +72,15 @@ class SnapshotGraph:
     node_orbit: np.ndarray | None = None
     node_slot: np.ndarray | None = None
     geo_node: int | None = None
-    dropped_edges: int = 0
 
     @property
     def num_edges(self) -> int:
         return int(self.src.shape[0])
+
+    @property
+    def dropped_edges(self) -> int:
+        """Number of unusable rows: weight +inf in every frame."""
+        return int(np.count_nonzero(~np.isfinite(self.weights_j).any(axis=0)))
 
     @cached_property
     def indptr(self) -> np.ndarray:
@@ -130,7 +136,7 @@ class SnapshotGraph:
     @classmethod
     def from_arrays(cls, num_nodes, src, dst, weights, *, distance_km=None,
                     outage_prob=None, slot_index=0, node_orbit=None,
-                    node_slot=None, geo_node=None, dropped_edges=0):
+                    node_slot=None, geo_node=None):
         """Canonicalise edge order to (src, dst)-lexicographic and wrap.
 
         weights may be (E,) for a single frame or (U, E).
@@ -158,7 +164,7 @@ class SnapshotGraph:
                    distance_km=distance_km, outage_prob=outage_prob,
                    slot_index=slot_index, frame_count=u_frames,
                    node_orbit=node_orbit, node_slot=node_slot,
-                   geo_node=geo_node, dropped_edges=dropped_edges)
+                   geo_node=geo_node)
 
     @classmethod
     def from_edge_list(cls, num_nodes, edges, frame_count=1, slot_index=0):
@@ -188,7 +194,8 @@ def build_snapshot(spec: ConstellationSpec, params: LinkParams,
     Connectivity is frozen at the slot start: both directions of every
     feasible LEO ISL, plus one uplink edge from every LEO to the aggregate
     GEO relay (whose coverage is global). Per-frame weights use the geometry
-    at each frame midpoint.
+    at each frame midpoint. A link without a finite positive energy in every
+    frame keeps its row with weight +inf in every frame.
     """
     if tx_power_w.shape[0] != spec.total_sats:
         raise ValueError("tx_power_w must hold one draw per satellite")
@@ -221,11 +228,11 @@ def build_snapshot(spec: ConstellationSpec, params: LinkParams,
     sigma2 = channel.noise_power(params)
     rate = channel.achievable_rate(channel.received_power(p_t, dist, params),
                                    sigma2, params)
-    weights = channel.frame_energy(p_t, rate, params)
+    weights = channel.frame_energy(p_t, rate, params, u_frames)
     outage = channel.outage_from_gamma0(channel.gamma0(p_t, dist, params), params)
 
     keep = np.all(np.isfinite(weights) & (weights > 0), axis=0)
-    dropped = int(np.count_nonzero(~keep))
+    weights = np.where(keep, weights, np.inf)
     orbit = np.concatenate([np.repeat(np.arange(spec.num_orbits, dtype=np.int32),
                                       spec.sats_per_orbit), [-1]])
     slot = np.concatenate([np.tile(np.arange(spec.sats_per_orbit, dtype=np.int32),
@@ -233,35 +240,30 @@ def build_snapshot(spec: ConstellationSpec, params: LinkParams,
     if slot_index is None:
         slot_index = int(round(t_slot_start / times.slot_len_s))
     return SnapshotGraph.from_arrays(
-        n_leo + 1, src[keep], dst[keep], weights[:, keep],
-        distance_km=dist[:, keep], outage_prob=outage[:, keep],
-        slot_index=slot_index, node_orbit=orbit, node_slot=slot,
-        geo_node=geo, dropped_edges=dropped)
+        n_leo + 1, src, dst, weights, distance_km=dist, outage_prob=outage,
+        slot_index=slot_index, node_orbit=orbit, node_slot=slot, geo_node=geo)
 
 
 def robust_weights(g: SnapshotGraph, rho: float, params: LinkParams) -> SnapshotGraph:
     """Blend energy with an outage penalty: rho*w + (1-rho)*ln(1/(1-P_out)).
 
-    ISL edges in certain outage (P_out = 1 in any frame) are removed; the
-    count is reported on the returned graph's dropped_edges. GEO uplink
-    edges are outage-exempt (the relay hop is charged deterministically and
-    never routed through), so they stay in the graph with penalty 0.
-    rho = 1 leaves the weights bit-identical.
+    The returned graph has g's rows. An ISL in certain outage (P_out = 1 in
+    any frame) is unusable for the slot and weighs +inf in every frame, as
+    does every frame in which g's weight is already +inf. GEO uplink edges
+    are outage-exempt (the relay hop is charged deterministically and never
+    routed through), so their penalty is 0. rho = 1 leaves the finite
+    weights bit-identical.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
     out = g.outage_prob
     if g.geo_node is not None:
         out = np.where(g.dst[None, :] == g.geo_node, 0.0, out)
-    keep = np.all(out < 1.0, axis=0)
-    dropped = int(np.count_nonzero(~keep))
-    out = out[:, keep]
-    blended = rho * g.weights_j[:, keep] + (1.0 - rho) * np.log1p(out / (1.0 - out))
-    return SnapshotGraph.from_arrays(
-        g.num_nodes, g.src[keep], g.dst[keep], blended,
-        distance_km=g.distance_km[:, keep], outage_prob=g.outage_prob[:, keep],
-        slot_index=g.slot_index, node_orbit=g.node_orbit, node_slot=g.node_slot,
-        geo_node=g.geo_node, dropped_edges=dropped)
+    # Unusable rows give inf/0 and 0*inf here; np.where replaces them.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        blended = rho * g.weights_j + (1.0 - rho) * np.log1p(out / (1.0 - out))
+    unusable = ~np.isfinite(g.weights_j) | np.any(out >= 1.0, axis=0)
+    return replace(g, weights_j=np.where(unusable, np.inf, blended))
 
 
 def write_snapshot_csv(path, g: SnapshotGraph) -> None:

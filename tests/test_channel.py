@@ -23,7 +23,7 @@ class TestLinkParams:
 
     @pytest.mark.parametrize("kwargs", [
         dict(eta_s=0.0), dict(eta_s=1.5), dict(d_r_m=-1.0),
-        dict(theta_3db_rad=0.0), dict(frames_per_slot=0), dict(t_solar_k=-1.0),
+        dict(theta_3db_rad=0.0), dict(payload_bits=0.0), dict(t_solar_k=-1.0),
     ])
     def test_rejects_bad_params(self, kwargs):
         with pytest.raises(ValueError):
@@ -86,22 +86,20 @@ class TestAchievableRate:
 
 class TestFrameEnergy:
     def test_direct_arithmetic(self):
-        p = LinkParams(payload_bits=1e6, frames_per_slot=25)
-        assert channel.frame_energy(1.0, 1e9, p) == pytest.approx(4e-5, rel=1e-12)
+        p = LinkParams(payload_bits=1e6)
+        assert channel.frame_energy(1.0, 1e9, p, 25) == pytest.approx(4e-5, rel=1e-12)
 
     def test_single_frame_equals_full_slot(self):
-        p1 = LinkParams(payload_bits=1e6, frames_per_slot=1)
-        assert channel.frame_energy(2.0, 1e8, p1) == pytest.approx(
+        p1 = LinkParams(payload_bits=1e6)
+        assert channel.frame_energy(2.0, 1e8, p1, 1) == pytest.approx(
             1e6 * 2.0 / 1e8, rel=1e-12)
 
-    def test_doubling_frames_halves_energy(self):
-        p1 = LinkParams(frames_per_slot=10)
-        p2 = LinkParams(frames_per_slot=20)
-        assert channel.frame_energy(1.0, 1e8, p1) == pytest.approx(
-            2.0 * channel.frame_energy(1.0, 1e8, p2), rel=1e-12)
+    def test_doubling_frames_halves_energy(self, params):
+        assert channel.frame_energy(1.0, 1e8, params, 10) == pytest.approx(
+            2.0 * channel.frame_energy(1.0, 1e8, params, 20), rel=1e-12)
 
     def test_zero_rate_signals_infeasible(self, params):
-        assert channel.frame_energy(1.0, 0.0, params) == math.inf
+        assert channel.frame_energy(1.0, 0.0, params, 25) == math.inf
 
     def test_roundtrip_identity(self, params):
         # w * U * rate / p_t recovers the payload up to float rounding.
@@ -109,8 +107,8 @@ class TestFrameEnergy:
         for _ in range(200):
             p_t = float(rng.uniform(0.05, 5.0))
             rate = float(rng.uniform(1e3, 1e10))
-            w = channel.frame_energy(p_t, rate, params)
-            s = w * params.frames_per_slot * rate / p_t
+            w = channel.frame_energy(p_t, rate, params, 25)
+            s = w * 25 * rate / p_t
             assert s == pytest.approx(params.payload_bits, rel=1e-12)
 
 
@@ -182,34 +180,8 @@ class TestOutageProbability:
             channel.outage_probability(0.0, 100.0, params)
 
 
-class TestGslGammaApprox:
-    def test_unit_case(self):
-        g = channel.gsl_gamma_approx(1.0, 0.5, 1.0)
-        assert g.alpha == pytest.approx(1.0, rel=1e-12)
-        assert g.beta == pytest.approx(2.0, rel=1e-12)
-
-    def test_no_los_component(self):
-        for b0 in (0.1, 0.7, 2.0):
-            g = channel.gsl_gamma_approx(3.0, b0, 0.0)
-            assert g.alpha == pytest.approx(1.0, rel=1e-12)
-            assert g.beta == pytest.approx(2.0 * b0, rel=1e-12)
-
-    def test_mean_matches_total_power(self):
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            m = float(rng.uniform(0.5, 20.0))
-            b0 = float(rng.uniform(0.01, 5.0))
-            omega = float(rng.uniform(0.0, 5.0))
-            g = channel.gsl_gamma_approx(m, b0, omega)
-            assert g.alpha * g.beta == pytest.approx(2 * b0 + omega, rel=1e-12)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            channel.gsl_gamma_approx(0.0, 0.5, 1.0)
-
-
 def test_link_metrics_bundle(params):
-    m = channel.link_metrics(1.0, 2000.0, params)
+    m = channel.link_metrics(1.0, 2000.0, params, 25)
     assert m.rx_power_w > 0
     assert 0 <= m.outage_prob <= 1
     assert m.energy_j > 0

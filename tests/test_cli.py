@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -49,7 +50,6 @@ class TestDefaultsMatchReferenceSettings:
         assert float(cfg["time"]["slot_len_s"]) == 250.0
         assert float(cfg["time"]["slot_len_s"]) / \
             int(cfg["time"]["frames_per_slot"]) == 10.0
-        assert float(cfg["gsl"]["wavelength_cm"]) == 2.14
         assert float(cfg["link"]["carrier_freq_hz"]) == 193e12
         assert float(cfg["link"]["bandwidth_fraction"]) == 0.02
         assert float(cfg["link"]["tx_power_min_w"]) == 0.0316
@@ -101,6 +101,13 @@ class TestDispatch:
         assert code == 2
         err = capsys.readouterr().err
         assert "algorithms.rho" in err and "[0, 1]" in err
+
+    def test_frames_per_slot_bound_violation_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMALL_CFG + "\n[time]\nframes_per_slot = 0\n")
+        assert parse_and_dispatch(["run-scenario", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'time'" in err and "frames_per_slot" in err
 
     def test_unknown_subcommand_exit_2(self, capsys):
         assert parse_and_dispatch(["frobnicate"]) == 2
@@ -181,6 +188,95 @@ class TestDispatch:
         first, last = lines[1].split(","), lines[-1].split(",")
         assert float(last[1]) < float(first[1])
         assert float(last[3]) > float(first[3])
+
+
+def test_train_energy_is_run_scenario_energy(tmp_path):
+    # train charges each training round with the routed round of the same
+    # scenario: every scenario setting must reach it, not only the defaults.
+    text = (SMALL_CFG.replace("rounds = 2", "rounds = 5")
+            .replace("rho = 1.0", "rho = 0.1\nroot_rule = random")
+            .replace("seed = 11", "seed = 11\nmax_attempts = 1"))
+    path = tmp_path / "train.cfg"
+    path.write_text(text)
+    out = tmp_path / "out"
+    for command in ("run-scenario", "train"):
+        assert parse_and_dispatch([command, "--config", str(path),
+                                   "--out", str(out)]) == 0
+    with open(out / "rounds.csv", newline="") as fh:
+        totals = [float(row["total_energy_j"]) for row in csv.DictReader(fh)]
+    with open(out / "loss_trace.csv", newline="") as fh:
+        cumulative = [float(row["cumulative_energy_j"]) for row in csv.DictReader(fh)]
+    running, expected = 0.0, []
+    for total in totals:
+        running += total
+        expected.append(running)
+    assert len(totals) == 5
+    assert cumulative == expected
+
+
+class TestUnusableLinks:
+    """A round that needs a link the model cannot use is recorded as failed;
+    the run goes on and exits 0."""
+
+    SPARSE_CFG = """
+[constellation]
+pattern = star
+num_orbits = 4
+sats_per_orbit = 4
+
+[algorithms]
+names = taeer, d_merge, orbit_greedy
+rho = 0.1
+
+[run]
+rounds = 3
+"""
+
+    @staticmethod
+    def _compare(tmp_path, text, *extra):
+        path = tmp_path / "scenario.cfg"
+        path.write_text(text)
+        out = tmp_path / "out"
+        code = parse_and_dispatch(["compare-algorithms", "--config", str(path),
+                                   "--out", str(out), *extra])
+        assert code == 0
+        data = json.loads((out / "comparison.json").read_text())
+        failed = {}
+        for name in data:
+            with open(out / f"rounds_{name}.csv", newline="") as fh:
+                failed[name] = [row["failed"] for row in csv.DictReader(fh)]
+        return data, failed
+
+    @pytest.mark.parametrize("seed", [2, 6])
+    def test_sparse_shell_ring_in_certain_outage(self, tmp_path, seed):
+        # With 4 satellites per orbit some ring links are in certain
+        # outage, and orbit_greedy must use its whole ring arc.
+        data, failed = self._compare(tmp_path, self.SPARSE_CFG, "--seed", str(seed))
+        assert failed["orbit_greedy"] == ["1", "1", "1"]
+        assert data["orbit_greedy"]["failed_rounds"] == 3
+        for name in ("taeer", "d_merge"):
+            assert data[name]["failed_rounds"] == failed[name].count("1")
+
+    def test_every_link_unusable(self, tmp_path):
+        text = "[link]\nrx_telescope_diameter_m = 1e-7\n[run]\nrounds = 1\nseed = 1\n"
+        data, failed = self._compare(tmp_path, text)
+        assert set(data) == {"taeer", "d_merge", "orbit_greedy"}
+        for name in data:
+            assert failed[name] == ["1"]
+            assert data[name]["failed_rounds"] == 1
+
+
+def test_readme_table_names_every_config_key():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    header = "| section.key | default | meaning |\n|---|---|---|\n"
+    table = readme.split(header, 1)[1].split("\n\n", 1)[0]
+    named = set()
+    for row in table.splitlines():
+        section, keys = row.split("|")[1].strip().split(".", 1)
+        named.update(f"{section}.{key.strip()}" for key in keys.split("/"))
+    expected = {f"{section}.{key}" for section, keys in cfgmod.DEFAULTS.items()
+                for key in keys}
+    assert named == expected
 
 
 def test_clusters_csv_roundtrip(tmp_path):

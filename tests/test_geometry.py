@@ -5,7 +5,7 @@ import pytest
 
 from satagg import geometry
 from satagg.constants import EARTH_RADIUS_KM
-from satagg.geometry import ConstellationSpec, GroundCluster, SatelliteEphemeris
+from satagg.geometry import ConstellationSpec, GroundCluster
 
 # Frozen from 2*sqrt(h*(h + 2*R_E)) with R_E = 6371.0 (difference of squares).
 COMM_RADIUS_700 = 6134.949062543225
@@ -100,10 +100,6 @@ class TestCommRadius:
             geometry.comm_radius_km(0.0)
 
 
-def _eph(orbit, slot, xyz, t=0.0):
-    return SatelliteEphemeris((orbit, slot), np.asarray(xyz, dtype=float), t)
-
-
 class TestIslFeasible:
     def test_intra_orbit_adjacent(self, delta_spec):
         eph = geometry.propagate(delta_spec, 0.0)
@@ -195,49 +191,45 @@ class TestFeasibleIslPairs:
         assert geometry.feasible_isl_pairs(spec, pos) == sorted(want)
 
 
+def _cluster_unit(cluster, t):
+    c = geometry.cluster_position_km(cluster, t)
+    return c / np.linalg.norm(c)
+
+
 class TestServingSatellite:
     def test_directly_under(self, star_spec):
-        eph = geometry.propagate(star_spec, 0.0)
-        target = eph[7]
-        lat = math.degrees(math.asin(target.position_km[2]
-                                     / np.linalg.norm(target.position_km)))
-        lon = math.degrees(math.atan2(target.position_km[1], target.position_km[0]))
+        pos = geometry.positions(star_spec, 0.0)
+        target = pos[7]
+        lat = math.degrees(math.asin(target[2] / np.linalg.norm(target)))
+        lon = math.degrees(math.atan2(target[1], target[0]))
         cluster = GroundCluster(0, lat, lon, (1.0,))
-        assert geometry.serving_satellite(cluster, eph) == (0, 7)
+        assert geometry.serving_satellite_index(_cluster_unit(cluster, 0.0), pos) == 7
 
     def test_tie_breaks_to_lower_index(self):
         # Two satellites mirrored in y around the cluster meridian: the dot
-        # products against the cluster direction are bit-identical. The rule
-        # holds regardless of the list order.
-        eph = [_eph(0, 3, [6871.0, 500.0, 0.0]), _eph(0, 1, [6871.0, -500.0, 0.0]),
-               _eph(1, 0, [-6871.0, 0.0, 0.0])]
-        cluster = GroundCluster(0, 0.0, 0.0, (1.0,))
-        assert geometry.serving_satellite(cluster, eph) == (0, 1)
-        assert geometry.serving_satellite(
-            cluster, sorted(eph, key=lambda e: e.sat_id)) == (0, 1)
-
-    def test_empty_ephemerides(self):
-        with pytest.raises(geometry.ConfigurationError):
-            geometry.serving_satellite(GroundCluster(0, 0.0, 0.0, (1.0,)), [])
+        # products against the cluster direction are bit-identical, and the
+        # lower row wins in either order.
+        a, b = [6871.0, 500.0, 0.0], [6871.0, -500.0, 0.0]
+        far = [-6871.0, 0.0, 0.0]
+        c_unit = _cluster_unit(GroundCluster(0, 0.0, 0.0, (1.0,)), 0.0)
+        assert geometry.serving_satellite_index(c_unit, np.array([a, b, far])) == 0
+        assert geometry.serving_satellite_index(c_unit, np.array([far, b, a])) == 1
 
     def test_assignment_matches_exhaustive_scan(self, star_spec):
         # Oracle: exhaustive angular-distance scan; also bound the nadir angle
         # by the horizon footprint of the shell.
         rng = np.random.default_rng(2024)
-        eph = geometry.propagate(star_spec, 0.0)
-        pos = np.array([e.position_km for e in eph])
+        pos = geometry.positions(star_spec, 0.0)
         unit = pos / np.linalg.norm(pos, axis=1, keepdims=True)
         footprint = math.acos(EARTH_RADIUS_KM / star_spec.orbit_radius_km)
         for i in range(41):
             lat = math.degrees(math.asin(rng.uniform(-0.9, 0.9)))
             lon = float(rng.uniform(-180, 180))
-            cluster = GroundCluster(i, lat, lon, (1.0,))
-            sat_id = geometry.serving_satellite(cluster, eph)
-            c = geometry.cluster_position_km(cluster, 0.0)
-            c_unit = c / np.linalg.norm(c)
+            c_unit = _cluster_unit(GroundCluster(i, lat, lon, (1.0,)), 0.0)
+            idx = geometry.serving_satellite_index(c_unit, pos)
             angles = np.arccos(np.clip(unit @ c_unit, -1.0, 1.0))
             best = int(np.argmin(angles))
-            assert eph[best].sat_id == sat_id
+            assert idx == best
             assert angles[best] <= footprint
 
     def test_earth_rotation_changes_serving(self, star_spec):
@@ -245,8 +237,10 @@ class TestServingSatellite:
         # rotated with the Earth: the serving satellite should change.
         cluster = GroundCluster(0, 10.0, 20.0, (1.0,))
         period = geometry.orbital_period_s(star_spec)
-        first = geometry.serving_satellite(cluster, geometry.propagate(star_spec, 0.0))
-        later = geometry.serving_satellite(cluster, geometry.propagate(star_spec, period))
+        first, later = (
+            geometry.serving_satellite_index(_cluster_unit(cluster, t),
+                                             geometry.positions(star_spec, t))
+            for t in (0.0, period))
         assert first != later
 
 

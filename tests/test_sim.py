@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario
-from satagg import channel, sim, topology
+from satagg import channel, routing, sim, topology
 from satagg.sim import ScenarioConfig, sample_attempts
 
 
@@ -27,14 +27,6 @@ class TestScenarioConfig:
             ScenarioConfig(spec=delta_spec, params=params,
                            times=TimeStructure.for_constellation(delta_spec),
                            clusters=clusters)
-
-    def test_rejects_frames_per_slot_mismatch(self, delta_spec):
-        # Energy per frame scales with params.frames_per_slot while the
-        # simulator runs times.frames_per_slot frames: both must agree.
-        params = channel.LinkParams(frames_per_slot=5)
-        with pytest.raises(ValueError, match=r"params\.frames_per_slot=5 .*"
-                                             r"times\.frames_per_slot=25"):
-            make_scenario(delta_spec, params=params)
 
     def test_outage_sampling_defaults_to_rho(self, delta_spec):
         assert not make_scenario(delta_spec, rho=1.0).outages_enabled
@@ -88,6 +80,26 @@ def test_gamma0_array_equals_scalar_calls(star_spec):
         batched = channel.gamma0(p_t, d_km, cfg.params).tolist()
         scalar = [channel.gamma0(p, d, cfg.params) for p, d in zip(p_t, d_km)]
         assert batched == scalar
+
+
+def test_routers_return_rows_of_the_energy_graph(star_spec):
+    # The simulator charges result.edge_ids against the energy graph's
+    # weights, so the outage-blended graph must keep its rows.
+    cfg = make_scenario(star_spec, rho=0.1, clusters=41, seed=42)
+    g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, 0.0,
+                                sim.scenario_tx_power(cfg))
+    r = topology.robust_weights(g, cfg.rho, cfg.params)
+    assert np.array_equal(r.src, g.src) and np.array_equal(r.dst, g.dst)
+    _, terminals = sim.terminals_for_round(cfg, 0.0)
+    root = routing.select_root(g, 0, terminals)
+    for algorithm in sim.ALGORITHMS:
+        for u in range(g.frame_count):
+            result = sim._solve_frame(algorithm, r, u, terminals, root,
+                                      np.random.default_rng(u))
+            assert result.edges
+            rows = g.edge_rows([c for c, _ in result.edges],
+                               [p for _, p in result.edges])
+            assert rows.tolist() == list(result.edge_ids)
 
 
 class TestRunScenario:
@@ -250,7 +262,7 @@ class TestExports:
 
     def test_link_sweep_csv(self, tmp_path, params):
         path = tmp_path / "sweep.csv"
-        sim.write_link_sweep_csv(path, params, [1000.0, 2000.0], [0.5, 1.0])
+        sim.write_link_sweep_csv(path, params, 25, [1000.0, 2000.0], [0.5, 1.0])
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 5
         header = lines[0].split(",")

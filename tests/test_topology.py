@@ -29,6 +29,8 @@ class TestTimeStructure:
             TimeStructure(period_s=100.0, slots_per_period=0, frames_per_slot=5)
         with pytest.raises(ValueError):
             TimeStructure(period_s=-1.0, slots_per_period=2, frames_per_slot=5)
+        with pytest.raises(ValueError):
+            TimeStructure(period_s=100.0, slots_per_period=2, frames_per_slot=0)
 
 
 class TestSnapshotGraphContainer:
@@ -122,6 +124,17 @@ class TestBuildSnapshot:
                 # Direction weights coincide only if the power draws do.
                 pass
 
+    def test_unusable_links_keep_their_rows(self, delta_snapshot, delta_spec):
+        # A receiver too small for any finite rate: every link is unusable,
+        # yet the graph keeps every candidate row, at +inf in every frame.
+        g, times, txp = delta_snapshot
+        tiny = channel.LinkParams(d_r_m=1e-7)
+        dead = topology.build_snapshot(delta_spec, tiny, times, 0.0, txp)
+        assert np.array_equal(dead.src, g.src) and np.array_equal(dead.dst, g.dst)
+        assert np.all(dead.weights_j == np.inf)
+        assert dead.dropped_edges == dead.num_edges
+        assert g.dropped_edges == 0
+
     def test_weights_finite_positive(self, delta_snapshot):
         g, _, _ = delta_snapshot
         assert np.all(np.isfinite(g.weights_j))
@@ -164,10 +177,11 @@ class TestBuildSnapshot:
         assert intra(g0) == intra(g1)
 
     def test_weight_against_scalar_channel_path(self, delta_snapshot, params):
-        g, _, txp = delta_snapshot
+        g, times, txp = delta_snapshot
         for e in (0, g.num_edges // 2, g.num_edges - 1):
             m = channel.link_metrics(float(txp[g.src[e]]),
-                                     float(g.distance_km[3][e]), params)
+                                     float(g.distance_km[3][e]), params,
+                                     times.frames_per_slot)
             assert g.weights_j[3][e] == pytest.approx(m.energy_j, rel=1e-12)
             assert g.outage_prob[3][e] == pytest.approx(m.outage_prob, rel=1e-12)
 
@@ -204,14 +218,32 @@ class TestRobustWeights:
                            rtol=1e-12, atol=1e-300)
 
     def test_certain_outage_isl_dropped_and_counted(self, params):
-        outage = np.array([[0.2, 1.0, 0.0]])
-        g = SnapshotGraph.from_arrays(
-            4, np.array([0, 1, 2]), np.array([1, 2, 3]),
-            np.array([[1.0, 2.0, 3.0]]), outage_prob=outage)
+        # Certain outage in one frame makes the ISL unusable for the slot:
+        # its row stays, at +inf in every frame, and counts as dropped.
+        outage = np.array([[0.2, 1.0, 0.0], [0.3, 0.5, 0.1]])
+        w = np.array([[1.0, 2.0, 3.0], [1.5, 2.5, 3.5]])
+        g = SnapshotGraph.from_arrays(4, np.array([0, 1, 2]), np.array([1, 2, 3]),
+                                      w, outage_prob=outage)
         r = topology.robust_weights(g, 0.5, params)
         assert r.dropped_edges == 1
-        assert set(zip(r.src.tolist(), r.dst.tolist())) == {(0, 1), (2, 3)}
-        assert np.all(r.outage_prob < 1.0)
+        assert np.array_equal(r.src, g.src) and np.array_equal(r.dst, g.dst)
+        assert np.all(r.weights_j[:, 1] == np.inf)
+        kept = [0, 2]
+        expected = (0.5 * w[:, kept]
+                    + 0.5 * np.log1p(outage[:, kept] / (1.0 - outage[:, kept])))
+        assert np.array_equal(r.weights_j[:, kept], expected)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
+    def test_unusable_row_stays_unusable_at_every_rho(self, params, rho):
+        # 0 * inf is nan at rho 0 and 1; the row must read +inf instead.
+        w = np.array([[1.0, np.inf], [2.0, np.inf]])
+        g = SnapshotGraph.from_arrays(3, np.array([0, 1]), np.array([1, 2]), w,
+                                      outage_prob=np.array([[0.1, 1.0], [0.1, 0.0]]))
+        assert g.dropped_edges == 1
+        r = topology.robust_weights(g, rho, params)
+        assert np.all(r.weights_j[:, 1] == np.inf)
+        assert np.all(np.isfinite(r.weights_j[:, 0]))
+        assert r.dropped_edges == 1
 
     def test_geo_uplinks_exempt_from_dropping(self, delta_snapshot, params):
         g, _, _ = delta_snapshot
