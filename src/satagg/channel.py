@@ -116,10 +116,6 @@ def free_space_loss(d_m, wavelength_m: float):
     return ratio * ratio
 
 
-def pointing_loss(theta_rad, params: LinkParams):
-    return np.exp(-params.g0 * np.asarray(theta_rad, dtype=float) ** 2)
-
-
 def received_power(p_t_w, d_km, params: LinkParams):
     """Received optical power in W; broadcasts over power and range."""
     p_t = np.asarray(p_t_w, dtype=float)
@@ -209,12 +205,6 @@ def outage_probability(p_t_w, d_km, params: LinkParams):
     if np.any(np.asarray(p_t_w) <= 0):
         raise ValueError("p_t_w must be > 0")
     return outage_from_gamma0(gamma0(p_t_w, d_km, params), params)
-
-
-def sample_pointing_loss(params: LinkParams, rng: np.random.Generator, size=None):
-    """Draw instantaneous pointing losses; theta0 = sigma_p*|Z|, Z ~ N(0,1)."""
-    z = rng.standard_normal(size)
-    return np.exp(-params.g0 * (params.sigma_p_rad * z) ** 2)
 
 
 def link_metrics(p_t_w: float, d_km: float, params: LinkParams,

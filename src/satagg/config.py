@@ -62,7 +62,6 @@ DEFAULTS = {
         "rounds": "300",
         "seed": "0",
         "max_attempts": "100",
-        "sample_outages": "auto",
     },
     "training": {
         "rounds": "300",
@@ -183,15 +182,28 @@ def build_constellation(cfg: dict) -> ConstellationSpec:
 
 
 def load_clusters_csv(path: str) -> tuple:
+    """Clusters from a CSV with columns cluster_id, lat_deg, lon_deg, weight;
+    a missing column or a malformed value raises ConfigError naming it."""
+    columns = (("cluster_id", int), ("lat_deg", float), ("lon_deg", float),
+               ("weight", float))
     clusters = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        absent = [name for name, _ in columns if name not in (reader.fieldnames or ())]
+        if absent:
+            raise ConfigError("clusters.file", f"{path}: missing column(s) {absent}")
+        for row in reader:
+            values = {}
+            for name, kind in columns:
+                try:
+                    values[name] = kind(row[name])
+                except (TypeError, ValueError):
+                    raise ConfigError("clusters.file",
+                                      f"{path} line {reader.line_num}: column '{name}' "
+                                      f"expects {kind.__name__}, got {row[name]!r}") from None
             clusters.append(GroundCluster(
-                cluster_id=int(row["cluster_id"]),
-                lat_deg=float(row["lat_deg"]),
-                lon_deg=float(row["lon_deg"]),
-                device_weights=(float(row["weight"]),),
-            ))
+                cluster_id=values["cluster_id"], lat_deg=values["lat_deg"],
+                lon_deg=values["lon_deg"], device_weights=(values["weight"],)))
     return tuple(clusters)
 
 
@@ -228,17 +240,6 @@ def build_scenario(cfg: dict, seed: int | None = None, rho: float | None = None,
     _require(root_rule in ("min_uplink", "random"), "algorithms.root_rule",
              f"must be 'min_uplink' or 'random', got {root_rule!r}")
 
-    sample_raw = cfg["run"]["sample_outages"].strip().lower()
-    if sample_raw in ("auto", ""):
-        sample = None
-    elif sample_raw in ("true", "1", "yes", "on"):
-        sample = True
-    elif sample_raw in ("false", "0", "no", "off"):
-        sample = False
-    else:
-        raise ConfigError("run.sample_outages",
-                          f"must be auto/true/false, got {sample_raw!r}")
-
     spec = build_constellation(cfg)
     params = build_link_params(cfg)
     try:
@@ -259,7 +260,7 @@ def build_scenario(cfg: dict, seed: int | None = None, rho: float | None = None,
             rho=rho, rounds=rounds, rng_seed=seed,
             tx_power_min_w=_float(cfg, "link", "tx_power_min_w"),
             tx_power_max_w=_float(cfg, "link", "tx_power_max_w"),
-            sample_outages=sample, max_attempts=max_attempts,
+            max_attempts=max_attempts,
             root_rule=root_rule)
     except ValueError as exc:
         raise ConfigError("scenario", str(exc)) from None

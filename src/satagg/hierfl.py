@@ -10,11 +10,16 @@ Tree aggregation is exactly linear in the deltas, so any tree shape yields
 the flat weighted sum up to floating-point association; that equivalence is
 what decouples routing-energy optimisation from learning accuracy.
 """
+import csv
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+
+# run_training gives up once the loss exceeds this multiple of max(1, initial loss).
+DIVERGENCE_LIMIT = 1e12
 
 
 class AggregationError(ValueError):
@@ -138,13 +143,11 @@ def global_gradient(tasks, x: np.ndarray) -> np.ndarray:
     return g
 
 
-def run_training(tasks, rounds: int, rng: np.random.Generator,
-                 x0: np.ndarray | None = None, divergence_limit: float = 1e12):
-    """Federated rounds with flat aggregation; returns per-round records
-    [(round, global_loss, grad_norm)], loss/grad evaluated on the updated
-    model. Raises TrainingDivergedError if the loss blows up."""
-    dim = tasks[0].features.shape[1]
-    x = np.zeros(dim) if x0 is None else np.array(x0, dtype=float)
+def run_training(tasks, rounds: int, rng: np.random.Generator):
+    """Federated rounds with flat aggregation from the zero model; returns
+    per-round records [(round, global_loss, grad_norm)], loss/grad evaluated
+    on the updated model. Raises TrainingDivergedError if the loss blows up."""
+    x = np.zeros(tasks[0].features.shape[1])
     initial = global_loss(tasks, x)
     trace = []
     for t in range(rounds):
@@ -154,7 +157,7 @@ def run_training(tasks, rounds: int, rng: np.random.Generator,
         weights = {task.device_id: task.weight for task in tasks}
         x = x + flat_aggregate(deltas, weights)
         loss = global_loss(tasks, x)
-        if not math.isfinite(loss) or loss > divergence_limit * max(initial, 1.0):
+        if not math.isfinite(loss) or loss > DIVERGENCE_LIMIT * max(initial, 1.0):
             raise TrainingDivergedError(t, loss)
         trace.append((t, loss, float(np.linalg.norm(global_gradient(tasks, x)))))
     return trace
@@ -231,15 +234,12 @@ def check_learning_rate(tasks, smoothness: float | None = None,
     return cap
 
 
-def write_loss_trace_csv(path, trace, energy_per_round=None) -> None:
+def write_loss_trace_csv(path, trace, energy_per_round) -> None:
     """CSV export (round, global_loss, grad_norm, cumulative_energy_j)."""
-    import csv
-
     cumulative = 0.0
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["round", "global_loss", "grad_norm", "cumulative_energy_j"])
         for k, (t, loss, gnorm) in enumerate(trace):
-            if energy_per_round is not None:
-                cumulative += energy_per_round[k]
+            cumulative += energy_per_round[k]
             w.writerow([t, repr(loss), repr(gnorm), repr(cumulative)])

@@ -11,7 +11,6 @@ minimum-incoming-edge choice, cycle detection scan order) so identical inputs
 always produce identical trees.
 """
 import heapq
-import json
 import math
 from dataclasses import dataclass
 
@@ -41,16 +40,6 @@ class ShortestPath:
     nodes: tuple            # source ... target
     edge_ids: tuple         # graph edge rows along the path
     cost: float
-
-
-@dataclass(frozen=True)
-class ShortestPathSet:
-    """Per-terminal shortest paths to a common root, for one frame."""
-
-    graph: SnapshotGraph
-    frame: int
-    root: int
-    paths: dict  # terminal -> ShortestPath
 
 
 @dataclass(frozen=True)
@@ -169,66 +158,55 @@ def dijkstra(g: SnapshotGraph, u: int, source: int, target: int):
     return ShortestPath(nodes, eids, float(dist[target]))
 
 
-def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals, root: int) -> ShortestPathSet:
-    """Shortest path from every terminal to the root; unreachable terminals raise.
+def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals, root: int) -> list:
+    """Sorted edge rows on the union of every terminal's shortest path to the
+    root at frame u; unreachable terminals raise.
 
     One search from the root over the reversed edges gives every node's
     distance to the root and its next hop. Each terminal's path is read off
-    that tree and its cost summed from source to root, which is what
-    `dijkstra(g, u, t, root)` returns, bit for bit, unless the path passes a
-    tied node (see TIE_RTOL): the forward search breaks such a tie from the
-    terminal and the reverse one from the root, so those terminals take
-    their path from `dijkstra` itself. The tree edge out of a reached node
-    has slack exactly 0, so an untied node's only near out-edge is its hop.
+    that tree, which is the path `dijkstra(g, u, t, root)` finds unless it
+    passes a tied node (see TIE_RTOL): the forward search breaks such a tie
+    from the terminal and the reverse one from the root, so those terminals
+    take their rows from `dijkstra` itself. The tree edge out of a reached
+    node has slack exactly 0, so an untied node's only near out-edge is its
+    hop.
     """
     terms = [t for t in sorted(set(terminals)) if t != root]
-    paths = {}
-    if terms:
-        dist, nxt = shortest_path_csr(*g.frame_reverse_csr(u), root)
-        missing = [t for t in terms if not np.isfinite(dist[t])]
-        if missing:
-            raise RoutingInfeasibleError(missing, what="terminal")
-        w = g.weights_j[u]
-        tol = TIE_RTOL * max(dist[t] for t in terms)
-        # Slack is nan between two unreached nodes and -inf from an unreached
-        # node to a reached one, so unreached nodes may count as tied; no
-        # terminal's path passes one.
-        with np.errstate(invalid="ignore"):
-            near = w + dist[g.dst] - dist[g.src] <= tol
-        rows = np.flatnonzero(near)
-        tied = (np.bincount(g.src[rows], minlength=g.num_nodes) > 1).tolist()
-        hop = np.zeros(g.num_nodes, dtype=np.intp)
-        hop[g.src[rows]] = rows
-        hop = hop.tolist()
-        nxt = nxt.tolist()
-        w = w.tolist()
-        for t in terms:
-            nodes = [t]
-            eids = []
-            cost = 0.0
-            x = t
-            while x != root and not tied[x]:
-                e = hop[x]
-                eids.append(e)
-                cost += w[e]
-                x = nxt[x]
-                nodes.append(x)
-            if x != root:
-                paths[t] = dijkstra(g, u, t, root)
-                continue
-            paths[t] = ShortestPath(tuple(nodes), tuple(eids), cost)
-    return ShortestPathSet(graph=g, frame=u, root=root, paths=paths)
+    if not terms:
+        return []
+    dist, nxt = shortest_path_csr(*g.frame_reverse_csr(u), root)
+    missing = [t for t in terms if not np.isfinite(dist[t])]
+    if missing:
+        raise RoutingInfeasibleError(missing, what="terminal")
+    tol = TIE_RTOL * max(dist[t] for t in terms)
+    # Slack is nan between two unreached nodes and -inf from an unreached
+    # node to a reached one, so unreached nodes may count as tied; no
+    # terminal's path passes one.
+    with np.errstate(invalid="ignore"):
+        near = g.weights_j[u] + dist[g.dst] - dist[g.src] <= tol
+    rows = np.flatnonzero(near)
+    tied = (np.bincount(g.src[rows], minlength=g.num_nodes) > 1).tolist()
+    hop = np.zeros(g.num_nodes, dtype=np.intp)
+    hop[g.src[rows]] = rows
+    hop = hop.tolist()
+    nxt = nxt.tolist()
+    union = set()
+    for t in terms:
+        eids = []
+        x = t
+        while x != root and not tied[x]:
+            eids.append(hop[x])
+            x = nxt[x]
+        union.update(eids if x == root else dijkstra(g, u, t, root).edge_ids)
+    return sorted(union)
 
 
-def build_substitute_graph(pathset: ShortestPathSet) -> SnapshotGraph:
-    """Single-frame graph over the union of all path edges (deduplicated),
-    keeping the original node indexing and weights."""
-    g, u = pathset.graph, pathset.frame
-    eids = sorted({e for p in pathset.paths.values() for e in p.edge_ids})
-    idx = np.asarray(eids, dtype=np.int64)
+def build_substitute_graph(g: SnapshotGraph, u: int, rows) -> SnapshotGraph:
+    """Single-frame graph over the given sorted edge rows, keeping the
+    original node indexing and the frame-u weights."""
+    idx = np.asarray(rows, dtype=np.int64)
     return SnapshotGraph.from_arrays(
         g.num_nodes, g.src[idx], g.dst[idx], g.weights_j[u][idx],
-        distance_km=g.distance_km[u][idx], outage_prob=g.outage_prob[u][idx],
         slot_index=g.slot_index, node_orbit=g.node_orbit, node_slot=g.node_slot,
         geo_node=g.geo_node)
 
@@ -365,8 +343,8 @@ def taeer(g: SnapshotGraph, u: int, terminals, root: int) -> Arborescence:
         raise ValueError("root must be one of the terminals")
     if terminals == [root]:
         return Arborescence(root=root, edges=(), total_cost=0.0)
-    pathset = shortest_paths_to_root(g, u, terminals, root)
-    sub = build_substitute_graph(pathset)
+    rows = shortest_paths_to_root(g, u, terminals, root)
+    sub = build_substitute_graph(g, u, rows)
     arb = chu_liu_edmonds(sub, root, u=0)
     kept = _prune_non_terminal_leaves(arb.edges, root, terminals)
     eids = g.edge_rows([c for c, _ in kept], [p for _, p in kept])
@@ -380,9 +358,8 @@ def d_merge(g: SnapshotGraph, u: int, terminals, root: int) -> MergedPaths:
     terminals = sorted(set(terminals))
     if root not in terminals:
         raise ValueError("root must be one of the terminals")
-    pathset = shortest_paths_to_root(g, u, terminals, root)
     # Rows are (src, dst)-sorted, so sorted rows give sorted pairs.
-    eids = sorted({e for p in pathset.paths.values() for e in p.edge_ids})
+    eids = shortest_paths_to_root(g, u, terminals, root)
     pairs = zip(g.src[eids].tolist(), g.dst[eids].tolist())
     cost = float(sum(g.weights_j[u][eids]))
     return MergedPaths(root=root, edges=tuple(pairs), total_cost=cost,
@@ -491,26 +468,3 @@ def select_root(g: SnapshotGraph, u: int, terminals, rule: str = "min_uplink",
     costs = g.weights_j[u][g.edge_rows(terms, g.geo_node)]
     return terms[int(np.argmin(costs))]
 
-
-def tree_to_json(result, g: SnapshotGraph, u: int, algorithm: str, path=None) -> dict:
-    """Serialisable tree description (root, weighted edges, cost, provenance)."""
-    w_row = g.weights_j[u]
-    payload = {
-        "algorithm": algorithm,
-        "slot": g.slot_index,
-        "frame": u,
-        "root": getattr(result, "root", None),
-        "total_cost": result.total_cost,
-        "edges": [
-            {"child": int(c), "parent": int(p), "weight_j": float(w_row[e])}
-            for (c, p), e in zip(result.edges, result.edge_ids)
-        ],
-    }
-    if isinstance(result, OrbitForest):
-        payload["root"] = None
-        payload["orbit_roots"] = [[int(o), int(r)] for o, r in result.orbit_roots]
-        payload["uplink_nodes"] = [int(v) for v in result.uplink_nodes]
-    if path is not None:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-    return payload

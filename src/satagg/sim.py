@@ -11,7 +11,7 @@ GEO uplink is charged deterministically and reported in the totals.
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class ScenarioConfig:
     rng_seed: int = 0
     tx_power_min_w: float = 0.0316
     tx_power_max_w: float = 5.0
-    sample_outages: bool | None = None   # None: sample iff rho < 1
     max_attempts: int = 100
     root_rule: str = "min_uplink"
 
@@ -57,9 +56,8 @@ class ScenarioConfig:
 
     @property
     def outages_enabled(self) -> bool:
-        if self.sample_outages is None:
-            return self.rho < 1.0
-        return self.sample_outages
+        """Outages are sampled iff routing blends in the outage penalty."""
+        return self.rho < 1.0
 
     @property
     def constellation_label(self) -> str:
@@ -268,9 +266,10 @@ def _simulate(cfg: ScenarioConfig, algorithms, collect_edges: bool = False):
     return out, edge_data
 
 
-def run_scenario(cfg: ScenarioConfig, algorithm: str | None = None) -> RunMetrics:
-    """Run one algorithm over cfg.rounds rounds; deterministic under seed."""
-    algorithm = algorithm or cfg.algorithms[0]
+def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
+    """Run the first configured algorithm over cfg.rounds rounds;
+    deterministic under seed."""
+    algorithm = cfg.algorithms[0]
     results, _ = _simulate(cfg, (algorithm,))
     return results[algorithm]
 
@@ -282,26 +281,21 @@ def compare_algorithms(cfg: ScenarioConfig) -> dict:
     return results
 
 
-def sweep_snr_threshold(cfg: ScenarioConfig, thresholds_db,
-                        algorithm: str | None = None) -> list:
+def sweep_snr_threshold(cfg: ScenarioConfig, thresholds_db) -> list:
     """Analytic per-ISL outage of the routed trees under a range of receiver
     SNR thresholds. Routing is done once at cfg.params' threshold and the
     used edges are held fixed, so each sweep point re-evaluates only the
     outage probability; per-edge monotonicity in the threshold is preserved
-    exactly."""
-    algorithm = algorithm or cfg.algorithms[0]
+    exactly. The routed algorithm is the first configured one."""
+    algorithm = cfg.algorithms[0]
     _, edges = _simulate(cfg, (algorithm,), collect_edges=True)
     p_t, d_km = edges[algorithm]
     out = []
     for th in thresholds_db:
-        params = LinkParams(**{**_params_kwargs(cfg.params), "snr_th_db": float(th)})
+        params = replace(cfg.params, snr_th_db=float(th))
         pout = channel.outage_from_gamma0(channel.gamma0(p_t, d_km, params), params)
         out.append((float(th), float(100.0 * np.mean(pout))))
     return out
-
-
-def _params_kwargs(params: LinkParams) -> dict:
-    return {f: getattr(params, f) for f in LinkParams.__dataclass_fields__}
 
 
 def comparison_table(results: dict) -> str:

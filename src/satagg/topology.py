@@ -6,6 +6,7 @@ the frame midpoint geometry. Edge (i, j) and (j, i) are distinct entries: the
 weight depends on the transmitter's power draw.
 """
 import csv
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -43,6 +44,8 @@ class TimeStructure:
                           frames_per_slot: int = 25) -> "TimeStructure":
         """Slot grid covering one orbital period; the period is rounded to a
         whole number of slots so slot_len_s is honoured exactly."""
+        if not (math.isfinite(slot_len_s) and slot_len_s > 0):
+            raise ValueError(f"slot_len_s must be finite and > 0, got {slot_len_s!r}")
         t_orb = geometry.orbital_period_s(spec)
         m = max(1, round(t_orb / slot_len_s))
         return cls(period_s=m * slot_len_s, slots_per_period=m,
@@ -68,7 +71,6 @@ class SnapshotGraph:
     distance_km: np.ndarray
     outage_prob: np.ndarray
     slot_index: int
-    frame_count: int
     node_orbit: np.ndarray | None = None
     node_slot: np.ndarray | None = None
     geo_node: int | None = None
@@ -76,6 +78,10 @@ class SnapshotGraph:
     @property
     def num_edges(self) -> int:
         return int(self.src.shape[0])
+
+    @property
+    def frame_count(self) -> int:
+        return int(self.weights_j.shape[0])
 
     @property
     def dropped_edges(self) -> int:
@@ -129,10 +135,6 @@ class SnapshotGraph:
         order = self.rev_order
         return self.rev_indptr, self.src[order], self.weights_j[u][order]
 
-    def out_edges(self, node: int):
-        lo, hi = self.indptr[node], self.indptr[node + 1]
-        return range(lo, hi)
-
     @classmethod
     def from_arrays(cls, num_nodes, src, dst, weights, *, distance_km=None,
                     outage_prob=None, slot_index=0, node_orbit=None,
@@ -151,7 +153,6 @@ class SnapshotGraph:
         if src.size > 1 and np.any((src[1:] == src[:-1]) & (dst[1:] == dst[:-1])):
             raise ValueError("parallel edges are not allowed; merge them first")
         weights = np.ascontiguousarray(weights[:, order])
-        u_frames = weights.shape[0]
         if distance_km is None:
             distance_km = np.zeros_like(weights)
         else:
@@ -162,8 +163,7 @@ class SnapshotGraph:
             outage_prob = np.ascontiguousarray(np.atleast_2d(outage_prob)[:, order])
         return cls(num_nodes=num_nodes, src=src, dst=dst, weights_j=weights,
                    distance_km=distance_km, outage_prob=outage_prob,
-                   slot_index=slot_index, frame_count=u_frames,
-                   node_orbit=node_orbit, node_slot=node_slot,
+                   slot_index=slot_index, node_orbit=node_orbit, node_slot=node_slot,
                    geo_node=geo_node)
 
     @classmethod

@@ -25,15 +25,14 @@ def star_spec():
 
 
 def make_scenario(spec, *, algorithms=("taeer",), rho=1.0, rounds=3, seed=7,
-                  clusters=12, sample_outages=None, params=None):
+                  clusters=12, params=None):
     params = params or channel.LinkParams()
     times = topology.TimeStructure.for_constellation(spec)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
     return sim.ScenarioConfig(
         spec=spec, params=params, times=times,
         clusters=sim.random_clusters(clusters, rng),
-        algorithms=tuple(algorithms), rho=rho, rounds=rounds, rng_seed=seed,
-        sample_outages=sample_outages)
+        algorithms=tuple(algorithms), rho=rho, rounds=rounds, rng_seed=seed)
 
 
 def random_digraph(rng, max_nodes=12, p=0.4, w_low=0.01, w_high=10.0,

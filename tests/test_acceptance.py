@@ -215,8 +215,7 @@ def test_criterion_7_snr_threshold_trend(ordering_runs):
     summary = []
     for name in ("delta", "star"):
         cfg = make_scenario(ordering_runs[name]["spec"], algorithms=("taeer",),
-                            rho=0.1, rounds=10, seed=2007, clusters=41,
-                            sample_outages=False)
+                            rho=0.1, rounds=10, seed=2007, clusters=41)
         sweep = sim.sweep_snr_threshold(cfg, thresholds)
         values = [v for _, v in sweep]
         assert all(b >= a for a, b in zip(values, values[1:]))

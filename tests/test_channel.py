@@ -162,19 +162,6 @@ class TestOutageProbability:
         stricter = LinkParams(snr_th_db=-100.0)
         assert channel.outage_probability(1.0, 2000.0, stricter) >= base
 
-    def test_empirical_sampling_matches_closed_form(self, params):
-        # 1e4 pointing-error draws per link; binomial 3-sigma band.
-        rng = np.random.default_rng(3)
-        n = 10_000
-        for d in (1500.0, 3000.0, 5000.0):
-            p_t = 0.2
-            g0_val = channel.gamma0(p_t, d, params)
-            losses = channel.sample_pointing_loss(params, rng, n)
-            emp = float(np.mean(losses < g0_val))
-            p = channel.outage_probability(p_t, d, params)
-            sigma = math.sqrt(p * (1 - p) / n)
-            assert abs(emp - p) <= 3 * sigma + 1e-9
-
     def test_rejects_bad_power(self, params):
         with pytest.raises(ValueError):
             channel.outage_probability(0.0, 100.0, params)

@@ -109,6 +109,21 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert "config field 'time'" in err and "frames_per_slot" in err
 
+    @pytest.mark.parametrize("value", ["0", "-250", "inf", "nan"])
+    def test_slot_len_bound_violation_named(self, tmp_path, capsys, value):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMALL_CFG + f"\n[time]\nslot_len_s = {value}\n")
+        assert parse_and_dispatch(["run-scenario", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'time'" in err and "slot_len_s" in err
+
+    def test_removed_sample_outages_key_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMALL_CFG.replace("seed = 11\n",
+                                         "seed = 11\nsample_outages = false\n"))
+        assert parse_and_dispatch(["run-scenario", "--config", str(bad)]) == 2
+        assert "run.sample_outages" in capsys.readouterr().err
+
     def test_unknown_subcommand_exit_2(self, capsys):
         assert parse_and_dispatch(["frobnicate"]) == 2
 
@@ -277,6 +292,21 @@ def test_readme_table_names_every_config_key():
     expected = {f"{section}.{key}" for section, keys in cfgmod.DEFAULTS.items()
                 for key in keys}
     assert named == expected
+
+
+@pytest.mark.parametrize("text, column", [
+    ("cluster_id,lat_deg,lon_deg\n0,10.0,20.0\n", "weight"),
+    ("cluster_id,lat_deg,lon_deg,weight\n0,10.0,20.0,half\n", "weight"),
+    ("cluster_id,lat_deg,lon_deg,weight\n0,north,20.0,1.0\n", "lat_deg"),
+])
+def test_clusters_csv_errors_name_the_column(tmp_path, capsys, text, column):
+    clusters = tmp_path / "clusters.csv"
+    clusters.write_text(text)
+    cfg = tmp_path / "clusters.cfg"
+    cfg.write_text(SMALL_CFG.replace("count = 8\n", f"file = {clusters}\n"))
+    assert parse_and_dispatch(["run-scenario", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'clusters.file'" in err and f"'{column}'" in err
 
 
 def test_clusters_csv_roundtrip(tmp_path):

@@ -31,8 +31,6 @@ class TestScenarioConfig:
     def test_outage_sampling_defaults_to_rho(self, delta_spec):
         assert not make_scenario(delta_spec, rho=1.0).outages_enabled
         assert make_scenario(delta_spec, rho=0.5).outages_enabled
-        assert make_scenario(delta_spec, rho=0.5,
-                             sample_outages=False).outages_enabled is False
 
 
 class TestSampleAttempts:
@@ -219,8 +217,7 @@ def test_rho_pareto_trend(delta_spec):
     outages = {0.0: [], 1.0: []}
     for seed in range(20):
         for rho in (0.0, 1.0):
-            cfg = make_scenario(delta_spec, rho=rho, rounds=2, seed=seed,
-                                sample_outages=False)
+            cfg = make_scenario(delta_spec, rho=rho, rounds=2, seed=seed)
             m = sim.run_scenario(cfg)
             energies[rho].append(
                 sum(r.tree_energy_j for r in m.records) / len(m.records))
@@ -230,7 +227,7 @@ def test_rho_pareto_trend(delta_spec):
 
 
 def test_sweep_snr_threshold_monotone(delta_spec):
-    cfg = make_scenario(delta_spec, rho=0.1, rounds=2, sample_outages=False)
+    cfg = make_scenario(delta_spec, rho=0.1, rounds=2)
     sweep = sim.sweep_snr_threshold(cfg, [-130, -120, -110, -100, -90, -80])
     values = [v for _, v in sweep]
     assert all(b >= a for a, b in zip(values, values[1:]))

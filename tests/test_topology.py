@@ -79,7 +79,7 @@ class TestEdgeRows:
 
     def test_absent_pairs_raise_naming_them(self, delta_snapshot):
         g, _, _ = delta_snapshot
-        ring = int(g.dst[g.out_edges(0)[0]])
+        ring = int(g.dst[g.indptr[0]])
         with pytest.raises(KeyError) as exc:
             # (0, 0) is a self-loop, (geo, 0) the reverse of an uplink.
             g.edge_rows([0, 0, g.geo_node], [ring, 0, 0])
@@ -104,7 +104,7 @@ class TestBuildSnapshot:
         g, _, _ = delta_snapshot
         s = delta_spec.sats_per_orbit
         for i in range(delta_spec.total_sats):
-            ring = [e for e in g.out_edges(i)
+            ring = [e for e in range(g.indptr[i], g.indptr[i + 1])
                     if g.dst[e] != g.geo_node and g.dst[e] // s == i // s]
             assert len(ring) == 2
 
@@ -158,9 +158,9 @@ class TestBuildSnapshot:
             assert g.distance_km[u][e] == pytest.approx(d, rel=1e-12)
 
     def test_connectivity_constant_across_frames(self, delta_snapshot):
-        g, _, _ = delta_snapshot
+        g, times, _ = delta_snapshot
         # One edge set for the whole slot; only weights vary by frame.
-        assert g.weights_j.shape == (g.frame_count, g.num_edges)
+        assert g.weights_j.shape == (times.frames_per_slot, g.num_edges)
         assert not np.allclose(g.weights_j[0], g.weights_j[-1])
 
     def test_intra_orbit_edges_periodic(self, delta_spec, params):
