@@ -14,7 +14,7 @@ import numpy as np
 
 from .channel import LinkParams
 from .geometry import ConstellationSpec, GroundCluster
-from .sim import ALGORITHMS, ScenarioConfig, random_clusters
+from .sim import ALGORITHMS, ScenarioConfig, check_device_weights, random_clusters
 from .topology import TimeStructure
 
 DEFAULTS = {
@@ -182,28 +182,49 @@ def build_constellation(cfg: dict) -> ConstellationSpec:
 
 
 def load_clusters_csv(path: str) -> tuple:
-    """Clusters from a CSV with columns cluster_id, lat_deg, lon_deg, weight;
-    a missing column or a malformed value raises ConfigError naming it."""
+    """Clusters from a CSV with columns cluster_id, lat_deg, lon_deg, weight.
+
+    A missing column, a malformed or out-of-range value, a repeated
+    cluster_id or weights that do not sum to 1 raise ConfigError naming
+    clusters.file and the offending column."""
     columns = (("cluster_id", int), ("lat_deg", float), ("lon_deg", float),
                ("weight", float))
+    bounds = (("lat_deg", lambda v: -90.0 <= v <= 90.0, "lie in [-90, 90]"),
+              ("lon_deg", math.isfinite, "be finite"),
+              ("weight", lambda v: math.isfinite(v) and v > 0, "be finite and > 0"))
     clusters = []
+    first_line = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         absent = [name for name, _ in columns if name not in (reader.fieldnames or ())]
         if absent:
             raise ConfigError("clusters.file", f"{path}: missing column(s) {absent}")
         for row in reader:
+            where = f"{path} line {reader.line_num}: column"
             values = {}
             for name, kind in columns:
                 try:
                     values[name] = kind(row[name])
                 except (TypeError, ValueError):
                     raise ConfigError("clusters.file",
-                                      f"{path} line {reader.line_num}: column '{name}' "
-                                      f"expects {kind.__name__}, got {row[name]!r}") from None
+                                      f"{where} '{name}' expects {kind.__name__}, "
+                                      f"got {row[name]!r}") from None
+            for name, ok, rule in bounds:
+                if not ok(values[name]):
+                    raise ConfigError("clusters.file", f"{where} '{name}' must {rule}, "
+                                                       f"got {values[name]!r}")
+            cid = values["cluster_id"]
+            if cid in first_line:
+                raise ConfigError("clusters.file", f"{where} 'cluster_id' repeats {cid} "
+                                                   f"from line {first_line[cid]}")
+            first_line[cid] = reader.line_num
             clusters.append(GroundCluster(
-                cluster_id=values["cluster_id"], lat_deg=values["lat_deg"],
+                cluster_id=cid, lat_deg=values["lat_deg"],
                 lon_deg=values["lon_deg"], device_weights=(values["weight"],)))
+    try:
+        check_device_weights(clusters)
+    except ValueError as exc:
+        raise ConfigError("clusters.file", f"{path}: column 'weight': {exc}") from None
     return tuple(clusters)
 
 

@@ -103,13 +103,16 @@ def raan_rad(spec: ConstellationSpec) -> np.ndarray:
     return spread * np.arange(spec.num_orbits) / spec.num_orbits
 
 
-def positions(spec: ConstellationSpec, t: float) -> np.ndarray:
-    """All satellite positions at time t as a (total_sats, 3) array in km.
+def positions(spec: ConstellationSpec, t) -> np.ndarray:
+    """All satellite positions at epoch t as a (total_sats, 3) array in km.
 
     Row order is (orbit 0 slot 0), (orbit 0 slot 1), ..., i.e. index
-    n * sats_per_orbit + k for satellite (n, k).
+    n * sats_per_orbit + k for satellite (n, k). For an array of epochs the
+    result has shape t.shape + (total_sats, 3), and each epoch's block is
+    bit-identical to a call with that epoch alone.
     """
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ConfigurationError("t must be >= 0")
     a = spec.orbit_radius_km
     n_mean = math.sqrt(EARTH_MU_KM3_S2 / a ** 3)  # rad/s
@@ -121,7 +124,7 @@ def positions(spec: ConstellationSpec, t: float) -> np.ndarray:
     # Argument of latitude: even in-plane spacing + Walker inter-plane phasing.
     u = (2.0 * math.pi * k_idx / spec.sats_per_orbit
          + 2.0 * math.pi * spec.phasing_factor * n_idx / spec.total_sats
-         + n_mean * t)
+         + n_mean * t[..., None])
 
     cos_u, sin_u = np.cos(u), np.sin(u)
     # In-plane coords rotated by inclination about x, then by node about z.
@@ -129,10 +132,10 @@ def positions(spec: ConstellationSpec, t: float) -> np.ndarray:
     y_orb = a * sin_u * math.cos(inc)
     z_orb = a * sin_u * math.sin(inc)
     cos_g, sin_g = np.cos(nodes[n_idx]), np.sin(nodes[n_idx])
-    out = np.empty((spec.total_sats, 3))
-    out[:, 0] = x_orb * cos_g - y_orb * sin_g
-    out[:, 1] = x_orb * sin_g + y_orb * cos_g
-    out[:, 2] = z_orb
+    out = np.empty(u.shape + (3,))
+    out[..., 0] = x_orb * cos_g - y_orb * sin_g
+    out[..., 1] = x_orb * sin_g + y_orb * cos_g
+    out[..., 2] = z_orb
     return out
 
 
@@ -197,8 +200,9 @@ def isl_feasible(a: SatelliteEphemeris, b: SatelliteEphemeris,
     return k_near == kb
 
 
-def feasible_isl_pairs(spec: ConstellationSpec, pos: np.ndarray) -> list[tuple[int, int]]:
-    """Unordered satellite-index pairs holding a feasible ISL, sorted.
+def feasible_isl_pairs(spec: ConstellationSpec, pos: np.ndarray) -> np.ndarray:
+    """Unordered satellite-index pairs holding a feasible ISL, as a (k, 2)
+    int array of rows (i, j), i < j, in ascending order.
 
     Intra-orbit: the ring of adjacent slots. Inter-orbit: for each satellite
     and each other orbit, the nearest in-range satellite of that orbit; a pair
@@ -230,13 +234,15 @@ def feasible_isl_pairs(spec: ConstellationSpec, pos: np.ndarray) -> list[tuple[i
         i, j = n * s + k, m * s + k_near[k, m]
         lo.append(np.minimum(i, j))
         hi.append(np.maximum(i, j))
-    # A stable sort, and divmod on Python ints rather than numpy's int64 //
-    # and %: numpy runs those through SIMD kernels whose code pages add a few
-    # hundred KB to the peak RSS of an 80-satellite run.
-    keys = np.sort(np.concatenate(lo) * total + np.concatenate(hi), kind="stable")
-    dup = np.zeros(keys.size, dtype=bool)
-    dup[1:] = keys[1:] == keys[:-1]
-    return [divmod(key, total) for key in keys[~dup].tolist()]
+    # A stable sort: numpy's default one runs through SIMD kernels whose
+    # code pages add a few hundred KB to the peak RSS of an 80-satellite run.
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    keys = lo * total + hi
+    order = np.argsort(keys, kind="stable")
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = keys[order[1:]] != keys[order[:-1]]
+    order = order[first]
+    return np.stack([lo[order], hi[order]], axis=1)
 
 
 def earth_rotation_deg(t: float) -> float:
@@ -262,19 +268,24 @@ def serving_satellite_index(cluster_pos_unit: np.ndarray, sat_pos: np.ndarray) -
     return int(np.argmax(unit @ cluster_pos_unit))
 
 
-def geo_positions_km(t: float, count: int = 3) -> np.ndarray:
+def geo_positions_km(t, count: int = 3) -> np.ndarray:
     """Geostationary relay positions: equally spaced equatorial ring at
-    geosynchronous radius, co-rotating with the Earth."""
+    geosynchronous radius, co-rotating with the Earth. Shape (count, 3), or
+    t.shape + (count, 3) for an array of epochs."""
     r = EARTH_RADIUS_KM + GEO_ALTITUDE_KM
-    lon = np.radians(360.0 * np.arange(count) / count + earth_rotation_deg(t))
-    return r * np.column_stack([np.cos(lon), np.sin(lon), np.zeros(count)])
+    rot = earth_rotation_deg(np.asarray(t, dtype=float))
+    lon = np.radians(360.0 * np.arange(count) / count + rot[..., None])
+    return r * np.stack([np.cos(lon), np.sin(lon), np.zeros_like(lon)], axis=-1)
 
 
-def geo_slant_range_km(sat_pos: np.ndarray, t: float) -> np.ndarray:
-    """Distance from each satellite row to its nearest geostationary relay."""
+def geo_slant_range_km(sat_pos: np.ndarray, t) -> np.ndarray:
+    """Distance from each satellite row to its nearest geostationary relay.
+
+    sat_pos is (N, 3) at epoch t, or t.shape + (N, 3) for an array of epochs
+    as `positions` returns it."""
     geo = geo_positions_km(t)
-    d = np.linalg.norm(sat_pos[:, None, :] - geo[None, :, :], axis=2)
-    return d.min(axis=1)
+    d = np.linalg.norm(sat_pos[..., :, None, :] - geo[..., None, :, :], axis=-1)
+    return d.min(axis=-1)
 
 
 def write_ephemeris_csv(path, spec: ConstellationSpec, times) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import SnapshotGraph
+from .topology import SnapshotGraph, ordered_sum
 
 # A node is tied when a second out-edge comes within this fraction of the
 # frame's largest terminal-to-root distance of being its shortest next hop.
@@ -169,16 +169,18 @@ def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals, root: int) -> li
     from the terminal and the reverse one from the root, so those terminals
     take their rows from `dijkstra` itself. The tree edge out of a reached
     node has slack exactly 0, so an untied node's only near out-edge is its
-    hop.
+    hop. A walk stops at the first node of an earlier walk that reached the
+    root, whose rows are then in the union already.
     """
     terms = [t for t in sorted(set(terminals)) if t != root]
     if not terms:
         return []
     dist, nxt = shortest_path_csr(*g.frame_reverse_csr(u), root)
-    missing = [t for t in terms if not np.isfinite(dist[t])]
+    to_root = dist.tolist()
+    missing = [t for t in terms if not math.isfinite(to_root[t])]
     if missing:
         raise RoutingInfeasibleError(missing, what="terminal")
-    tol = TIE_RTOL * max(dist[t] for t in terms)
+    tol = TIE_RTOL * max(to_root[t] for t in terms)
     # Slack is nan between two unreached nodes and -inf from an unreached
     # node to a reached one, so unreached nodes may count as tied; no
     # terminal's path passes one.
@@ -191,19 +193,25 @@ def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals, root: int) -> li
     hop = hop.tolist()
     nxt = nxt.tolist()
     union = set()
+    clear = {root}   # nodes whose hop path to the root passes no tied node
     for t in terms:
-        eids = []
+        walk = []
         x = t
-        while x != root and not tied[x]:
-            eids.append(hop[x])
+        while x not in clear and not tied[x]:
+            walk.append(x)
             x = nxt[x]
-        union.update(eids if x == root else dijkstra(g, u, t, root).edge_ids)
+        if x in clear:
+            clear.update(walk)
+            union.update([hop[y] for y in walk])
+        else:
+            union.update(dijkstra(g, u, t, root).edge_ids)
     return sorted(union)
 
 
 def build_substitute_graph(g: SnapshotGraph, u: int, rows) -> SnapshotGraph:
     """Single-frame graph over the given sorted edge rows, keeping the
-    original node indexing and the frame-u weights."""
+    original node indexing and the frame-u weights. Its row k is row
+    rows[k] of g, because g's rows are (src, dst)-sorted."""
     idx = np.asarray(rows, dtype=np.int64)
     return SnapshotGraph.from_arrays(
         g.num_nodes, g.src[idx], g.dst[idx], g.weights_j[u][idx],
@@ -288,16 +296,14 @@ def chu_liu_edmonds(g: SnapshotGraph, root: int, u: int = 0, nodes=None) -> Arbo
     Spans `nodes` (default: every node incident to an edge, plus the root).
     Raises RoutingInfeasibleError listing nodes that cannot reach the root.
     """
+    src, dst = g.src.tolist(), g.dst.tolist()
     if nodes is None:
-        nodes = set(map(int, np.concatenate([g.src, g.dst]))) | {root}
+        nodes = set(src) | set(dst) | {root}
     else:
         nodes = set(int(v) for v in nodes) | {root}
-    w_row = g.weights_j[u]
-    redges = []
-    for e in range(g.num_edges):
-        i, j = int(g.src[e]), int(g.dst[e])
-        if i in nodes and j in nodes:
-            redges.append((j, i, float(w_row[e]), e, (j, i)))
+    w_row = g.weights_j[u].tolist()
+    redges = [(j, i, w_row[e], e, (j, i)) for e, (i, j) in enumerate(zip(src, dst))
+              if i in nodes and j in nodes]
     reach = _reachable_to_root(nodes, redges, root)
     stranded = nodes - reach
     if stranded:
@@ -305,11 +311,11 @@ def chu_liu_edmonds(g: SnapshotGraph, root: int, u: int = 0, nodes=None) -> Arbo
     if len(nodes) == 1:
         return Arborescence(root=root, edges=(), total_cost=0.0)
     chosen = _msa_edge_ids(nodes, redges, root, next_id=g.num_nodes)
-    items = sorted(((int(g.src[e]), int(g.dst[e])), e) for e in chosen)
-    eids = [e for _, e in items]
-    cost = float(sum(w_row[e] for e in eids))
-    return Arborescence(root=root, edges=tuple(p for p, _ in items),
-                        total_cost=cost, edge_ids=tuple(eids))
+    # Rows are (src, dst)-sorted, so sorted rows give sorted pairs.
+    eids = sorted(chosen)
+    return Arborescence(root=root, edges=tuple((src[e], dst[e]) for e in eids),
+                        total_cost=ordered_sum(w_row[e] for e in eids),
+                        edge_ids=tuple(eids))
 
 
 def _prune_non_terminal_leaves(edges, root, terminals):
@@ -347,10 +353,13 @@ def taeer(g: SnapshotGraph, u: int, terminals, root: int) -> Arborescence:
     sub = build_substitute_graph(g, u, rows)
     arb = chu_liu_edmonds(sub, root, u=0)
     kept = _prune_non_terminal_leaves(arb.edges, root, terminals)
-    eids = g.edge_rows([c for c, _ in kept], [p for _, p in kept])
-    cost = float(sum(g.weights_j[u][eids]))
-    return Arborescence(root=root, edges=tuple(kept), total_cost=cost,
-                        edge_ids=tuple(eids.tolist()))
+    # Row k of the substitute graph is row rows[k] of g.
+    sub_row = dict(zip(arb.edges, arb.edge_ids))
+    picked = [sub_row[pair] for pair in kept]
+    w_sub = sub.weights_j[0].tolist()
+    return Arborescence(root=root, edges=tuple(kept),
+                        total_cost=ordered_sum(w_sub[k] for k in picked),
+                        edge_ids=tuple(rows[k] for k in picked))
 
 
 def d_merge(g: SnapshotGraph, u: int, terminals, root: int) -> MergedPaths:
@@ -361,7 +370,7 @@ def d_merge(g: SnapshotGraph, u: int, terminals, root: int) -> MergedPaths:
     # Rows are (src, dst)-sorted, so sorted rows give sorted pairs.
     eids = shortest_paths_to_root(g, u, terminals, root)
     pairs = zip(g.src[eids].tolist(), g.dst[eids].tolist())
-    cost = float(sum(g.weights_j[u][eids]))
+    cost = ordered_sum(g.weights_j[u][eids].tolist())
     return MergedPaths(root=root, edges=tuple(pairs), total_cost=cost,
                        edge_ids=tuple(eids))
 
@@ -389,21 +398,23 @@ def orbit_greedy(g: SnapshotGraph, u: int, terminals, rng: np.random.Generator) 
     """Baseline using intra-orbit links only.
 
     Each orbit holding terminals routes them along its minimal ring arc to a
-    randomly chosen arc node, which uplinks to the GEO relay. Total cost
-    includes the GEO uplink energy of every occupied orbit.
+    randomly chosen arc node, which uplinks to the GEO relay. Total cost is
+    the ring edges' weights summed in edge_ids order, plus the GEO uplink
+    energy of every occupied orbit.
     """
     if g.node_orbit is None or g.geo_node is None:
         raise ValueError("orbit_greedy needs a constellation graph with a GEO node")
+    orbit_of, slot_of = g.node_orbit.tolist(), g.node_slot.tolist()
     by_orbit = {}
     for t in sorted(set(terminals)):
-        by_orbit.setdefault(int(g.node_orbit[t]), []).append(t)
-    ring_size = int(np.max(g.node_slot[:g.geo_node])) + 1
+        by_orbit.setdefault(orbit_of[t], []).append(t)
+    ring_size = max(slot_of[:g.geo_node]) + 1
 
     edges, roots, uplinks = [], [], []
     for orbit in sorted(by_orbit):
         members = by_orbit[orbit]
-        base = members[0] - int(g.node_slot[members[0]])
-        arc = _minimal_ring_arc([int(g.node_slot[t]) for t in members], ring_size)
+        base = members[0] - slot_of[members[0]]
+        arc = _minimal_ring_arc([slot_of[t] for t in members], ring_size)
         root_pos = int(rng.integers(len(arc)))
         root = base + arc[root_pos]
         roots.append((orbit, root))
@@ -412,16 +423,14 @@ def orbit_greedy(g: SnapshotGraph, u: int, terminals, rng: np.random.Generator) 
             edges.append((a, b) if idx < root_pos else (b, a))
         uplinks.append(root)
     rows = g.edge_rows([c for c, _ in edges] + uplinks,
-                       [p for _, p in edges] + [g.geo_node] * len(uplinks))
-    w_row = g.weights_j[u]
-    ring_cost = sum(w_row[rows[:len(edges)]])
-    uplink_cost = sum(w_row[rows[len(edges):]])
-    order = np.argsort([c for c, _ in edges], kind="stable")
-    edges = tuple(edges[i] for i in order)
-    eids = tuple(rows[order].tolist())
-    return OrbitForest(orbit_roots=tuple(roots), edges=edges, edge_ids=eids,
-                       uplink_nodes=tuple(uplinks), uplink_cost=float(uplink_cost),
-                       total_cost=float(ring_cost + uplink_cost))
+                       [p for _, p in edges] + [g.geo_node] * len(uplinks)).tolist()
+    w = g.weights_j[u][rows].tolist()
+    order = sorted(range(len(edges)), key=lambda i: edges[i][0])
+    uplink_cost = ordered_sum(w[len(edges):])
+    return OrbitForest(orbit_roots=tuple(roots), edges=tuple(edges[i] for i in order),
+                       edge_ids=tuple(rows[i] for i in order),
+                       uplink_nodes=tuple(uplinks), uplink_cost=uplink_cost,
+                       total_cost=ordered_sum(w[i] for i in order) + uplink_cost)
 
 
 def exact_dst_oracle(g: SnapshotGraph, terminals, root: int, u: int = 0,

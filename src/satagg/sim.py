@@ -18,7 +18,7 @@ import numpy as np
 from . import channel, geometry, routing, topology
 from .channel import LinkParams
 from .geometry import ConstellationSpec, GroundCluster
-from .topology import SnapshotGraph, TimeStructure
+from .topology import SnapshotGraph, TimeStructure, ordered_sum
 
 ALGORITHMS = ("taeer", "d_merge", "orbit_greedy")
 
@@ -48,9 +48,7 @@ class ScenarioConfig:
             raise ValueError(f"unknown algorithm(s) {unknown}; choose from {ALGORITHMS}")
         if not self.clusters:
             raise ValueError("at least one ground cluster is required")
-        total = sum(w for c in self.clusters for w in c.device_weights)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"device weights must sum to 1 (got {total!r})")
+        check_device_weights(self.clusters)
         if not 0 < self.tx_power_min_w <= self.tx_power_max_w:
             raise ValueError("require 0 < tx_power_min_w <= tx_power_max_w")
 
@@ -99,6 +97,13 @@ class RunMetrics:
     analytic_outage_pct: float
     failed_rounds: int
     records: list = field(default_factory=list)
+
+
+def check_device_weights(clusters) -> None:
+    """Raise ValueError unless the clusters' device weights sum to 1."""
+    total = ordered_sum(w for c in clusters for w in c.device_weights)
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"device weights must sum to 1 (got {total!r})")
 
 
 def random_clusters(count: int, rng: np.random.Generator,
@@ -196,6 +201,9 @@ def _simulate(cfg: ScenarioConfig, algorithms, collect_edges: bool = False):
         else:
             route_graph = graph
         _, terminals = terminals_for_round(cfg, t_abs)
+        # geo_w[u][v]: frame-u energy of LEO v's uplink to the GEO relay.
+        geo_w = graph.weights_j[:, graph.edge_rows(range(graph.geo_node),
+                                                   graph.geo_node)].tolist()
 
         for algorithm in algorithms:
             rng = np.random.default_rng(round_seeds[t])
@@ -213,21 +221,22 @@ def _simulate(cfg: ScenarioConfig, algorithms, collect_edges: bool = False):
                     result = _solve_frame(algorithm, route_graph, u, terminals,
                                           root, rng)
                     eids = np.asarray(result.edge_ids, dtype=np.intp)
-                    uplinks = _uplink_nodes(result)
-                    up_rows = graph.edge_rows(uplinks, [graph.geo_node] * len(uplinks))
-                    w_true = graph.weights_j[u]
-                    rec.tree_energy_j += float(sum(w_true[eids]))
-                    for w_up in w_true[up_rows].tolist():
-                        rec.geo_energy_j += w_up
-                    rec.analytic_outage_sum += float(sum(graph.outage_prob[u][eids]))
+                    w_tree = graph.weights_j[u][eids].tolist()
+                    rec.tree_energy_j += ordered_sum(w_tree)
+                    for v in _uplink_nodes(result):
+                        rec.geo_energy_j += geo_w[u][v]
+                    rec.analytic_outage_sum += ordered_sum(
+                        graph.outage_prob[u][eids].tolist())
                     rec.edge_frames += len(eids)
-                    p_t, d_km = tx_power[graph.src[eids]], graph.distance_km[u][eids]
+                    if collect_edges or cfg.outages_enabled:
+                        p_t = tx_power[graph.src[eids]]
+                        d_km = graph.distance_km[u][eids]
                     if collect_edges:
                         collected[algorithm][0].extend(p_t)
                         collected[algorithm][1].extend(d_km)
                     if cfg.outages_enabled:
                         g0_vals = channel.gamma0(p_t, d_km, cfg.params).tolist()
-                        for g0_val, w_e in zip(g0_vals, w_true[eids].tolist()):
+                        for g0_val, w_e in zip(g0_vals, w_tree):
                             k, ok = sample_attempts(rng, g0_val, cfg.params,
                                                     cfg.max_attempts)
                             rec.attempts += k
@@ -248,13 +257,14 @@ def _simulate(cfg: ScenarioConfig, algorithms, collect_edges: bool = False):
     for algorithm in algorithms:
         recs = records[algorithm]
         good = [r for r in recs if not r.failed]
-        energy = (sum(r.total_energy_j for r in good) / len(good)) if good else float("nan")
+        energy = (ordered_sum(r.total_energy_j for r in good) / len(good)
+                  if good else float("nan"))
         attempts = sum(r.attempts for r in recs)
         failures = sum(r.failures for r in recs)
         outage = (100.0 * failures / attempts
                   if cfg.outages_enabled and attempts else None)
         frames = sum(r.edge_frames for r in recs)
-        analytic = (100.0 * sum(r.analytic_outage_sum for r in recs) / frames
+        analytic = (100.0 * ordered_sum(r.analytic_outage_sum for r in recs) / frames
                     if frames else 0.0)
         out[algorithm] = RunMetrics(
             algorithm=algorithm, rho=cfg.rho,

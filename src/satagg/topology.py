@@ -17,6 +17,16 @@ from .channel import LinkParams
 from .geometry import ConstellationSpec
 
 
+def ordered_sum(values) -> float:
+    """Sum of floats added strictly left to right, as numpy-scalar
+    accumulation adds them. The built-in sum() compensates rounding over
+    Python floats from Python 3.12 on, so its bits depend on the version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 @dataclass(frozen=True)
 class TimeStructure:
     """Slot/frame subdivision of the (approximate) constellation period."""
@@ -201,10 +211,13 @@ def build_snapshot(spec: ConstellationSpec, params: LinkParams,
         raise ValueError("tx_power_w must hold one draw per satellite")
     n_leo = spec.total_sats
     geo = n_leo
-    pos0 = geometry.positions(spec, t_slot_start)
-    pairs = geometry.feasible_isl_pairs(spec, pos0)
+    u_frames = times.frames_per_slot
+    # One propagation pass: the slot start, then every frame midpoint.
+    epochs = [t_slot_start] + [t_slot_start + (u + 0.5) * times.frame_len_s
+                               for u in range(u_frames)]
+    pos = geometry.positions(spec, np.array(epochs))
+    ij = geometry.feasible_isl_pairs(spec, pos[0])
 
-    ij = np.asarray(pairs, dtype=np.int32).reshape(-1, 2)
     n_isl = 2 * len(ij)
     src = np.empty(n_isl + n_leo, dtype=np.int32)
     dst = np.empty_like(src)
@@ -213,16 +226,17 @@ def build_snapshot(spec: ConstellationSpec, params: LinkParams,
     src[n_isl:] = np.arange(n_leo)
     dst[n_isl:] = geo
 
-    u_frames = times.frames_per_slot
-    n_edges = src.shape[0]
-    dist = np.empty((u_frames, n_edges))
-    is_geo = dst == geo
-    leo_src, leo_dst = src[~is_geo], dst[~is_geo]
-    for u in range(u_frames):
-        t_mid = t_slot_start + (u + 0.5) * times.frame_len_s
-        pos = geometry.positions(spec, t_mid)
-        dist[u, ~is_geo] = np.linalg.norm(pos[leo_src] - pos[leo_dst], axis=1)
-        dist[u, is_geo] = geometry.geo_slant_range_km(pos[src[is_geo]], t_mid)
+    # Squared ISL lengths as np.linalg.norm sums a length-3 axis,
+    # (dx^2 + dy^2) + dz^2, one (frames, ISLs) component at a time.
+    mid = pos[1:]
+    squared = np.zeros((u_frames, n_isl))
+    for c in range(3):
+        diff = mid[:, src[:n_isl], c] - mid[:, dst[:n_isl], c]
+        squared += diff * diff
+    dist = np.empty((u_frames, n_isl + n_leo))
+    np.sqrt(squared, out=dist[:, :n_isl])
+    dist[:, n_isl:] = geometry.geo_slant_range_km(mid, np.array(epochs[1:]))
+    del squared, diff   # not held through the link budget's temporaries
 
     p_t = tx_power_w[src]
     sigma2 = channel.noise_power(params)

@@ -309,6 +309,32 @@ def test_clusters_csv_errors_name_the_column(tmp_path, capsys, text, column):
     assert "config field 'clusters.file'" in err and f"'{column}'" in err
 
 
+HEADER = "cluster_id,lat_deg,lon_deg,weight\n"
+
+
+@pytest.mark.parametrize("rows, column, words", [
+    ("0,200.0,20.0,0.5\n1,-5.0,40.0,0.5\n", "lat_deg", "[-90, 90]"),
+    ("0,-90.5,20.0,0.5\n1,-5.0,40.0,0.5\n", "lat_deg", "[-90, 90]"),
+    ("0,10.0,inf,0.5\n1,-5.0,40.0,0.5\n", "lon_deg", "finite"),
+    ("0,10.0,nan,0.5\n1,-5.0,40.0,0.5\n", "lon_deg", "finite"),
+    ("0,10.0,20.0,-0.5\n1,-5.0,40.0,1.5\n", "weight", "> 0"),
+    ("0,10.0,20.0,0.0\n1,-5.0,40.0,1.0\n", "weight", "> 0"),
+    ("0,10.0,20.0,nan\n1,-5.0,40.0,0.5\n", "weight", "finite"),
+    ("0,10.0,20.0,0.5\n0,-5.0,40.0,0.5\n", "cluster_id", "repeats 0"),
+    ("0,10.0,20.0,0.5\n1,-5.0,40.0,0.25\n", "weight", "sum to 1"),
+], ids=["lat_above_90", "lat_below_-90", "lon_inf", "lon_nan", "weight_negative",
+        "weight_zero", "weight_nan", "repeated_cluster_id", "weights_sum_not_1"])
+def test_clusters_csv_values_checked(tmp_path, capsys, rows, column, words):
+    clusters = tmp_path / "clusters.csv"
+    clusters.write_text(HEADER + rows)
+    cfg = tmp_path / "clusters.cfg"
+    cfg.write_text(SMALL_CFG.replace("count = 8\n", f"file = {clusters}\n"))
+    assert parse_and_dispatch(["run-scenario", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'clusters.file'" in err
+    assert f"'{column}'" in err and words in err
+
+
 def test_clusters_csv_roundtrip(tmp_path):
     path = tmp_path / "clusters.csv"
     path.write_text("cluster_id,lat_deg,lon_deg,weight\n"

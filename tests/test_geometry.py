@@ -78,6 +78,22 @@ class TestPropagate:
     def test_negative_time_rejected(self, delta_spec):
         with pytest.raises(geometry.ConfigurationError):
             geometry.positions(delta_spec, -1.0)
+        with pytest.raises(geometry.ConfigurationError):
+            geometry.positions(delta_spec, np.array([0.0, -1.0]))
+
+    @pytest.mark.parametrize("shell", ["delta", "star", "800"])
+    def test_epoch_array_equals_stacked_calls(self, shell, delta_spec, star_spec):
+        spec = {"delta": delta_spec, "star": star_spec,
+                "800": ConstellationSpec.walker(800, 20, 1, 700.0, 99.5, "star")}[shell]
+        # Slot-start and frame-midpoint epochs, as build_snapshot forms them.
+        t = np.array([3250.0] + [3250.0 + (u + 0.5) * 10.0 for u in range(25)])
+        batched = geometry.positions(spec, t)
+        assert batched.shape == (len(t), spec.total_sats, 3)
+        stacked = np.stack([geometry.positions(spec, float(x)) for x in t])
+        assert np.array_equal(batched, stacked)
+        slant = np.stack([geometry.geo_slant_range_km(stacked[i], float(x))
+                          for i, x in enumerate(t)])
+        assert np.array_equal(geometry.geo_slant_range_km(batched, t), slant)
 
     def test_star_vs_delta_node_spread(self):
         star = ConstellationSpec(4, 20, 700.0, 99.5, 1, "star")
@@ -133,7 +149,7 @@ class TestIslFeasible:
 
     def test_ring_degree_two(self, delta_spec):
         pos = geometry.positions(delta_spec, 0.0)
-        pairs = geometry.feasible_isl_pairs(delta_spec, pos)
+        pairs = geometry.feasible_isl_pairs(delta_spec, pos).tolist()
         s = delta_spec.sats_per_orbit
         for i in range(delta_spec.total_sats):
             intra = [p for p in pairs if i in p
@@ -144,7 +160,7 @@ class TestIslFeasible:
 def _pairs_by_rule(spec, t):
     """feasible_isl_pairs' oracle: pairs where isl_feasible holds either way."""
     eph = geometry.propagate(spec, t)
-    return [(i, j) for i in range(len(eph)) for j in range(i + 1, len(eph))
+    return [[i, j] for i in range(len(eph)) for j in range(i + 1, len(eph))
             if geometry.isl_feasible(eph[i], eph[j], spec, eph)
             or geometry.isl_feasible(eph[j], eph[i], spec, eph)]
 
@@ -155,7 +171,7 @@ class TestFeasibleIslPairs:
     def test_matches_per_satellite_rule(self, shell, t, delta_spec, star_spec):
         spec = delta_spec if shell == "delta" else star_spec
         pos = geometry.positions(spec, t)
-        assert geometry.feasible_isl_pairs(spec, pos) == _pairs_by_rule(spec, t)
+        assert geometry.feasible_isl_pairs(spec, pos).tolist() == _pairs_by_rule(spec, t)
 
     @pytest.mark.parametrize("spec", [
         ConstellationSpec(12, 1, 1200.0, 53.0, 5, "delta"),
@@ -169,7 +185,8 @@ class TestFeasibleIslPairs:
         s = spec.sats_per_orbit
         if spec.num_orbits > 1:
             assert any(i // s != j // s for i, j in want), "no cross-plane pair"
-        assert geometry.feasible_isl_pairs(spec, geometry.positions(spec, t)) == want
+        pairs = geometry.feasible_isl_pairs(spec, geometry.positions(spec, t))
+        assert pairs.tolist() == want
 
     @pytest.mark.parametrize("t", [0.0, 1234.5])
     def test_800_satellite_shell_matches_nearest_in_orbit(self, t):
@@ -188,7 +205,7 @@ class TestFeasibleIslPairs:
                 k, d = geometry.nearest_in_orbit(pos[i], pos[m * s:(m + 1) * s])
                 if d <= radius:
                     want.add((min(i, m * s + k), max(i, m * s + k)))
-        assert geometry.feasible_isl_pairs(spec, pos) == sorted(want)
+        assert geometry.feasible_isl_pairs(spec, pos).tolist() == sorted(map(list, want))
 
 
 def _cluster_unit(cluster, t):

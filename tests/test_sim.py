@@ -1,5 +1,7 @@
 import json
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -100,6 +102,35 @@ def test_routers_return_rows_of_the_energy_graph(star_spec):
             assert rows.tolist() == list(result.edge_ids)
 
 
+def left_to_right(values):
+    return reduce(add, values, 0.0)
+
+
+@pytest.mark.parametrize("shell, rho", [("delta", 1.0), ("star", 0.1)])
+def test_router_costs_are_left_to_right_edge_sums(shell, rho, delta_spec, star_spec):
+    cfg = make_scenario(delta_spec if shell == "delta" else star_spec,
+                        rho=rho, clusters=41, seed=42)
+    tx_power = sim.scenario_tx_power(cfg)
+    for t in (0, 5):
+        t_abs = t * cfg.times.slot_len_s
+        g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, t_abs, tx_power)
+        if rho < 1.0:
+            g = topology.robust_weights(g, rho, cfg.params)
+        _, terminals = sim.terminals_for_round(cfg, t_abs)
+        root = routing.select_root(g, 0, terminals)
+        for u in (0, 12, 24):
+            w = g.weights_j[u].tolist()
+            for algorithm in sim.ALGORITHMS:
+                res = sim._solve_frame(algorithm, g, u, terminals, root,
+                                       np.random.default_rng(u))
+                tree = left_to_right(w[e] for e in res.edge_ids)
+                if algorithm == "orbit_greedy":
+                    up = g.edge_rows(res.uplink_nodes, g.geo_node).tolist()
+                    assert res.uplink_cost == left_to_right(w[e] for e in up)
+                    tree += res.uplink_cost
+                assert res.total_cost == tree, algorithm
+
+
 class TestRunScenario:
     def test_error_free_mode_pure_tree_costs(self, delta_spec):
         cfg = make_scenario(delta_spec, rho=1.0, rounds=3)
@@ -116,8 +147,11 @@ class TestRunScenario:
         cfg = make_scenario(delta_spec, rho=0.1, rounds=4)
         m = sim.run_scenario(cfg)
         good = [r for r in m.records if not r.failed]
-        recomputed = sum(r.total_energy_j for r in good) / len(good)
-        assert abs(recomputed - m.avg_energy_per_slot_j) < 1e-9
+        recomputed = left_to_right(r.total_energy_j for r in good) / len(good)
+        assert m.avg_energy_per_slot_j == recomputed
+        frames = sum(r.edge_frames for r in m.records)
+        analytic = left_to_right(r.analytic_outage_sum for r in m.records)
+        assert m.analytic_outage_pct == 100.0 * analytic / frames
         attempts = sum(r.attempts for r in m.records)
         failures = sum(r.failures for r in m.records)
         assert m.avg_outage_per_isl_pct == pytest.approx(100 * failures / attempts)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -149,13 +151,16 @@ class TestBuildSnapshot:
         varying = [e for e in inter
                    if abs(g.distance_km[0][e] - g.distance_km[-1][e]) > 1e-6]
         assert len(varying) > 0
-        # Oracle: recompute the midpoint distances for one edge directly.
-        e = varying[0]
-        for u in (0, times.frames_per_slot - 1):
+        # Oracle: recompute every frame's midpoint distances one epoch at a
+        # time; the batched pass must give the same bits.
+        isl = g.dst != g.geo_node
+        for u in range(times.frames_per_slot):
             t_mid = (u + 0.5) * times.frame_len_s
             pos = geometry.positions(delta_spec, t_mid)
-            d = np.linalg.norm(pos[g.src[e]] - pos[g.dst[e]])
-            assert g.distance_km[u][e] == pytest.approx(d, rel=1e-12)
+            d = np.linalg.norm(pos[g.src[isl]] - pos[g.dst[isl]], axis=1)
+            assert np.array_equal(g.distance_km[u][isl], d)
+            slant = geometry.geo_slant_range_km(pos[g.src[~isl]], t_mid)
+            assert np.array_equal(g.distance_km[u][~isl], slant)
 
     def test_connectivity_constant_across_frames(self, delta_snapshot):
         g, times, _ = delta_snapshot
@@ -266,6 +271,18 @@ class TestRobustWeights:
         g, _, _ = delta_snapshot
         with pytest.raises(ValueError):
             topology.robust_weights(g, 1.5, params)
+
+
+def test_ordered_sum_adds_left_to_right():
+    # Left-to-right summation loses the 1.0 against 1e16 and ends at 0.0, as
+    # numpy-scalar accumulation does; the compensated sum (math.fsum, or the
+    # built-in sum() over Python floats from Python 3.12 on) gives 2.0.
+    values = [0.1] * 10 + [1e16, 1.0, -1e16]
+    assert math.fsum(values) == 2.0
+    assert sum(np.array(values)) == 0.0
+    assert topology.ordered_sum(values) == 0.0
+    assert topology.ordered_sum(iter(values)) == 0.0
+    assert topology.ordered_sum([]) == 0.0
 
 
 def test_snapshot_csv_export(tmp_path, delta_snapshot):
