@@ -261,11 +261,16 @@ def cluster_position_km(cluster: GroundCluster, t: float) -> np.ndarray:
     ])
 
 
-def serving_satellite_index(cluster_pos_unit: np.ndarray, sat_pos: np.ndarray) -> int:
-    """Row of sat_pos whose sub-satellite point is great-circle closest to
-    the cluster direction cluster_pos_unit; ties go to the lowest row."""
+def serving_satellites(clusters, t: float, sat_pos: np.ndarray) -> list:
+    """For each cluster at time t, the row of sat_pos whose sub-satellite
+    point is great-circle closest to it; ties go to the lowest row. The
+    satellite directions are normalised once for all clusters."""
     unit = sat_pos / np.linalg.norm(sat_pos, axis=1, keepdims=True)
-    return int(np.argmax(unit @ cluster_pos_unit))
+    out = []
+    for c in clusters:
+        cp = cluster_position_km(c, t)
+        out.append(int(np.argmax(unit @ (cp / np.linalg.norm(cp)))))
+    return out
 
 
 def geo_positions_km(t, count: int = 3) -> np.ndarray:

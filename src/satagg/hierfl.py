@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .topology import ordered_sum
 
 # run_training gives up once the loss exceeds this multiple of max(1, initial loss).
 DIVERGENCE_LIMIT = 1e12
@@ -133,7 +134,8 @@ def flat_aggregate(deltas: dict, weights: dict) -> np.ndarray:
 
 
 def global_loss(tasks, x: np.ndarray) -> float:
-    return float(sum(t.weight * t.loss(x) for t in tasks))
+    """Weighted sum of the task losses, added left to right."""
+    return float(ordered_sum(t.weight * t.loss(x) for t in tasks))
 
 
 def global_gradient(tasks, x: np.ndarray) -> np.ndarray:

@@ -209,14 +209,16 @@ def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals, root: int) -> li
 
 
 def build_substitute_graph(g: SnapshotGraph, u: int, rows) -> SnapshotGraph:
-    """Single-frame graph over the given sorted edge rows, keeping the
-    original node indexing and the frame-u weights. Its row k is row
-    rows[k] of g, because g's rows are (src, dst)-sorted."""
-    idx = np.asarray(rows, dtype=np.int64)
-    return SnapshotGraph.from_arrays(
-        g.num_nodes, g.src[idx], g.dst[idx], g.weights_j[u][idx],
-        slot_index=g.slot_index, node_orbit=g.node_orbit, node_slot=g.node_slot,
-        geo_node=g.geo_node)
+    """Single-frame graph of g at frame u over the given sorted edge rows,
+    keeping the original node indexing. Its row k is row rows[k] of g:
+    g's rows are (src, dst)-sorted, so any sorted subset of them is too."""
+    idx = np.asarray(rows, dtype=np.intp)
+    return SnapshotGraph(
+        num_nodes=g.num_nodes, src=g.src[idx], dst=g.dst[idx],
+        weights_j=g.weights_j[u:u + 1, idx],
+        distance_km=g.distance_km[u:u + 1, idx],
+        outage_prob=g.outage_prob[u:u + 1, idx], slot_index=g.slot_index,
+        node_orbit=g.node_orbit, node_slot=g.node_slot, geo_node=g.geo_node)
 
 
 def _reachable_to_root(nodes, redges, root) -> set:
@@ -336,20 +338,18 @@ def _prune_non_terminal_leaves(edges, root, terminals):
     return sorted(out_edge.items())
 
 
-def taeer(g: SnapshotGraph, u: int, terminals, root: int) -> Arborescence:
+def taeer(g: SnapshotGraph, u: int, terminals, root: int, rows) -> Arborescence:
     """Topology-aware energy-efficient routing for one frame.
 
-    Per-terminal shortest paths to the root are merged into a substitute
-    graph, an exact minimum spanning arborescence of that graph is computed,
-    and non-terminal leaves are pruned away. The result covers every
-    terminal; cost is the sum of the surviving edge weights.
+    rows are the sorted edge rows that `shortest_paths_to_root(g, u,
+    terminals, root)` returns: the terminals' shortest paths to the root.
+    They are merged into a substitute graph, an exact minimum spanning
+    arborescence of that graph is computed, and non-terminal leaves are
+    pruned away. The result covers every terminal; cost is the sum of the
+    surviving edge weights.
     """
-    terminals = sorted(set(terminals))
     if root not in terminals:
         raise ValueError("root must be one of the terminals")
-    if terminals == [root]:
-        return Arborescence(root=root, edges=(), total_cost=0.0)
-    rows = shortest_paths_to_root(g, u, terminals, root)
     sub = build_substitute_graph(g, u, rows)
     arb = chu_liu_edmonds(sub, root, u=0)
     kept = _prune_non_terminal_leaves(arb.edges, root, terminals)
@@ -362,13 +362,16 @@ def taeer(g: SnapshotGraph, u: int, terminals, root: int) -> Arborescence:
                         edge_ids=tuple(rows[k] for k in picked))
 
 
-def d_merge(g: SnapshotGraph, u: int, terminals, root: int) -> MergedPaths:
-    """Baseline: union of the per-terminal shortest paths, deduplicated."""
-    terminals = sorted(set(terminals))
+def d_merge(g: SnapshotGraph, u: int, terminals, root: int, rows) -> MergedPaths:
+    """Baseline: union of the per-terminal shortest paths, deduplicated.
+
+    rows are the sorted edge rows that `shortest_paths_to_root(g, u,
+    terminals, root)` returns, which are that union already.
+    """
     if root not in terminals:
         raise ValueError("root must be one of the terminals")
     # Rows are (src, dst)-sorted, so sorted rows give sorted pairs.
-    eids = shortest_paths_to_root(g, u, terminals, root)
+    eids = list(rows)
     pairs = zip(g.src[eids].tolist(), g.dst[eids].tolist())
     cost = ordered_sum(g.weights_j[u][eids].tolist())
     return MergedPaths(root=root, edges=tuple(pairs), total_cost=cost,

@@ -128,13 +128,10 @@ def scenario_tx_power(cfg: ScenarioConfig) -> np.ndarray:
 def terminals_for_round(cfg: ScenarioConfig, t_abs: float) -> tuple[dict, list]:
     """Serving satellite per cluster at the round epoch; returns the
     cluster -> node map and the deduplicated sorted terminal list."""
-    pos = geometry.positions(cfg.spec, t_abs)
-    mapping = {}
-    for c in cfg.clusters:
-        cp = geometry.cluster_position_km(c, t_abs)
-        mapping[c.cluster_id] = geometry.serving_satellite_index(
-            cp / np.linalg.norm(cp), pos)
-    return mapping, sorted(set(mapping.values()))
+    served = geometry.serving_satellites(cfg.clusters, t_abs,
+                                         geometry.positions(cfg.spec, t_abs))
+    mapping = {c.cluster_id: s for c, s in zip(cfg.clusters, served)}
+    return mapping, sorted(set(served))
 
 
 def sample_attempts(rng: np.random.Generator, gamma0_value: float,
@@ -158,11 +155,13 @@ def sample_attempts(rng: np.random.Generator, gamma0_value: float,
 
 
 def _solve_frame(algorithm: str, g: SnapshotGraph, u: int, terminals,
-                 root: int | None, rng: np.random.Generator):
+                 root: int | None, rows, rng: np.random.Generator):
+    """One router's result at frame u; rows are the frame's shortest-path
+    rows toward root for the path routers, and unused by orbit_greedy."""
     if algorithm == "taeer":
-        return routing.taeer(g, u, terminals, root)
+        return routing.taeer(g, u, terminals, root, rows)
     if algorithm == "d_merge":
-        return routing.d_merge(g, u, terminals, root)
+        return routing.d_merge(g, u, terminals, root, rows)
     if algorithm == "orbit_greedy":
         return routing.orbit_greedy(g, u, terminals, rng)
     raise ValueError(f"unknown algorithm {algorithm}")
@@ -178,11 +177,15 @@ def _simulate(cfg: ScenarioConfig, algorithms, collect_edges: bool = False):
     """Shared driver; returns ({algorithm: RunMetrics}, edge collections).
 
     Every algorithm sees identical terminal sets and identical per-round rng
-    seeds. Routers run on the rows of the energy graph (outage blending only
-    re-weights them), so their edge_ids index its true weights. A round
-    whose charged energy is not finite needed an unusable link and is
-    marked failed. Edge collections hold (tx_power, distance) per used
-    LEO-LEO edge transmission, for threshold sweeps.
+    seeds. The path routers (taeer, d_merge) pick their roots with their own
+    rngs and share one shortest-path search per (frame, root): the first to
+    reach a frame runs it. Only a successful search is kept, so a search
+    that raises fails each path router's round alike. Routers run on the
+    rows of the energy graph (outage blending only re-weights them), so
+    their edge_ids index its true weights. A round whose charged energy is
+    not finite needed an unusable link and is marked failed. Edge
+    collections hold (tx_power, distance) per used LEO-LEO edge
+    transmission, for threshold sweeps.
     """
     tx_power = scenario_tx_power(cfg)
     round_seeds = np.random.SeedSequence(cfg.rng_seed).spawn(2)[1].spawn(cfg.rounds)
@@ -204,6 +207,7 @@ def _simulate(cfg: ScenarioConfig, algorithms, collect_edges: bool = False):
         # geo_w[u][v]: frame-u energy of LEO v's uplink to the GEO relay.
         geo_w = graph.weights_j[:, graph.edge_rows(range(graph.geo_node),
                                                    graph.geo_node)].tolist()
+        path_rows = {}   # (frame, root) -> sorted shortest-path rows
 
         for algorithm in algorithms:
             rng = np.random.default_rng(round_seeds[t])
@@ -218,8 +222,14 @@ def _simulate(cfg: ScenarioConfig, algorithms, collect_edges: bool = False):
                               edge_frames=0, failed=False)
             try:
                 for u in range(u_frames):
+                    rows = None
+                    if root is not None:
+                        if (u, root) not in path_rows:
+                            path_rows[u, root] = routing.shortest_paths_to_root(
+                                route_graph, u, terminals, root)
+                        rows = path_rows[u, root]
                     result = _solve_frame(algorithm, route_graph, u, terminals,
-                                          root, rng)
+                                          root, rows, rng)
                     eids = np.asarray(result.edge_ids, dtype=np.intp)
                     w_tree = graph.weights_j[u][eids].tolist()
                     rec.tree_energy_j += ordered_sum(w_tree)

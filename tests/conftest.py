@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # makes oracles importable
 
-from satagg import channel, geometry, sim, topology
+from satagg import channel, geometry, routing, sim, topology
 
 
 @pytest.fixture
@@ -46,3 +46,10 @@ def random_digraph(rng, max_nodes=12, p=0.4, w_low=0.01, w_high=10.0,
             if u != v and rng.random() < p:
                 edges.append((u, v, float(rng.uniform(w_low, w_high))))
     return n, edges
+
+
+def route(router, g, u, terminals, root):
+    """A path router (taeer or d_merge) at frame u on that frame's
+    shortest-path rows toward root, searched as the simulator does."""
+    rows = routing.shortest_paths_to_root(g, u, terminals, root)
+    return router(g, u, terminals, root, rows)

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_scenario, random_digraph
+from conftest import make_scenario, random_digraph, route
 from oracles import (
     enumerate_min_arborescence,
     pointing_pdf_quadrature,
@@ -61,9 +61,9 @@ def test_criterion_2_heuristic_sandwich():
         g, terminals, root = random_dst_instance(
             rng, max_nodes=9, max_terminals=4, integer_weights=(k % 2 == 0))
         opt = routing.exact_dst_oracle(g, terminals, root)
-        arb = routing.taeer(g, 0, terminals, root)
+        arb = route(routing.taeer, g, 0, terminals, root)
         arb.validate(terminals)
-        merged = routing.d_merge(g, 0, terminals, root)
+        merged = route(routing.d_merge, g, 0, terminals, root)
         assert opt <= arb.total_cost + 1e-9
         assert arb.total_cost <= merged.total_cost + 1e-9
     elapsed = time.perf_counter() - t0
@@ -192,15 +192,11 @@ def test_criterion_6_scale_runtime():
     txp = topology.tx_power_draw(spec, rng)
     g = topology.build_snapshot(spec, params, times, 0.0, txp)
     clusters = sim.random_clusters(41, rng)
-    eph_pos = geometry.positions(spec, 0.0)
-    terminals = sorted({
-        geometry.serving_satellite_index(
-            geometry.cluster_position_km(c, 0.0)
-            / np.linalg.norm(geometry.cluster_position_km(c, 0.0)), eph_pos)
-        for c in clusters})
+    terminals = sorted(set(geometry.serving_satellites(
+        clusters, 0.0, geometry.positions(spec, 0.0))))
     root = routing.select_root(g, 0, terminals)
     t0 = time.perf_counter()
-    arb = routing.taeer(g, 0, terminals, root)
+    arb = route(routing.taeer, g, 0, terminals, root)
     elapsed = time.perf_counter() - t0
     arb.validate(terminals)
     assert elapsed < 1.0

@@ -208,11 +208,6 @@ class TestFeasibleIslPairs:
         assert geometry.feasible_isl_pairs(spec, pos).tolist() == sorted(map(list, want))
 
 
-def _cluster_unit(cluster, t):
-    c = geometry.cluster_position_km(cluster, t)
-    return c / np.linalg.norm(c)
-
-
 class TestServingSatellite:
     def test_directly_under(self, star_spec):
         pos = geometry.positions(star_spec, 0.0)
@@ -220,7 +215,7 @@ class TestServingSatellite:
         lat = math.degrees(math.asin(target[2] / np.linalg.norm(target)))
         lon = math.degrees(math.atan2(target[1], target[0]))
         cluster = GroundCluster(0, lat, lon, (1.0,))
-        assert geometry.serving_satellite_index(_cluster_unit(cluster, 0.0), pos) == 7
+        assert geometry.serving_satellites([cluster], 0.0, pos) == [7]
 
     def test_tie_breaks_to_lower_index(self):
         # Two satellites mirrored in y around the cluster meridian: the dot
@@ -228,23 +223,28 @@ class TestServingSatellite:
         # lower row wins in either order.
         a, b = [6871.0, 500.0, 0.0], [6871.0, -500.0, 0.0]
         far = [-6871.0, 0.0, 0.0]
-        c_unit = _cluster_unit(GroundCluster(0, 0.0, 0.0, (1.0,)), 0.0)
-        assert geometry.serving_satellite_index(c_unit, np.array([a, b, far])) == 0
-        assert geometry.serving_satellite_index(c_unit, np.array([far, b, a])) == 1
+        cluster = GroundCluster(0, 0.0, 0.0, (1.0,))
+        assert geometry.serving_satellites([cluster], 0.0, np.array([a, b, far])) == [0]
+        assert geometry.serving_satellites([cluster], 0.0, np.array([far, b, a])) == [1]
 
     def test_assignment_matches_exhaustive_scan(self, star_spec):
-        # Oracle: exhaustive angular-distance scan; also bound the nadir angle
-        # by the horizon footprint of the shell.
+        # Oracle: exhaustive angular-distance scan per cluster, against one
+        # call for all clusters; also bound the nadir angle by the horizon
+        # footprint of the shell.
         rng = np.random.default_rng(2024)
         pos = geometry.positions(star_spec, 0.0)
         unit = pos / np.linalg.norm(pos, axis=1, keepdims=True)
         footprint = math.acos(EARTH_RADIUS_KM / star_spec.orbit_radius_km)
+        clusters = []
         for i in range(41):
             lat = math.degrees(math.asin(rng.uniform(-0.9, 0.9)))
             lon = float(rng.uniform(-180, 180))
-            c_unit = _cluster_unit(GroundCluster(i, lat, lon, (1.0,)), 0.0)
-            idx = geometry.serving_satellite_index(c_unit, pos)
-            angles = np.arccos(np.clip(unit @ c_unit, -1.0, 1.0))
+            clusters.append(GroundCluster(i, lat, lon, (1.0,)))
+        served = geometry.serving_satellites(clusters, 0.0, pos)
+        assert len(served) == len(clusters)
+        for cluster, idx in zip(clusters, served):
+            c = geometry.cluster_position_km(cluster, 0.0)
+            angles = np.arccos(np.clip(unit @ (c / np.linalg.norm(c)), -1.0, 1.0))
             best = int(np.argmin(angles))
             assert idx == best
             assert angles[best] <= footprint
@@ -255,8 +255,7 @@ class TestServingSatellite:
         cluster = GroundCluster(0, 10.0, 20.0, (1.0,))
         period = geometry.orbital_period_s(star_spec)
         first, later = (
-            geometry.serving_satellite_index(_cluster_unit(cluster, t),
-                                             geometry.positions(star_spec, t))
+            geometry.serving_satellites([cluster], t, geometry.positions(star_spec, t))
             for t in (0.0, period))
         assert first != later
 

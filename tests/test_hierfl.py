@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,15 @@ def make_fleet(heterogeneity, eta, rng_seed=100, local_steps=5):
         10, 12, 24, np.random.default_rng(rng_seed),
         heterogeneity=heterogeneity, noise_std=0.1, local_steps=local_steps,
         learning_rate=eta, batch_size=8)
+
+
+def test_global_loss_adds_left_to_right():
+    # Per-task weighted losses whose left-to-right sum is 0.0 and whose
+    # compensated sum (the built-in sum() over floats from Python 3.12 on)
+    # is 2.0; stand-in tasks, since real losses cannot be negative.
+    values = [0.1] * 10 + [1e16, 1.0, -1e16]
+    tasks = [SimpleNamespace(weight=1.0, loss=lambda x, v=v: v) for v in values]
+    assert hierfl.global_loss(tasks, np.zeros(1)) == 0.0
 
 
 class TestRunTraining:

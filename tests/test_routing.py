@@ -22,7 +22,7 @@ from satagg.routing import (
 )
 from satagg.topology import SnapshotGraph
 
-from conftest import make_scenario, random_digraph
+from conftest import make_scenario, random_digraph, route
 
 
 def graph_of(n, edges, frames=1):
@@ -295,33 +295,33 @@ def random_dst_instance(rng, max_nodes=9, max_terminals=4, integer_weights=False
 class TestTaeer:
     def test_root_only(self):
         g = graph_of(3, [(0, 1, 1.0)])
-        arb = taeer(g, 0, [1], 1)
+        arb = route(taeer, g, 0, [1], 1)
         assert arb.edges == () and arb.total_cost == 0.0
 
     def test_single_terminal_is_shortest_path(self):
         g = graph_of(4, [(0, 1, 1.0), (1, 3, 1.0), (0, 3, 5.0)])
-        arb = taeer(g, 0, [0, 3], 3)
+        arb = route(taeer, g, 0, [0, 3], 3)
         assert arb.edges == ((0, 1), (1, 3))
         assert arb.total_cost == 2.0
 
     def test_root_must_be_terminal(self):
         g = graph_of(3, [(0, 1, 1.0)])
         with pytest.raises(ValueError):
-            taeer(g, 0, [0], 1)
+            route(taeer, g, 0, [0], 1)
 
     def test_unreachable_terminal_listed(self):
         g = graph_of(3, [(0, 1, 1.0)])
         with pytest.raises(RoutingInfeasibleError) as exc:
-            taeer(g, 0, [1, 2], 1)
+            route(taeer, g, 0, [1, 2], 1)
         assert exc.value.stranded == [2]
 
     def test_invariants_and_sandwich_small_ensemble(self):
         rng = np.random.default_rng(99)
         for _ in range(60):
             g, terminals, root = random_dst_instance(rng)
-            arb = taeer(g, 0, terminals, root)
+            arb = route(taeer, g, 0, terminals, root)
             arb.validate(terminals)
-            merged = d_merge(g, 0, terminals, root)
+            merged = route(d_merge, g, 0, terminals, root)
             opt = exact_dst_oracle(g, terminals, root)
             assert opt <= arb.total_cost + 1e-9
             assert arb.total_cost <= merged.total_cost + 1e-9
@@ -330,9 +330,9 @@ class TestTaeer:
         rng = np.random.default_rng(98)
         for _ in range(200):
             g, terminals, root = random_dst_instance(rng, integer_weights=True)
-            arb = taeer(g, 0, terminals, root)
+            arb = route(taeer, g, 0, terminals, root)
             arb.validate(terminals)
-            merged = d_merge(g, 0, terminals, root)
+            merged = route(d_merge, g, 0, terminals, root)
             opt = exact_dst_oracle(g, terminals, root)
             assert opt <= arb.total_cost + 1e-9
             assert arb.total_cost <= merged.total_cost + 1e-9
@@ -345,27 +345,28 @@ class TestTaeer:
         rng = np.random.default_rng(97)
         for _ in range(100):
             g, terminals, root = random_dst_instance(rng)
-            arb = taeer(g, 0, terminals, root)
-            merged = d_merge(g, 0, terminals, root)
+            arb = route(taeer, g, 0, terminals, root)
+            merged = route(d_merge, g, 0, terminals, root)
             assert arb.edges == merged.edges
             assert arb.total_cost == merged.total_cost
 
     def test_deterministic(self):
         rng = np.random.default_rng(123)
         g, terminals, root = random_dst_instance(rng)
-        a = taeer(g, 0, terminals, root)
-        b = taeer(g, 0, terminals, root)
+        a = route(taeer, g, 0, terminals, root)
+        b = route(taeer, g, 0, terminals, root)
         assert a.edges == b.edges and a.total_cost == b.total_cost
 
 
 class TestDMerge:
     def test_single_terminal_matches_taeer(self):
         g = graph_of(4, [(0, 1, 1.0), (1, 3, 1.0), (0, 3, 5.0)])
-        assert d_merge(g, 0, [0, 3], 3).total_cost == taeer(g, 0, [0, 3], 3).total_cost
+        assert route(d_merge, g, 0, [0, 3], 3).total_cost == \
+            route(taeer, g, 0, [0, 3], 3).total_cost
 
     def test_disjoint_paths_costs_add(self):
         g = graph_of(5, [(0, 2, 1.5), (2, 4, 1.0), (1, 3, 2.0), (3, 4, 1.0)])
-        m = d_merge(g, 0, [0, 1, 4], 4)
+        m = route(d_merge, g, 0, [0, 1, 4], 4)
         assert m.total_cost == pytest.approx(5.5)
 
     def test_dominance_over_taeer_ensemble(self):
@@ -374,8 +375,8 @@ class TestDMerge:
         rng = np.random.default_rng(1234)
         for _ in range(1000):
             g, terminals, root = random_dst_instance(rng, max_nodes=10)
-            assert taeer(g, 0, terminals, root).total_cost <= \
-                d_merge(g, 0, terminals, root).total_cost + 1e-9
+            assert route(taeer, g, 0, terminals, root).total_cost <= \
+                route(d_merge, g, 0, terminals, root).total_cost + 1e-9
 
 
 class TestOrbitGreedy:
@@ -512,7 +513,7 @@ def test_complexity_smoke():
         best = math.inf
         for _ in range(3):
             t0 = time.perf_counter()
-            taeer(g, 0, terminals, root)
+            route(taeer, g, 0, terminals, root)
             best = min(best, time.perf_counter() - t0)
         timings.append(best)
     ratio = timings[1] / timings[0]

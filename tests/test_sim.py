@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from functools import reduce
 from operator import add
 
@@ -82,6 +83,13 @@ def test_gamma0_array_equals_scalar_calls(star_spec):
         assert batched == scalar
 
 
+def solve_frame(algorithm, g, u, terminals, root, rng):
+    """sim._solve_frame on the path rows that _simulate would pass it."""
+    rows = (None if algorithm == "orbit_greedy"
+            else routing.shortest_paths_to_root(g, u, terminals, root))
+    return sim._solve_frame(algorithm, g, u, terminals, root, rows, rng)
+
+
 def test_routers_return_rows_of_the_energy_graph(star_spec):
     # The simulator charges result.edge_ids against the energy graph's
     # weights, so the outage-blended graph must keep its rows.
@@ -94,8 +102,8 @@ def test_routers_return_rows_of_the_energy_graph(star_spec):
     root = routing.select_root(g, 0, terminals)
     for algorithm in sim.ALGORITHMS:
         for u in range(g.frame_count):
-            result = sim._solve_frame(algorithm, r, u, terminals, root,
-                                      np.random.default_rng(u))
+            result = solve_frame(algorithm, r, u, terminals, root,
+                                 np.random.default_rng(u))
             assert result.edges
             rows = g.edge_rows([c for c, _ in result.edges],
                                [p for _, p in result.edges])
@@ -121,8 +129,8 @@ def test_router_costs_are_left_to_right_edge_sums(shell, rho, delta_spec, star_s
         for u in (0, 12, 24):
             w = g.weights_j[u].tolist()
             for algorithm in sim.ALGORITHMS:
-                res = sim._solve_frame(algorithm, g, u, terminals, root,
-                                       np.random.default_rng(u))
+                res = solve_frame(algorithm, g, u, terminals, root,
+                                  np.random.default_rng(u))
                 tree = left_to_right(w[e] for e in res.edge_ids)
                 if algorithm == "orbit_greedy":
                     up = g.edge_rows(res.uplink_nodes, g.geo_node).tolist()
@@ -190,10 +198,10 @@ class TestRunScenario:
         real = sim._solve_frame
         state = {"round": 0}
 
-        def flaky(algorithm, g, u, terminals, root, rng):
+        def flaky(algorithm, g, u, terminals, root, rows, rng):
             if state["round"] == 1:
                 raise RoutingInfeasibleError([terminals[0]], what="terminal")
-            return real(algorithm, g, u, terminals, root, rng)
+            return real(algorithm, g, u, terminals, root, rows, rng)
 
         monkeypatch.setattr(sim, "_solve_frame", flaky)
         cfg = make_scenario(delta_spec, rounds=3)
@@ -230,6 +238,54 @@ class TestCompareAlgorithms:
         for a, b in zip(res["taeer"].records, res["d_merge"].records):
             assert a.tree_energy_j <= b.tree_energy_j + 1e-9
             assert a.root == b.root
+
+    @pytest.mark.parametrize("algorithms, searches_per_frame", [
+        (("taeer", "d_merge", "orbit_greedy"), 1), (("orbit_greedy",), 0)])
+    def test_one_path_search_per_frame(self, delta_spec, monkeypatch,
+                                       algorithms, searches_per_frame):
+        real = routing.shortest_paths_to_root
+        calls = []
+
+        def counted(g, u, terminals, root):
+            calls.append((u, root))
+            return real(g, u, terminals, root)
+
+        monkeypatch.setattr(routing, "shortest_paths_to_root", counted)
+        cfg = make_scenario(delta_spec, algorithms=algorithms, rounds=2)
+        sim.compare_algorithms(cfg)
+        frames = cfg.times.frames_per_slot
+        assert len(calls) == searches_per_frame * cfg.rounds * frames
+
+    @pytest.mark.parametrize("rho, root_rule", [
+        (1.0, "min_uplink"), (0.1, "min_uplink"), (0.1, "random")])
+    def test_shared_search_matches_each_router_alone(self, delta_spec, rho,
+                                                     root_rule):
+        cfg = replace(make_scenario(delta_spec, rho=rho, rounds=3, seed=11,
+                                    algorithms=sim.ALGORITHMS),
+                      root_rule=root_rule)
+        together = sim.compare_algorithms(cfg)
+        for algorithm in sim.ALGORITHMS:
+            alone = sim.run_scenario(replace(cfg, algorithms=(algorithm,)))
+            assert together[algorithm] == alone, algorithm
+
+    def test_failed_search_fails_every_path_router(self, delta_spec, monkeypatch):
+        from satagg.routing import RoutingInfeasibleError
+        real = routing.shortest_paths_to_root
+        cfg = make_scenario(delta_spec, algorithms=sim.ALGORITHMS, rounds=3)
+        # The search runs on the round's own graph, whose slot_index is the
+        # round index here (3 rounds < slots_per_period).
+        assert cfg.rounds < cfg.times.slots_per_period
+
+        def flaky(g, u, terminals, root):
+            if g.slot_index == 1 and u == 3:
+                raise RoutingInfeasibleError([terminals[0]], what="terminal")
+            return real(g, u, terminals, root)
+
+        monkeypatch.setattr(routing, "shortest_paths_to_root", flaky)
+        res = sim.compare_algorithms(cfg)
+        for algorithm in ("taeer", "d_merge"):
+            assert [r.failed for r in res[algorithm].records] == [False, True, False]
+        assert not any(r.failed for r in res["orbit_greedy"].records)
 
     def test_orbit_greedy_much_more_expensive(self, delta_spec):
         cfg = make_scenario(delta_spec,
