@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import BOLTZMANN_J_PER_K, SPEED_OF_LIGHT_M_S
+from .geometry import ConfigError
 
 
 @dataclass(frozen=True)
@@ -52,22 +53,15 @@ class LinkParams:
     payload_bits: float = 1e6       # bits transferred per node per slot
 
     def __post_init__(self):
-        positive = {
-            "eta_s": self.eta_s, "theta_t_rad": self.theta_t_rad,
-            "d_r_m": self.d_r_m, "theta_3db_rad": self.theta_3db_rad,
-            "f_c_hz": self.f_c_hz, "bandwidth_fraction": self.bandwidth_fraction,
-            "k_b": self.k_b, "sigma_p_rad": self.sigma_p_rad,
-            "payload_bits": self.payload_bits,
-        }
-        for name, val in positive.items():
-            if val <= 0:
-                raise ValueError(f"{name} must be > 0")
+        for name in ("eta_s", "theta_3db_rad", "theta_t_rad", "d_r_m", "f_c_hz",
+                     "bandwidth_fraction", "k_b", "sigma_p_rad", "payload_bits"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(name, f"must be > 0, got {getattr(self, name)}")
         if self.eta_s > 1:
-            raise ValueError("eta_s must lie in (0, 1]")
-        if self.theta_0_rad < 0:
-            raise ValueError("theta_0_rad must be >= 0")
-        if min(self.t_solar_k, self.t_system_k, self.t_cmb_k) < 0:
-            raise ValueError("temperatures must be >= 0")
+            raise ConfigError("eta_s", f"must lie in (0, 1], got {self.eta_s}")
+        for name in ("theta_0_rad", "t_solar_k", "t_system_k", "t_cmb_k"):
+            if getattr(self, name) < 0:
+                raise ConfigError(name, f"must be >= 0, got {getattr(self, name)}")
 
     @property
     def wavelength_m(self) -> float:

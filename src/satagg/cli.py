@@ -28,31 +28,35 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="scenario config file (INI); defaults used if omitted")
         sp.add_argument("--seed", type=int, default=None, help="seed override (u64)")
         sp.add_argument("--out", default=".", help="output directory")
+        return sp
+
+    def routed(sp):
+        common(sp)
         sp.add_argument("--rho", type=float, default=None,
                         help="energy/outage mixing override in [0, 1]")
         sp.add_argument("--algorithms", default=None,
                         help="comma list override, e.g. taeer,d_merge")
 
-    common(sub.add_parser("run-scenario", help="run one algorithm, write metrics"))
-    common(sub.add_parser("compare-algorithms",
+    routed(sub.add_parser("run-scenario", help="run one algorithm, write metrics"))
+    routed(sub.add_parser("compare-algorithms",
                           help="run all configured algorithms side by side"))
-    sp = sub.add_parser("generate-constellation", help="export ephemerides CSV")
-    common(sp)
+    sp = common(sub.add_parser("generate-constellation", help="export ephemerides CSV"))
     sp.add_argument("--t", type=float, default=None,
                     help="single epoch in seconds (default: every slot start of one period)")
-    sp = sub.add_parser("export-snapshot", help="export one slot's edge list CSV")
-    common(sp)
+    sp = common(sub.add_parser("export-snapshot", help="export one slot's edge list CSV"))
     sp.add_argument("--slot", type=int, default=0, help="round/slot index")
     common(sub.add_parser("link-sweep", help="export link-budget sweep CSV"))
-    common(sub.add_parser("train", help="synthetic federated training trace"))
+    routed(sub.add_parser("train", help="synthetic federated training trace"))
     return p
 
 
-def _overrides(args):
-    algos = None
-    if args.algorithms is not None:
-        algos = tuple(a.strip() for a in args.algorithms.split(",") if a.strip())
-    return dict(seed=args.seed, rho=args.rho, algorithms=algos)
+def _scenario(args, values):
+    """The scenario of the config values, with the command's overrides."""
+    algos = getattr(args, "algorithms", None)
+    if algos is not None:
+        algos = tuple(a.strip() for a in algos.split(",") if a.strip())
+    return cfgmod.build_scenario(values, seed=args.seed, rho=getattr(args, "rho", None),
+                                 algorithms=algos)
 
 
 def _out_path(args, name):
@@ -61,7 +65,7 @@ def _out_path(args, name):
 
 
 def _cmd_run_scenario(args) -> int:
-    cfg = cfgmod.build_scenario(cfgmod.read_config(args.config), **_overrides(args))
+    cfg = _scenario(args, cfgmod.read_config(args.config))
     metrics = sim.run_scenario(cfg)
     sim.write_metrics_json(_out_path(args, "metrics.json"), metrics)
     sim.write_rounds_csv(_out_path(args, "rounds.csv"), metrics)
@@ -72,7 +76,7 @@ def _cmd_run_scenario(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cfg = cfgmod.build_scenario(cfgmod.read_config(args.config), **_overrides(args))
+    cfg = _scenario(args, cfgmod.read_config(args.config))
     results = sim.compare_algorithms(cfg)
     sim.write_metrics_json(_out_path(args, "comparison.json"), results)
     for name in sorted(results):
@@ -82,8 +86,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_generate_constellation(args) -> int:
-    values = cfgmod.read_config(args.config)
-    cfg = cfgmod.build_scenario(values, **_overrides(args))
+    cfg = _scenario(args, cfgmod.read_config(args.config))
     if args.t is not None:
         times = [args.t]
     else:
@@ -95,7 +98,7 @@ def _cmd_generate_constellation(args) -> int:
 
 
 def _cmd_export_snapshot(args) -> int:
-    cfg = cfgmod.build_scenario(cfgmod.read_config(args.config), **_overrides(args))
+    cfg = _scenario(args, cfgmod.read_config(args.config))
     t_abs = args.slot * cfg.times.slot_len_s
     g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, t_abs,
                                 sim.scenario_tx_power(cfg),
@@ -107,7 +110,7 @@ def _cmd_export_snapshot(args) -> int:
 
 
 def _cmd_link_sweep(args) -> int:
-    cfg = cfgmod.build_scenario(cfgmod.read_config(args.config), **_overrides(args))
+    cfg = _scenario(args, cfgmod.read_config(args.config))
     distances = np.geomspace(100.0, 45000.0, 60)
     powers = [cfg.tx_power_min_w, 0.1, 0.5, 1.0, 2.5, cfg.tx_power_max_w]
     path = _out_path(args, "link_sweep.csv")
@@ -120,14 +123,9 @@ def _cmd_link_sweep(args) -> int:
 def _cmd_train(args) -> int:
     values = cfgmod.read_config(args.config)
     train = cfgmod.build_training(values)
-    cfg = cfgmod.build_scenario(values, **_overrides(args))
+    cfg = _scenario(args, values)
     task_rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed, spawn_key=(4,)))
-    tasks = hierfl.make_synthetic_tasks(
-        num_devices=len(cfg.clusters), dim=train.dim,
-        samples_per_device=train.samples_per_device, rng=task_rng,
-        heterogeneity=train.heterogeneity, noise_std=train.noise_std,
-        local_steps=train.local_steps, learning_rate=train.learning_rate,
-        batch_size=train.batch_size)
+    tasks = hierfl.make_synthetic_tasks(len(cfg.clusters), train, task_rng)
     hierfl.check_learning_rate(tasks)
 
     metrics = sim.run_scenario(dataclasses.replace(cfg, rounds=train.rounds))

@@ -1,97 +1,66 @@
 """Scenario configuration: INI files with one section per subsystem.
 
-Every key has a default (the reference system settings), so an empty file is
-a valid scenario; unknown sections or keys are rejected to catch typos.
-Validation failures raise ConfigError naming the offending field.
+Each key is one parameter of the class or function that uses it (FIELDS).
+That parameter's default is the key's default, so an empty file is a valid
+scenario, and that class or function checks the value's bounds: this module
+only parses the text and translates names. A value that cannot be parsed or
+is out of bounds raises ConfigError naming its section.key; unknown sections
+or keys are rejected to catch typos.
 """
 import configparser
 import csv
+import dataclasses
+import inspect
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import LinkParams
-from .geometry import ConstellationSpec, GroundCluster
-from .sim import ALGORITHMS, ScenarioConfig, check_device_weights, random_clusters
+from .geometry import ConfigError, ConstellationSpec, GroundCluster
+from .hierfl import TrainingSettings
+from .sim import ScenarioConfig, check_device_weights, random_clusters
 from .topology import TimeStructure
 
-DEFAULTS = {
-    "constellation": {
-        "pattern": "star",
-        "num_orbits": "4",
-        "sats_per_orbit": "20",
-        "altitude_km": "700",
-        "inclination_deg": "99.5",
-        "phasing_factor": "1",
-    },
-    "time": {
-        "slot_len_s": "250",
-        "frames_per_slot": "25",
-    },
-    "link": {
-        "carrier_freq_hz": "193e12",
-        "bandwidth_fraction": "0.02",
-        "optical_efficiency": "0.8",
-        "rx_telescope_diameter_m": "0.006",
-        "pointing_error_rad": "0.01",
-        "beamwidth_3db_rad": "0.1",
-        "tx_divergence_rad": "",          # empty: use beamwidth_3db_rad
-        "boltzmann_j_per_k": "1.38e-23",
-        "solar_temp_k": "6000",
-        "system_temp_k": "1000",
-        "cmb_temp_k": "2.725",
-        "pointing_error_scale_rad": "0.05",
-        "snr_threshold_db": "-110",
-        "payload_bits": "1e6",
-        "tx_power_min_w": "0.0316",
-        "tx_power_max_w": "5.0",
-    },
-    "clusters": {
-        "count": "41",
-        "lat_band_deg": "60",
-        "file": "",
-    },
-    "algorithms": {
-        "names": "taeer, d_merge, orbit_greedy",
-        "rho": "1.0",
-        "root_rule": "min_uplink",
-    },
-    "run": {
-        "rounds": "300",
-        "seed": "0",
-        "max_attempts": "100",
-    },
-    "training": {
-        "rounds": "300",
-        "local_steps": "5",
-        "batch_size": "32",
-        "learning_rate": "0.001",
-        "dim": "20",
-        "samples_per_device": "64",
-        "heterogeneity": "0.0",
-        "noise_std": "0.1",
-    },
+_TIME = TimeStructure.for_constellation
+
+# (section, key) -> (owner, parameter) of the class or function that takes
+# the value; clusters.file is a path that this module reads itself.
+FIELDS = {
+    **{("constellation", f.name): (ConstellationSpec, f.name)
+       for f in dataclasses.fields(ConstellationSpec)},
+    **{("time", name): (_TIME, name) for name in ("slot_len_s", "frames_per_slot")},
+    **{("link", key): (LinkParams, name) for key, name in (
+        ("carrier_freq_hz", "f_c_hz"), ("bandwidth_fraction", "bandwidth_fraction"),
+        ("optical_efficiency", "eta_s"), ("rx_telescope_diameter_m", "d_r_m"),
+        ("pointing_error_rad", "theta_0_rad"), ("beamwidth_3db_rad", "theta_3db_rad"),
+        ("tx_divergence_rad", "theta_t_rad"), ("boltzmann_j_per_k", "k_b"),
+        ("solar_temp_k", "t_solar_k"), ("system_temp_k", "t_system_k"),
+        ("cmb_temp_k", "t_cmb_k"), ("pointing_error_scale_rad", "sigma_p_rad"),
+        ("snr_threshold_db", "snr_th_db"), ("payload_bits", "payload_bits"))},
+    **{("link", name): (ScenarioConfig, name) for name in ("tx_power_min_w", "tx_power_max_w")},
+    **{("clusters", name): (random_clusters, name) for name in ("count", "lat_band_deg")},
+    ("clusters", "file"): (None, "file"),
+    ("algorithms", "names"): (ScenarioConfig, "algorithms"),
+    ("algorithms", "rho"): (ScenarioConfig, "rho"),
+    ("algorithms", "root_rule"): (ScenarioConfig, "root_rule"),
+    ("run", "rounds"): (ScenarioConfig, "rounds"),
+    ("run", "seed"): (ScenarioConfig, "rng_seed"),
+    ("run", "max_attempts"): (ScenarioConfig, "max_attempts"),
+    **{("training", f.name): (TrainingSettings, f.name)
+       for f in dataclasses.fields(TrainingSettings)},
 }
+_KEY = {field: f"{section}.{key}" for (section, key), field in FIELDS.items()}
+_PARAMETERS = {owner: inspect.signature(owner).parameters
+               for owner in {owner for owner, _ in FIELDS.values()} - {None}}
+_DEFAULT = {item: "" if owner is None else _PARAMETERS[owner][name].default
+            for item, (owner, name) in FIELDS.items()}
 
-
-class ConfigError(ValueError):
-    def __init__(self, field, message):
-        self.field = field
-        super().__init__(f"config field '{field}': {message}")
-
-
-@dataclass(frozen=True)
-class TrainingSettings:
-    rounds: int
-    local_steps: int
-    batch_size: int
-    learning_rate: float
-    dim: int
-    samples_per_device: int
-    heterogeneity: float
-    noise_std: float
+DEFAULTS = {}
+for (_section, _key), _value in _DEFAULT.items():
+    DEFAULTS.setdefault(_section, {})[_key] = (
+        ", ".join(_value) if isinstance(_value, tuple) else str(_value))
+DEFAULTS["link"]["tx_divergence_rad"] = ""   # empty: link.beamwidth_3db_rad
 
 
 def read_config(path: str | None) -> dict:
@@ -119,66 +88,40 @@ def read_config(path: str | None) -> dict:
     return merged
 
 
-def _float(cfg, section, key):
-    raw = cfg[section][key]
+def _parse(cfg, section, key):
+    """The key's text as its default's type: a comma list for a tuple."""
+    raw, default = cfg[section][key], _DEFAULT[section, key]
+    if isinstance(default, tuple):
+        return tuple(a.strip() for a in raw.split(",") if a.strip())
+    if isinstance(default, str):
+        return raw.strip()
     try:
-        return float(raw)
+        return type(default)(raw)
     except ValueError:
-        raise ConfigError(f"{section}.{key}", f"expected a number, got {raw!r}") from None
+        kind = "an integer" if isinstance(default, int) else "a number"
+        raise ConfigError(f"{section}.{key}", f"expected {kind}, got {raw!r}") from None
 
 
-def _int(cfg, section, key):
-    raw = cfg[section][key]
+def _call(owner, cfg: dict, **given):
+    """owner called on its config values, with given ones taking their place;
+    a bound it rejects is reported as its section.key."""
+    values = {name: _parse(cfg, *item) for item, (o, name) in FIELDS.items()
+              if o is owner and name not in given}
     try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{section}.{key}", f"expected an integer, got {raw!r}") from None
-
-
-def _require(cond, field, message):
-    if not cond:
-        raise ConfigError(field, message)
+        return owner(**values, **given)
+    except ConfigError as exc:
+        raise ConfigError(_KEY.get((owner, exc.field), exc.field), exc.message) from None
 
 
 def build_link_params(cfg: dict) -> LinkParams:
-    beam = _float(cfg, "link", "beamwidth_3db_rad")
-    div = cfg["link"]["tx_divergence_rad"].strip()
-    try:
-        return LinkParams(
-            eta_s=_float(cfg, "link", "optical_efficiency"),
-            theta_t_rad=float(div) if div else beam,
-            d_r_m=_float(cfg, "link", "rx_telescope_diameter_m"),
-            theta_0_rad=_float(cfg, "link", "pointing_error_rad"),
-            theta_3db_rad=beam,
-            f_c_hz=_float(cfg, "link", "carrier_freq_hz"),
-            bandwidth_fraction=_float(cfg, "link", "bandwidth_fraction"),
-            t_solar_k=_float(cfg, "link", "solar_temp_k"),
-            t_system_k=_float(cfg, "link", "system_temp_k"),
-            t_cmb_k=_float(cfg, "link", "cmb_temp_k"),
-            k_b=_float(cfg, "link", "boltzmann_j_per_k"),
-            sigma_p_rad=_float(cfg, "link", "pointing_error_scale_rad"),
-            snr_th_db=_float(cfg, "link", "snr_threshold_db"),
-            payload_bits=_float(cfg, "link", "payload_bits"),
-        )
-    except ValueError as exc:
-        raise ConfigError("link", str(exc)) from None
+    if cfg["link"]["tx_divergence_rad"].strip():
+        return _call(LinkParams, cfg)
+    return _call(LinkParams, cfg, theta_t_rad=_parse(cfg, "link", "beamwidth_3db_rad"))
 
 
 def build_constellation(cfg: dict) -> ConstellationSpec:
-    pattern = cfg["constellation"]["pattern"].strip().lower()
-    _require(pattern in ("star", "delta"), "constellation.pattern",
-             f"must be 'star' or 'delta', got {pattern!r}")
-    try:
-        return ConstellationSpec(
-            num_orbits=_int(cfg, "constellation", "num_orbits"),
-            sats_per_orbit=_int(cfg, "constellation", "sats_per_orbit"),
-            altitude_km=_float(cfg, "constellation", "altitude_km"),
-            inclination_deg=_float(cfg, "constellation", "inclination_deg"),
-            phasing_factor=_int(cfg, "constellation", "phasing_factor"),
-            pattern=pattern,
-        )
-    except ValueError as exc:
-        raise ConfigError("constellation", str(exc)) from None
+    return _call(ConstellationSpec, cfg,
+                 pattern=_parse(cfg, "constellation", "pattern").lower())
 
 
 def load_clusters_csv(path: str) -> tuple:
@@ -223,8 +166,8 @@ def load_clusters_csv(path: str) -> tuple:
                 lon_deg=values["lon_deg"], device_weights=(values["weight"],)))
     try:
         check_device_weights(clusters)
-    except ValueError as exc:
-        raise ConfigError("clusters.file", f"{path}: column 'weight': {exc}") from None
+    except ConfigError as exc:
+        raise ConfigError("clusters.file", f"{path}: column 'weight': {exc.message}") from None
     return tuple(clusters)
 
 
@@ -232,77 +175,25 @@ def build_clusters(cfg: dict, seed: int) -> tuple:
     path = cfg["clusters"]["file"].strip()
     if path:
         return load_clusters_csv(path)
-    count = _int(cfg, "clusters", "count")
-    _require(count >= 1, "clusters.count", f"must be >= 1, got {count}")
-    band = _float(cfg, "clusters", "lat_band_deg")
-    _require(0 < band <= 90, "clusters.lat_band_deg", f"must lie in (0, 90], got {band}")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
-    return random_clusters(count, rng, band)
+    return _call(random_clusters, cfg, rng=rng)
 
 
 def build_scenario(cfg: dict, seed: int | None = None, rho: float | None = None,
                    algorithms: tuple | None = None) -> ScenarioConfig:
     """Assemble a validated ScenarioConfig; CLI overrides win over the file."""
+    given = {name: value for name, value in (("rho", rho), ("algorithms", algorithms))
+             if value is not None}
     if seed is None:
-        seed = _int(cfg, "run", "seed")
-    _require(0 <= seed < 2 ** 64, "run.seed", "must be an unsigned 64-bit value")
-    if rho is None:
-        rho = _float(cfg, "algorithms", "rho")
-    _require(0.0 <= rho <= 1.0, "algorithms.rho",
-             f"value {rho} outside the [0, 1] bound")
-    if algorithms is None:
-        algorithms = tuple(a.strip() for a in cfg["algorithms"]["names"].split(",")
-                           if a.strip())
-    for a in algorithms:
-        _require(a in ALGORITHMS, "algorithms.names",
-                 f"unknown algorithm {a!r} (choose from {sorted(ALGORITHMS)})")
-    _require(len(algorithms) >= 1, "algorithms.names", "need at least one algorithm")
-    root_rule = cfg["algorithms"]["root_rule"].strip()
-    _require(root_rule in ("min_uplink", "random"), "algorithms.root_rule",
-             f"must be 'min_uplink' or 'random', got {root_rule!r}")
-
+        seed = _parse(cfg, "run", "seed")
     spec = build_constellation(cfg)
-    params = build_link_params(cfg)
-    try:
-        times = TimeStructure.for_constellation(
-            spec, slot_len_s=_float(cfg, "time", "slot_len_s"),
-            frames_per_slot=_int(cfg, "time", "frames_per_slot"))
-    except ValueError as exc:
-        raise ConfigError("time", str(exc)) from None
-    rounds = _int(cfg, "run", "rounds")
-    _require(rounds >= 1, "run.rounds", f"must be >= 1, got {rounds}")
-    max_attempts = _int(cfg, "run", "max_attempts")
-    _require(max_attempts >= 1, "run.max_attempts", f"must be >= 1, got {max_attempts}")
-
-    try:
-        return ScenarioConfig(
-            spec=spec, params=params, times=times,
-            clusters=build_clusters(cfg, seed), algorithms=tuple(algorithms),
-            rho=rho, rounds=rounds, rng_seed=seed,
-            tx_power_min_w=_float(cfg, "link", "tx_power_min_w"),
-            tx_power_max_w=_float(cfg, "link", "tx_power_max_w"),
-            max_attempts=max_attempts,
-            root_rule=root_rule)
-    except ValueError as exc:
-        raise ConfigError("scenario", str(exc)) from None
+    # No clusters can be drawn from a negative seed; ScenarioConfig rejects
+    # the seed before it looks at the clusters.
+    return _call(ScenarioConfig, cfg, spec=spec, params=build_link_params(cfg),
+                 times=_call(_TIME, cfg, spec=spec),
+                 clusters=build_clusters(cfg, seed) if seed >= 0 else (),
+                 rng_seed=seed, **given)
 
 
 def build_training(cfg: dict) -> TrainingSettings:
-    out = TrainingSettings(
-        rounds=_int(cfg, "training", "rounds"),
-        local_steps=_int(cfg, "training", "local_steps"),
-        batch_size=_int(cfg, "training", "batch_size"),
-        learning_rate=_float(cfg, "training", "learning_rate"),
-        dim=_int(cfg, "training", "dim"),
-        samples_per_device=_int(cfg, "training", "samples_per_device"),
-        heterogeneity=_float(cfg, "training", "heterogeneity"),
-        noise_std=_float(cfg, "training", "noise_std"),
-    )
-    _require(out.rounds >= 1, "training.rounds", "must be >= 1")
-    _require(out.local_steps >= 1, "training.local_steps", "must be >= 1")
-    _require(out.learning_rate > 0, "training.learning_rate", "must be > 0")
-    _require(out.dim >= 1, "training.dim", "must be >= 1")
-    _require(out.samples_per_device >= 1, "training.samples_per_device", "must be >= 1")
-    _require(math.isfinite(out.heterogeneity) and out.heterogeneity >= 0,
-             "training.heterogeneity", "must be >= 0")
-    return out
+    return _call(TrainingSettings, cfg)

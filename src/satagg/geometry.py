@@ -22,8 +22,14 @@ from .constants import (
 SatId = tuple[int, int]  # (orbit index, slot index within orbit)
 
 
-class ConfigurationError(ValueError):
-    """Raised when a constellation or scenario parameter violates its bounds."""
+class ConfigError(ValueError):
+    """A setting outside its bounds. field names it: the parameter of the
+    class or function that checks it, or a config file's section.key."""
+
+    def __init__(self, field, message):
+        self.field = field
+        self.message = message
+        super().__init__(f"config field '{field}': {message}")
 
 
 @dataclass(frozen=True)
@@ -32,27 +38,31 @@ class ConstellationSpec:
 
     pattern 'star' spreads ascending nodes over 180 degrees, 'delta' over 360.
     phasing_factor F shifts the in-plane anomaly of plane n by
-    F * n * 360/total_sats degrees (standard T/P/F Walker notation).
+    F * n * 360/total_sats degrees (standard T/P/F Walker notation). The
+    defaults are the reference 80/4/1 Walker-star shell at 700 km.
     """
 
-    num_orbits: int
-    sats_per_orbit: int
-    altitude_km: float
-    inclination_deg: float
-    phasing_factor: int = 0
-    pattern: str = "delta"
+    num_orbits: int = 4
+    sats_per_orbit: int = 20
+    altitude_km: float = 700.0
+    inclination_deg: float = 99.5
+    phasing_factor: int = 1
+    pattern: str = "star"
 
     def __post_init__(self):
-        if self.num_orbits < 1 or self.sats_per_orbit < 1:
-            raise ConfigurationError("constellation needs >= 1 orbit and >= 1 satellite per orbit")
-        if self.altitude_km <= 0:
-            raise ConfigurationError("altitude_km must be > 0")
+        for name in ("num_orbits", "sats_per_orbit"):
+            if getattr(self, name) < 1:
+                raise ConfigError(name, f"must be >= 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.altitude_km) and self.altitude_km > 0):
+            raise ConfigError("altitude_km", f"must be finite and > 0, got {self.altitude_km}")
         if not 0.0 <= self.inclination_deg <= 180.0:
-            raise ConfigurationError("inclination_deg must lie in [0, 180]")
+            raise ConfigError("inclination_deg",
+                              f"must lie in [0, 180], got {self.inclination_deg}")
         if not 0 <= self.phasing_factor < self.num_orbits:
-            raise ConfigurationError("phasing_factor must lie in [0, num_orbits)")
+            raise ConfigError("phasing_factor", f"must lie in [0, {self.num_orbits}), "
+                                                f"got {self.phasing_factor}")
         if self.pattern not in ("star", "delta"):
-            raise ConfigurationError("pattern must be 'star' or 'delta'")
+            raise ConfigError("pattern", f"must be 'star' or 'delta', got {self.pattern!r}")
 
     @property
     def total_sats(self) -> int:
@@ -64,11 +74,11 @@ class ConstellationSpec:
 
     @classmethod
     def walker(cls, total_sats, num_orbits, phasing_factor, altitude_km,
-               inclination_deg, pattern="delta"):
+               inclination_deg, pattern):
         """Build from T/P/F notation; T must be divisible by P."""
         if total_sats % num_orbits != 0:
-            raise ConfigurationError(
-                f"total_sats={total_sats} not divisible by num_orbits={num_orbits}")
+            raise ConfigError("total_sats", f"{total_sats} is not divisible by "
+                                            f"num_orbits = {num_orbits}")
         return cls(num_orbits, total_sats // num_orbits, altitude_km,
                    inclination_deg, phasing_factor, pattern)
 
@@ -113,7 +123,7 @@ def positions(spec: ConstellationSpec, t) -> np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
-        raise ConfigurationError("t must be >= 0")
+        raise ConfigError("t", "must be >= 0")
     a = spec.orbit_radius_km
     n_mean = math.sqrt(EARTH_MU_KM3_S2 / a ** 3)  # rad/s
     inc = math.radians(spec.inclination_deg)
@@ -153,7 +163,7 @@ def comm_radius_km(altitude_km: float) -> float:
     """Maximum ISL range 2*sqrt((R_E+h)^2 - R_E^2): twice the horizon slant,
     so the link line keeps clear of the Earth's limb."""
     if altitude_km <= 0:
-        raise ConfigurationError("altitude_km must be > 0")
+        raise ConfigError("altitude_km", f"must be > 0, got {altitude_km}")
     h_star = EARTH_RADIUS_KM + altitude_km
     return 2.0 * math.sqrt(h_star ** 2 - EARTH_RADIUS_KM ** 2)
 
@@ -186,7 +196,7 @@ def isl_feasible(a: SatelliteEphemeris, b: SatelliteEphemeris,
     the tests hold `feasible_isl_pairs` to.
     """
     if a.sat_id == b.sat_id:
-        raise ConfigurationError("isl_feasible requires two distinct satellites")
+        raise ConfigError("b", "must be a satellite other than a")
     na, ka = a.sat_id
     nb, kb = b.sat_id
     if na == nb:

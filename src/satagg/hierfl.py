@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import ConfigError
 from .topology import ordered_sum
 
 # run_training gives up once the loss exceeds this multiple of max(1, initial loss).
@@ -35,22 +36,41 @@ class TrainingDivergedError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class TrainingSettings:
+    """Federated training loop, local SGD and synthetic-task settings."""
+
+    rounds: int = 300
+    local_steps: int = 5
+    batch_size: int = 32
+    learning_rate: float = 1e-3
+    dim: int = 20
+    samples_per_device: int = 64
+    heterogeneity: float = 0.0
+    noise_std: float = 0.1
+
+    def __post_init__(self):
+        for name in ("rounds", "local_steps", "batch_size", "dim", "samples_per_device"):
+            if getattr(self, name) < 1:
+                raise ConfigError(name, f"must be >= 1, got {getattr(self, name)}")
+        if not self.learning_rate > 0:
+            raise ConfigError("learning_rate", f"must be > 0, got {self.learning_rate}")
+        for name in ("heterogeneity", "noise_std"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(name, f"must be finite and >= 0, got {value}")
+
+
+@dataclass(frozen=True)
 class LocalTask:
-    """One device's regression task and SGD hyper-parameters."""
+    """One device's regression task, trained with settings' local SGD."""
 
     device_id: int
     features: np.ndarray        # (samples, dim)
     targets: np.ndarray         # (samples,)
     weight: float               # aggregation weight lambda
-    local_steps: int = 5
-    learning_rate: float = 1e-3
-    batch_size: int = 32
+    settings: TrainingSettings
 
     def __post_init__(self):
-        if self.local_steps < 1:
-            raise ValueError("local_steps must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
         if self.weight < 0:
             raise ValueError("weight must be >= 0")
 
@@ -69,18 +89,19 @@ def local_update(task: LocalTask, global_model: np.ndarray,
     by n/|batch| so the stochastic gradient stays unbiased; when batch_size
     covers the dataset the update is deterministic full-batch."""
     n = task.features.shape[0]
-    full_batch = task.batch_size >= n
+    s = task.settings
+    full_batch = s.batch_size >= n
     if not full_batch and rng is None:
         raise ValueError("mini-batch updates need an rng")
     x = np.array(global_model, dtype=float)
-    for _ in range(task.local_steps):
+    for _ in range(s.local_steps):
         if full_batch:
             g = task.gradient(x)
         else:
-            idx = rng.choice(n, size=task.batch_size, replace=False)
+            idx = rng.choice(n, size=s.batch_size, replace=False)
             a, b = task.features[idx], task.targets[idx]
-            g = (n / task.batch_size) * (a.T @ (a @ x - b))
-        x -= task.learning_rate * g
+            g = (n / s.batch_size) * (a.T @ (a @ x - b))
+        x -= s.learning_rate * g
     return x - np.asarray(global_model, dtype=float)
 
 
@@ -179,23 +200,21 @@ def centralized_gd(tasks, rounds: int, learning_rate: float,
     return trace
 
 
-def make_synthetic_tasks(num_devices: int, dim: int, samples_per_device: int,
-                         rng: np.random.Generator, heterogeneity: float = 0.0,
-                         noise_std: float = 0.1, local_steps: int = 5,
-                         learning_rate: float = 1e-3, batch_size: int = 32):
+def make_synthetic_tasks(num_devices: int, settings: TrainingSettings,
+                         rng: np.random.Generator):
     """Linear-regression tasks with a controllable spread of per-device
     optima: device i fits b = A (w* + heterogeneity*z_i) + noise. Larger
     heterogeneity raises the gradient-dissimilarity level across devices.
     Aggregation weights are the (equal) sample-size ratios."""
+    dim, samples = settings.dim, settings.samples_per_device
     w_star = rng.standard_normal(dim)
     tasks = []
     for i in range(num_devices):
-        w_i = w_star + heterogeneity * rng.standard_normal(dim)
-        a = rng.standard_normal((samples_per_device, dim)) / math.sqrt(samples_per_device)
-        b = a @ w_i + noise_std * rng.standard_normal(samples_per_device)
+        w_i = w_star + settings.heterogeneity * rng.standard_normal(dim)
+        a = rng.standard_normal((samples, dim)) / math.sqrt(samples)
+        b = a @ w_i + settings.noise_std * rng.standard_normal(samples)
         tasks.append(LocalTask(device_id=i, features=a, targets=b,
-                               weight=1.0 / num_devices, local_steps=local_steps,
-                               learning_rate=learning_rate, batch_size=batch_size))
+                               weight=1.0 / num_devices, settings=settings))
     return tasks
 
 
@@ -226,9 +245,9 @@ def check_learning_rate(tasks, smoothness: float | None = None,
     the cap."""
     if smoothness is None:
         smoothness = smoothness_constant(tasks)
-    cap = learning_rate_bound(smoothness, max(t.local_steps for t in tasks),
+    cap = learning_rate_bound(smoothness, max(t.settings.local_steps for t in tasks),
                               dissimilarity_alpha)
-    worst = max(t.learning_rate for t in tasks)
+    worst = max(t.settings.learning_rate for t in tasks)
     if worst > cap:
         warnings.warn(
             f"learning rate {worst:g} exceeds the stability cap {cap:g} "

@@ -21,6 +21,7 @@ from .topology import SnapshotGraph, ordered_sum
 # A node is tied when a second out-edge comes within this fraction of the
 # frame's largest terminal-to-root distance of being its shortest next hop.
 TIE_RTOL = 1e-9
+ROOT_RULES = ("min_uplink", "random")   # select_root's rules
 
 
 class RoutingInfeasibleError(RuntimeError):
@@ -461,11 +462,11 @@ def exact_dst_oracle(g: SnapshotGraph, terminals, root: int, u: int = 0,
     return float(best)
 
 
-def select_root(g: SnapshotGraph, u: int, terminals, rule: str = "min_uplink",
+def select_root(g: SnapshotGraph, u: int, terminals, rule: str,
                 rng: np.random.Generator | None = None) -> int:
-    """Pick the aggregation root among the terminals.
+    """Pick the aggregation root among the terminals by one of ROOT_RULES.
 
-    'min_uplink' (default): the terminal with the cheapest GEO uplink at
+    'min_uplink': the terminal with the cheapest GEO uplink at
     frame u, ties to the lowest node id. 'random': seeded uniform choice.
     """
     terms = sorted(set(terminals))

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import channel, geometry, routing, topology
 from .channel import LinkParams
-from .geometry import ConstellationSpec, GroundCluster
+from .geometry import ConfigError, ConstellationSpec, GroundCluster
 from .topology import SnapshotGraph, TimeStructure, ordered_sum
 
 ALGORITHMS = ("taeer", "d_merge", "orbit_greedy")
@@ -25,13 +25,16 @@ ALGORITHMS = ("taeer", "d_merge", "orbit_greedy")
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario: the shell, link, time grid and clusters, plus the run
+    settings, whose defaults are the reference settings."""
+
     spec: ConstellationSpec
     params: LinkParams
     times: TimeStructure
     clusters: tuple
-    algorithms: tuple = ("taeer",)
+    algorithms: tuple = ALGORITHMS
     rho: float = 1.0
-    rounds: int = 50
+    rounds: int = 300
     rng_seed: int = 0
     tx_power_min_w: float = 0.0316
     tx_power_max_w: float = 5.0
@@ -39,18 +42,33 @@ class ScenarioConfig:
     root_rule: str = "min_uplink"
 
     def __post_init__(self):
+        # The seed first: config draws the clusters from it, and cannot from
+        # a negative one.
+        if not 0 <= self.rng_seed < 2 ** 64:
+            raise ConfigError("rng_seed", f"must be an unsigned 64-bit value, "
+                                          f"got {self.rng_seed}")
+        if not self.algorithms:
+            raise ConfigError("algorithms", "need at least one algorithm")
+        for a in self.algorithms:
+            if a not in ALGORITHMS:
+                raise ConfigError("algorithms", f"unknown algorithm {a!r} "
+                                                f"(choose from {sorted(ALGORITHMS)})")
         if not 0.0 <= self.rho <= 1.0:
-            raise ValueError(f"rho={self.rho} outside [0, 1]")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        unknown = [a for a in self.algorithms if a not in ALGORITHMS]
-        if unknown:
-            raise ValueError(f"unknown algorithm(s) {unknown}; choose from {ALGORITHMS}")
+            raise ConfigError("rho", f"value {self.rho} outside the [0, 1] bound")
+        if self.root_rule not in routing.ROOT_RULES:
+            raise ConfigError("root_rule", f"must be one of {routing.ROOT_RULES}, "
+                                           f"got {self.root_rule!r}")
+        for name in ("rounds", "max_attempts"):
+            if getattr(self, name) < 1:
+                raise ConfigError(name, f"must be >= 1, got {getattr(self, name)}")
+        if not 0 < self.tx_power_min_w:
+            raise ConfigError("tx_power_min_w", f"must be > 0, got {self.tx_power_min_w}")
+        if not self.tx_power_min_w <= self.tx_power_max_w:
+            raise ConfigError("tx_power_max_w", f"must be >= {self.tx_power_min_w}, "
+                                                f"got {self.tx_power_max_w}")
         if not self.clusters:
-            raise ValueError("at least one ground cluster is required")
+            raise ConfigError("clusters", "at least one ground cluster is required")
         check_device_weights(self.clusters)
-        if not 0 < self.tx_power_min_w <= self.tx_power_max_w:
-            raise ValueError("require 0 < tx_power_min_w <= tx_power_max_w")
 
     @property
     def outages_enabled(self) -> bool:
@@ -100,16 +118,20 @@ class RunMetrics:
 
 
 def check_device_weights(clusters) -> None:
-    """Raise ValueError unless the clusters' device weights sum to 1."""
+    """Raise ConfigError unless the clusters' device weights sum to 1."""
     total = ordered_sum(w for c in clusters for w in c.device_weights)
     if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"device weights must sum to 1 (got {total!r})")
+        raise ConfigError("clusters", f"device weights must sum to 1 (got {total!r})")
 
 
-def random_clusters(count: int, rng: np.random.Generator,
+def random_clusters(rng: np.random.Generator, count: int = 41,
                     lat_band_deg: float = 60.0) -> tuple:
     """Clusters spread uniformly (by area) over the populated latitude band,
     one device each, equal aggregation weights."""
+    if count < 1:
+        raise ConfigError("count", f"must be >= 1, got {count}")
+    if not 0 < lat_band_deg <= 90:
+        raise ConfigError("lat_band_deg", f"must lie in (0, 90], got {lat_band_deg}")
     zmax = math.sin(math.radians(lat_band_deg))
     lats = np.degrees(np.arcsin(rng.uniform(-zmax, zmax, count)))
     lons = rng.uniform(-180.0, 180.0, count)
@@ -135,7 +157,7 @@ def terminals_for_round(cfg: ScenarioConfig, t_abs: float) -> tuple[dict, list]:
 
 
 def sample_attempts(rng: np.random.Generator, gamma0_value: float,
-                    params: LinkParams, max_attempts: int = 100) -> tuple[int, bool]:
+                    params: LinkParams, max_attempts: int) -> tuple[int, bool]:
     """Transmission attempts for one frame on one edge.
 
     Each attempt draws a fresh pointing error theta = sigma_p*|z| and fails

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import channel, geometry
 from .channel import LinkParams
-from .geometry import ConstellationSpec
+from .geometry import ConfigError, ConstellationSpec
 
 
 def ordered_sum(values) -> float:
@@ -36,10 +36,11 @@ class TimeStructure:
     frames_per_slot: int
 
     def __post_init__(self):
-        if self.slots_per_period < 1 or self.frames_per_slot < 1:
-            raise ValueError("slots_per_period and frames_per_slot must be >= 1")
+        for name in ("slots_per_period", "frames_per_slot"):
+            if getattr(self, name) < 1:
+                raise ConfigError(name, f"must be >= 1, got {getattr(self, name)}")
         if self.period_s <= 0:
-            raise ValueError("period_s must be > 0")
+            raise ConfigError("period_s", f"must be > 0, got {self.period_s}")
 
     @property
     def slot_len_s(self) -> float:
@@ -55,7 +56,7 @@ class TimeStructure:
         """Slot grid covering one orbital period; the period is rounded to a
         whole number of slots so slot_len_s is honoured exactly."""
         if not (math.isfinite(slot_len_s) and slot_len_s > 0):
-            raise ValueError(f"slot_len_s must be finite and > 0, got {slot_len_s!r}")
+            raise ConfigError("slot_len_s", f"must be finite and > 0, got {slot_len_s!r}")
         t_orb = geometry.orbital_period_s(spec)
         m = max(1, round(t_orb / slot_len_s))
         return cls(period_s=m * slot_len_s, slots_per_period=m,
@@ -191,7 +192,7 @@ class SnapshotGraph:
 
 
 def tx_power_draw(spec: ConstellationSpec, rng: np.random.Generator,
-                  low_w: float = 0.0316, high_w: float = 5.0) -> np.ndarray:
+                  low_w: float, high_w: float) -> np.ndarray:
     """Per-satellite transmit power, drawn once per scenario."""
     return rng.uniform(low_w, high_w, size=spec.total_sats)
 

@@ -24,15 +24,20 @@ def star_spec():
     return geometry.ConstellationSpec.walker(80, 4, 1, 700.0, 99.5, "star")
 
 
+# The scenario default transmit-power range, sim.ScenarioConfig's.
+TX_POWER_W = (0.0316, 5.0)
+
+
 def make_scenario(spec, *, algorithms=("taeer",), rho=1.0, rounds=3, seed=7,
-                  clusters=12, params=None):
+                  clusters=12, params=None, **settings):
     params = params or channel.LinkParams()
     times = topology.TimeStructure.for_constellation(spec)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
     return sim.ScenarioConfig(
         spec=spec, params=params, times=times,
-        clusters=sim.random_clusters(clusters, rng),
-        algorithms=tuple(algorithms), rho=rho, rounds=rounds, rng_seed=seed)
+        clusters=sim.random_clusters(rng, clusters),
+        algorithms=tuple(algorithms), rho=rho, rounds=rounds, rng_seed=seed,
+        **settings)
 
 
 def random_digraph(rng, max_nodes=12, p=0.4, w_low=0.01, w_high=10.0,

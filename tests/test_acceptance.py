@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_scenario, random_digraph, route
+from conftest import TX_POWER_W, make_scenario, random_digraph, route
 from oracles import (
     enumerate_min_arborescence,
     pointing_pdf_quadrature,
@@ -126,9 +126,9 @@ def test_criterion_4_aggregation_equivalence():
         worst = max(worst, err)
         assert err <= 1e-12
 
-    tasks = hierfl.make_synthetic_tasks(
-        8, 10, 20, np.random.default_rng(4), heterogeneity=1.0,
-        noise_std=0.1, local_steps=1, learning_rate=0.02, batch_size=20)
+    tasks = hierfl.make_synthetic_tasks(8, hierfl.TrainingSettings(
+        dim=10, samples_per_device=20, heterogeneity=1.0, noise_std=0.1,
+        local_steps=1, learning_rate=0.02, batch_size=20), np.random.default_rng(4))
     fed = hierfl.run_training(tasks, 50, np.random.default_rng(0))
     cent = hierfl.centralized_gd(tasks, 50, 0.02)
     step_worst = max(abs(lf - lc) / max(abs(lc), 1e-30)
@@ -189,12 +189,12 @@ def test_criterion_6_scale_runtime():
     params = LinkParams()
     times = topology.TimeStructure.for_constellation(spec)
     rng = np.random.default_rng(2006)
-    txp = topology.tx_power_draw(spec, rng)
+    txp = topology.tx_power_draw(spec, rng, *TX_POWER_W)
     g = topology.build_snapshot(spec, params, times, 0.0, txp)
-    clusters = sim.random_clusters(41, rng)
+    clusters = sim.random_clusters(rng, 41)
     terminals = sorted(set(geometry.serving_satellites(
         clusters, 0.0, geometry.positions(spec, 0.0))))
-    root = routing.select_root(g, 0, terminals)
+    root = routing.select_root(g, 0, terminals, "min_uplink")
     t0 = time.perf_counter()
     arb = route(routing.taeer, g, 0, terminals, root)
     elapsed = time.perf_counter() - t0

@@ -1,3 +1,4 @@
+import configparser
 import csv
 import json
 from pathlib import Path
@@ -7,6 +8,8 @@ import pytest
 from satagg import config as cfgmod
 from satagg import sim, topology
 from satagg.cli import parse_and_dispatch
+
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 SMALL_CFG = """
 [constellation]
@@ -107,7 +110,7 @@ class TestDispatch:
         bad.write_text(SMALL_CFG + "\n[time]\nframes_per_slot = 0\n")
         assert parse_and_dispatch(["run-scenario", "--config", str(bad)]) == 2
         err = capsys.readouterr().err
-        assert "config field 'time'" in err and "frames_per_slot" in err
+        assert "config field 'time.frames_per_slot'" in err
 
     @pytest.mark.parametrize("value", ["0", "-250", "inf", "nan"])
     def test_slot_len_bound_violation_named(self, tmp_path, capsys, value):
@@ -115,7 +118,7 @@ class TestDispatch:
         bad.write_text(SMALL_CFG + f"\n[time]\nslot_len_s = {value}\n")
         assert parse_and_dispatch(["run-scenario", "--config", str(bad)]) == 2
         err = capsys.readouterr().err
-        assert "config field 'time'" in err and "slot_len_s" in err
+        assert "config field 'time.slot_len_s'" in err
 
     def test_removed_sample_outages_key_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -190,6 +193,12 @@ class TestDispatch:
         assert parse_and_dispatch(["link-sweep", "--config", cfg_file,
                                    "--out", str(out)]) == 0
         assert (out / "link_sweep.csv").exists()
+
+    def test_unread_flags_rejected(self, cfg_file, capsys):
+        # Only the routing commands read --rho and --algorithms.
+        assert parse_and_dispatch(["link-sweep", "--config", cfg_file,
+                                   "--rho", "0.3"]) == 2
+        assert "--rho" in capsys.readouterr().err
 
     def test_train(self, tmp_path, cfg_file):
         out = tmp_path / "train"
@@ -281,17 +290,71 @@ rounds = 3
             assert data[name]["failed_rounds"] == 1
 
 
+def _readme_default(cell):
+    cell = cell.strip()
+    if cell in ("(beamwidth)", "(none)"):
+        return ""
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
 def test_readme_table_names_every_config_key():
+    # Each row names one or more keys and their defaults, "a / b" for two.
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     header = "| section.key | default | meaning |\n|---|---|---|\n"
     table = readme.split(header, 1)[1].split("\n\n", 1)[0]
-    named = set()
+    named = {}
     for row in table.splitlines():
-        section, keys = row.split("|")[1].strip().split(".", 1)
-        named.update(f"{section}.{key.strip()}" for key in keys.split("/"))
-    expected = {f"{section}.{key}" for section, keys in cfgmod.DEFAULTS.items()
-                for key in keys}
+        cells = row.split("|")
+        section, keys = cells[1].strip().split(".", 1)
+        keys = [key.strip() for key in keys.split("/")]
+        defaults = cells[2].split(" / ") if len(keys) > 1 else [cells[2]]
+        assert len(defaults) == len(keys), row
+        for key, default in zip(keys, defaults):
+            named[f"{section}.{key}"] = _readme_default(default)
+    expected = {f"{section}.{key}": _readme_default(value)
+                for section, keys in cfgmod.DEFAULTS.items() for key, value in keys.items()}
     assert named == expected
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.cfg")), ids=lambda p: p.name)
+def test_shipped_scenarios_parse(path):
+    values = cfgmod.read_config(str(path))
+    label = cfgmod.build_scenario(values).constellation_label
+    _, pattern, total = path.stem.split("_")
+    assert label.startswith(f"{total}/") and label.endswith(f"walker-{pattern}")
+    cfgmod.build_training(values)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("constellation", "num_orbits", "0"),
+    ("constellation", "altitude_km", "nan"),
+    ("time", "frames_per_slot", "0"),
+    ("link", "rx_telescope_diameter_m", "-1"),
+    ("link", "tx_power_min_w", "0"),
+    ("algorithms", "root_rule", "bogus"),
+    ("run", "max_attempts", "0"),
+    ("run", "seed", "-1"),
+    ("training", "batch_size", "0"),
+    ("training", "noise_std", "nan"),
+])
+def test_every_error_names_its_key(tmp_path, capsys, monkeypatch, section, key, value):
+    def routed(cfg):
+        raise AssertionError("routed before the config was checked")
+
+    monkeypatch.setattr(sim, "run_scenario", routed)
+    values = configparser.ConfigParser(interpolation=None)
+    values.read_string(SMALL_CFG)
+    if not values.has_section(section):
+        values.add_section(section)
+    values.set(section, key, value)
+    bad = tmp_path / "bad.cfg"
+    with open(bad, "w") as fh:
+        values.write(fh)
+    assert parse_and_dispatch(["train", "--config", str(bad)]) == 2
+    assert f"config field '{section}.{key}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, column", [

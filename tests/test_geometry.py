@@ -19,8 +19,8 @@ class TestConstellationSpec:
         assert spec.sats_per_orbit == 20
 
     def test_walker_indivisible(self):
-        with pytest.raises(geometry.ConfigurationError):
-            ConstellationSpec.walker(81, 4, 1, 500.0, 45.0)
+        with pytest.raises(geometry.ConfigError):
+            ConstellationSpec.walker(81, 4, 1, 500.0, 45.0, "delta")
 
     @pytest.mark.parametrize("kwargs", [
         dict(num_orbits=0, sats_per_orbit=20, altitude_km=500.0, inclination_deg=45.0),
@@ -31,7 +31,7 @@ class TestConstellationSpec:
              phasing_factor=4),
     ])
     def test_invalid_specs(self, kwargs):
-        with pytest.raises(geometry.ConfigurationError):
+        with pytest.raises(geometry.ConfigError):
             ConstellationSpec(**kwargs)
 
 
@@ -76,9 +76,9 @@ class TestPropagate:
         assert np.max(np.linalg.norm(a - b, axis=1)) < 1e-6
 
     def test_negative_time_rejected(self, delta_spec):
-        with pytest.raises(geometry.ConfigurationError):
+        with pytest.raises(geometry.ConfigError):
             geometry.positions(delta_spec, -1.0)
-        with pytest.raises(geometry.ConfigurationError):
+        with pytest.raises(geometry.ConfigError):
             geometry.positions(delta_spec, np.array([0.0, -1.0]))
 
     @pytest.mark.parametrize("shell", ["delta", "star", "800"])
@@ -112,7 +112,7 @@ class TestCommRadius:
         assert geometry.comm_radius_km(1e-9) > 0
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(geometry.ConfigurationError):
+        with pytest.raises(geometry.ConfigError):
             geometry.comm_radius_km(0.0)
 
 
@@ -144,7 +144,7 @@ class TestIslFeasible:
 
     def test_identical_satellites_rejected(self, delta_spec):
         eph = geometry.propagate(delta_spec, 0.0)
-        with pytest.raises(geometry.ConfigurationError):
+        with pytest.raises(geometry.ConfigError):
             geometry.isl_feasible(eph[0], eph[0], delta_spec, eph)
 
     def test_ring_degree_two(self, delta_spec):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from satagg import hierfl
-from satagg.hierfl import LocalTask
+from satagg.hierfl import LocalTask, TrainingSettings
 from satagg.routing import Arborescence
 
 
@@ -12,9 +12,9 @@ def quadratic_task(rng, n=20, d=8, **kw):
     a = rng.standard_normal((n, d)) / np.sqrt(n)
     w = rng.standard_normal(d)
     b = a @ w + 0.05 * rng.standard_normal(n)
-    kw.setdefault("weight", 1.0)
     kw.setdefault("batch_size", n)
-    return LocalTask(device_id=kw.pop("device_id", 0), features=a, targets=b, **kw)
+    return LocalTask(device_id=0, features=a, targets=b, weight=1.0,
+                     settings=TrainingSettings(**kw))
 
 
 def random_arborescence(rng, n_nodes):
@@ -43,8 +43,8 @@ class TestLocalUpdate:
         rng = np.random.default_rng(2)
         a = rng.standard_normal((10, 4))
         x_star = rng.standard_normal(4)
-        task = LocalTask(0, a, a @ x_star, weight=1.0, local_steps=7,
-                         learning_rate=0.05, batch_size=10)
+        task = LocalTask(0, a, a @ x_star, weight=1.0, settings=TrainingSettings(
+            local_steps=7, learning_rate=0.05, batch_size=10))
         delta = hierfl.local_update(task, x_star)
         assert np.allclose(delta, 0.0, atol=1e-12)
 
@@ -103,10 +103,10 @@ class TestTreeAggregate:
 
 
 def make_fleet(heterogeneity, eta, rng_seed=100, local_steps=5):
-    return hierfl.make_synthetic_tasks(
-        10, 12, 24, np.random.default_rng(rng_seed),
-        heterogeneity=heterogeneity, noise_std=0.1, local_steps=local_steps,
-        learning_rate=eta, batch_size=8)
+    return hierfl.make_synthetic_tasks(10, TrainingSettings(
+        dim=12, samples_per_device=24, heterogeneity=heterogeneity, noise_std=0.1,
+        local_steps=local_steps, learning_rate=eta, batch_size=8),
+        np.random.default_rng(rng_seed))
 
 
 def test_global_loss_adds_left_to_right():
@@ -123,9 +123,9 @@ class TestRunTraining:
         # With E = 1 and full batches the federated round IS one centralized
         # gradient step on the weighted objective.
         rng = np.random.default_rng(21)
-        tasks = hierfl.make_synthetic_tasks(
-            6, 10, 16, rng, heterogeneity=1.0, noise_std=0.2,
-            local_steps=1, learning_rate=0.02, batch_size=16)
+        tasks = hierfl.make_synthetic_tasks(6, TrainingSettings(
+            dim=10, samples_per_device=16, heterogeneity=1.0, noise_std=0.2,
+            local_steps=1, learning_rate=0.02, batch_size=16), rng)
         fed = hierfl.run_training(tasks, 50, np.random.default_rng(0))
         cent = hierfl.centralized_gd(tasks, 50, 0.02)
         for (_, lf, gf), (_, lc, gc) in zip(fed, cent):

@@ -22,7 +22,7 @@ from satagg.routing import (
 )
 from satagg.topology import SnapshotGraph
 
-from conftest import make_scenario, random_digraph, route
+from conftest import TX_POWER_W, make_scenario, random_digraph, route
 
 
 def graph_of(n, edges, frames=1):
@@ -144,7 +144,7 @@ class TestShortestPathsToRoot:
             if rho < 1.0:
                 g = topology.robust_weights(g, rho, cfg.params)
             _, terminals = sim.terminals_for_round(cfg, t_abs)
-            root = select_root(g, 0, terminals)
+            root = select_root(g, 0, terminals, "min_uplink")
             for u in (0, 12, 24):
                 assert_paths_match_dijkstra(g, u, terminals, root)
 
@@ -386,7 +386,7 @@ class TestOrbitGreedy:
 
         from satagg import topology
         times = topology.TimeStructure.for_constellation(delta_spec)
-        txp = topology.tx_power_draw(delta_spec, np.random.default_rng(0))
+        txp = topology.tx_power_draw(delta_spec, np.random.default_rng(0), *TX_POWER_W)
         return topology.build_snapshot(delta_spec, params, times, 0.0, txp)
 
     def test_adjacent_terminals_one_orbit(self, snapshot):
@@ -467,10 +467,10 @@ class TestSelectRoot:
 
         from satagg import topology
         times = topology.TimeStructure.for_constellation(delta_spec)
-        txp = topology.tx_power_draw(delta_spec, np.random.default_rng(0))
+        txp = topology.tx_power_draw(delta_spec, np.random.default_rng(0), *TX_POWER_W)
         g = topology.build_snapshot(delta_spec, params, times, 0.0, txp)
         terms = [5, 23, 41, 66]
-        root = select_root(g, 0, terms)
+        root = select_root(g, 0, terms, "min_uplink")
         ups = dict(zip(terms, g.weights_j[0][g.edge_rows(terms, g.geo_node)]))
         assert ups[root] == min(ups.values())
 

@@ -9,17 +9,24 @@ import pytest
 
 from conftest import make_scenario
 from satagg import channel, routing, sim, topology
+from satagg.geometry import ConfigError
 from satagg.sim import ScenarioConfig, sample_attempts
 
 
 class TestScenarioConfig:
     def test_rejects_bad_rho(self, delta_spec, params):
-        with pytest.raises(ValueError):
-            make_scenario(delta_spec, rho=1.5)
+        # Like rho, max_attempts and root_rule are checked on construction
+        # rather than failing rounds or raising mid-run.
+        for field, value in (("rho", 1.5), ("max_attempts", 0), ("root_rule", "bogus")):
+            with pytest.raises(ConfigError) as exc:
+                make_scenario(delta_spec, **{field: value})
+            assert exc.value.field == field
 
     def test_rejects_unknown_algorithm(self, delta_spec):
-        with pytest.raises(ValueError):
-            make_scenario(delta_spec, algorithms=("magic",))
+        for algorithms in (("magic",), ()):
+            with pytest.raises(ConfigError) as exc:
+                make_scenario(delta_spec, algorithms=algorithms)
+            assert exc.value.field == "algorithms"
 
     def test_rejects_unnormalised_weights(self, delta_spec, params):
         from satagg.geometry import GroundCluster
@@ -54,7 +61,7 @@ class TestSampleAttempts:
             p = channel.outage_from_gamma0(g0_val, params)
             assert p == pytest.approx(p_target, abs=1e-6)
             n = 10_000
-            draws = [sample_attempts(rng, g0_val, params)[0] for _ in range(n)]
+            draws = [sample_attempts(rng, g0_val, params, 100)[0] for _ in range(n)]
             mean = float(np.mean(draws))
             expected = 1.0 / (1.0 - p)
             sigma = math.sqrt(p) / (1.0 - p) / math.sqrt(n)
@@ -67,7 +74,7 @@ class TestSampleAttempts:
 
     def test_zero_gamma_always_first_try(self, params):
         rng = np.random.default_rng(1)
-        assert sample_attempts(rng, 0.0, params) == (1, True)
+        assert sample_attempts(rng, 0.0, params, 100) == (1, True)
 
 
 def test_gamma0_array_equals_scalar_calls(star_spec):
@@ -99,7 +106,7 @@ def test_routers_return_rows_of_the_energy_graph(star_spec):
     r = topology.robust_weights(g, cfg.rho, cfg.params)
     assert np.array_equal(r.src, g.src) and np.array_equal(r.dst, g.dst)
     _, terminals = sim.terminals_for_round(cfg, 0.0)
-    root = routing.select_root(g, 0, terminals)
+    root = routing.select_root(g, 0, terminals, "min_uplink")
     for algorithm in sim.ALGORITHMS:
         for u in range(g.frame_count):
             result = solve_frame(algorithm, r, u, terminals, root,
@@ -125,7 +132,7 @@ def test_router_costs_are_left_to_right_edge_sums(shell, rho, delta_spec, star_s
         if rho < 1.0:
             g = topology.robust_weights(g, rho, cfg.params)
         _, terminals = sim.terminals_for_round(cfg, t_abs)
-        root = routing.select_root(g, 0, terminals)
+        root = routing.select_root(g, 0, terminals, "min_uplink")
         for u in (0, 12, 24):
             w = g.weights_j[u].tolist()
             for algorithm in sim.ALGORITHMS:

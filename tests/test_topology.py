@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_scenario
+from conftest import TX_POWER_W, make_scenario
 from satagg import channel, geometry, sim, topology
 from satagg.topology import SnapshotGraph, TimeStructure
 from test_routing import random_dst_instance
@@ -13,7 +13,7 @@ from test_routing import random_dst_instance
 def delta_snapshot(delta_spec, params):
     times = TimeStructure.for_constellation(delta_spec)
     rng = np.random.default_rng(0)
-    txp = topology.tx_power_draw(delta_spec, rng)
+    txp = topology.tx_power_draw(delta_spec, rng, *TX_POWER_W)
     return topology.build_snapshot(delta_spec, params, times, 0.0, txp), times, txp
 
 
@@ -170,7 +170,7 @@ class TestBuildSnapshot:
 
     def test_intra_orbit_edges_periodic(self, delta_spec, params):
         times = TimeStructure.for_constellation(delta_spec)
-        txp = topology.tx_power_draw(delta_spec, np.random.default_rng(0))
+        txp = topology.tx_power_draw(delta_spec, np.random.default_rng(0), *TX_POWER_W)
         g0 = topology.build_snapshot(delta_spec, params, times, 0.0, txp)
         g1 = topology.build_snapshot(delta_spec, params, times, times.period_s, txp)
         s = delta_spec.sats_per_orbit
