@@ -25,7 +25,7 @@ which integrates to 1 over (0, 1) (both endpoints are integrable
 singularities when c < 1).
 """
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,6 +53,11 @@ class LinkParams:
     payload_bits: float = 1e6       # bits transferred per node per slot
 
     def __post_init__(self):
+        # The beamwidth first: a config without a transmit divergence copies
+        # the beamwidth into theta_t_rad, and the error names the key set.
+        for name in ["theta_3db_rad"] + [f.name for f in fields(self)]:
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(name, f"must be finite, got {getattr(self, name)!r}")
         for name in ("eta_s", "theta_3db_rad", "theta_t_rad", "d_r_m", "f_c_hz",
                      "bandwidth_fraction", "k_b", "sigma_p_rad", "payload_bits"):
             if getattr(self, name) <= 0:
@@ -62,6 +67,26 @@ class LinkParams:
         for name in ("theta_0_rad", "t_solar_k", "t_system_k", "t_cmb_k"):
             if getattr(self, name) < 0:
                 raise ConfigError(name, f"must be >= 0, got {getattr(self, name)}")
+        # Derived constants must be finite, and the outage law's scale > 0
+        # (it divides). Each is named by the setting that drives it out of
+        # range: a very large or very small finite setting overflows them.
+        c = SPEED_OF_LIGHT_M_S
+        for name, derived, value in (
+                ("f_c_hz", "wavelength_m", lambda: self.wavelength_m),
+                ("f_c_hz", "g_r", lambda: (self.f_c_hz / c) ** 2),
+                ("d_r_m", "g_r", lambda: self.g_r),
+                ("theta_3db_rad", "g0", lambda: self.g0),
+                ("theta_t_rad", "g_t", lambda: self.g_t),
+                ("theta_0_rad", "g0*theta_0^2", lambda: self.g0 * self.theta_0_rad ** 2),
+                ("sigma_p_rad", "g0*sigma_p^2", lambda: self.g0 * self.sigma_p_rad ** 2),
+                ("snr_th_db", "snr_th_linear", lambda: self.snr_th_linear)):
+            try:
+                v = value()
+            except (OverflowError, ZeroDivisionError):
+                v = math.inf
+            if not math.isfinite(v) or (name == "sigma_p_rad" and v == 0):
+                raise ConfigError(name, f"gives a non-finite or zero {derived}, "
+                                        f"got {getattr(self, name)!r}")
 
     @property
     def wavelength_m(self) -> float:

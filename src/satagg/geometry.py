@@ -55,6 +55,13 @@ class ConstellationSpec:
                 raise ConfigError(name, f"must be >= 1, got {getattr(self, name)}")
         if not (math.isfinite(self.altitude_km) and self.altitude_km > 0):
             raise ConfigError("altitude_km", f"must be finite and > 0, got {self.altitude_km}")
+        try:
+            period = orbital_period_s(self)
+        except OverflowError:
+            period = math.inf
+        if not math.isfinite(period):
+            raise ConfigError("altitude_km", f"gives a non-finite orbital period, "
+                                             f"got {self.altitude_km}")
         if not 0.0 <= self.inclination_deg <= 180.0:
             raise ConfigError("inclination_deg",
                               f"must lie in [0, 180], got {self.inclination_deg}")
@@ -218,9 +225,13 @@ def feasible_isl_pairs(spec: ConstellationSpec, pos: np.ndarray) -> np.ndarray:
     and each other orbit, the nearest in-range satellite of that orbit; a pair
     is kept if either endpoint selects the other. This is `isl_feasible` in
     either direction, with `nearest_in_orbit`'s rule batched: one distance
-    block per source orbit, whose argmin keeps the first minimum too. The
-    block sums the squared components as (dx^2 + dy^2) + dz^2, the order in
-    which `np.linalg.norm` reduces a length-3 axis, so distances match it.
+    block per orbit n against the orbits m > n, (n's slot, m, m's slot),
+    whose argmin over the last axis picks each n satellite's nearest in m
+    and over the first axis each m satellite's nearest in n; argmin keeps
+    the first minimum, as `nearest_in_orbit` does. The block sums the
+    squared components as (dx^2 + dy^2) + dz^2, the order in which
+    `np.linalg.norm` reduces a length-3 axis, and a difference squares
+    alike in either direction, so distances match it both ways.
     """
     p, s, total = spec.num_orbits, spec.sats_per_orbit, spec.total_sats
     lo, hi = [], []
@@ -231,19 +242,26 @@ def feasible_isl_pairs(spec: ConstellationSpec, pos: np.ndarray) -> np.ndarray:
         hi.append(np.maximum(ring, nxt))
     radius = comm_radius_km(spec.altitude_km)
     x, y, z = (np.ascontiguousarray(pos[:, c]) for c in range(3))
-    for n in range(p):
-        src = slice(n * s, (n + 1) * s)
-        dx = x - x[src, None]
-        dy = y - y[src, None]
-        dz = z - z[src, None]
-        d = np.sqrt(dx * dx + dy * dy + dz * dz).reshape(s, p, s)
-        k_near = d.argmin(axis=2)                       # (source slot, orbit)
-        ok = d.min(axis=2) <= radius
-        ok[:, n] = False
-        k, m = np.nonzero(ok)
-        i, j = n * s + k, m * s + k_near[k, m]
-        lo.append(np.minimum(i, j))
-        hi.append(np.maximum(i, j))
+    for n in range(p - 1):
+        src, far = slice(n * s, (n + 1) * s), slice((n + 1) * s, total)
+        d = x[far] - x[src, None]
+        d *= d
+        sq = y[far] - y[src, None]
+        sq *= sq
+        d += sq
+        np.subtract(z[far], z[src, None], out=sq)
+        sq *= sq
+        d += sq
+        d = np.sqrt(d, out=d).reshape(s, p - 1 - n, s)
+        # n's slot k selects m's slot to_m[k, m], and m's slot l selects
+        # n's slot to_n[m, l].
+        to_m, to_n = d.argmin(axis=2), d.argmin(axis=0)
+        k, m = np.nonzero(np.take_along_axis(d, to_m[..., None], 2)[..., 0] <= radius)
+        lo.append(n * s + k)
+        hi.append((n + 1 + m) * s + to_m[k, m])
+        m, l = np.nonzero(np.take_along_axis(d, to_n[None], 0)[0] <= radius)
+        lo.append(n * s + to_n[m, l])
+        hi.append((n + 1 + m) * s + l)
     # A stable sort: numpy's default one runs through SIMD kernels whose
     # code pages add a few hundred KB to the peak RSS of an 80-satellite run.
     lo, hi = np.concatenate(lo), np.concatenate(hi)

@@ -103,7 +103,7 @@ class OrbitForest:
     total_cost: float       # ring energy + uplink energy
 
 
-def shortest_path_csr(indptr, indices, weights, source, target=-1):
+def shortest_path_csr(indptr, indices, weights, source, target=-1, start=None):
     """Single-source shortest paths on a CSR digraph with weights >= 0.
 
     Returns (dist, pred) arrays, float64 and int32; pred[v] = -1 for the
@@ -111,18 +111,31 @@ def shortest_path_csr(indptr, indices, weights, source, target=-1):
     target is settled, so dist/pred entries for nodes farther than the target
     are partial. Heap entries are (distance, node) so cost ties pop in
     ascending node order, and predecessors update only on strict improvement.
-    The loop runs on list copies of the arrays: indexing a list is several
-    times faster than indexing an array, and Python float addition rounds
-    exactly as float64 addition does.
+    The loop runs on lists (array arguments are copied to lists): indexing a
+    list is several times faster than indexing an array, and Python float
+    addition rounds exactly as float64 addition does.
+
+    start = (dist, pred, seeds) replaces the cold start from the source with
+    lists that the search updates in place: every finite dist[v] is the
+    float sum along a path from the source through pred, every other entry
+    is +inf with pred -1, and seeds lists the nodes with an out-edge that
+    improves a label. The loop then relaxes from the seeds until no edge
+    improves a label. Any float path sum bounds the cold search's label from
+    above, and the cold labels satisfy dist[v] = min over in-edges of
+    dist[x] + w, so both starts end with bit-identical distances.
     """
-    ptr = np.asarray(indptr).tolist()
-    nbr = np.asarray(indices).tolist()
-    wts = np.asarray(weights).tolist()
-    n = len(ptr) - 1
-    dist = [math.inf] * n
-    pred = [-1] * n
-    dist[source] = 0.0
-    heap = [(0.0, source)]
+    ptr, nbr, wts = (x if isinstance(x, list) else np.asarray(x).tolist()
+                     for x in (indptr, indices, weights))
+    if start is None:
+        n = len(ptr) - 1
+        dist = [math.inf] * n
+        pred = [-1] * n
+        dist[source] = 0.0
+        heap = [(0.0, source)]
+    else:
+        dist, pred, seeds = start
+        heap = [(dist[x], x) for x in seeds]
+        heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
     while heap:
         d, u = pop(heap)
@@ -159,7 +172,66 @@ def dijkstra(g: SnapshotGraph, u: int, source: int, target: int):
     return ShortestPath(nodes, eids, float(dist[target]))
 
 
-def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals, root: int) -> list:
+class PathTree:
+    """Reverse shortest-path tree toward root from the last frame of one
+    graph that `shortest_paths_to_root` searched: pred is the int array of
+    next hops, -1 at the root and at unreached nodes (None before the first
+    search).
+
+    A caller keeps one per (graph, root) across that graph's frames, so
+    each frame's search starts from the previous frame's tree: a slot fixes
+    the topology and only the weights drift between frames.
+    """
+
+    __slots__ = ("root", "pred")
+
+    def __init__(self, root: int):
+        self.root = root
+        self.pred = None
+
+
+def _tree_order(pred: np.ndarray) -> np.ndarray:
+    """The nodes with a next hop in the tree pred, each after its next hop:
+    sorted by depth, which pointer jumping finds in log2(depth) passes."""
+    up = np.where(pred >= 0, pred, np.arange(pred.size))
+    depth = (pred >= 0).astype(np.intp)   # edges from v up to up[v]
+    while True:
+        jump = up[up]
+        if np.array_equal(jump, up):
+            break
+        depth += depth[up]
+        up = jump
+    below = np.flatnonzero(depth)
+    return below[np.argsort(depth[below], kind="stable")]
+
+
+def _warm_start(g: SnapshotGraph, u: int, root: int, prev: np.ndarray) -> tuple:
+    """(dist, pred, seeds) for `shortest_path_csr` at frame u from the tree
+    prev of another frame: each node's label is re-summed along prev with
+    frame u's weights, next hop before node, as the search adds them, so it
+    is the float sum along a real path. A label whose path crosses a +inf
+    row stays +inf. The seeds are the nodes with an edge that improves a
+    label, found in one pass over all rows."""
+    order = _tree_order(prev)
+    hops = prev[order]
+    w_hop = np.take(g.weights_j[u], g.edge_rows(order, hops)).tolist()
+    dist = [math.inf] * g.num_nodes
+    pred = [-1] * g.num_nodes
+    dist[root] = 0.0
+    for v, x, w in zip(order.tolist(), hops.tolist(), w_hop):
+        d = dist[x] + w
+        if d < math.inf:
+            dist[v] = d
+            pred[v] = x
+    to_root = np.array(dist)
+    improves = g.weights_j[u] + np.take(to_root, g.dst) < np.take(to_root, g.src)
+    seeds = np.zeros(g.num_nodes, dtype=bool)
+    seeds[g.dst[improves]] = True
+    return dist, pred, np.flatnonzero(seeds).tolist()
+
+
+def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals, root: int,
+                           tree: PathTree | None = None) -> list:
     """Sorted edge rows on the union of every terminal's shortest path to the
     root at frame u; unreachable terminals raise.
 
@@ -172,11 +244,24 @@ def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals, root: int) -> li
     node has slack exactly 0, so an untied node's only near out-edge is its
     hop. A walk stops at the first node of an earlier walk that reached the
     root, whose rows are then in the union already.
+
+    With a PathTree toward root that holds another frame's tree, the search
+    starts from that tree (`_warm_start`); the distances are bit-identical
+    to a cold search's, and so are the next hops except at tied nodes,
+    whose terminals take `dijkstra`'s rows either way. On success the
+    PathTree holds this frame's tree; a search that raises leaves it as it
+    was.
     """
+    if tree is not None and tree.root != root:
+        raise ValueError(f"the tree is rooted at {tree.root}, not at {root}")
     terms = [t for t in sorted(set(terminals)) if t != root]
     if not terms:
         return []
-    dist, nxt = shortest_path_csr(*g.frame_reverse_csr(u), root)
+    ptr, nbr, wts = g.frame_reverse_csr(u)
+    start = None
+    if tree is not None and tree.pred is not None:
+        start = _warm_start(g, u, root, tree.pred)
+    dist, nxt = shortest_path_csr(ptr, nbr, wts, root, start=start)
     to_root = dist.tolist()
     missing = [t for t in terms if not math.isfinite(to_root[t])]
     if missing:
@@ -186,13 +271,13 @@ def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals, root: int) -> li
     # node to a reached one, so unreached nodes may count as tied; no
     # terminal's path passes one.
     with np.errstate(invalid="ignore"):
-        near = g.weights_j[u] + dist[g.dst] - dist[g.src] <= tol
+        near = g.weights_j[u] + np.take(dist, g.dst) - np.take(dist, g.src) <= tol
     rows = np.flatnonzero(near)
     tied = (np.bincount(g.src[rows], minlength=g.num_nodes) > 1).tolist()
     hop = np.zeros(g.num_nodes, dtype=np.intp)
     hop[g.src[rows]] = rows
     hop = hop.tolist()
-    nxt = nxt.tolist()
+    next_hop = nxt.tolist()
     union = set()
     clear = {root}   # nodes whose hop path to the root passes no tied node
     for t in terms:
@@ -200,12 +285,14 @@ def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals, root: int) -> li
         x = t
         while x not in clear and not tied[x]:
             walk.append(x)
-            x = nxt[x]
+            x = next_hop[x]
         if x in clear:
             clear.update(walk)
             union.update([hop[y] for y in walk])
         else:
             union.update(dijkstra(g, u, t, root).edge_ids)
+    if tree is not None:
+        tree.pred = nxt
     return sorted(union)
 
 
@@ -218,8 +305,9 @@ def build_substitute_graph(g: SnapshotGraph, u: int, rows) -> SnapshotGraph:
         num_nodes=g.num_nodes, src=g.src[idx], dst=g.dst[idx],
         weights_j=g.weights_j[u:u + 1, idx],
         distance_km=g.distance_km[u:u + 1, idx],
-        outage_prob=g.outage_prob[u:u + 1, idx], slot_index=g.slot_index,
-        node_orbit=g.node_orbit, node_slot=g.node_slot, geo_node=g.geo_node)
+        gamma0=g.gamma0[u:u + 1, idx], slot_index=g.slot_index,
+        node_orbit=g.node_orbit, node_slot=g.node_slot, geo_node=g.geo_node,
+        link=g.link)
 
 
 def _reachable_to_root(nodes, redges, root) -> set:

@@ -61,6 +61,9 @@ class ScenarioConfig:
         for name in ("rounds", "max_attempts"):
             if getattr(self, name) < 1:
                 raise ConfigError(name, f"must be >= 1, got {getattr(self, name)}")
+        for name in ("tx_power_min_w", "tx_power_max_w"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(name, f"must be finite, got {getattr(self, name)!r}")
         if not 0 < self.tx_power_min_w:
             raise ConfigError("tx_power_min_w", f"must be > 0, got {self.tx_power_min_w}")
         if not self.tx_power_min_w <= self.tx_power_max_w:
@@ -201,11 +204,14 @@ def _simulate(cfg: ScenarioConfig, algorithms, collect_edges: bool = False):
     Every algorithm sees identical terminal sets and identical per-round rng
     seeds. The path routers (taeer, d_merge) pick their roots with their own
     rngs and share one shortest-path search per (frame, root): the first to
-    reach a frame runs it. Only a successful search is kept, so a search
-    that raises fails each path router's round alike. Routers run on the
+    reach a frame runs it, starting from the tree of the last frame searched
+    toward that root in the round. Only a successful search is kept, so a
+    search that raises fails each path router's round alike. Routers run on the
     rows of the energy graph (outage blending only re-weights them), so
     their edge_ids index its true weights. A round whose charged energy is
-    not finite needed an unusable link and is marked failed. Edge
+    not finite needed an unusable link and is marked failed. The analytic
+    outage of the routed rows comes from their gamma0 in one call per round
+    and algorithm, so a rho = 1 run evaluates no other row's. Edge
     collections hold (tx_power, distance) per used LEO-LEO edge
     transmission, for threshold sweeps.
     """
@@ -230,25 +236,28 @@ def _simulate(cfg: ScenarioConfig, algorithms, collect_edges: bool = False):
         geo_w = graph.weights_j[:, graph.edge_rows(range(graph.geo_node),
                                                    graph.geo_node)].tolist()
         path_rows = {}   # (frame, root) -> sorted shortest-path rows
+        trees = {}       # root -> PathTree of the last frame searched
 
         for algorithm in algorithms:
             rng = np.random.default_rng(round_seeds[t])
             root = None
             if algorithm in ("taeer", "d_merge"):
                 root = routing.select_root(graph, 0, terminals, cfg.root_rule, rng)
+                tree = trees.setdefault(root, routing.PathTree(root))
             rec = RoundRecord(round_index=t, slot_label=t % m_slots,
                               algorithm=algorithm, root=root,
                               num_terminals=len(terminals), tree_energy_j=0.0,
                               retrans_energy_j=0.0, geo_energy_j=0.0,
                               attempts=0, failures=0, analytic_outage_sum=0.0,
                               edge_frames=0, failed=False)
+            routed_gamma0 = []   # per frame, the gamma0 of the routed rows
             try:
                 for u in range(u_frames):
                     rows = None
                     if root is not None:
                         if (u, root) not in path_rows:
                             path_rows[u, root] = routing.shortest_paths_to_root(
-                                route_graph, u, terminals, root)
+                                route_graph, u, terminals, root, tree)
                         rows = path_rows[u, root]
                     result = _solve_frame(algorithm, route_graph, u, terminals,
                                           root, rows, rng)
@@ -257,17 +266,13 @@ def _simulate(cfg: ScenarioConfig, algorithms, collect_edges: bool = False):
                     rec.tree_energy_j += ordered_sum(w_tree)
                     for v in _uplink_nodes(result):
                         rec.geo_energy_j += geo_w[u][v]
-                    rec.analytic_outage_sum += ordered_sum(
-                        graph.outage_prob[u][eids].tolist())
+                    routed_gamma0.append(graph.gamma0[u][eids])
                     rec.edge_frames += len(eids)
-                    if collect_edges or cfg.outages_enabled:
-                        p_t = tx_power[graph.src[eids]]
-                        d_km = graph.distance_km[u][eids]
                     if collect_edges:
-                        collected[algorithm][0].extend(p_t)
-                        collected[algorithm][1].extend(d_km)
+                        collected[algorithm][0].extend(tx_power[graph.src[eids]])
+                        collected[algorithm][1].extend(graph.distance_km[u][eids])
                     if cfg.outages_enabled:
-                        g0_vals = channel.gamma0(p_t, d_km, cfg.params).tolist()
+                        g0_vals = routed_gamma0[-1].tolist()
                         for g0_val, w_e in zip(g0_vals, w_tree):
                             k, ok = sample_attempts(rng, g0_val, cfg.params,
                                                     cfg.max_attempts)
@@ -280,6 +285,13 @@ def _simulate(cfg: ScenarioConfig, algorithms, collect_edges: bool = False):
                         rec.attempts += len(eids)
             except routing.RoutingInfeasibleError:
                 rec.failed = True
+            if routed_gamma0:
+                p_out = channel.outage_from_gamma0(np.concatenate(routed_gamma0),
+                                                   cfg.params).tolist()
+                end = 0
+                for g0_frame in routed_gamma0:
+                    start, end = end, end + len(g0_frame)
+                    rec.analytic_outage_sum += ordered_sum(p_out[start:end])
             # An unusable link (weight +inf) on the tree or the uplink.
             if not math.isfinite(rec.total_energy_j):
                 rec.failed = True

@@ -54,11 +54,16 @@ class TimeStructure:
     def for_constellation(cls, spec: ConstellationSpec, slot_len_s: float = 250.0,
                           frames_per_slot: int = 25) -> "TimeStructure":
         """Slot grid covering one orbital period; the period is rounded to a
-        whole number of slots so slot_len_s is honoured exactly."""
+        whole number of slots, at least one, so slot_len_s is honoured
+        exactly."""
         if not (math.isfinite(slot_len_s) and slot_len_s > 0):
             raise ConfigError("slot_len_s", f"must be finite and > 0, got {slot_len_s!r}")
         t_orb = geometry.orbital_period_s(spec)
-        m = max(1, round(t_orb / slot_len_s))
+        m = round(t_orb / slot_len_s)
+        if m < 1:
+            raise ConfigError("slot_len_s", f"must be below twice the orbital period "
+                                            f"({2 * t_orb:.1f} s), so that the period "
+                                            f"rounds to one slot at least; got {slot_len_s!r}")
         return cls(period_s=m * slot_len_s, slots_per_period=m,
                    frames_per_slot=frames_per_slot)
 
@@ -68,11 +73,13 @@ class SnapshotGraph:
     """Directed weighted graph of one time slot.
 
     Edges are stored CSR-sorted by (src, dst); weights_j / distance_km /
-    outage_prob are (frames, edges) arrays sharing that column order. A link
-    the model cannot use keeps its row with weight +inf, which no shortest-
-    path search relaxes. geo_node is the index of the aggregate GEO relay
-    (None for synthetic graphs). Instances are immutable; re-weighting
-    returns a new graph on the same rows.
+    gamma0 are (frames, edges) arrays sharing that column order. gamma0 is
+    each link's outage threshold, which link's outage law maps to
+    outage_prob when that is first read. A link the model cannot use keeps
+    its row with weight +inf, which no shortest-path search relaxes.
+    geo_node is the index of the aggregate GEO relay (None for synthetic
+    graphs). Instances are immutable; re-weighting returns a new graph on
+    the same rows.
     """
 
     num_nodes: int
@@ -80,11 +87,12 @@ class SnapshotGraph:
     dst: np.ndarray
     weights_j: np.ndarray
     distance_km: np.ndarray
-    outage_prob: np.ndarray
+    gamma0: np.ndarray
     slot_index: int
     node_orbit: np.ndarray | None = None
     node_slot: np.ndarray | None = None
     geo_node: int | None = None
+    link: LinkParams = LinkParams()
 
     @property
     def num_edges(self) -> int:
@@ -100,6 +108,12 @@ class SnapshotGraph:
         return int(np.count_nonzero(~np.isfinite(self.weights_j).any(axis=0)))
 
     @cached_property
+    def outage_prob(self) -> np.ndarray:
+        """Outage probability of every (frame, edge), computed on first read:
+        a rho = 1 run reads it only for its routed rows, from gamma0."""
+        return channel.outage_from_gamma0(self.gamma0, self.link)
+
+    @cached_property
     def indptr(self) -> np.ndarray:
         return np.searchsorted(self.src, np.arange(self.num_nodes + 1)).astype(np.int32)
 
@@ -107,11 +121,6 @@ class SnapshotGraph:
     def rev_order(self) -> np.ndarray:
         """Edge rows grouped by dst (then src): the reversed graph's CSR order."""
         return np.lexsort((self.src, self.dst))
-
-    @cached_property
-    def rev_indptr(self) -> np.ndarray:
-        return np.searchsorted(self.dst[self.rev_order],
-                               np.arange(self.num_nodes + 1)).astype(np.int32)
 
     @cached_property
     def edge_index(self) -> np.ndarray:
@@ -140,42 +149,48 @@ class SnapshotGraph:
         """(indptr, indices, weights) for frame u, ready for shortest_path_csr."""
         return self.indptr, self.dst, self.weights_j[u]
 
+    @cached_property
+    def reverse_lists(self) -> tuple:
+        """(indptr, indices) lists of the reversed graph, the same for every
+        frame: row x lists the nodes that transmit to x."""
+        indptr = np.searchsorted(self.dst[self.rev_order], np.arange(self.num_nodes + 1))
+        return indptr.tolist(), self.src[self.rev_order].tolist()
+
     def frame_reverse_csr(self, u: int):
-        """(indptr, indices, weights) of the reversed graph for frame u: row x
-        lists the nodes that transmit to x."""
-        order = self.rev_order
-        return self.rev_indptr, self.src[order], self.weights_j[u][order]
+        """(indptr, indices, weights) lists of the reversed graph for frame u,
+        ready for shortest_path_csr."""
+        indptr, indices = self.reverse_lists
+        return indptr, indices, np.take(self.weights_j[u], self.rev_order).tolist()
 
     @classmethod
     def from_arrays(cls, num_nodes, src, dst, weights, *, distance_km=None,
-                    outage_prob=None, slot_index=0, node_orbit=None,
-                    node_slot=None, geo_node=None):
-        """Canonicalise edge order to (src, dst)-lexicographic and wrap.
+                    gamma0=None, slot_index=0, node_orbit=None,
+                    node_slot=None, geo_node=None, link=LinkParams()):
+        """Canonicalise edge order to (src, dst)-lexicographic and wrap;
+        rows given in that order keep it without a copy.
 
-        weights may be (E,) for a single frame or (U, E).
+        weights may be (E,) for a single frame or (U, E); distance_km and
+        gamma0 default to 0, which is no outage.
         """
         src = np.asarray(src, dtype=np.int32)
         dst = np.asarray(dst, dtype=np.int32)
-        weights = np.atleast_2d(np.asarray(weights, dtype=float))
         if np.any(src == dst):
             raise ValueError("self-loops are not allowed")
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        if src.size > 1 and np.any((src[1:] == src[:-1]) & (dst[1:] == dst[:-1])):
-            raise ValueError("parallel edges are not allowed; merge them first")
-        weights = np.ascontiguousarray(weights[:, order])
-        if distance_km is None:
-            distance_km = np.zeros_like(weights)
-        else:
-            distance_km = np.ascontiguousarray(np.atleast_2d(distance_km)[:, order])
-        if outage_prob is None:
-            outage_prob = np.zeros_like(weights)
-        else:
-            outage_prob = np.ascontiguousarray(np.atleast_2d(outage_prob)[:, order])
+        weights = np.atleast_2d(np.asarray(weights, dtype=float))
+        columns = [weights,
+                   np.zeros_like(weights) if distance_km is None else np.atleast_2d(distance_km),
+                   np.zeros_like(weights) if gamma0 is None else np.atleast_2d(gamma0)]
+        if not np.all((src[1:] > src[:-1]) | ((src[1:] == src[:-1]) & (dst[1:] > dst[:-1]))):
+            order = np.lexsort((dst, src))
+            src, dst = src[order], dst[order]
+            if np.any((src[1:] == src[:-1]) & (dst[1:] == dst[:-1])):
+                raise ValueError("parallel edges are not allowed; merge them first")
+            columns = [a[:, order] for a in columns]
+        weights, distance_km, gamma0 = (np.ascontiguousarray(a) for a in columns)
         return cls(num_nodes=num_nodes, src=src, dst=dst, weights_j=weights,
-                   distance_km=distance_km, outage_prob=outage_prob,
+                   distance_km=distance_km, gamma0=gamma0,
                    slot_index=slot_index, node_orbit=node_orbit, node_slot=node_slot,
-                   geo_node=geo_node)
+                   geo_node=geo_node, link=link)
 
     @classmethod
     def from_edge_list(cls, num_nodes, edges, frame_count=1, slot_index=0):
@@ -217,34 +232,35 @@ def build_snapshot(spec: ConstellationSpec, params: LinkParams,
     epochs = [t_slot_start] + [t_slot_start + (u + 0.5) * times.frame_len_s
                                for u in range(u_frames)]
     pos = geometry.positions(spec, np.array(epochs))
-    ij = geometry.feasible_isl_pairs(spec, pos[0])
+    lo, hi = geometry.feasible_isl_pairs(spec, pos[0]).T
 
-    n_isl = 2 * len(ij)
-    src = np.empty(n_isl + n_leo, dtype=np.int32)
-    dst = np.empty_like(src)
-    src[0:n_isl:2], dst[0:n_isl:2] = ij[:, 0], ij[:, 1]
-    src[1:n_isl:2], dst[1:n_isl:2] = ij[:, 1], ij[:, 0]
-    src[n_isl:] = np.arange(n_leo)
-    dst[n_isl:] = geo
+    # Both directions of every ISL pair, then every LEO's uplink, put in the
+    # graph's (src, dst) row order before any per-frame array is filled.
+    src = np.concatenate([lo, hi, np.arange(n_leo)])
+    dst = np.concatenate([hi, lo, np.full(n_leo, geo)])
+    order = np.argsort(src * (geo + 1) + dst, kind="stable")
+    src, dst = src[order], dst[order]
 
-    # Squared ISL lengths as np.linalg.norm sums a length-3 axis,
-    # (dx^2 + dy^2) + dz^2, one (frames, ISLs) component at a time.
+    # One length per ISL pair, which both its rows take: squared as
+    # np.linalg.norm sums a length-3 axis, (dx^2 + dy^2) + dz^2, one
+    # (frames, pairs) component at a time.
     mid = pos[1:]
-    squared = np.zeros((u_frames, n_isl))
+    squared = np.zeros((u_frames, len(lo)))
     for c in range(3):
-        diff = mid[:, src[:n_isl], c] - mid[:, dst[:n_isl], c]
+        coord = np.ascontiguousarray(mid[..., c])
+        diff = np.take(coord, lo, axis=1) - np.take(coord, hi, axis=1)
         squared += diff * diff
-    dist = np.empty((u_frames, n_isl + n_leo))
-    np.sqrt(squared, out=dist[:, :n_isl])
-    dist[:, n_isl:] = geometry.geo_slant_range_km(mid, np.array(epochs[1:]))
+    pair_km = np.sqrt(squared)
     del squared, diff   # not held through the link budget's temporaries
+    geo_km = geometry.geo_slant_range_km(mid, np.array(epochs[1:]))
+    dist = np.take(np.concatenate([pair_km, pair_km, geo_km], axis=1), order, axis=1)
+    del pair_km, geo_km
 
     p_t = tx_power_w[src]
     sigma2 = channel.noise_power(params)
     rate = channel.achievable_rate(channel.received_power(p_t, dist, params),
                                    sigma2, params)
     weights = channel.frame_energy(p_t, rate, params, u_frames)
-    outage = channel.outage_from_gamma0(channel.gamma0(p_t, dist, params), params)
 
     keep = np.all(np.isfinite(weights) & (weights > 0), axis=0)
     weights = np.where(keep, weights, np.inf)
@@ -255,8 +271,9 @@ def build_snapshot(spec: ConstellationSpec, params: LinkParams,
     if slot_index is None:
         slot_index = int(round(t_slot_start / times.slot_len_s))
     return SnapshotGraph.from_arrays(
-        n_leo + 1, src, dst, weights, distance_km=dist, outage_prob=outage,
-        slot_index=slot_index, node_orbit=orbit, node_slot=slot, geo_node=geo)
+        n_leo + 1, src, dst, weights, distance_km=dist,
+        gamma0=channel.gamma0(p_t, dist, params), slot_index=slot_index,
+        node_orbit=orbit, node_slot=slot, geo_node=geo, link=params)
 
 
 def robust_weights(g: SnapshotGraph, rho: float, params: LinkParams) -> SnapshotGraph:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # makes oracles importable
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 from satagg import channel, geometry, routing, sim, topology
 

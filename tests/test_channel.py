@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from oracles import pointing_pdf_quadrature
 from satagg import channel
 from satagg.channel import LinkParams
+from satagg.geometry import ConfigError
 
 # Frozen direct evaluations of the budget formulas with the default settings.
 G0_DEFAULT = 277.2588722239781            # 4*ln2 / 0.1^2
@@ -28,6 +30,24 @@ class TestLinkParams:
     def test_rejects_bad_params(self, kwargs):
         with pytest.raises(ValueError):
             LinkParams(**kwargs)
+
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(LinkParams)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_settings(self, name, value):
+        with pytest.raises(ConfigError) as exc:
+            LinkParams(**{name: value})
+        assert exc.value.field == name
+
+    @pytest.mark.parametrize("name, value", [
+        ("f_c_hz", 1e300), ("f_c_hz", 1e-300), ("d_r_m", 1e300),
+        ("theta_3db_rad", 1e300), ("theta_3db_rad", 1e-300), ("theta_t_rad", 1e300),
+        ("theta_0_rad", 1e300), ("sigma_p_rad", 1e300), ("sigma_p_rad", 1e-300),
+        ("snr_th_db", 1e300)])
+    def test_rejects_settings_that_overflow_derived_constants(self, name, value):
+        with pytest.raises(ConfigError) as exc:
+            LinkParams(**{name: value})
+        assert exc.value.field == name
 
 
 class TestReceivedPower:

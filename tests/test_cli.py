@@ -339,6 +339,20 @@ def test_shipped_scenarios_parse(path):
     ("run", "seed", "-1"),
     ("training", "batch_size", "0"),
     ("training", "noise_std", "nan"),
+    ("constellation", "altitude_km", "1e300"),
+    ("time", "slot_len_s", "1e300"),
+    ("time", "slot_len_s", "1e9"),
+    ("link", "rx_telescope_diameter_m", "nan"),
+    ("link", "rx_telescope_diameter_m", "1e300"),
+    ("link", "carrier_freq_hz", "inf"),
+    ("link", "carrier_freq_hz", "1e300"),
+    ("link", "beamwidth_3db_rad", "nan"),
+    ("link", "beamwidth_3db_rad", "1e300"),
+    ("link", "tx_divergence_rad", "1e300"),
+    ("link", "pointing_error_scale_rad", "1e-300"),
+    ("link", "snr_threshold_db", "1e300"),
+    ("link", "payload_bits", "inf"),
+    ("link", "tx_power_max_w", "inf"),
 ])
 def test_every_error_names_its_key(tmp_path, capsys, monkeypatch, section, key, value):
     def routed(cfg):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from oracles import bellman_ford, enumerate_min_arborescence
-from satagg import sim, topology
+from satagg import config, routing, sim, topology
 from satagg.routing import (
     OracleSizeLimitError,
+    PathTree,
     RoutingInfeasibleError,
     build_substitute_graph,
     chu_liu_edmonds,
@@ -22,7 +23,7 @@ from satagg.routing import (
 )
 from satagg.topology import SnapshotGraph
 
-from conftest import TX_POWER_W, make_scenario, random_digraph, route
+from conftest import SCENARIOS, TX_POWER_W, make_scenario, random_digraph, route
 
 
 def graph_of(n, edges, frames=1):
@@ -182,6 +183,107 @@ class TestShortestPathsToRoot:
         with pytest.raises(RoutingInfeasibleError) as exc:
             shortest_paths_to_root(g, 0, [0, 1, 2, 3], 1)
         assert exc.value.stranded == [2, 3]
+
+
+def assert_warm_equals_cold(g, terminals, root, monkeypatch):
+    """Search every frame of g toward root through one PathTree, each frame
+    starting from the tree of the last frame searched, and compare each with
+    a cold search: distances bit for bit, next hops at every node with a
+    single zero-slack out-edge, and the path rows. Returns the number of
+    frames searched warm."""
+    searched = []
+    real = routing.shortest_path_csr
+
+    def recorded(*args, **kwargs):
+        result = real(*args, **kwargs)
+        if len(args) == 4:   # a reverse search, not dijkstra's fallback
+            searched.append((kwargs.get("start") is not None, result))
+        return result
+
+    def rows_or_stranded(*args):
+        try:
+            return shortest_paths_to_root(*args)
+        except RoutingInfeasibleError as exc:
+            return exc.stranded
+
+    monkeypatch.setattr(routing, "shortest_path_csr", recorded)
+    tree = PathTree(root)
+    warm = 0
+    for u in range(g.frame_count):
+        searched.clear()
+        assert rows_or_stranded(g, u, terminals, root, tree) == rows_or_stranded(
+            g, u, terminals, root), u
+        if not searched:     # no terminal other than the root
+            continue
+        (was_warm, (dist, pred)), (_, (cold_dist, cold_pred)) = searched
+        warm += was_warm
+        assert dist.tobytes() == cold_dist.tobytes(), u
+        assert dist.dtype == np.float64 and pred.dtype == np.int32
+        assert (pred[~np.isfinite(dist)] == -1).all()
+        tight = g.weights_j[u] + dist[g.dst] == dist[g.src]
+        single = np.bincount(g.src[tight], minlength=g.num_nodes) == 1
+        assert np.array_equal(pred[single], cold_pred[single]), u
+    monkeypatch.undo()
+    return warm
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("scenario, rho", [
+        ("walker_delta_80.cfg", 1.0), ("walker_star_80.cfg", 1.0),
+        ("walker_star_80.cfg", 0.1), ("walker_star_800.cfg", 1.0)])
+    def test_real_slots_match_cold_search(self, scenario, rho, monkeypatch):
+        cfg = config.build_scenario(config.read_config(str(SCENARIOS / scenario)))
+        tx_power = sim.scenario_tx_power(cfg)
+        slots = (0,) if cfg.spec.total_sats > 100 else (0, 7)
+        for t in slots:
+            t_abs = t * cfg.times.slot_len_s
+            g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, t_abs, tx_power)
+            if rho < 1.0:
+                g = topology.robust_weights(g, rho, cfg.params)
+            _, terminals = sim.terminals_for_round(cfg, t_abs)
+            root = select_root(g, 0, terminals, "min_uplink")
+            warm = assert_warm_equals_cold(g, terminals, root, monkeypatch)
+            assert warm == g.frame_count - 1
+
+    @pytest.mark.parametrize("kind", ["zero", "integer", "inf"])
+    def test_synthetic_frames_match_cold_search(self, kind, monkeypatch):
+        # Weights that change from frame to frame: zero-weight rows, small
+        # integers (ties everywhere), or rows at +inf in only some frames.
+        rng = np.random.default_rng({"zero": 71, "integer": 72, "inf": 73}[kind])
+        for _ in range(150):
+            n, edges = random_digraph(rng, max_nodes=10, p=0.45, min_nodes=3)
+            if not edges:
+                continue
+            frames = 4
+            w = rng.uniform(0.01, 10.0, size=(frames, len(edges)))
+            if kind == "zero":
+                w[rng.random(w.shape) < 0.3] = 0.0
+            elif kind == "integer":
+                w = rng.integers(0, 4, size=w.shape).astype(float)
+            else:
+                w[rng.random(w.shape) < 0.25] = np.inf
+            src, dst, _ = zip(*edges)
+            g = SnapshotGraph.from_arrays(n, src, dst, w)
+            root = int(rng.integers(n))
+            terminals = sorted({root} | set(rng.choice(n, size=3).tolist()))
+            assert_warm_equals_cold(g, terminals, root, monkeypatch)
+
+    def test_search_that_raises_keeps_the_tree(self):
+        # Frame 1 cuts terminal 0 off the root; frame 2 starts from frame 0's tree.
+        w = np.array([[1.0, 1.0, 5.0], [np.inf, 1.0, np.inf], [2.0, 1.0, 1.0]])
+        g = SnapshotGraph.from_arrays(3, [0, 1, 0], [1, 2, 2], w)
+        tree = PathTree(2)
+        assert shortest_paths_to_root(g, 0, [0, 2], 2, tree) == [0, 2]
+        kept = tree.pred
+        with pytest.raises(RoutingInfeasibleError):
+            shortest_paths_to_root(g, 1, [0, 2], 2, tree)
+        assert tree.pred is kept
+        assert shortest_paths_to_root(g, 2, [0, 2], 2, tree) == [1]
+
+    def test_tree_of_another_root_rejected(self):
+        g = graph_of(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        with pytest.raises(ValueError):
+            shortest_paths_to_root(g, 0, [0, 2], 2, PathTree(1))
 
 
 class TestSubstituteGraph:

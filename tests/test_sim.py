@@ -253,9 +253,9 @@ class TestCompareAlgorithms:
         real = routing.shortest_paths_to_root
         calls = []
 
-        def counted(g, u, terminals, root):
+        def counted(g, u, terminals, root, tree=None):
             calls.append((u, root))
-            return real(g, u, terminals, root)
+            return real(g, u, terminals, root, tree)
 
         monkeypatch.setattr(routing, "shortest_paths_to_root", counted)
         cfg = make_scenario(delta_spec, algorithms=algorithms, rounds=2)
@@ -264,7 +264,7 @@ class TestCompareAlgorithms:
         assert len(calls) == searches_per_frame * cfg.rounds * frames
 
     @pytest.mark.parametrize("rho, root_rule", [
-        (1.0, "min_uplink"), (0.1, "min_uplink"), (0.1, "random")])
+        (1.0, "min_uplink"), (0.1, "min_uplink"), (1.0, "random"), (0.1, "random")])
     def test_shared_search_matches_each_router_alone(self, delta_spec, rho,
                                                      root_rule):
         cfg = replace(make_scenario(delta_spec, rho=rho, rounds=3, seed=11,
@@ -283,16 +283,31 @@ class TestCompareAlgorithms:
         # round index here (3 rounds < slots_per_period).
         assert cfg.rounds < cfg.times.slots_per_period
 
-        def flaky(g, u, terminals, root):
+        def flaky(g, u, terminals, root, tree=None):
             if g.slot_index == 1 and u == 3:
                 raise RoutingInfeasibleError([terminals[0]], what="terminal")
-            return real(g, u, terminals, root)
+            return real(g, u, terminals, root, tree)
 
         monkeypatch.setattr(routing, "shortest_paths_to_root", flaky)
         res = sim.compare_algorithms(cfg)
         for algorithm in ("taeer", "d_merge"):
             assert [r.failed for r in res[algorithm].records] == [False, True, False]
         assert not any(r.failed for r in res["orbit_greedy"].records)
+
+    def test_rho_one_evaluates_outage_of_routed_rows_only(self, delta_spec, monkeypatch):
+        real = channel._erf
+        sizes = []
+
+        def counted(x):
+            sizes.append(np.size(x))
+            return real(x)
+
+        monkeypatch.setattr(channel, "_erf", counted)
+        cfg = make_scenario(delta_spec, algorithms=sim.ALGORITHMS, rounds=3)
+        res = sim.compare_algorithms(cfg)
+        # One batched call per (round, algorithm), over the routed rows only.
+        assert len(sizes) == cfg.rounds * len(sim.ALGORITHMS)
+        assert sum(sizes) == sum(r.edge_frames for m in res.values() for r in m.records)
 
     def test_orbit_greedy_much_more_expensive(self, delta_spec):
         cfg = make_scenario(delta_spec,

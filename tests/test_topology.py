@@ -5,6 +5,7 @@ import pytest
 
 from conftest import TX_POWER_W, make_scenario
 from satagg import channel, geometry, sim, topology
+from satagg.geometry import ConfigError
 from satagg.topology import SnapshotGraph, TimeStructure
 from test_routing import random_dst_instance
 
@@ -33,6 +34,14 @@ class TestTimeStructure:
             TimeStructure(period_s=-1.0, slots_per_period=2, frames_per_slot=5)
         with pytest.raises(ValueError):
             TimeStructure(period_s=100.0, slots_per_period=2, frames_per_slot=0)
+
+    def test_slot_longer_than_twice_the_period_rejected(self, delta_spec):
+        # round() gives 0 slots: the period cannot hold one slot of this length.
+        t_orb = geometry.orbital_period_s(delta_spec)
+        assert TimeStructure.for_constellation(delta_spec, 1.9 * t_orb).slots_per_period == 1
+        with pytest.raises(ConfigError) as exc:
+            TimeStructure.for_constellation(delta_spec, 2.1 * t_orb)
+        assert exc.value.field == "slot_len_s"
 
 
 class TestSnapshotGraphContainer:
@@ -225,10 +234,14 @@ class TestRobustWeights:
     def test_certain_outage_isl_dropped_and_counted(self, params):
         # Certain outage in one frame makes the ISL unusable for the slot:
         # its row stays, at +inf in every frame, and counts as dropped.
-        outage = np.array([[0.2, 1.0, 0.0], [0.3, 0.5, 0.1]])
+        # gamma0 >= 1 is certain outage, gamma0 <= 0 none.
         w = np.array([[1.0, 2.0, 3.0], [1.5, 2.5, 3.5]])
         g = SnapshotGraph.from_arrays(4, np.array([0, 1, 2]), np.array([1, 2, 3]),
-                                      w, outage_prob=outage)
+                                      w, gamma0=np.array([[1e-3, 1.0, 0.0],
+                                                          [2e-3, 1e-2, 5e-4]]))
+        outage = g.outage_prob
+        assert outage[0, 1] == 1.0 and outage[0, 2] == 0.0
+        assert np.all(outage[1] < 1.0)
         r = topology.robust_weights(g, 0.5, params)
         assert r.dropped_edges == 1
         assert np.array_equal(r.src, g.src) and np.array_equal(r.dst, g.dst)
@@ -243,7 +256,7 @@ class TestRobustWeights:
         # 0 * inf is nan at rho 0 and 1; the row must read +inf instead.
         w = np.array([[1.0, np.inf], [2.0, np.inf]])
         g = SnapshotGraph.from_arrays(3, np.array([0, 1]), np.array([1, 2]), w,
-                                      outage_prob=np.array([[0.1, 1.0], [0.1, 0.0]]))
+                                      gamma0=np.array([[1e-3, 1.0], [1e-3, 0.0]]))
         assert g.dropped_edges == 1
         r = topology.robust_weights(g, rho, params)
         assert np.all(r.weights_j[:, 1] == np.inf)
