@@ -6,9 +6,10 @@ transmits toward the root, so every non-root tree node has exactly one
 outgoing edge. The arborescence solver reverses edges internally, runs the
 classic min-incoming-edge / contract / expand procedure, and reverses back.
 
-Tie-breaking is lexicographic by node id everywhere (Dijkstra heap order,
-minimum-incoming-edge choice, cycle detection scan order) so identical inputs
-always produce identical trees.
+Ties are broken by fixed rules everywhere (a tied next hop by its head's
+hop count to the root, then by node id; the minimum-incoming-edge choice and
+the cycle detection scan order by node id) so identical inputs always
+produce identical trees.
 """
 import heapq
 import math
@@ -18,9 +19,6 @@ import numpy as np
 
 from .topology import SnapshotGraph, ordered_sum
 
-# A node is tied when a second out-edge comes within this fraction of the
-# frame's largest terminal-to-root distance of being its shortest next hop.
-TIE_RTOL = 1e-9
 ROOT_RULES = ("min_uplink", "random")   # select_root's rules
 
 
@@ -34,13 +32,6 @@ class RoutingInfeasibleError(RuntimeError):
 
 class OracleSizeLimitError(ValueError):
     """Instance too large for exhaustive enumeration."""
-
-
-@dataclass(frozen=True)
-class ShortestPath:
-    nodes: tuple            # source ... target
-    edge_ids: tuple         # graph edge rows along the path
-    cost: float
 
 
 @dataclass(frozen=True)
@@ -82,16 +73,6 @@ class Arborescence:
 
 
 @dataclass(frozen=True)
-class MergedPaths:
-    """Union of per-terminal shortest paths (may not form a tree)."""
-
-    root: int
-    edges: tuple
-    total_cost: float
-    edge_ids: tuple = ()
-
-
-@dataclass(frozen=True)
 class OrbitForest:
     """Per-orbit ring arcs feeding one GEO uplink per occupied orbit."""
 
@@ -103,15 +84,13 @@ class OrbitForest:
     total_cost: float       # ring energy + uplink energy
 
 
-def shortest_path_csr(indptr, indices, weights, source, target=-1, start=None):
+def shortest_path_csr(indptr, indices, weights, source, start=None):
     """Single-source shortest paths on a CSR digraph with weights >= 0.
 
     Returns (dist, pred) arrays, float64 and int32; pred[v] = -1 for the
-    source and unreached nodes. If target >= 0 the search stops once the
-    target is settled, so dist/pred entries for nodes farther than the target
-    are partial. Heap entries are (distance, node) so cost ties pop in
-    ascending node order, and predecessors update only on strict improvement.
-    The loop runs on lists (array arguments are copied to lists): indexing a
+    source and unreached nodes. Heap entries are (distance, node) so cost
+    ties pop in ascending node order, and predecessors update only on strict
+    improvement. The loop runs on lists (array arguments are copied to lists): indexing a
     list is several times faster than indexing an array, and Python float
     addition rounds exactly as float64 addition does.
 
@@ -141,8 +120,6 @@ def shortest_path_csr(indptr, indices, weights, source, target=-1, start=None):
         d, u = pop(heap)
         if d > dist[u]:
             continue
-        if u == target:
-            break
         for k in range(ptr[u], ptr[u + 1]):
             v = nbr[k]
             nd = d + wts[k]
@@ -151,25 +128,6 @@ def shortest_path_csr(indptr, indices, weights, source, target=-1, start=None):
                 pred[v] = u
                 push(heap, (nd, v))
     return np.array(dist, dtype=float), np.array(pred, dtype=np.int32)
-
-
-def dijkstra(g: SnapshotGraph, u: int, source: int, target: int):
-    """Minimum-weight directed path source -> target at frame u.
-
-    Returns a ShortestPath, or None when the target is unreachable.
-    """
-    if source == target:
-        return ShortestPath((source,), (), 0.0)
-    indptr, indices, w = g.frame_csr(u)
-    dist, pred = shortest_path_csr(indptr, indices, w, source, target)
-    if not np.isfinite(dist[target]):
-        return None
-    rev = [target]
-    while rev[-1] != source:
-        rev.append(int(pred[rev[-1]]))
-    nodes = tuple(reversed(rev))
-    eids = tuple(g.edge_rows(nodes[:-1], nodes[1:]).tolist())
-    return ShortestPath(nodes, eids, float(dist[target]))
 
 
 class PathTree:
@@ -230,27 +188,58 @@ def _warm_start(g: SnapshotGraph, u: int, root: int, prev: np.ndarray) -> tuple:
     return dist, pred, np.flatnonzero(seeds).tolist()
 
 
+def _break_ties(g: SnapshotGraph, tight: np.ndarray, root: int,
+                hop: list, next_hop: list) -> None:
+    """Point every node at its tight out-row whose head has the fewest tight
+    rows to the root, then the lowest head id: rewrites hop (the row) and
+    next_hop (its head) in place. tight holds the frame's tight rows,
+    ascending. A node with one tight out-row keeps it. A node's hop count
+    is one more than its chosen head's, so no walk along the chosen rows
+    can cycle, even over zero-weight rows."""
+    src, dst = g.src[tight].tolist(), g.dst[tight].tolist()
+    into = {}
+    for s, d in zip(src, dst):
+        into.setdefault(d, []).append(s)
+    depth = {root: 0}   # breadth-first from the root over the tight rows
+    level = [root]
+    while level:
+        below = []
+        for d in level:
+            for s in into.get(d, ()):
+                if s not in depth:
+                    depth[s] = depth[d] + 1
+                    below.append(s)
+        level = below
+    best = {}
+    # Rows are (src, dst)-sorted, so each tail meets its heads in ascending
+    # order and keeps the first of the fewest hops.
+    for r, s, d in zip(tight.tolist(), src, dst):
+        if d in depth and (s not in best or depth[d] < depth[best[s][1]]):
+            best[s] = (r, d)
+    for s, (r, d) in best.items():
+        hop[s] = r
+        next_hop[s] = d
+
+
 def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals, root: int,
                            tree: PathTree | None = None) -> list:
     """Sorted edge rows on the union of every terminal's shortest path to the
     root at frame u; unreachable terminals raise.
 
     One search from the root over the reversed edges gives every node's
-    distance to the root and its next hop. Each terminal's path is read off
-    that tree, which is the path `dijkstra(g, u, t, root)` finds unless it
-    passes a tied node (see TIE_RTOL): the forward search breaks such a tie
-    from the terminal and the reverse one from the root, so those terminals
-    take their rows from `dijkstra` itself. The tree edge out of a reached
-    node has slack exactly 0, so an untied node's only near out-edge is its
-    hop. A walk stops at the first node of an earlier walk that reached the
-    root, whose rows are then in the union already.
+    distance to the root. A row is tight when w + dist[dst] == dist[src] in
+    float, which the search's next-hop row out of every reached node is.
+    Each terminal's path follows one row out of every node by a fixed rule:
+    a node with one tight out-row takes it, and a tied node, with two or
+    more, takes the one `_break_ties` picks (computed only when a walk
+    meets a tied node). The rows are then a function of the distances
+    alone, and their union is a tree toward the root. A walk stops at the
+    first node of an earlier walk, whose rows are in the union already.
 
     With a PathTree toward root that holds another frame's tree, the search
-    starts from that tree (`_warm_start`); the distances are bit-identical
-    to a cold search's, and so are the next hops except at tied nodes,
-    whose terminals take `dijkstra`'s rows either way. On success the
-    PathTree holds this frame's tree; a search that raises leaves it as it
-    was.
+    starts from that tree (`_warm_start`); the distances, and so the rows,
+    are bit-identical to a cold search's. On success the PathTree holds
+    this frame's tree; a search that raises leaves it as it was.
     """
     if tree is not None and tree.root != root:
         raise ValueError(f"the tree is rooted at {tree.root}, not at {root}")
@@ -266,31 +255,30 @@ def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals, root: int,
     missing = [t for t in terms if not math.isfinite(to_root[t])]
     if missing:
         raise RoutingInfeasibleError(missing, what="terminal")
-    tol = TIE_RTOL * max(to_root[t] for t in terms)
-    # Slack is nan between two unreached nodes and -inf from an unreached
-    # node to a reached one, so unreached nodes may count as tied; no
-    # terminal's path passes one.
-    with np.errstate(invalid="ignore"):
-        near = g.weights_j[u] + np.take(dist, g.dst) - np.take(dist, g.src) <= tol
-    rows = np.flatnonzero(near)
-    tied = (np.bincount(g.src[rows], minlength=g.num_nodes) > 1).tolist()
+    # inf == inf makes a row out of an unreached node tight; no terminal's
+    # path passes one, since a tight row out of a reached node has a
+    # reached head.
+    tight = np.flatnonzero(g.weights_j[u] + np.take(dist, g.dst) == np.take(dist, g.src))
+    tight_src = g.src[tight]
+    tied = (np.bincount(tight_src, minlength=g.num_nodes) > 1).tolist()
     hop = np.zeros(g.num_nodes, dtype=np.intp)
-    hop[g.src[rows]] = rows
+    hop[tight_src] = tight
     hop = hop.tolist()
     next_hop = nxt.tolist()
+    ties_broken = False
     union = set()
-    clear = {root}   # nodes whose hop path to the root passes no tied node
+    done = {root}   # nodes whose path rows are in the union
     for t in terms:
         walk = []
         x = t
-        while x not in clear and not tied[x]:
+        while x not in done:
+            if tied[x] and not ties_broken:
+                _break_ties(g, tight, root, hop, next_hop)
+                ties_broken = True
             walk.append(x)
             x = next_hop[x]
-        if x in clear:
-            clear.update(walk)
-            union.update([hop[y] for y in walk])
-        else:
-            union.update(dijkstra(g, u, t, root).edge_ids)
+        done.update(walk)
+        union.update([hop[y] for y in walk])
     if tree is not None:
         tree.pred = nxt
     return sorted(union)
@@ -451,11 +439,11 @@ def taeer(g: SnapshotGraph, u: int, terminals, root: int, rows) -> Arborescence:
                         edge_ids=tuple(rows[k] for k in picked))
 
 
-def d_merge(g: SnapshotGraph, u: int, terminals, root: int, rows) -> MergedPaths:
+def d_merge(g: SnapshotGraph, u: int, terminals, root: int, rows) -> Arborescence:
     """Baseline: union of the per-terminal shortest paths, deduplicated.
 
     rows are the sorted edge rows that `shortest_paths_to_root(g, u,
-    terminals, root)` returns, which are that union already.
+    terminals, root)` returns, which are that union already, and a tree.
     """
     if root not in terminals:
         raise ValueError("root must be one of the terminals")
@@ -463,8 +451,8 @@ def d_merge(g: SnapshotGraph, u: int, terminals, root: int, rows) -> MergedPaths
     eids = list(rows)
     pairs = zip(g.src[eids].tolist(), g.dst[eids].tolist())
     cost = ordered_sum(g.weights_j[u][eids].tolist())
-    return MergedPaths(root=root, edges=tuple(pairs), total_cost=cost,
-                       edge_ids=tuple(eids))
+    return Arborescence(root=root, edges=tuple(pairs), total_cost=cost,
+                        edge_ids=tuple(eids))
 
 
 def _minimal_ring_arc(slots, ring_size):

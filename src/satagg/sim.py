@@ -228,7 +228,7 @@ def _simulate(cfg: ScenarioConfig, algorithms, collect_edges: bool = False):
         graph = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, t_abs,
                                         tx_power, slot_index=t % m_slots)
         if cfg.rho < 1.0:
-            route_graph = topology.robust_weights(graph, cfg.rho, cfg.params)
+            route_graph = topology.robust_weights(graph, cfg.rho)
         else:
             route_graph = graph
         _, terminals = terminals_for_round(cfg, t_abs)

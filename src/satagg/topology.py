@@ -114,10 +114,6 @@ class SnapshotGraph:
         return channel.outage_from_gamma0(self.gamma0, self.link)
 
     @cached_property
-    def indptr(self) -> np.ndarray:
-        return np.searchsorted(self.src, np.arange(self.num_nodes + 1)).astype(np.int32)
-
-    @cached_property
     def rev_order(self) -> np.ndarray:
         """Edge rows grouped by dst (then src): the reversed graph's CSR order."""
         return np.lexsort((self.src, self.dst))
@@ -144,10 +140,6 @@ class SnapshotGraph:
             absent = list(zip(src[~found].tolist(), dst[~found].tolist()))
             raise KeyError(f"no edge(s) {absent}")
         return rows
-
-    def frame_csr(self, u: int):
-        """(indptr, indices, weights) for frame u, ready for shortest_path_csr."""
-        return self.indptr, self.dst, self.weights_j[u]
 
     @cached_property
     def reverse_lists(self) -> tuple:
@@ -276,7 +268,7 @@ def build_snapshot(spec: ConstellationSpec, params: LinkParams,
         node_orbit=orbit, node_slot=slot, geo_node=geo, link=params)
 
 
-def robust_weights(g: SnapshotGraph, rho: float, params: LinkParams) -> SnapshotGraph:
+def robust_weights(g: SnapshotGraph, rho: float) -> SnapshotGraph:
     """Blend energy with an outage penalty: rho*w + (1-rho)*ln(1/(1-P_out)).
 
     The returned graph has g's rows. An ISL in certain outage (P_out = 1 in

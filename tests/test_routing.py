@@ -13,7 +13,6 @@ from satagg.routing import (
     build_substitute_graph,
     chu_liu_edmonds,
     d_merge,
-    dijkstra,
     exact_dst_oracle,
     orbit_greedy,
     select_root,
@@ -47,19 +46,24 @@ def reaches_root(n, edges, root):
 
 
 class TestDijkstra:
+    """shortest_path_csr, the package's Dijkstra search, run as the path
+    search runs it: from the root over the reversed edges."""
+
     def test_source_equals_target(self):
         g = graph_of(3, [(0, 1, 1.0)])
-        p = dijkstra(g, 0, 0, 0)
-        assert p.nodes == (0,) and p.cost == 0.0 and p.edge_ids == ()
+        dist, pred = shortest_path_csr(*g.frame_reverse_csr(0), 0)
+        assert dist[0] == 0.0 and pred[0] == -1
 
     def test_single_edge(self):
         g = graph_of(2, [(0, 1, 2.5)])
-        p = dijkstra(g, 0, 0, 1)
-        assert p.nodes == (0, 1) and p.cost == 2.5
+        dist, pred = shortest_path_csr(*g.frame_reverse_csr(0), 1)
+        assert dist.tolist() == [2.5, 0.0] and pred.tolist() == [1, -1]
 
     def test_unreachable_returns_none(self):
-        g = graph_of(3, [(0, 1, 1.0)])
-        assert dijkstra(g, 0, 2, 0) is None
+        # Node 2 cannot reach 0: it gets no distance and no next hop.
+        g = graph_of(3, [(1, 0, 1.0), (0, 2, 1.0)])
+        dist, pred = shortest_path_csr(*g.frame_reverse_csr(0), 0)
+        assert dist[2] == math.inf and pred[2] == -1
 
     def test_against_bellman_ford_ensemble(self):
         rng = np.random.default_rng(40)
@@ -68,25 +72,27 @@ class TestDijkstra:
             if not edges:
                 continue
             g = graph_of(n, edges)
-            src = int(rng.integers(n))
-            dist = bellman_ford(n, edges, src)
-            for dst in range(n):
-                p = dijkstra(g, 0, src, dst)
-                if math.isinf(dist[dst]):
-                    assert p is None
-                else:
-                    assert p.cost == dist[dst]  # exact float equality
+            root = int(rng.integers(n))
+            dist, pred = shortest_path_csr(*g.frame_reverse_csr(0), root)
+            reversed_edges = [(v, x, w) for x, v, w in edges]
+            # exact float equality
+            assert dist.tolist() == bellman_ford(n, reversed_edges, root)
+            reached = np.isfinite(dist)
+            assert pred[root] == -1 and (pred[~reached] == -1).all()
+            reached[root] = False
+            assert (pred[reached] >= 0).all()
 
     def test_path_follows_graph_edges(self):
         rng = np.random.default_rng(41)
         n, edges = random_digraph(rng, max_nodes=10, p=0.5)
         g = graph_of(n, edges)
-        p = dijkstra(g, 0, 0, n - 1)
-        if p is not None:
-            for a, b, e in zip(p.nodes, p.nodes[1:], p.edge_ids):
-                assert (g.src[e], g.dst[e]) == (a, b)
-            assert p.cost == pytest.approx(
-                sum(g.weights_j[0][e] for e in p.edge_ids), rel=1e-12)
+        dist, pred = shortest_path_csr(*g.frame_reverse_csr(0), n - 1)
+        # Every next hop is a graph edge, and a tight one: its weight plus
+        # the next hop's distance is the node's distance, bit for bit.
+        hops = np.flatnonzero(pred >= 0)
+        assert hops.size > 0
+        rows = g.edge_rows(hops, pred[hops])
+        assert (g.weights_j[0][rows] + dist[pred[hops]] == dist[hops]).all()
 
 
 class TestShortestPathCsr:
@@ -97,7 +103,7 @@ class TestShortestPathCsr:
         g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, 0.0,
                                     sim.scenario_tx_power(cfg))
         if rho < 1.0:
-            g = topology.robust_weights(g, rho, cfg.params)
+            g = topology.robust_weights(g, rho)
         root = 3
         for u in (0, 12):
             dist, pred = shortest_path_csr(*g.frame_reverse_csr(u), root)
@@ -114,27 +120,41 @@ class TestShortestPathCsr:
             assert (pred[reached] >= 0).all()
 
 
-def assert_paths_match_dijkstra(g, u, terminals, root):
-    """The reverse-tree row union equals the union of per-terminal dijkstra
-    rows, sorted."""
-    got = shortest_paths_to_root(g, u, terminals, root)
-    want = sorted({e for t in set(terminals) if t != root
-                   for e in dijkstra(g, u, t, root).edge_ids})
-    assert got == want
+def assert_tight_tree(g, u, terminals, root, rows):
+    """rows are a tree toward root whose leaves are terminals (d_merge's
+    tree validates), and every row is tight under Bellman-Ford's distances
+    to the root: w + dist[dst] == dist[src], bit for bit."""
+    reversed_edges = list(zip(g.dst.tolist(), g.src.tolist(), g.weights_j[u].tolist()))
+    dist = bellman_ford(g.num_nodes, reversed_edges, root)
+    for r in rows:
+        assert g.weights_j[u][r] + dist[g.dst[r]] == dist[g.src[r]], (u, r)
+    d_merge(g, u, terminals, root, rows).validate(terminals)
 
 
 class TestShortestPathsToRoot:
-    @pytest.mark.parametrize("integer_weights", [False, True])
-    def test_matches_dijkstra_on_random_instances(self, integer_weights):
-        rng = np.random.default_rng(60 + integer_weights)
-        for _ in range(500):
-            g, terminals, root = random_dst_instance(
-                rng, max_nodes=10, max_terminals=6, integer_weights=integer_weights)
-            assert_paths_match_dijkstra(g, 0, terminals, root)
+    @pytest.mark.parametrize("kind", ["continuous", "integer", "zero"])
+    def test_tight_tree_ensemble(self, kind):
+        # Two frames per instance: continuous weights, small integers (ties
+        # everywhere) or integers from 0 (zero-weight rows, as at rho = 0).
+        rng = np.random.default_rng({"continuous": 60, "integer": 61, "zero": 62}[kind])
+        for _ in range(400):
+            g, terminals, root = random_dst_instance(rng, max_nodes=10, max_terminals=6)
+            shape = (2, g.num_edges)
+            if kind == "continuous":
+                w = rng.uniform(0.01, 10.0, size=shape)
+            else:
+                low = 1 if kind == "integer" else 0
+                w = rng.integers(low, 4, size=shape).astype(float)
+            g = SnapshotGraph.from_arrays(g.num_nodes, g.src, g.dst, w)
+            tree = PathTree(root)
+            for u in range(2):
+                rows = shortest_paths_to_root(g, u, terminals, root, tree)
+                # Frame 1 starts warm from frame 0's tree.
+                assert rows == shortest_paths_to_root(g, u, terminals, root)
+                assert_tight_tree(g, u, terminals, root, rows)
 
     @pytest.mark.parametrize("shell, rho", [("delta", 1.0), ("star", 0.1)])
-    def test_matches_dijkstra_on_constellation_snapshots(
-            self, shell, rho, delta_spec, star_spec):
+    def test_tight_tree_on_snapshots(self, shell, rho, delta_spec, star_spec):
         cfg = make_scenario(delta_spec if shell == "delta" else star_spec,
                             rho=rho, clusters=41, seed=42)
         tx_power = sim.scenario_tx_power(cfg)
@@ -143,40 +163,55 @@ class TestShortestPathsToRoot:
             g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, t_abs,
                                         tx_power)
             if rho < 1.0:
-                g = topology.robust_weights(g, rho, cfg.params)
+                g = topology.robust_weights(g, rho)
             _, terminals = sim.terminals_for_round(cfg, t_abs)
             root = select_root(g, 0, terminals, "min_uplink")
             for u in (0, 12, 24):
-                assert_paths_match_dijkstra(g, u, terminals, root)
+                rows = shortest_paths_to_root(g, u, terminals, root)
+                assert_tight_tree(g, u, terminals, root, rows)
 
-    def test_tie_falls_back_to_dijkstra(self):
-        # Both routes from 0 cost 3: the reverse tree settles 2 first and
-        # reaches 0 through it, the forward search from 0 settles 3 first.
-        g = graph_of(4, [(0, 3, 1.0), (0, 2, 2.0), (3, 1, 2.0), (2, 1, 1.0)])
-        p = dijkstra(g, 0, 0, 1)
-        assert p.nodes == (0, 3, 1)
-        assert shortest_paths_to_root(g, 0, [0, 1], 1) == list(p.edge_ids)
+    def test_equal_cost_tie_takes_fewest_hops(self):
+        # Both routes from 0 to the root 1 cost 3. The search reaches 0
+        # through 2 first (2 and 3 tie at distance 2, and 2 pops first), but
+        # 3 is one hop from the root and 2 is two, so 0 takes 0 -> 3.
+        g = graph_of(5, [(0, 2, 1.0), (0, 3, 1.0), (2, 4, 1.0), (3, 1, 2.0),
+                         (4, 1, 1.0)])
+        assert shortest_path_csr(*g.frame_reverse_csr(0), 1)[1][0] == 2
+        assert shortest_paths_to_root(g, 0, [0, 1], 1) == [1, 3]   # 0-3-1
 
-    def test_rounding_tie_falls_back_to_dijkstra(self):
-        # Both routes from 0 cost 0.9 in exact arithmetic. Summed from 0,
-        # 0-2-3-1 rounds to 0.9000000000000001 and loses; summed from the
-        # root it rounds to 0.8999999999999999 and wins the reverse tree.
+    def test_equal_hops_tie_goes_to_lowest_head(self):
+        # Both routes from 0 cost 3 over two hops. The search reaches 0
+        # through 3 first; the rule takes the lower head id, 2.
+        g = graph_of(4, [(0, 2, 1.0), (0, 3, 2.0), (2, 1, 2.0), (3, 1, 1.0)])
+        assert shortest_path_csr(*g.frame_reverse_csr(0), 1)[1][0] == 3
+        assert shortest_paths_to_root(g, 0, [0, 1], 1) == [0, 2]   # 0-2-1
+
+    def test_zero_weight_rows_pointing_at_each_other_stay_acyclic(self):
+        # 1 -> 2 and 2 -> 1 weigh 0, so node 1 is tied between 2 and the
+        # root 3. The lowest head id alone would close the cycle 1-2-1; the
+        # fewest hops send 1 to the root.
+        g = graph_of(4, [(1, 2, 0.0), (2, 1, 0.0), (1, 3, 1.0)])
+        rows = shortest_paths_to_root(g, 0, [1, 2, 3], 3)
+        assert rows == [1, 2]   # 2-1-3
+        d_merge(g, 0, [1, 2, 3], 3, rows).validate([1, 2, 3])
+
+    def test_rounding_tie_follows_the_root_sums(self):
+        # Both routes from 0 cost 0.9 in exact arithmetic. Summed from the
+        # root, 0-2-3-1 rounds to 0.8999999999999999 and 0-4-1 to 0.9, so
+        # node 0 has one tight row and no tie is broken.
         g = graph_of(5, [(0, 2, 0.2), (2, 3, 0.4), (3, 1, 0.3),
                          (0, 4, 0.1), (4, 1, 0.8)])
-        p = dijkstra(g, 0, 0, 1)
-        assert p.nodes == (0, 4, 1)
-        assert shortest_paths_to_root(g, 0, [0, 1], 1) == list(p.edge_ids)
+        assert shortest_paths_to_root(g, 0, [0, 1], 1) == [0, 2, 3]
 
-    def test_fallback_path_is_per_terminal(self):
-        # Node 1 is tied: 1-0-3 and 1-3 both cost 0.5 in exact arithmetic.
-        # Summed from 2 the route through 0 wins by rounding, summed from 4
-        # the direct edge does, so terminal 2's fallback path must not stand
-        # in for the rest of terminal 4's path, which passes 2.
+    def test_tied_node_takes_one_row_for_every_terminal(self):
+        # Node 1 is tied: 1-0-3 and 1-3 both sum to 0.5 from the root 3.
+        # Terminals 2 and 4 both pass 1 and share its one row, 1-3 (fewest
+        # hops), so the union is a tree.
         g = graph_of(5, [(0, 3, 0.2), (1, 0, 0.3), (1, 3, 0.5), (2, 1, 0.4),
                          (4, 2, 0.7)])
-        assert dijkstra(g, 0, 2, 3).nodes == (2, 1, 0, 3)
-        assert dijkstra(g, 0, 4, 3).nodes == (4, 2, 1, 3)
-        assert shortest_paths_to_root(g, 0, [0, 2, 3, 4], 3) == [0, 1, 2, 3, 4]
+        rows = shortest_paths_to_root(g, 0, [0, 2, 3, 4], 3)
+        assert rows == [0, 2, 3, 4]
+        d_merge(g, 0, [0, 2, 3, 4], 3, rows).validate([0, 2, 3, 4])
 
     def test_unreachable_terminals_listed(self):
         g = graph_of(4, [(0, 1, 1.0), (2, 3, 1.0)])
@@ -189,15 +224,14 @@ def assert_warm_equals_cold(g, terminals, root, monkeypatch):
     """Search every frame of g toward root through one PathTree, each frame
     starting from the tree of the last frame searched, and compare each with
     a cold search: distances bit for bit, next hops at every node with a
-    single zero-slack out-edge, and the path rows. Returns the number of
-    frames searched warm."""
+    single tight out-edge, and the path rows. Returns the number of frames
+    searched warm."""
     searched = []
     real = routing.shortest_path_csr
 
     def recorded(*args, **kwargs):
         result = real(*args, **kwargs)
-        if len(args) == 4:   # a reverse search, not dijkstra's fallback
-            searched.append((kwargs.get("start") is not None, result))
+        searched.append((kwargs.get("start") is not None, result))
         return result
 
     def rows_or_stranded(*args):
@@ -239,7 +273,7 @@ class TestWarmStart:
             t_abs = t * cfg.times.slot_len_s
             g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, t_abs, tx_power)
             if rho < 1.0:
-                g = topology.robust_weights(g, rho, cfg.params)
+                g = topology.robust_weights(g, rho)
             _, terminals = sim.terminals_for_round(cfg, t_abs)
             root = select_root(g, 0, terminals, "min_uplink")
             warm = assert_warm_equals_cold(g, terminals, root, monkeypatch)
@@ -375,8 +409,7 @@ def random_dst_instance(rng, max_nodes=9, max_terminals=4, integer_weights=False
 
     integer_weights=True quantises weights to small integers, making
     equal-cost path ties common (they are measure-zero under continuous
-    weights, in which case the per-terminal shortest paths always merge
-    into a tree and the arborescence step cannot improve on the union).
+    weights).
     """
     while True:
         n, edges = random_digraph(rng, max_nodes=max_nodes, p=0.4, min_nodes=3)
@@ -435,22 +468,28 @@ class TestTaeer:
             arb = route(taeer, g, 0, terminals, root)
             arb.validate(terminals)
             merged = route(d_merge, g, 0, terminals, root)
+            merged.validate(terminals)
             opt = exact_dst_oracle(g, terminals, root)
             assert opt <= arb.total_cost + 1e-9
             assert arb.total_cost <= merged.total_cost + 1e-9
 
     def test_coincides_with_merging_when_paths_unique(self):
-        # With node-id tie-breaking, per-terminal shortest paths into a
-        # common root always share suffixes, so their union is already an
-        # arborescence: the exact solver cannot improve on it and both
-        # algorithms return the same edge set (bit-identical cost).
+        # Every terminal's path takes one fixed row out of each node, ties
+        # included, so the union of the paths is already an arborescence:
+        # the exact solver cannot improve on it and both algorithms return
+        # the same tree (bit-identical cost), with tied integer weights too.
+        # ROADMAP item 4, which builds taeer's substitute graph from a
+        # terminal closure instead, changes this.
         rng = np.random.default_rng(97)
-        for _ in range(100):
-            g, terminals, root = random_dst_instance(rng)
-            arb = route(taeer, g, 0, terminals, root)
-            merged = route(d_merge, g, 0, terminals, root)
-            assert arb.edges == merged.edges
-            assert arb.total_cost == merged.total_cost
+        for integer_weights in (False, True):
+            for _ in range(100):
+                g, terminals, root = random_dst_instance(
+                    rng, integer_weights=integer_weights)
+                arb = route(taeer, g, 0, terminals, root)
+                merged = route(d_merge, g, 0, terminals, root)
+                assert arb.edges == merged.edges
+                assert arb.edge_ids == merged.edge_ids
+                assert arb.total_cost == merged.total_cost
 
     def test_deterministic(self):
         rng = np.random.default_rng(123)
@@ -477,8 +516,10 @@ class TestDMerge:
         rng = np.random.default_rng(1234)
         for _ in range(1000):
             g, terminals, root = random_dst_instance(rng, max_nodes=10)
+            merged = route(d_merge, g, 0, terminals, root)
+            merged.validate(terminals)
             assert route(taeer, g, 0, terminals, root).total_cost <= \
-                route(d_merge, g, 0, terminals, root).total_cost + 1e-9
+                merged.total_cost + 1e-9
 
 
 class TestOrbitGreedy:

@@ -58,7 +58,7 @@ class TestSnapshotGraphContainer:
         assert g.src.tolist() == [0, 0, 2]
         assert g.dst.tolist() == [1, 3, 0]
         assert g.weights_j[0].tolist() == [3.0, 2.0, 1.0]
-        assert g.indptr.tolist() == [0, 2, 2, 3, 3]
+        assert np.bincount(g.src, minlength=4).tolist() == [2, 0, 1, 0]
         assert g.edge_rows([0], [3]).tolist() == [1]
 
 
@@ -79,7 +79,7 @@ class TestEdgeRows:
         cfg = make_scenario(star_spec, rho=0.1, clusters=41, seed=42)
         g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, 0.0,
                                     sim.scenario_tx_power(cfg))
-        r = topology.robust_weights(g, cfg.rho, cfg.params)
+        r = topology.robust_weights(g, cfg.rho)
         assert_edge_rows_match_dict(r)
 
     def test_every_edge_of_random_instances(self):
@@ -90,7 +90,7 @@ class TestEdgeRows:
 
     def test_absent_pairs_raise_naming_them(self, delta_snapshot):
         g, _, _ = delta_snapshot
-        ring = int(g.dst[g.indptr[0]])
+        ring = int(g.dst[g.src == 0][0])
         with pytest.raises(KeyError) as exc:
             # (0, 0) is a self-loop, (geo, 0) the reverse of an uplink.
             g.edge_rows([0, 0, g.geo_node], [ring, 0, 0])
@@ -115,7 +115,7 @@ class TestBuildSnapshot:
         g, _, _ = delta_snapshot
         s = delta_spec.sats_per_orbit
         for i in range(delta_spec.total_sats):
-            ring = [e for e in range(g.indptr[i], g.indptr[i + 1])
+            ring = [e for e in np.flatnonzero(g.src == i)
                     if g.dst[e] != g.geo_node and g.dst[e] // s == i // s]
             assert len(ring) == 2
 
@@ -201,14 +201,14 @@ class TestBuildSnapshot:
 
 
 class TestRobustWeights:
-    def test_rho_one_unchanged(self, delta_snapshot, params):
+    def test_rho_one_unchanged(self, delta_snapshot):
         g, _, _ = delta_snapshot
-        r = topology.robust_weights(g, 1.0, params)
+        r = topology.robust_weights(g, 1.0)
         assert np.array_equal(r.weights_j, g.weights_j)
 
-    def test_rho_zero_pure_log_survival(self, delta_snapshot, params):
+    def test_rho_zero_pure_log_survival(self, delta_snapshot):
         g, _, _ = delta_snapshot
-        r = topology.robust_weights(g, 0.0, params)
+        r = topology.robust_weights(g, 0.0)
         isl = g.dst != g.geo_node
         # log(1/(1-p)) evaluated naively loses precision for small p; the
         # implementation uses the log1p form, so compare at 1e-9 relative.
@@ -216,22 +216,22 @@ class TestRobustWeights:
         assert np.allclose(r.weights_j[:, isl], expected, rtol=1e-9, atol=0)
         assert np.all(r.weights_j[:, ~isl] == 0.0)  # uplinks outage-exempt
 
-    def test_zero_outage_edge_scales_by_rho(self, params):
+    def test_zero_outage_edge_scales_by_rho(self):
         g = SnapshotGraph.from_edge_list(3, [(0, 1, 4.0), (1, 2, 2.0)])
-        r = topology.robust_weights(g, 0.25, params)
+        r = topology.robust_weights(g, 0.25)
         assert r.weights_j[0].tolist() == [1.0, 0.5]
 
-    def test_affine_in_rho(self, delta_snapshot, params):
+    def test_affine_in_rho(self, delta_snapshot):
         g, _, _ = delta_snapshot
-        r0 = topology.robust_weights(g, 0.0, params)
-        r1 = topology.robust_weights(g, 1.0, params)
+        r0 = topology.robust_weights(g, 0.0)
+        r1 = topology.robust_weights(g, 1.0)
         rho = 0.3
-        r = topology.robust_weights(g, rho, params)
+        r = topology.robust_weights(g, rho)
         assert np.allclose(r.weights_j,
                            rho * r1.weights_j + (1 - rho) * r0.weights_j,
                            rtol=1e-12, atol=1e-300)
 
-    def test_certain_outage_isl_dropped_and_counted(self, params):
+    def test_certain_outage_isl_dropped_and_counted(self):
         # Certain outage in one frame makes the ISL unusable for the slot:
         # its row stays, at +inf in every frame, and counts as dropped.
         # gamma0 >= 1 is certain outage, gamma0 <= 0 none.
@@ -242,7 +242,7 @@ class TestRobustWeights:
         outage = g.outage_prob
         assert outage[0, 1] == 1.0 and outage[0, 2] == 0.0
         assert np.all(outage[1] < 1.0)
-        r = topology.robust_weights(g, 0.5, params)
+        r = topology.robust_weights(g, 0.5)
         assert r.dropped_edges == 1
         assert np.array_equal(r.src, g.src) and np.array_equal(r.dst, g.dst)
         assert np.all(r.weights_j[:, 1] == np.inf)
@@ -252,38 +252,38 @@ class TestRobustWeights:
         assert np.array_equal(r.weights_j[:, kept], expected)
 
     @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
-    def test_unusable_row_stays_unusable_at_every_rho(self, params, rho):
+    def test_unusable_row_stays_unusable_at_every_rho(self, rho):
         # 0 * inf is nan at rho 0 and 1; the row must read +inf instead.
         w = np.array([[1.0, np.inf], [2.0, np.inf]])
         g = SnapshotGraph.from_arrays(3, np.array([0, 1]), np.array([1, 2]), w,
                                       gamma0=np.array([[1e-3, 1.0], [1e-3, 0.0]]))
         assert g.dropped_edges == 1
-        r = topology.robust_weights(g, rho, params)
+        r = topology.robust_weights(g, rho)
         assert np.all(r.weights_j[:, 1] == np.inf)
         assert np.all(np.isfinite(r.weights_j[:, 0]))
         assert r.dropped_edges == 1
 
-    def test_geo_uplinks_exempt_from_dropping(self, delta_snapshot, params):
+    def test_geo_uplinks_exempt_from_dropping(self, delta_snapshot):
         g, _, _ = delta_snapshot
         geo = g.dst == g.geo_node
         assert np.any(g.outage_prob[:, geo] >= 1.0)  # weak transmitters
-        r = topology.robust_weights(g, 0.5, params)
+        r = topology.robust_weights(g, 0.5)
         assert r.dropped_edges == 0
         assert r.num_edges == g.num_edges
         # exempt means penalty-free: blended weight is exactly rho * energy
         assert np.allclose(r.weights_j[:, geo], 0.5 * g.weights_j[:, geo],
                            rtol=0, atol=0)
 
-    def test_edge_subset_preserved(self, delta_snapshot, params):
+    def test_edge_subset_preserved(self, delta_snapshot):
         g, _, _ = delta_snapshot
-        r = topology.robust_weights(g, 0.5, params)
+        r = topology.robust_weights(g, 0.5)
         orig = set(zip(g.src.tolist(), g.dst.tolist()))
         assert set(zip(r.src.tolist(), r.dst.tolist())) <= orig
 
-    def test_rejects_bad_rho(self, delta_snapshot, params):
+    def test_rejects_bad_rho(self, delta_snapshot):
         g, _, _ = delta_snapshot
         with pytest.raises(ValueError):
-            topology.robust_weights(g, 1.5, params)
+            topology.robust_weights(g, 1.5)
 
 
 def test_ordered_sum_adds_left_to_right():
