@@ -3,7 +3,7 @@
 Subcommands: generate-constellation, export-snapshot, run-scenario,
 compare-algorithms, link-sweep, train. All outputs are deterministic for a
 fixed (config, seed) pair. Exit codes: 0 success, 2 usage/validation errors,
-1 runtime failures.
+1 runtime failures, such as an algorithm failing every round of a run.
 """
 import argparse
 import dataclasses
@@ -14,7 +14,6 @@ import numpy as np
 
 from . import config as cfgmod
 from . import geometry, hierfl, sim, topology
-from .hierfl import TrainingDivergedError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,6 +63,15 @@ def _out_path(args, name):
     return os.path.join(args.out, name)
 
 
+def _every_round_failed(results) -> int:
+    """Name on stderr each algorithm of {name: RunMetrics} whose every round
+    failed, with its outputs written; 1 if there is one, else 0."""
+    failed = [m for _, m in sorted(results.items()) if m.failed_rounds == m.rounds]
+    for m in failed:
+        print(f"error: all {m.rounds} rounds of {m.algorithm} failed", file=sys.stderr)
+    return 1 if failed else 0
+
+
 def _cmd_run_scenario(args) -> int:
     cfg = _scenario(args, cfgmod.read_config(args.config))
     metrics = sim.run_scenario(cfg)
@@ -72,7 +80,7 @@ def _cmd_run_scenario(args) -> int:
     print(f"algorithm={metrics.algorithm} rho={metrics.rho} "
           f"avg_energy_per_slot_j={metrics.avg_energy_per_slot_j:.4f} "
           f"avg_outage_pct={metrics.avg_outage_per_isl_pct}")
-    return 0
+    return _every_round_failed({metrics.algorithm: metrics})
 
 
 def _cmd_compare(args) -> int:
@@ -82,7 +90,7 @@ def _cmd_compare(args) -> int:
     for name in sorted(results):
         sim.write_rounds_csv(_out_path(args, f"rounds_{name}.csv"), results[name])
     print(sim.comparison_table(results))
-    return 0
+    return _every_round_failed(results)
 
 
 def _cmd_generate_constellation(args) -> int:
@@ -137,7 +145,7 @@ def _cmd_train(args) -> int:
     hierfl.write_loss_trace_csv(path, trace, energy_per_round)
     print(f"wrote {path} (final loss {trace[-1][1]:.6g}, "
           f"avg energy/round {metrics.avg_energy_per_slot_j:.4f} J)")
-    return 0
+    return _every_round_failed({metrics.algorithm: metrics})
 
 
 _COMMANDS = {
@@ -158,16 +166,10 @@ def parse_and_dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, cfgmod.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except cfgmod.ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TrainingDivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:   # TrainingDivergedError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,8 +3,10 @@ and the three tree-building algorithms compared by the simulator.
 
 All trees use data-flow orientation: an edge (child, parent) means the child
 transmits toward the root, so every non-root tree node has exactly one
-outgoing edge. The arborescence solver reverses edges internally, runs the
-classic min-incoming-edge / contract / expand procedure, and reverses back.
+outgoing edge. The arborescence solver picks each node's cheapest outgoing
+edge in one pass and returns those edges when they already lead every node
+to the root; only when they form a cycle does it reverse the edges, run the
+classic min-incoming-edge / contract / expand procedure, and reverse back.
 
 Ties are broken by fixed rules everywhere (a tied next hop by its head's
 hop count to the root, then by node id; the minimum-incoming-edge choice and
@@ -13,6 +15,7 @@ produce identical trees.
 """
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,35 +287,6 @@ def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals, root: int,
     return sorted(union)
 
 
-def build_substitute_graph(g: SnapshotGraph, u: int, rows) -> SnapshotGraph:
-    """Single-frame graph of g at frame u over the given sorted edge rows,
-    keeping the original node indexing. Its row k is row rows[k] of g:
-    g's rows are (src, dst)-sorted, so any sorted subset of them is too."""
-    idx = np.asarray(rows, dtype=np.intp)
-    return SnapshotGraph(
-        num_nodes=g.num_nodes, src=g.src[idx], dst=g.dst[idx],
-        weights_j=g.weights_j[u:u + 1, idx],
-        distance_km=g.distance_km[u:u + 1, idx],
-        gamma0=g.gamma0[u:u + 1, idx], slot_index=g.slot_index,
-        node_orbit=g.node_orbit, node_slot=g.node_slot, geo_node=g.geo_node,
-        link=g.link)
-
-
-def _reachable_to_root(nodes, redges, root) -> set:
-    adj = {}
-    for u, v, _w, _e, _tb in redges:
-        adj.setdefault(u, []).append(v)
-    seen = {root}
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        for y in adj.get(x, ()):
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
-
-
 def _msa_edge_ids(nodes, redges, root, next_id):
     """Recursive contraction on the reversed graph; returns chosen edge ids.
 
@@ -369,6 +343,51 @@ def _msa_edge_ids(nodes, redges, root, next_id):
     return chosen
 
 
+def _msa_rows(src, dst, w, root, nodes) -> dict:
+    """{node: position k of its out-row} in an exact minimum spanning
+    arborescence of nodes (which hold root) toward root over the rows
+    src[k] -> dst[k] of weight w[k], (src, dst)-sorted and within nodes.
+
+    Each non-root node picks its cheapest out-row, the first of equal
+    weights. If following the picks leads every node to the root, they are
+    optimal. Otherwise the nodes that cannot reach the root raise
+    RoutingInfeasibleError; with none, the picks form a cycle, which the
+    contraction (`_msa_edge_ids`) resolves.
+    """
+    best = {}
+    for k, s in enumerate(src):
+        if s not in best or w[k] < w[best[s]]:
+            best[s] = k
+    best.pop(root, None)
+    reaches = {root: True}   # False: on the walk in progress
+    for v in nodes:
+        walk = []
+        while v not in reaches and v in best:
+            reaches[v] = False
+            walk.append(v)
+            v = dst[best[v]]
+        if not reaches.get(v, False):
+            break
+        for x in walk:
+            reaches[x] = True
+    else:
+        return best
+    into = {}
+    for i, j in zip(src, dst):
+        into.setdefault(j, []).append(i)
+    reach, stack = {root}, [root]
+    while stack:
+        for x in into.get(stack.pop(), ()):
+            if x not in reach:
+                reach.add(x)
+                stack.append(x)
+    if nodes - reach:
+        raise RoutingInfeasibleError(nodes - reach)
+    # Reversed rows, tie-broken on the (tail, head) pair as the picks above.
+    redges = [(j, i, w[k], k, (j, i)) for k, (i, j) in enumerate(zip(src, dst))]
+    return {src[k]: k for k in _msa_edge_ids(nodes, redges, root, next_id=max(nodes) + 1)}
+
+
 def chu_liu_edmonds(g: SnapshotGraph, root: int, u: int = 0, nodes=None) -> Arborescence:
     """Exact minimum spanning arborescence in data-flow orientation.
 
@@ -376,67 +395,46 @@ def chu_liu_edmonds(g: SnapshotGraph, root: int, u: int = 0, nodes=None) -> Arbo
     Raises RoutingInfeasibleError listing nodes that cannot reach the root.
     """
     src, dst = g.src.tolist(), g.dst.tolist()
-    if nodes is None:
-        nodes = set(src) | set(dst) | {root}
-    else:
-        nodes = set(int(v) for v in nodes) | {root}
-    w_row = g.weights_j[u].tolist()
-    redges = [(j, i, w_row[e], e, (j, i)) for e, (i, j) in enumerate(zip(src, dst))
-              if i in nodes and j in nodes]
-    reach = _reachable_to_root(nodes, redges, root)
-    stranded = nodes - reach
-    if stranded:
-        raise RoutingInfeasibleError(stranded)
-    if len(nodes) == 1:
-        return Arborescence(root=root, edges=(), total_cost=0.0)
-    chosen = _msa_edge_ids(nodes, redges, root, next_id=g.num_nodes)
-    # Rows are (src, dst)-sorted, so sorted rows give sorted pairs.
-    eids = sorted(chosen)
-    return Arborescence(root=root, edges=tuple((src[e], dst[e]) for e in eids),
-                        total_cost=ordered_sum(w_row[e] for e in eids),
-                        edge_ids=tuple(eids))
-
-
-def _prune_non_terminal_leaves(edges, root, terminals):
-    """Drop leaves (nodes nobody transmits to) that are not terminals, to a
-    fixpoint; returns the surviving (child, parent) pairs."""
-    term = set(terminals)
-    out_edge = {c: p for c, p in edges}
-    in_count = {}
-    for _c, p in edges:
-        in_count[p] = in_count.get(p, 0) + 1
-    queue = [v for v in sorted(out_edge) if in_count.get(v, 0) == 0 and v not in term]
-    while queue:
-        v = queue.pop()
-        p = out_edge.pop(v)
-        in_count[p] -= 1
-        if in_count[p] == 0 and p not in term and p != root and p in out_edge:
-            queue.append(p)
-    return sorted(out_edge.items())
+    nodes = set(src) | set(dst) if nodes is None else {int(v) for v in nodes}
+    nodes.add(root)
+    eids = [e for e, (i, j) in enumerate(zip(src, dst)) if i in nodes and j in nodes]
+    src, dst = [src[e] for e in eids], [dst[e] for e in eids]
+    w = np.take(g.weights_j[u], eids).tolist()
+    picked = sorted(_msa_rows(src, dst, w, root, nodes).values())
+    return Arborescence(root=root, edges=tuple((src[k], dst[k]) for k in picked),
+                        total_cost=ordered_sum(w[k] for k in picked),
+                        edge_ids=tuple(eids[k] for k in picked))
 
 
 def taeer(g: SnapshotGraph, u: int, terminals, root: int, rows) -> Arborescence:
     """Topology-aware energy-efficient routing for one frame.
 
     rows are the sorted edge rows that `shortest_paths_to_root(g, u,
-    terminals, root)` returns: the terminals' shortest paths to the root.
-    They are merged into a substitute graph, an exact minimum spanning
-    arborescence of that graph is computed, and non-terminal leaves are
-    pruned away. The result covers every terminal; cost is the sum of the
-    surviving edge weights.
+    terminals, root)` returns: the terminals' shortest paths to the root,
+    merged into the substitute graph. An exact minimum spanning
+    arborescence of those rows is computed (`_msa_rows`), and non-terminal
+    leaves are pruned away. The result covers every terminal; cost is the
+    sum of the surviving edge weights.
     """
     if root not in terminals:
         raise ValueError("root must be one of the terminals")
-    sub = build_substitute_graph(g, u, rows)
-    arb = chu_liu_edmonds(sub, root, u=0)
-    kept = _prune_non_terminal_leaves(arb.edges, root, terminals)
-    # Row k of the substitute graph is row rows[k] of g.
-    sub_row = dict(zip(arb.edges, arb.edge_ids))
-    picked = [sub_row[pair] for pair in kept]
-    w_sub = sub.weights_j[0].tolist()
-    return Arborescence(root=root, edges=tuple(kept),
-                        total_cost=ordered_sum(w_sub[k] for k in picked),
-                        edge_ids=tuple(rows[k] for k in picked))
+    idx = np.array(rows, dtype=np.intp)
+    src, dst, w = g.src[idx].tolist(), g.dst[idx].tolist(), g.weights_j[u, idx].tolist()
+    out_row = _msa_rows(src, dst, w, root, set(src) | set(dst) | {root})
+    # Prune non-terminal leaves (nodes nobody transmits to) to a fixpoint.
+    term = set(terminals)
+    into = Counter(dst[k] for k in out_row.values())
+    leaves = [v for v in out_row if not into[v] and v not in term]
+    while leaves:
+        p = dst[out_row.pop(leaves.pop())]
+        into[p] -= 1
+        if not into[p] and p not in term and p in out_row:
+            leaves.append(p)
+    if len(out_row) < len(rows):   # else every position is kept
+        kept = sorted(out_row.values())
+        src, dst, w, rows = ([x[k] for k in kept] for x in (src, dst, w, rows))
+    return Arborescence(root=root, edges=tuple(zip(src, dst)),
+                        total_cost=ordered_sum(w), edge_ids=tuple(rows))
 
 
 def d_merge(g: SnapshotGraph, u: int, terminals, root: int, rows) -> Arborescence:

@@ -1,6 +1,7 @@
 import configparser
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -223,11 +224,15 @@ def test_train_energy_is_run_scenario_energy(tmp_path):
     path = tmp_path / "train.cfg"
     path.write_text(text)
     out = tmp_path / "out"
+    # One attempt per transmission fails every round of this run, so both
+    # commands write their outputs and exit 1.
     for command in ("run-scenario", "train"):
         assert parse_and_dispatch([command, "--config", str(path),
-                                   "--out", str(out)]) == 0
+                                   "--out", str(out)]) == 1
     with open(out / "rounds.csv", newline="") as fh:
-        totals = [float(row["total_energy_j"]) for row in csv.DictReader(fh)]
+        rows = list(csv.DictReader(fh))
+    assert [row["failed"] for row in rows] == ["1"] * 5
+    totals = [float(row["total_energy_j"]) for row in rows]
     with open(out / "loss_trace.csv", newline="") as fh:
         cumulative = [float(row["cumulative_energy_j"]) for row in csv.DictReader(fh)]
     running, expected = 0.0, []
@@ -239,8 +244,9 @@ def test_train_energy_is_run_scenario_energy(tmp_path):
 
 
 class TestUnusableLinks:
-    """A round that needs a link the model cannot use is recorded as failed;
-    the run goes on and exits 0."""
+    """A round that needs a link the model cannot use is recorded as failed
+    and the run goes on. Outputs are always written; a run exits 1, naming
+    each algorithm on stderr, iff some algorithm failed every round."""
 
     SPARSE_CFG = """
 [constellation]
@@ -255,39 +261,78 @@ rho = 0.1
 [run]
 rounds = 3
 """
+    # At 3.5 km altitude almost no inter-orbit link closes, so terminals in
+    # other orbits cannot reach the root: every taeer and d_merge round
+    # fails, while orbit_greedy routes within orbits.
+    LOW_ALTITUDE_CFG = """
+[constellation]
+altitude_km = 3.5
+
+[run]
+rounds = 2
+seed = 1
+
+[training]
+rounds = 2
+"""
 
     @staticmethod
-    def _compare(tmp_path, text, *extra):
+    def _run(tmp_path, capsys, command, text, *extra):
+        """(exit code, algorithms named on stderr as failing every round)."""
         path = tmp_path / "scenario.cfg"
         path.write_text(text)
+        code = parse_and_dispatch([command, "--config", str(path),
+                                   "--out", str(tmp_path / "out"), *extra])
+        err = capsys.readouterr().err
+        named = {n for n in ("taeer", "d_merge", "orbit_greedy")
+                 if f"rounds of {n} failed" in err}
+        return code, named
+
+    @classmethod
+    def _compare(cls, tmp_path, capsys, text, *extra):
+        code, named = cls._run(tmp_path, capsys, "compare-algorithms", text, *extra)
         out = tmp_path / "out"
-        code = parse_and_dispatch(["compare-algorithms", "--config", str(path),
-                                   "--out", str(out), *extra])
-        assert code == 0
         data = json.loads((out / "comparison.json").read_text())
         failed = {}
         for name in data:
             with open(out / f"rounds_{name}.csv", newline="") as fh:
                 failed[name] = [row["failed"] for row in csv.DictReader(fh)]
+        every = {n for n in data if set(failed[n]) == {"1"}}
+        assert named == every
+        assert code == (1 if every else 0)
         return data, failed
 
     @pytest.mark.parametrize("seed", [2, 6])
-    def test_sparse_shell_ring_in_certain_outage(self, tmp_path, seed):
+    def test_sparse_shell_ring_in_certain_outage(self, tmp_path, capsys, seed):
         # With 4 satellites per orbit some ring links are in certain
         # outage, and orbit_greedy must use its whole ring arc.
-        data, failed = self._compare(tmp_path, self.SPARSE_CFG, "--seed", str(seed))
+        data, failed = self._compare(tmp_path, capsys, self.SPARSE_CFG, "--seed", str(seed))
         assert failed["orbit_greedy"] == ["1", "1", "1"]
         assert data["orbit_greedy"]["failed_rounds"] == 3
         for name in ("taeer", "d_merge"):
             assert data[name]["failed_rounds"] == failed[name].count("1")
 
-    def test_every_link_unusable(self, tmp_path):
+    def test_every_link_unusable(self, tmp_path, capsys):
         text = "[link]\nrx_telescope_diameter_m = 1e-7\n[run]\nrounds = 1\nseed = 1\n"
-        data, failed = self._compare(tmp_path, text)
+        data, failed = self._compare(tmp_path, capsys, text)
         assert set(data) == {"taeer", "d_merge", "orbit_greedy"}
         for name in data:
             assert failed[name] == ["1"]
             assert data[name]["failed_rounds"] == 1
+
+    def test_path_routers_fail_every_round_at_low_altitude(self, tmp_path, capsys):
+        data, failed = self._compare(tmp_path, capsys, self.LOW_ALTITUDE_CFG)
+        for name in ("taeer", "d_merge"):
+            assert failed[name] == ["1", "1"]
+            assert math.isnan(data[name]["avg_energy_per_slot_j"])
+        assert failed["orbit_greedy"] == ["0", "0"]
+
+    @pytest.mark.parametrize("command, output", [("run-scenario", "metrics.json"),
+                                                 ("train", "loss_trace.csv")])
+    def test_single_algorithm_fails_every_round(self, tmp_path, capsys, command, output):
+        code, named = self._run(tmp_path, capsys, command, self.LOW_ALTITUDE_CFG)
+        assert (code, named) == (1, {"taeer"})
+        assert (tmp_path / "out" / output).stat().st_size > 0
 
 
 def _readme_default(cell):

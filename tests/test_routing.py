@@ -10,7 +10,6 @@ from satagg.routing import (
     OracleSizeLimitError,
     PathTree,
     RoutingInfeasibleError,
-    build_substitute_graph,
     chu_liu_edmonds,
     d_merge,
     exact_dst_oracle,
@@ -20,7 +19,7 @@ from satagg.routing import (
     shortest_paths_to_root,
     taeer,
 )
-from satagg.topology import SnapshotGraph
+from satagg.topology import SnapshotGraph, ordered_sum
 
 from conftest import SCENARIOS, TX_POWER_W, make_scenario, random_digraph, route
 
@@ -320,32 +319,67 @@ class TestWarmStart:
             shortest_paths_to_root(g, 0, [0, 2], 2, PathTree(1))
 
 
+def row_pairs(g, rows):
+    return list(zip(g.src[rows].tolist(), g.dst[rows].tolist()))
+
+
+def prune_leaves(edges, terminals):
+    """(child, parent) edges left after dropping leaves that are not
+    terminals, to a fixpoint (test-side oracle)."""
+    edges = list(edges)
+    while True:
+        parents = {p for _, p in edges}
+        kept = [(c, p) for c, p in edges if c in parents or c in terminals]
+        if len(kept) == len(edges):
+            return kept
+        edges = kept
+
+
+def count_contractions(monkeypatch):
+    """Patch the contraction step to record each of its calls."""
+    calls = []
+    contract = routing._msa_edge_ids
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return contract(*args, **kwargs)
+
+    monkeypatch.setattr(routing, "_msa_edge_ids", counted)
+    return calls
+
+
 class TestSubstituteGraph:
+    """The substitute graph is the union of the terminals' shortest-path
+    rows; taeer's arborescence of it keeps every row."""
+
     def test_single_terminal_is_the_path(self):
         g = graph_of(4, [(0, 1, 1.0), (1, 3, 1.0), (0, 2, 5.0), (2, 3, 5.0)])
         rows = shortest_paths_to_root(g, 0, [0, 3], 3)
-        sub = build_substitute_graph(g, 0, rows)
-        assert set(zip(sub.src.tolist(), sub.dst.tolist())) == {(0, 1), (1, 3)}
+        assert row_pairs(g, rows) == [(0, 1), (1, 3)]
+        assert taeer(g, 0, [0, 3], 3, rows).edges == ((0, 1), (1, 3))
 
     def test_disjoint_paths_edge_count(self):
         g = graph_of(5, [(0, 2, 1.0), (2, 4, 1.0), (1, 3, 1.0), (3, 4, 1.0)])
         rows = shortest_paths_to_root(g, 0, [0, 1, 4], 4)
-        sub = build_substitute_graph(g, 0, rows)
-        assert sub.num_edges == 4
+        assert len(rows) == 4
+        arb = taeer(g, 0, [0, 1, 4], 4, rows)
+        assert arb.edge_ids == tuple(rows) and arb.total_cost == 4.0
 
     def test_shared_suffix_deduplicated(self):
         # Both terminals funnel through 2 -> 3; the shared edge appears once.
         g = graph_of(4, [(0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
         rows = shortest_paths_to_root(g, 0, [0, 1, 3], 3)
-        sub = build_substitute_graph(g, 0, rows)
-        expected = {(0, 2), (1, 2), (2, 3)}  # set union oracle
-        assert set(zip(sub.src.tolist(), sub.dst.tolist())) == expected
+        expected = [(0, 2), (1, 2), (2, 3)]  # set union oracle
+        assert row_pairs(g, rows) == expected
+        arb = taeer(g, 0, [0, 1, 3], 3, rows)
+        assert list(arb.edges) == expected and arb.total_cost == 3.0
 
     def test_empty_path_set_root_only(self):
         g = graph_of(3, [(0, 1, 1.0)])
         rows = shortest_paths_to_root(g, 0, [2], 2)
-        sub = build_substitute_graph(g, 0, rows)
-        assert sub.num_edges == 0
+        assert rows == []
+        arb = taeer(g, 0, [2], 2, rows)
+        assert arb.edges == () and arb.edge_ids == () and arb.total_cost == 0.0
 
 
 class TestChuLiuEdmonds:
@@ -362,6 +396,15 @@ class TestChuLiuEdmonds:
         assert arb.edges == ((1, 0), (2, 1))
         assert arb.total_cost == 11.0
 
+    def test_equal_weight_ties(self):
+        # Ties go to the lower (head, tail) pair: node 2 takes its lower
+        # head in the one pass, and the contracted cycle {1, 2} leaves
+        # through its lower tail.
+        g = graph_of(3, [(1, 0, 1.0), (2, 0, 1.0), (2, 1, 1.0)])
+        assert chu_liu_edmonds(g, 0).edges == ((1, 0), (2, 0))
+        g = graph_of(4, [(1, 2, 1.0), (2, 1, 1.0), (1, 0, 5.0), (2, 0, 5.0), (3, 1, 1.0)])
+        assert chu_liu_edmonds(g, 0).edges == ((1, 0), (2, 1), (3, 1))
+
     def test_single_node_root(self):
         g = graph_of(1, [])
         arb = chu_liu_edmonds(g, 0)
@@ -373,9 +416,38 @@ class TestChuLiuEdmonds:
             chu_liu_edmonds(g, 0, nodes=range(4))
         assert exc.value.stranded == [2, 3]
 
-    def test_exact_against_enumeration(self):
+    def test_stranded_cycle_reported(self):
+        # Every node has an out-row, but 2 and 3 only reach each other.
+        g = graph_of(4, [(1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0)])
+        with pytest.raises(RoutingInfeasibleError) as exc:
+            chu_liu_edmonds(g, 0, nodes=range(4))
+        assert exc.value.stranded == [2, 3]
+
+    def test_stranded_against_reachability(self):
+        # A stranded node stops the one-pass walk either at a node without
+        # an out-row or at a cycle of cheapest rows; both raise with every
+        # node that cannot reach the root.
+        rng = np.random.default_rng(78)
+        kinds = {"no out-row": 0, "cycle": 0}
+        for _ in range(1000):
+            n, edges = random_digraph(rng, max_nodes=8, p=0.35)
+            root = int(rng.integers(n))
+            stranded = sorted(set(range(n)) - reaches_root(n, edges, root))
+            if not stranded:
+                continue
+            with pytest.raises(RoutingInfeasibleError) as exc:
+                chu_liu_edmonds(graph_of(n, edges), root, nodes=range(n))
+            assert exc.value.stranded == stranded
+            tails = {u for u, _, _ in edges}
+            kinds["cycle" if set(range(n)) - {root} <= tails else "no out-row"] += 1
+        assert kinds["no out-row"] > 200 and kinds["cycle"] > 30
+
+    def test_exact_against_enumeration(self, monkeypatch):
+        # Both branches of the solver: the cheapest out-rows already form
+        # the arborescence (one pass), or they cycle and contraction runs.
+        contractions = count_contractions(monkeypatch)
         rng = np.random.default_rng(77)
-        checked = 0
+        checked = one_pass = 0
         for _ in range(150):
             n, edges = random_digraph(rng, max_nodes=8, p=0.45)
             if not edges:
@@ -383,6 +455,7 @@ class TestChuLiuEdmonds:
             root = int(rng.integers(n))
             oracle = enumerate_min_arborescence(edges, root, range(n))
             g = graph_of(n, edges)
+            before = len(contractions)
             try:
                 arb = chu_liu_edmonds(g, root, nodes=range(n))
             except RoutingInfeasibleError:
@@ -392,7 +465,9 @@ class TestChuLiuEdmonds:
             assert oracle is not None
             assert arb.total_cost == pytest.approx(oracle, rel=1e-12, abs=1e-12)
             checked += 1
+            one_pass += len(contractions) == before
         assert checked > 50
+        assert one_pass > 20 and checked - one_pass > 20
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -490,6 +565,40 @@ class TestTaeer:
                 assert arb.edges == merged.edges
                 assert arb.edge_ids == merged.edge_ids
                 assert arb.total_cost == merged.total_cost
+
+    @pytest.mark.parametrize("integer_weights", [False, True])
+    def test_equals_msa_then_pruning_on_any_rows(self, monkeypatch, integer_weights):
+        # On every row of the graph, not a tree of path rows, taeer is the
+        # exact arborescence of those rows with non-terminal leaves pruned:
+        # the same rows in the same order, so a bit-identical cost. Integer
+        # weights make equal-weight picks common.
+        contractions = count_contractions(monkeypatch)
+        rng = np.random.default_rng(96)
+        solved = one_pass = pruned = 0
+        for _ in range(500):
+            g, terminals, root = random_dst_instance(
+                rng, integer_weights=integer_weights)
+            rows = list(range(g.num_edges))
+            try:
+                msa = chu_liu_edmonds(g, root)
+            except RoutingInfeasibleError as exc:
+                with pytest.raises(RoutingInfeasibleError) as got:
+                    taeer(g, 0, terminals, root, rows)
+                assert got.value.stranded == exc.stranded
+                continue
+            before = len(contractions)
+            arb = taeer(g, 0, terminals, root, rows)
+            one_pass += len(contractions) == before
+            kept = prune_leaves(msa.edges, terminals)
+            ids = [e for e, pair in zip(msa.edge_ids, msa.edges) if pair in kept]
+            assert arb.edges == tuple(kept)
+            assert arb.edge_ids == tuple(ids)
+            assert arb.total_cost == ordered_sum(g.weights_j[0][ids].tolist())
+            arb.validate(terminals)
+            solved += 1
+            pruned += len(kept) < len(msa.edges)
+        assert solved > 300 and pruned > 200
+        assert one_pass > 100 and solved - one_pass > 100
 
     def test_deterministic(self):
         rng = np.random.default_rng(123)
