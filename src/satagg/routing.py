@@ -472,13 +472,15 @@ def _minimal_ring_arc(slots, ring_size):
     return arc
 
 
-def orbit_greedy(g: SnapshotGraph, u: int, terminals, rng: np.random.Generator) -> OrbitForest:
-    """Baseline using intra-orbit links only.
+def orbit_plan(g: SnapshotGraph, terminals) -> tuple:
+    """orbit_greedy's layout for one round's terminals, the same in every
+    frame of the round: the rows it may route on, looked up in one call.
 
-    Each orbit holding terminals routes them along its minimal ring arc to a
-    randomly chosen arc node, which uplinks to the GEO relay. Total cost is
-    the ring edges' weights summed in edge_ids order, plus the GEO uplink
-    energy of every occupied orbit.
+    One (orbit, arc, forward, backward, uplink) tuple per orbit holding
+    terminals, in ascending orbit order: arc is the orbit's minimal ring arc
+    as node ids, forward[i] and backward[i] are the rows of arc[i] ->
+    arc[i + 1] and arc[i + 1] -> arc[i], and uplink[i] is the row of arc[i]'s
+    GEO uplink.
     """
     if g.node_orbit is None or g.geo_node is None:
         raise ValueError("orbit_greedy needs a constellation graph with a GEO node")
@@ -488,26 +490,52 @@ def orbit_greedy(g: SnapshotGraph, u: int, terminals, rng: np.random.Generator) 
         by_orbit.setdefault(orbit_of[t], []).append(t)
     ring_size = max(slot_of[:g.geo_node]) + 1
 
-    edges, roots, uplinks = [], [], []
+    arcs, src, dst = [], [], []
     for orbit in sorted(by_orbit):
         members = by_orbit[orbit]
         base = members[0] - slot_of[members[0]]
-        arc = _minimal_ring_arc([slot_of[t] for t in members], ring_size)
+        arc = [base + k for k in _minimal_ring_arc([slot_of[t] for t in members],
+                                                   ring_size)]
+        arcs.append((orbit, arc))
+        src += arc[:-1] + arc[1:] + arc
+        dst += arc[1:] + arc[:-1] + [g.geo_node] * len(arc)
+    rows = g.edge_rows(src, dst).tolist()
+    orbits, end = [], 0
+    for orbit, arc in arcs:
+        n = len(arc) - 1
+        start, end = end, end + 3 * n + 1
+        orbits.append((orbit, tuple(arc), tuple(rows[start:start + n]),
+                       tuple(rows[start + n:start + 2 * n]),
+                       tuple(rows[start + 2 * n:end])))
+    return tuple(orbits)
+
+
+def orbit_greedy(g: SnapshotGraph, u: int, plan: tuple,
+                 rng: np.random.Generator) -> OrbitForest:
+    """Baseline using intra-orbit links only.
+
+    Each orbit holding terminals routes them along its minimal ring arc
+    (from plan, see orbit_plan) to a randomly chosen arc node, drawn per
+    orbit in ascending orbit order, which uplinks to the GEO relay. Total
+    cost is the ring edges' weights summed in edge_ids order, plus the GEO
+    uplink energy of every occupied orbit.
+    """
+    edges, rows, roots, up_rows = [], [], [], []
+    for orbit, arc, forward, backward, uplink in plan:
         root_pos = int(rng.integers(len(arc)))
-        root = base + arc[root_pos]
-        roots.append((orbit, root))
-        for idx in range(len(arc) - 1):
-            a, b = base + arc[idx], base + arc[idx + 1]
-            edges.append((a, b) if idx < root_pos else (b, a))
-        uplinks.append(root)
-    rows = g.edge_rows([c for c, _ in edges] + uplinks,
-                       [p for _, p in edges] + [g.geo_node] * len(uplinks)).tolist()
-    w = g.weights_j[u][rows].tolist()
+        roots.append((orbit, arc[root_pos]))
+        up_rows.append(uplink[root_pos])
+        # Arc nodes before the root send forward, the others backward.
+        edges += zip(arc[:root_pos], arc[1:root_pos + 1])
+        edges += zip(arc[root_pos + 1:], arc[root_pos:-1])
+        rows += forward[:root_pos]
+        rows += backward[root_pos:]
+    w = g.weights_j[u][rows + up_rows].tolist()
     order = sorted(range(len(edges)), key=lambda i: edges[i][0])
     uplink_cost = ordered_sum(w[len(edges):])
     return OrbitForest(orbit_roots=tuple(roots), edges=tuple(edges[i] for i in order),
                        edge_ids=tuple(rows[i] for i in order),
-                       uplink_nodes=tuple(uplinks), uplink_cost=uplink_cost,
+                       uplink_nodes=tuple(r for _, r in roots), uplink_cost=uplink_cost,
                        total_cost=ordered_sum(w[i] for i in order) + uplink_cost)
 
 

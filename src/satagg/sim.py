@@ -159,36 +159,57 @@ def terminals_for_round(cfg: ScenarioConfig, t_abs: float) -> tuple[dict, list]:
     return mapping, sorted(set(served))
 
 
-def sample_attempts(rng: np.random.Generator, gamma0_value: float,
-                    params: LinkParams, max_attempts: int) -> tuple[int, bool]:
-    """Transmission attempts for one frame on one edge.
+def sample_attempts(rng: np.random.Generator, gamma0, params: LinkParams,
+                    max_attempts: int) -> tuple[list, list]:
+    """Transmission attempts for one frame's routed rows, in row order.
 
     Each attempt draws a fresh pointing error theta = sigma_p*|z| and fails
-    when the resulting pointing loss drops below gamma0. Returns (attempts,
-    success); success is False when max_attempts all failed.
+    when the resulting pointing loss drops below the row's gamma0. Returns
+    (attempts, success) lists; success is False where max_attempts all
+    failed. Rows with gamma0 >= 1 (certain outage) or <= 0 draw nothing.
+    The draws come in batches, one per row still unfinished, and are handed
+    out in row order, each row taking draws until it ends; as every
+    unfinished row needs at least one more draw, the generator consumes
+    exactly the normals, and leaves exactly the state, of drawing one at a
+    time row after row.
     """
-    if gamma0_value >= 1.0:
-        return max_attempts, False
-    if gamma0_value <= 0.0:
-        return 1, True
-    z2_max = -math.log(gamma0_value) / (params.g0 * params.sigma_p_rad ** 2)
-    for k in range(1, max_attempts + 1):
-        z = rng.standard_normal()
-        if z * z <= z2_max:
-            return k, True
-    return max_attempts, False
+    n = len(gamma0)
+    attempts, success = [1] * n, [True] * n
+    rows, limits = [], []   # the rows that draw, and their bound on z^2
+    scale = params.g0 * params.sigma_p_rad ** 2
+    for row, g in enumerate(gamma0):
+        if g >= 1.0:
+            attempts[row] = max_attempts
+            success[row] = False
+        elif not g <= 0.0:
+            rows.append(row)
+            limits.append(-math.log(g) / scale)
+    pos, k = 0, 0   # the current row's place in rows, its draws so far
+    while pos < len(rows):
+        for z in rng.standard_normal(len(rows) - pos).tolist():
+            k += 1
+            if z * z <= limits[pos]:
+                attempts[rows[pos]] = k
+            elif k < max_attempts:
+                continue
+            else:   # also where the bound is NaN, which no draw meets
+                attempts[rows[pos]] = k
+                success[rows[pos]] = False
+            pos, k = pos + 1, 0
+    return attempts, success
 
 
 def _solve_frame(algorithm: str, g: SnapshotGraph, u: int, terminals,
-                 root: int | None, rows, rng: np.random.Generator):
-    """One router's result at frame u; rows are the frame's shortest-path
-    rows toward root for the path routers, and unused by orbit_greedy."""
+                 root: int | None, plan, rng: np.random.Generator):
+    """One router's result at frame u; plan is the frame's shortest-path
+    rows toward root for the path routers and the round's
+    routing.orbit_plan for orbit_greedy."""
     if algorithm == "taeer":
-        return routing.taeer(g, u, terminals, root, rows)
+        return routing.taeer(g, u, terminals, root, plan)
     if algorithm == "d_merge":
-        return routing.d_merge(g, u, terminals, root, rows)
+        return routing.d_merge(g, u, terminals, root, plan)
     if algorithm == "orbit_greedy":
-        return routing.orbit_greedy(g, u, terminals, rng)
+        return routing.orbit_greedy(g, u, plan, rng)
     raise ValueError(f"unknown algorithm {algorithm}")
 
 
@@ -206,9 +227,13 @@ def _simulate(cfg: ScenarioConfig, algorithms, collect_edges: bool = False):
     rngs and share one shortest-path search per (frame, root): the first to
     reach a frame runs it, starting from the tree of the last frame searched
     toward that root in the round. Only a successful search is kept, so a
-    search that raises fails each path router's round alike. Routers run on the
-    rows of the energy graph (outage blending only re-weights them), so
-    their edge_ids index its true weights. A round whose charged energy is
+    search that raises fails each path router's round alike. orbit_greedy
+    looks its ring arcs' rows up once per round (routing.orbit_plan), and
+    draws only its arc roots per frame. Each routed frame's retransmissions
+    are drawn in one sample_attempts call over its rows in row order, and
+    their energy is added left to right. Routers run on the rows of the
+    energy graph (outage blending only re-weights them), so their edge_ids
+    index its true weights. A round whose charged energy is
     not finite needed an unusable link and is marked failed. The analytic
     outage of the routed rows comes from their gamma0 in one call per round
     and algorithm, so a rho = 1 run evaluates no other row's. Edge
@@ -240,7 +265,9 @@ def _simulate(cfg: ScenarioConfig, algorithms, collect_edges: bool = False):
 
         for algorithm in algorithms:
             rng = np.random.default_rng(round_seeds[t])
-            root = None
+            root = plan = None
+            if algorithm == "orbit_greedy":
+                plan = routing.orbit_plan(route_graph, terminals)
             if algorithm in ("taeer", "d_merge"):
                 root = routing.select_root(graph, 0, terminals, cfg.root_rule, rng)
                 tree = trees.setdefault(root, routing.PathTree(root))
@@ -253,14 +280,13 @@ def _simulate(cfg: ScenarioConfig, algorithms, collect_edges: bool = False):
             routed_gamma0 = []   # per frame, the gamma0 of the routed rows
             try:
                 for u in range(u_frames):
-                    rows = None
                     if root is not None:
                         if (u, root) not in path_rows:
                             path_rows[u, root] = routing.shortest_paths_to_root(
                                 route_graph, u, terminals, root, tree)
-                        rows = path_rows[u, root]
+                        plan = path_rows[u, root]
                     result = _solve_frame(algorithm, route_graph, u, terminals,
-                                          root, rows, rng)
+                                          root, plan, rng)
                     eids = np.asarray(result.edge_ids, dtype=np.intp)
                     w_tree = graph.weights_j[u][eids].tolist()
                     rec.tree_energy_j += ordered_sum(w_tree)
@@ -272,15 +298,15 @@ def _simulate(cfg: ScenarioConfig, algorithms, collect_edges: bool = False):
                         collected[algorithm][0].extend(tx_power[graph.src[eids]])
                         collected[algorithm][1].extend(graph.distance_km[u][eids])
                     if cfg.outages_enabled:
-                        g0_vals = routed_gamma0[-1].tolist()
-                        for g0_val, w_e in zip(g0_vals, w_tree):
-                            k, ok = sample_attempts(rng, g0_val, cfg.params,
-                                                    cfg.max_attempts)
-                            rec.attempts += k
-                            rec.failures += k - 1 if ok else k
+                        ks, oks = sample_attempts(rng, routed_gamma0[-1].tolist(),
+                                                  cfg.params, cfg.max_attempts)
+                        k_sum = sum(ks)
+                        rec.attempts += k_sum
+                        rec.failures += k_sum - oks.count(True)
+                        for k, w_e in zip(ks, w_tree):
                             rec.retrans_energy_j += (k - 1) * w_e
-                            if not ok:
-                                rec.failed = True
+                        if not all(oks):
+                            rec.failed = True
                     else:
                         rec.attempts += len(eids)
             except routing.RoutingInfeasibleError:
@@ -369,11 +395,14 @@ def comparison_table(results: dict) -> str:
 
 
 def metrics_payload(m: RunMetrics) -> dict:
+    """The JSON fields of one run; the energy average is None (null) when
+    every round failed, since JSON has no NaN."""
+    energy = m.avg_energy_per_slot_j
     return {
         "algorithm": m.algorithm,
         "rho": m.rho,
         "constellation": m.constellation,
-        "avg_energy_per_slot_j": m.avg_energy_per_slot_j,
+        "avg_energy_per_slot_j": None if math.isnan(energy) else energy,
         "avg_outage_pct": m.avg_outage_per_isl_pct,
         "analytic_outage_pct": m.analytic_outage_pct,
         "rounds": m.rounds,
@@ -383,13 +412,14 @@ def metrics_payload(m: RunMetrics) -> dict:
 
 
 def write_metrics_json(path, metrics) -> None:
-    """Stable-schema JSON export; accepts one RunMetrics or {name: RunMetrics}."""
+    """Stable-schema JSON export (strict: no NaN or infinity); accepts one
+    RunMetrics or {name: RunMetrics}."""
     if isinstance(metrics, RunMetrics):
         payload = metrics_payload(metrics)
     else:
         payload = {name: metrics_payload(m) for name, m in sorted(metrics.items())}
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

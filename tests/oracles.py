@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's algorithms: Bellman-Ford instead of
 Dijkstra, exhaustive choice enumeration instead of contraction, adaptive
-quadrature instead of the closed form.
+quadrature instead of the closed form, one normal draw per call instead of
+batched draws.
 """
 import math
 
@@ -66,6 +67,27 @@ def enumerate_min_arborescence(edges, root, nodes):
 
     rec(0, 0.0)
     return best[0] if math.isfinite(best[0]) else None
+
+
+def sample_attempts_per_edge(rng, gamma0_value, params, max_attempts):
+    """Transmission attempts for one frame on one edge, drawing one scalar
+    normal per attempt: the per-edge loop whose draws, row after row, the
+    simulator's frame-level sample_attempts must reproduce exactly.
+
+    An attempt fails when the pointing loss exp(-G0 * (sigma_p * z)^2) of
+    its draw z drops below gamma0. Returns (attempts, success); success is
+    False when max_attempts all failed.
+    """
+    if gamma0_value >= 1.0:
+        return max_attempts, False
+    if gamma0_value <= 0.0:
+        return 1, True
+    z2_max = -math.log(gamma0_value) / (params.g0 * params.sigma_p_rad ** 2)
+    for k in range(1, max_attempts + 1):
+        z = rng.standard_normal()
+        if z * z <= z2_max:
+            return k, True
+    return max_attempts, False
 
 
 def pointing_pdf_quadrature(pdf, upper, abs_tol=1e-9):

@@ -1,7 +1,6 @@
 import configparser
 import csv
 import json
-import math
 from pathlib import Path
 
 import pytest
@@ -34,6 +33,12 @@ rounds = 5
 dim = 6
 samples_per_device = 12
 """
+
+
+def reject_constant(name):
+    """json.loads's parse_constant: the exports are strict JSON, which has
+    no NaN or Infinity."""
+    raise ValueError(f"non-JSON constant {name}")
 
 
 @pytest.fixture
@@ -149,7 +154,8 @@ class TestDispatch:
                                    "--algorithms", "taeer,orbit_greedy",
                                    "--out", str(out)])
         assert code == 0
-        data = json.loads((out / "comparison.json").read_text())
+        data = json.loads((out / "comparison.json").read_text(),
+                          parse_constant=reject_constant)
         assert set(data) == {"taeer", "orbit_greedy"}
         assert (out / "rounds_taeer.csv").exists()
         assert "avg energy per slot" in capsys.readouterr().out
@@ -292,7 +298,8 @@ rounds = 2
     def _compare(cls, tmp_path, capsys, text, *extra):
         code, named = cls._run(tmp_path, capsys, "compare-algorithms", text, *extra)
         out = tmp_path / "out"
-        data = json.loads((out / "comparison.json").read_text())
+        data = json.loads((out / "comparison.json").read_text(),
+                          parse_constant=reject_constant)
         failed = {}
         for name in data:
             with open(out / f"rounds_{name}.csv", newline="") as fh:
@@ -324,7 +331,7 @@ rounds = 2
         data, failed = self._compare(tmp_path, capsys, self.LOW_ALTITUDE_CFG)
         for name in ("taeer", "d_merge"):
             assert failed[name] == ["1", "1"]
-            assert math.isnan(data[name]["avg_energy_per_slot_j"])
+            assert data[name]["avg_energy_per_slot_j"] is None
         assert failed["orbit_greedy"] == ["0", "0"]
 
     @pytest.mark.parametrize("command, output", [("run-scenario", "metrics.json"),
@@ -332,7 +339,11 @@ rounds = 2
     def test_single_algorithm_fails_every_round(self, tmp_path, capsys, command, output):
         code, named = self._run(tmp_path, capsys, command, self.LOW_ALTITUDE_CFG)
         assert (code, named) == (1, {"taeer"})
-        assert (tmp_path / "out" / output).stat().st_size > 0
+        path = tmp_path / "out" / output
+        assert path.stat().st_size > 0
+        if output == "metrics.json":
+            data = json.loads(path.read_text(), parse_constant=reject_constant)
+            assert data["avg_energy_per_slot_j"] is None
 
 
 def _readme_default(cell):

@@ -14,6 +14,7 @@ from satagg.routing import (
     d_merge,
     exact_dst_oracle,
     orbit_greedy,
+    orbit_plan,
     select_root,
     shortest_path_csr,
     shortest_paths_to_root,
@@ -641,27 +642,31 @@ class TestOrbitGreedy:
         txp = topology.tx_power_draw(delta_spec, np.random.default_rng(0), *TX_POWER_W)
         return topology.build_snapshot(delta_spec, params, times, 0.0, txp)
 
+    @staticmethod
+    def greedy(g, u, terminals, rng):
+        return orbit_greedy(g, u, orbit_plan(g, terminals), rng)
+
     def test_adjacent_terminals_one_orbit(self, snapshot):
-        res = orbit_greedy(snapshot, 0, [3, 4, 5], np.random.default_rng(1))
+        res = self.greedy(snapshot, 0, [3, 4, 5], np.random.default_rng(1))
         assert len(res.orbit_roots) == 1
         assert len(res.edges) == 2  # arc spans exactly the terminal range
         assert len(res.uplink_nodes) == 1
 
     def test_three_orbits_three_uplinks(self, snapshot):
         terminals = [2, 25, 47]  # orbits 0, 1, 2
-        res = orbit_greedy(snapshot, 0, terminals, np.random.default_rng(1))
+        res = self.greedy(snapshot, 0, terminals, np.random.default_rng(1))
         assert len(res.uplink_nodes) == 3
         assert {o for o, _ in res.orbit_roots} == {0, 1, 2}
 
     def test_wraparound_arc(self, snapshot):
         # Slots 18, 19, 0, 1 of orbit 0: the minimal arc crosses the seam.
-        res = orbit_greedy(snapshot, 0, [18, 19, 0, 1], np.random.default_rng(3))
+        res = self.greedy(snapshot, 0, [18, 19, 0, 1], np.random.default_rng(3))
         assert len(res.edges) == 3
         children = {c for c, _ in res.edges} | {p for _, p in res.edges}
         assert children == {18, 19, 0, 1}
 
     def test_cost_includes_uplinks(self, snapshot):
-        res = orbit_greedy(snapshot, 0, [2, 25], np.random.default_rng(1))
+        res = self.greedy(snapshot, 0, [2, 25], np.random.default_rng(1))
         ring = sum(snapshot.weights_j[0][e] for e in res.edge_ids)
         ups = sum(snapshot.weights_j[0][snapshot.edge_rows(res.uplink_nodes,
                                                             snapshot.geo_node)])
@@ -669,14 +674,45 @@ class TestOrbitGreedy:
         assert res.uplink_cost == pytest.approx(ups, rel=1e-12)
 
     def test_root_choice_seeded(self, snapshot):
-        a = orbit_greedy(snapshot, 0, [3, 9], np.random.default_rng(8))
-        b = orbit_greedy(snapshot, 0, [3, 9], np.random.default_rng(8))
+        a = self.greedy(snapshot, 0, [3, 9], np.random.default_rng(8))
+        b = self.greedy(snapshot, 0, [3, 9], np.random.default_rng(8))
         assert a.orbit_roots == b.orbit_roots and a.edges == b.edges
+
+    def test_plan_rows_are_the_arcs_links(self, snapshot):
+        # Terminals in orbits 0 (across the seam), 1 (one node) and 3.
+        plan = orbit_plan(snapshot, [19, 1, 0, 25, 70, 66])
+        assert [(o, arc) for o, arc, *_ in plan] == [
+            (0, (19, 0, 1)), (1, (25,)), (3, (66, 67, 68, 69, 70))]
+        src, dst = snapshot.src.tolist(), snapshot.dst.tolist()
+        for _, arc, forward, backward, uplink in plan:
+            pairs = list(zip(arc, arc[1:]))
+            assert [(src[e], dst[e]) for e in forward] == pairs
+            assert [(dst[e], src[e]) for e in backward] == pairs
+            assert [(src[e], dst[e]) for e in uplink] == [
+                (v, snapshot.geo_node) for v in arc]
+
+    def test_one_plan_serves_every_frame(self, snapshot):
+        # A round's plan is built once; each frame draws only the arc roots
+        # and charges that frame's weights.
+        terminals = [2, 5, 25, 47, 50]
+        plan = orbit_plan(snapshot, terminals)
+        rng = np.random.default_rng(4)
+        for u in range(snapshot.frame_count):
+            res = orbit_greedy(snapshot, u, plan, rng)
+            assert [o for o, _ in res.orbit_roots] == [0, 1, 2]
+            assert list(res.edge_ids) == snapshot.edge_rows(
+                [c for c, _ in res.edges], [p for _, p in res.edges]).tolist()
+            assert [c for c, _ in res.edges] == sorted(c for c, _ in res.edges)
+            w = snapshot.weights_j[u].tolist()
+            ups = snapshot.edge_rows(res.uplink_nodes, snapshot.geo_node).tolist()
+            assert res.uplink_cost == ordered_sum(w[e] for e in ups)
+            assert res.total_cost == ordered_sum(
+                w[e] for e in res.edge_ids) + res.uplink_cost
 
     def test_requires_constellation_graph(self):
         g = graph_of(3, [(0, 1, 1.0)])
         with pytest.raises(ValueError):
-            orbit_greedy(g, 0, [0], np.random.default_rng(0))
+            orbit_plan(g, [0])
 
 
 class TestExactDstOracle:

@@ -7,8 +7,9 @@ from operator import add
 import numpy as np
 import pytest
 
-from conftest import make_scenario
-from satagg import channel, routing, sim, topology
+from conftest import SCENARIOS, make_scenario
+from oracles import sample_attempts_per_edge
+from satagg import channel, config, routing, sim, topology
 from satagg.geometry import ConfigError
 from satagg.sim import ScenarioConfig, sample_attempts
 
@@ -43,25 +44,31 @@ class TestScenarioConfig:
         assert make_scenario(delta_spec, rho=0.5).outages_enabled
 
 
+def gamma0_for_outage(p_target, params):
+    """The gamma0 whose per-attempt outage probability is p_target,
+    inverting the closed form by bisection."""
+    lo, hi = 1e-12, 1 - 1e-12
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        if channel.outage_from_gamma0(mid, params) < p_target:
+            lo = mid
+        else:
+            hi = mid
+    return math.sqrt(lo * hi)
+
+
 class TestSampleAttempts:
     def test_geometric_mean_matches(self, params):
         # Choose gamma0 so the per-attempt failure probability p is known;
         # attempts are then geometric with mean 1/(1-p).
         rng = np.random.default_rng(0)
         for p_target in (0.05, 0.2, 0.5):
-            # invert the closed form: find gamma0 giving P_out = p_target
-            lo, hi = 1e-12, 1 - 1e-12
-            for _ in range(200):
-                mid = math.sqrt(lo * hi)
-                if channel.outage_from_gamma0(mid, params) < p_target:
-                    lo = mid
-                else:
-                    hi = mid
-            g0_val = math.sqrt(lo * hi)
+            g0_val = gamma0_for_outage(p_target, params)
             p = channel.outage_from_gamma0(g0_val, params)
             assert p == pytest.approx(p_target, abs=1e-6)
             n = 10_000
-            draws = [sample_attempts(rng, g0_val, params, 100)[0] for _ in range(n)]
+            draws, ok = sample_attempts(rng, [g0_val] * n, params, 100)
+            assert all(ok)
             mean = float(np.mean(draws))
             expected = 1.0 / (1.0 - p)
             sigma = math.sqrt(p) / (1.0 - p) / math.sqrt(n)
@@ -69,12 +76,97 @@ class TestSampleAttempts:
 
     def test_certain_outage_exhausts_attempts(self, params):
         rng = np.random.default_rng(1)
-        k, ok = sample_attempts(rng, 1.0, params, max_attempts=17)
-        assert (k, ok) == (17, False)
+        state = rng.bit_generator.state
+        assert sample_attempts(rng, [1.0, math.inf], params, max_attempts=17) == \
+            ([17, 17], [False, False])
+        assert rng.bit_generator.state == state   # decided without a draw
 
     def test_zero_gamma_always_first_try(self, params):
         rng = np.random.default_rng(1)
-        assert sample_attempts(rng, 0.0, params, 100) == (1, True)
+        state = rng.bit_generator.state
+        assert sample_attempts(rng, [0.0, -0.0], params, 100) == ([1, 1], [True, True])
+        assert rng.bit_generator.state == state
+
+    def test_nan_gamma_fails_every_attempt(self, params):
+        # No draw passes a NaN threshold, as in the per-edge loop.
+        rng, ref = np.random.default_rng(2), np.random.default_rng(2)
+        assert sample_attempts(rng, [math.nan], params, 5) == ([5], [False])
+        ref.standard_normal(5)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("max_attempts", [1, 2, 3, 100])
+    def test_equals_per_edge_draws(self, params, max_attempts):
+        # The frame sampler against the per-edge scalar loop, row after row,
+        # on one generator each carried across 1000 random frames: equal
+        # results and an equal generator state after every frame.
+        near = [gamma0_for_outage(p, params) for p in (0.01, 0.3, 0.7, 0.95, 0.999)]
+        special = [0.0, 1.0, 1.5, math.inf, math.nan, 1e-300, 5e-324,
+                   math.nextafter(1.0, 0.0)]
+        pick = np.random.default_rng(max_attempts)
+        rng, ref = np.random.default_rng(42), np.random.default_rng(42)
+        drawn = capped = 0
+        for _ in range(1000):
+            rows = []
+            for _ in range(int(pick.integers(0, 30))):
+                kind = pick.random()
+                if kind < 0.15:
+                    rows.append(special[pick.integers(len(special))])
+                elif kind < 0.6:
+                    rows.append(near[pick.integers(len(near))] * pick.uniform(0.9, 1.1))
+                else:
+                    rows.append(float(10.0 ** pick.uniform(-12, 0)))
+            want = [sample_attempts_per_edge(ref, g, params, max_attempts) for g in rows]
+            got = sample_attempts(rng, rows, params, max_attempts)
+            assert got == ([k for k, _ in want], [ok for _, ok in want])
+            assert rng.bit_generator.state == ref.bit_generator.state
+            drawn += sum(k for (k, _), g in zip(want, rows) if 0.0 < g < 1.0)
+            capped += sum(1 for (k, ok), g in zip(want, rows) if not ok and g < 1.0)
+        # Retransmissions happened, and rows ran out of attempts mid-frame.
+        assert drawn > 5000 and capped > 50
+
+
+# Exact per-round outage columns of compare-algorithms on the shipped
+# 80-satellite star (rho 0.1) over 2 rounds, as (attempts, failures, failed,
+# repr of retransmission energy) per algorithm. They pin the random stream
+# of the retransmission draws: the geometric law of the attempt counts holds
+# for many streams, so only exact values catch a changed one. taeer and
+# d_merge route the same trees on these rounds.
+PATHS_DEFAULT = ([1551, 1626], [15, 7], [False, False],
+                 ["103.49307211797897", "29.745156290297786"])
+PATHS_100DB = ([1623, 1710], [100, 79], [False, False],
+               ["906.2929668096957", "512.544737632008"])
+PATHS_100DB_CAP2 = ([1605, 1710], [103, 84], [True, True],
+                    ["819.8394078162144", "522.7951276328785"])
+STREAM_PINS = {
+    "default": ({}, {
+        "taeer": PATHS_DEFAULT, "d_merge": PATHS_DEFAULT,
+        "orbit_greedy": ([1386, 1313], [11, 13], [False, False],
+                         ["51.49434908324149", "60.85696110716553"])}),
+    "-100dB": ({("link", "snr_threshold_db"): "-100"}, {
+        "taeer": PATHS_100DB, "d_merge": PATHS_100DB,
+        "orbit_greedy": ([1446, 1372], [71, 72], [False, False],
+                         ["332.37264344611935", "337.053927927221"])}),
+    "-100dB-2-attempts": ({("link", "snr_threshold_db"): "-100",
+                           ("run", "max_attempts"): "2"}, {
+        "taeer": PATHS_100DB_CAP2, "d_merge": PATHS_100DB_CAP2,
+        "orbit_greedy": ([1439, 1357], [75, 64], [True, True],
+                         ["299.60349269948745", "266.8343659420988"])}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STREAM_PINS))
+def test_outage_stream_pinned(case):
+    edits, want = STREAM_PINS[case]
+    values = config.read_config(str(SCENARIOS / "walker_star_80.cfg"))
+    values["run"]["rounds"] = "2"
+    for (section, key), value in edits.items():
+        values[section][key] = value
+    res = sim.compare_algorithms(config.build_scenario(values))
+    got = {a: ([r.attempts for r in m.records], [r.failures for r in m.records],
+               [r.failed for r in m.records],
+               [repr(r.retrans_energy_j) for r in m.records])
+           for a, m in res.items()}
+    assert got == want
 
 
 def test_gamma0_array_equals_scalar_calls(star_spec):
@@ -91,10 +183,10 @@ def test_gamma0_array_equals_scalar_calls(star_spec):
 
 
 def solve_frame(algorithm, g, u, terminals, root, rng):
-    """sim._solve_frame on the path rows that _simulate would pass it."""
-    rows = (None if algorithm == "orbit_greedy"
+    """sim._solve_frame on the plan that _simulate would pass it."""
+    plan = (routing.orbit_plan(g, terminals) if algorithm == "orbit_greedy"
             else routing.shortest_paths_to_root(g, u, terminals, root))
-    return sim._solve_frame(algorithm, g, u, terminals, root, rows, rng)
+    return sim._solve_frame(algorithm, g, u, terminals, root, plan, rng)
 
 
 def test_routers_return_rows_of_the_energy_graph(star_spec):
