@@ -169,6 +169,39 @@ def test_outage_stream_pinned(case):
     assert got == want
 
 
+# Exact energy split of compare-algorithms over 2 rounds on the shipped
+# 80-satellite star (rho 0.1) and delta (rho 1), as (repr of tree energy,
+# repr of GEO-uplink energy, edge-frames) per round and algorithm. They pin
+# which rows are charged as LEO-LEO hops and which as uplinks, and the order
+# each total adds them in.
+SPLIT_STAR_PATHS = (["8085.44232494796", "7234.4136886402075"],
+                    ["29607.93498198203", "30621.149644851797"], [1536, 1619])
+SPLIT_DELTA_PATHS = (["5221.076903203491", "5339.260590877609"],
+                     ["29818.091839058758", "29855.07705320095"], [1405, 1475])
+ENERGY_SPLIT_PINS = {
+    "walker_star_80.cfg": {
+        "taeer": SPLIT_STAR_PATHS, "d_merge": SPLIT_STAR_PATHS,
+        "orbit_greedy": (["6436.79348583757", "6085.695660559216"],
+                         ["139139.04887302587", "141528.18240815488"], [1375, 1300])},
+    "walker_delta_80.cfg": {
+        "taeer": SPLIT_DELTA_PATHS, "d_merge": SPLIT_DELTA_PATHS,
+        "orbit_greedy": (["6298.830983052996", "6409.336851041053"],
+                         ["134793.67960223407", "135363.616149776"], [1425, 1450])},
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(ENERGY_SPLIT_PINS))
+def test_energy_split_pinned(scenario):
+    values = config.read_config(str(SCENARIOS / scenario))
+    values["run"]["rounds"] = "2"
+    res = sim.compare_algorithms(config.build_scenario(values))
+    got = {a: ([repr(r.tree_energy_j) for r in m.records],
+               [repr(r.geo_energy_j) for r in m.records],
+               [r.edge_frames for r in m.records])
+           for a, m in res.items()}
+    assert got == ENERGY_SPLIT_PINS[scenario]
+
+
 def test_gamma0_array_equals_scalar_calls(star_spec):
     # The simulator computes one gamma0 array per frame, which must equal
     # the per-edge scalar calls exactly, on every edge of every frame.
