@@ -140,7 +140,7 @@ def _cmd_train(args) -> int:
     energy_per_round = [r.total_energy_j for r in metrics.records]
 
     sgd_rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed, spawn_key=(5,)))
-    trace = hierfl.run_training(tasks, train.rounds, sgd_rng)
+    trace = hierfl.run_training(tasks, [r.failed for r in metrics.records], sgd_rng)
     path = _out_path(args, "loss_trace.csv")
     hierfl.write_loss_trace_csv(path, trace, energy_per_round)
     print(f"wrote {path} (final loss {trace[-1][1]:.6g}, "

@@ -166,19 +166,24 @@ def global_gradient(tasks, x: np.ndarray) -> np.ndarray:
     return g
 
 
-def run_training(tasks, rounds: int, rng: np.random.Generator):
-    """Federated rounds with flat aggregation from the zero model; returns
-    per-round records [(round, global_loss, grad_norm)], loss/grad evaluated
-    on the updated model. Raises TrainingDivergedError if the loss blows up."""
+def run_training(tasks, failed, rng: np.random.Generator):
+    """Federated rounds with flat aggregation from the zero model, one per
+    flag in failed; returns per-round records [(round, global_loss,
+    grad_norm)], loss/grad evaluated on the updated model. A round whose
+    flag is true (its aggregation was not delivered) still draws every
+    device's local update, so later rounds see the same SGD stream, but
+    leaves the model unchanged. Raises TrainingDivergedError if the loss
+    blows up."""
     x = np.zeros(tasks[0].features.shape[1])
     initial = global_loss(tasks, x)
     trace = []
-    for t in range(rounds):
+    for t, dropped in enumerate(failed):
         deltas = {}
         for task in sorted(tasks, key=lambda task: task.device_id):
             deltas[task.device_id] = local_update(task, x, rng)
-        weights = {task.device_id: task.weight for task in tasks}
-        x = x + flat_aggregate(deltas, weights)
+        if not dropped:
+            weights = {task.device_id: task.weight for task in tasks}
+            x = x + flat_aggregate(deltas, weights)
         loss = global_loss(tasks, x)
         if not math.isfinite(loss) or loss > DIVERGENCE_LIMIT * max(initial, 1.0):
             raise TrainingDivergedError(t, loss)

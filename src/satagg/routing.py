@@ -75,18 +75,6 @@ class Arborescence:
                 assert v in term, f"leaf {v} is not a terminal"
 
 
-@dataclass(frozen=True)
-class OrbitForest:
-    """Per-orbit ring arcs feeding one GEO uplink per occupied orbit."""
-
-    orbit_roots: tuple      # (orbit, root node) pairs
-    edges: tuple            # intra-orbit (child, parent) edges
-    edge_ids: tuple
-    uplink_nodes: tuple     # nodes transmitting to the GEO relay
-    uplink_cost: float
-    total_cost: float       # ring energy + uplink energy
-
-
 def shortest_path_csr(indptr, indices, weights, source, start=None):
     """Single-source shortest paths on a CSR digraph with weights >= 0.
 
@@ -409,15 +397,16 @@ def chu_liu_edmonds(g: SnapshotGraph, root: int, u: int = 0, nodes=None) -> Arbo
 def taeer(g: SnapshotGraph, u: int, terminals, root: int, rows) -> Arborescence:
     """Topology-aware energy-efficient routing for one frame.
 
-    rows are the sorted edge rows that `shortest_paths_to_root(g, u,
-    terminals, root)` returns: the terminals' shortest paths to the root,
-    merged into the substitute graph. An exact minimum spanning
+    rows are sorted edge rows leading every terminal to root, a terminal or
+    the graph's relay: the substitute graph, which merges the terminals'
+    shortest paths to a terminal (`shortest_paths_to_root`), plus that
+    terminal's uplink row when root is the relay. An exact minimum spanning
     arborescence of those rows is computed (`_msa_rows`), and non-terminal
     leaves are pruned away. The result covers every terminal; cost is the
     sum of the surviving edge weights.
     """
-    if root not in terminals:
-        raise ValueError("root must be one of the terminals")
+    if root not in terminals and root != g.geo_node:
+        raise ValueError("root must be a terminal or the graph's relay")
     idx = np.array(rows, dtype=np.intp)
     src, dst, w = g.src[idx].tolist(), g.dst[idx].tolist(), g.weights_j[u, idx].tolist()
     out_row = _msa_rows(src, dst, w, root, set(src) | set(dst) | {root})
@@ -440,11 +429,11 @@ def taeer(g: SnapshotGraph, u: int, terminals, root: int, rows) -> Arborescence:
 def d_merge(g: SnapshotGraph, u: int, terminals, root: int, rows) -> Arborescence:
     """Baseline: union of the per-terminal shortest paths, deduplicated.
 
-    rows are the sorted edge rows that `shortest_paths_to_root(g, u,
-    terminals, root)` returns, which are that union already, and a tree.
+    rows are sorted edge rows as taeer takes them, which are that union
+    already, and a tree.
     """
-    if root not in terminals:
-        raise ValueError("root must be one of the terminals")
+    if root not in terminals and root != g.geo_node:
+        raise ValueError("root must be a terminal or the graph's relay")
     # Rows are (src, dst)-sorted, so sorted rows give sorted pairs.
     eids = list(rows)
     pairs = zip(g.src[eids].tolist(), g.dst[eids].tolist())
@@ -476,7 +465,7 @@ def orbit_plan(g: SnapshotGraph, terminals) -> tuple:
     """orbit_greedy's layout for one round's terminals, the same in every
     frame of the round: the rows it may route on, looked up in one call.
 
-    One (orbit, arc, forward, backward, uplink) tuple per orbit holding
+    One (arc, forward, backward, uplink) tuple per orbit holding
     terminals, in ascending orbit order: arc is the orbit's minimal ring arc
     as node ids, forward[i] and backward[i] are the rows of arc[i] ->
     arc[i + 1] and arc[i + 1] -> arc[i], and uplink[i] is the row of arc[i]'s
@@ -496,47 +485,40 @@ def orbit_plan(g: SnapshotGraph, terminals) -> tuple:
         base = members[0] - slot_of[members[0]]
         arc = [base + k for k in _minimal_ring_arc([slot_of[t] for t in members],
                                                    ring_size)]
-        arcs.append((orbit, arc))
+        arcs.append(arc)
         src += arc[:-1] + arc[1:] + arc
         dst += arc[1:] + arc[:-1] + [g.geo_node] * len(arc)
     rows = g.edge_rows(src, dst).tolist()
     orbits, end = [], 0
-    for orbit, arc in arcs:
+    for arc in arcs:
         n = len(arc) - 1
         start, end = end, end + 3 * n + 1
-        orbits.append((orbit, tuple(arc), tuple(rows[start:start + n]),
+        orbits.append((tuple(arc), tuple(rows[start:start + n]),
                        tuple(rows[start + n:start + 2 * n]),
                        tuple(rows[start + 2 * n:end])))
     return tuple(orbits)
 
 
 def orbit_greedy(g: SnapshotGraph, u: int, plan: tuple,
-                 rng: np.random.Generator) -> OrbitForest:
+                 rng: np.random.Generator) -> Arborescence:
     """Baseline using intra-orbit links only.
 
     Each orbit holding terminals routes them along its minimal ring arc
     (from plan, see orbit_plan) to a randomly chosen arc node, drawn per
-    orbit in ascending orbit order, which uplinks to the GEO relay. Total
-    cost is the ring edges' weights summed in edge_ids order, plus the GEO
-    uplink energy of every occupied orbit.
+    orbit in ascending orbit order, which uplinks to the GEO relay. The
+    tree is rooted at the relay; cost is its rows' weights summed in row
+    order.
     """
-    edges, rows, roots, up_rows = [], [], [], []
-    for orbit, arc, forward, backward, uplink in plan:
-        root_pos = int(rng.integers(len(arc)))
-        roots.append((orbit, arc[root_pos]))
-        up_rows.append(uplink[root_pos])
-        # Arc nodes before the root send forward, the others backward.
-        edges += zip(arc[:root_pos], arc[1:root_pos + 1])
-        edges += zip(arc[root_pos + 1:], arc[root_pos:-1])
-        rows += forward[:root_pos]
-        rows += backward[root_pos:]
-    w = g.weights_j[u][rows + up_rows].tolist()
-    order = sorted(range(len(edges)), key=lambda i: edges[i][0])
-    uplink_cost = ordered_sum(w[len(edges):])
-    return OrbitForest(orbit_roots=tuple(roots), edges=tuple(edges[i] for i in order),
-                       edge_ids=tuple(rows[i] for i in order),
-                       uplink_nodes=tuple(r for _, r in roots), uplink_cost=uplink_cost,
-                       total_cost=ordered_sum(w[i] for i in order) + uplink_cost)
+    rows = []
+    for arc, forward, backward, uplink in plan:
+        k = int(rng.integers(len(arc)))
+        # Arc nodes before the root arc[k] send forward, the others backward.
+        rows += forward[:k] + backward[k:] + (uplink[k],)
+    rows.sort()
+    return Arborescence(root=g.geo_node,
+                        edges=tuple(zip(g.src[rows].tolist(), g.dst[rows].tolist())),
+                        total_cost=ordered_sum(g.weights_j[u][rows].tolist()),
+                        edge_ids=tuple(rows))
 
 
 def exact_dst_oracle(g: SnapshotGraph, terminals, root: int, u: int = 0,

@@ -5,9 +5,10 @@ Round t runs in the time slot starting at t * slot_len: the constellation is
 propagated at that absolute epoch (Earth rotation shifts the cluster
 longitudes, so terminal identities change across rounds) and the slot label
 is t mod slots_per_period. Energy is always charged from the true per-frame
-energy weights even when routing runs on outage-blended weights; the root's
-GEO uplink is charged deterministically and reported in the totals.
+energy weights even when routing runs on outage-blended weights; the GEO
+uplinks ending every tree are charged deterministically, in the totals.
 """
+import bisect
 import csv
 import json
 import math
@@ -200,44 +201,41 @@ def sample_attempts(rng: np.random.Generator, gamma0, params: LinkParams,
 
 
 def _solve_frame(algorithm: str, g: SnapshotGraph, u: int, terminals,
-                 root: int | None, plan, rng: np.random.Generator):
-    """One router's result at frame u; plan is the frame's shortest-path
-    rows toward root for the path routers and the round's
-    routing.orbit_plan for orbit_greedy."""
+                 plan, rng: np.random.Generator) -> routing.Arborescence:
+    """One router's tree at frame u, rooted at g's GEO relay; plan is the
+    frame's path rows with the root's uplink row for the path routers and
+    the round's routing.orbit_plan for orbit_greedy."""
     if algorithm == "taeer":
-        return routing.taeer(g, u, terminals, root, plan)
+        return routing.taeer(g, u, terminals, g.geo_node, plan)
     if algorithm == "d_merge":
-        return routing.d_merge(g, u, terminals, root, plan)
+        return routing.d_merge(g, u, terminals, g.geo_node, plan)
     if algorithm == "orbit_greedy":
         return routing.orbit_greedy(g, u, plan, rng)
     raise ValueError(f"unknown algorithm {algorithm}")
-
-
-def _uplink_nodes(result) -> tuple:
-    if isinstance(result, routing.OrbitForest):
-        return result.uplink_nodes
-    return (result.root,)
 
 
 def _simulate(cfg: ScenarioConfig, algorithms, collect_edges: bool = False):
     """Shared driver; returns ({algorithm: RunMetrics}, edge collections).
 
     Every algorithm sees identical terminal sets and identical per-round rng
-    seeds. The path routers (taeer, d_merge) pick their roots with their own
-    rngs and share one shortest-path search per (frame, root): the first to
-    reach a frame runs it, starting from the tree of the last frame searched
-    toward that root in the round. Only a successful search is kept, so a
-    search that raises fails each path router's round alike. orbit_greedy
-    looks its ring arcs' rows up once per round (routing.orbit_plan), and
-    draws only its arc roots per frame. Each routed frame's retransmissions
-    are drawn in one sample_attempts call over its rows in row order, and
-    their energy is added left to right. Routers run on the rows of the
-    energy graph (outage blending only re-weights them), so their edge_ids
-    index its true weights. A round whose charged energy is
-    not finite needed an unusable link and is marked failed. The analytic
-    outage of the routed rows comes from their gamma0 in one call per round
-    and algorithm, so a rho = 1 run evaluates no other row's. Edge
-    collections hold (tx_power, distance) per used LEO-LEO edge
+    seeds, and every router returns a tree rooted at the GEO relay. The path
+    routers (taeer, d_merge) pick the uplink satellite (the record's root)
+    with their own rngs and share one plan per (frame, root): the rows of
+    the shortest-path search toward root plus root's uplink row, looked up
+    once per round. The first to reach a frame searches, starting from the
+    tree of the last frame searched toward root in the round; only a
+    successful search is kept, so one that raises fails each path router's
+    round alike. orbit_greedy looks its ring arcs' rows up once per round
+    (routing.orbit_plan) and draws only its arc roots per frame. Routers
+    run on the rows of the energy graph (outage blending only re-weights
+    them), so their edge_ids index its true weights. A tree's uplink rows
+    add to the GEO energy one at a time; its LEO-LEO rows make the tree
+    energy, summed left to right, and only they are sampled for outage, in
+    one sample_attempts call per frame in row order. A round whose charged
+    energy is not finite needed an unusable link and is marked failed. The
+    analytic outage of the routed LEO-LEO rows comes from their gamma0 in
+    one call per round and algorithm, so a rho = 1 run evaluates no other
+    row's. Edge collections hold (tx_power, distance) per used LEO-LEO edge
     transmission, for threshold sweeps.
     """
     tx_power = scenario_tx_power(cfg)
@@ -257,10 +255,8 @@ def _simulate(cfg: ScenarioConfig, algorithms, collect_edges: bool = False):
         else:
             route_graph = graph
         _, terminals = terminals_for_round(cfg, t_abs)
-        # geo_w[u][v]: frame-u energy of LEO v's uplink to the GEO relay.
-        geo_w = graph.weights_j[:, graph.edge_rows(range(graph.geo_node),
-                                                   graph.geo_node)].tolist()
-        path_rows = {}   # (frame, root) -> sorted shortest-path rows
+        geo = graph.geo_node
+        path_rows = {}   # (frame, root) -> sorted path rows with root's uplink
         trees = {}       # root -> PathTree of the last frame searched
 
         for algorithm in algorithms:
@@ -271,6 +267,7 @@ def _simulate(cfg: ScenarioConfig, algorithms, collect_edges: bool = False):
             if algorithm in ("taeer", "d_merge"):
                 root = routing.select_root(graph, 0, terminals, cfg.root_rule, rng)
                 tree = trees.setdefault(root, routing.PathTree(root))
+                uplink = int(graph.edge_rows(root, geo))
             rec = RoundRecord(round_index=t, slot_label=t % m_slots,
                               algorithm=algorithm, root=root,
                               num_terminals=len(terminals), tree_energy_j=0.0,
@@ -282,16 +279,23 @@ def _simulate(cfg: ScenarioConfig, algorithms, collect_edges: bool = False):
                 for u in range(u_frames):
                     if root is not None:
                         if (u, root) not in path_rows:
-                            path_rows[u, root] = routing.shortest_paths_to_root(
+                            rows = routing.shortest_paths_to_root(
                                 route_graph, u, terminals, root, tree)
+                            bisect.insort(rows, uplink)
+                            path_rows[u, root] = rows
                         plan = path_rows[u, root]
                     result = _solve_frame(algorithm, route_graph, u, terminals,
-                                          root, plan, rng)
-                    eids = np.asarray(result.edge_ids, dtype=np.intp)
-                    w_tree = graph.weights_j[u][eids].tolist()
+                                          plan, rng)
+                    isl, w_tree = [], []
+                    w_rows = np.take(graph.weights_j[u], result.edge_ids).tolist()
+                    for (_, p), e, w in zip(result.edges, result.edge_ids, w_rows):
+                        if p == geo:
+                            rec.geo_energy_j += w
+                        else:
+                            isl.append(e)
+                            w_tree.append(w)
+                    eids = np.array(isl, dtype=np.intp)
                     rec.tree_energy_j += ordered_sum(w_tree)
-                    for v in _uplink_nodes(result):
-                        rec.geo_energy_j += geo_w[u][v]
                     routed_gamma0.append(graph.gamma0[u][eids])
                     rec.edge_frames += len(eids)
                     if collect_edges:

@@ -125,12 +125,15 @@ class SnapshotGraph:
         return self.src.astype(np.int64) * self.num_nodes + self.dst
 
     def edge_rows(self, src, dst) -> np.ndarray:
-        """Rows of the edges (src[i], dst[i]); src and dst broadcast.
+        """Rows of the edges (src[i], dst[i]); src and dst broadcast, and the
+        rows take their shape (0-d for two scalars).
 
         Raises KeyError naming every pair that is not an edge.
         """
         src, dst = np.broadcast_arrays(np.asarray(src, dtype=np.int64),
                                        np.asarray(dst, dtype=np.int64))
+        shape = src.shape
+        src, dst = src.ravel(), dst.ravel()
         keys = src * self.num_nodes + dst
         rows = np.searchsorted(self.edge_index, keys)
         # With dst in range, a key names one (src, dst) pair.
@@ -139,7 +142,7 @@ class SnapshotGraph:
         if not found.all():
             absent = list(zip(src[~found].tolist(), dst[~found].tolist()))
             raise KeyError(f"no edge(s) {absent}")
-        return rows
+        return rows.reshape(shape)
 
     @cached_property
     def reverse_lists(self) -> tuple:

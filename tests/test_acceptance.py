@@ -129,7 +129,7 @@ def test_criterion_4_aggregation_equivalence():
     tasks = hierfl.make_synthetic_tasks(8, hierfl.TrainingSettings(
         dim=10, samples_per_device=20, heterogeneity=1.0, noise_std=0.1,
         local_steps=1, learning_rate=0.02, batch_size=20), np.random.default_rng(4))
-    fed = hierfl.run_training(tasks, 50, np.random.default_rng(0))
+    fed = hierfl.run_training(tasks, [False] * 50, np.random.default_rng(0))
     cent = hierfl.centralized_gd(tasks, 50, 0.02)
     step_worst = max(abs(lf - lc) / max(abs(lc), 1e-30)
                      for (_, lf, _), (_, lc, _) in zip(fed, cent))

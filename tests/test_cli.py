@@ -344,6 +344,10 @@ rounds = 2
         if output == "metrics.json":
             data = json.loads(path.read_text(), parse_constant=reject_constant)
             assert data["avg_energy_per_slot_j"] is None
+        else:   # no round's update reached the model
+            with open(path, newline="") as fh:
+                losses = [row["global_loss"] for row in csv.DictReader(fh)]
+            assert len(losses) == 2 and len(set(losses)) == 1
 
 
 def _readme_default(cell):

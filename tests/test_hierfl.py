@@ -126,7 +126,7 @@ class TestRunTraining:
         tasks = hierfl.make_synthetic_tasks(6, TrainingSettings(
             dim=10, samples_per_device=16, heterogeneity=1.0, noise_std=0.2,
             local_steps=1, learning_rate=0.02, batch_size=16), rng)
-        fed = hierfl.run_training(tasks, 50, np.random.default_rng(0))
+        fed = hierfl.run_training(tasks, [False] * 50, np.random.default_rng(0))
         cent = hierfl.centralized_gd(tasks, 50, 0.02)
         for (_, lf, gf), (_, lc, gc) in zip(fed, cent):
             assert lf == pytest.approx(lc, rel=1e-10, abs=1e-10)
@@ -134,7 +134,7 @@ class TestRunTraining:
 
     def test_iid_moving_average_decreases(self):
         tasks = make_fleet(0.0, 0.03)
-        trace = hierfl.run_training(tasks, 100, np.random.default_rng(7))
+        trace = hierfl.run_training(tasks, [False] * 100, np.random.default_rng(7))
         losses = [x[1] for x in trace]
         ma = [float(np.mean(losses[i:i + 10])) for i in range(len(losses) - 9)]
         # Downward trend: upticks are bounded by the SGD noise floor, and the
@@ -153,17 +153,46 @@ class TestRunTraining:
         # client-drift bias added by heterogeneous data.
         def gap(h):
             tasks = make_fleet(h, 0.03)
-            fed = hierfl.run_training(tasks, 400, np.random.default_rng(7))
+            fed = hierfl.run_training(tasks, [False] * 400, np.random.default_rng(7))
             cent = hierfl.centralized_gd(tasks, 400 * 5, 0.03)
             return fed[-1][1] - cent[-1][1]
 
         g_iid, g_mid, g_het = gap(0.0), gap(1.0), gap(2.0)
         assert g_het > g_mid > g_iid
 
+    def test_failed_rounds_leave_the_model_unchanged(self):
+        # Every round fails: the loss stays the zero model's, and every
+        # device's update is still drawn.
+        tasks = make_fleet(0.0, 0.03)
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        trace = hierfl.run_training(tasks, [True] * 4, rng)
+        zero = hierfl.global_loss(tasks, np.zeros(tasks[0].features.shape[1]))
+        assert [(t, loss) for t, loss, _ in trace] == [(t, zero) for t in range(4)]
+        hierfl.run_training(tasks, [False] * 4, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_failed_round_between_applied_rounds(self):
+        # Round 1 fails: it keeps round 0's model, and round 2 starts from
+        # that model with the draws that follow round 1's.
+        tasks = make_fleet(0.0, 0.03)
+        trace = hierfl.run_training(tasks, [False, True, False], np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        weights = {t.device_id: t.weight for t in tasks}
+        x = np.zeros(tasks[0].features.shape[1])
+        models = []
+        for applied in (True, False, True):
+            deltas = {t.device_id: hierfl.local_update(t, x, rng) for t in tasks}
+            if applied:
+                x = x + hierfl.flat_aggregate(deltas, weights)
+            models.append(x)
+        assert [loss for _, loss, _ in trace] == [
+            hierfl.global_loss(tasks, m) for m in models]
+        assert trace[1][1:] == trace[0][1:] and trace[2][1] < trace[1][1]
+
     def test_divergence_aborts(self):
         tasks = make_fleet(0.0, 50.0)  # far above the stability cap
         with pytest.raises(hierfl.TrainingDivergedError):
-            hierfl.run_training(tasks, 200, np.random.default_rng(0))
+            hierfl.run_training(tasks, [False] * 200, np.random.default_rng(0))
 
 
 class TestLearningRateGuard:

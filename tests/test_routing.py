@@ -646,45 +646,47 @@ class TestOrbitGreedy:
     def greedy(g, u, terminals, rng):
         return orbit_greedy(g, u, orbit_plan(g, terminals), rng)
 
+    @staticmethod
+    def uplink_nodes(g, res):
+        return [c for c, p in res.edges if p == g.geo_node]
+
     def test_adjacent_terminals_one_orbit(self, snapshot):
         res = self.greedy(snapshot, 0, [3, 4, 5], np.random.default_rng(1))
-        assert len(res.orbit_roots) == 1
-        assert len(res.edges) == 2  # arc spans exactly the terminal range
-        assert len(res.uplink_nodes) == 1
+        assert res.root == snapshot.geo_node
+        assert len(self.uplink_nodes(snapshot, res)) == 1
+        assert len(res.edges) == 3  # the arc spans the terminals, plus the uplink
+        res.validate([3, 4, 5])
 
     def test_three_orbits_three_uplinks(self, snapshot):
         terminals = [2, 25, 47]  # orbits 0, 1, 2
         res = self.greedy(snapshot, 0, terminals, np.random.default_rng(1))
-        assert len(res.uplink_nodes) == 3
-        assert {o for o, _ in res.orbit_roots} == {0, 1, 2}
+        ups = self.uplink_nodes(snapshot, res)
+        assert snapshot.node_orbit[ups].tolist() == [0, 1, 2]
 
     def test_wraparound_arc(self, snapshot):
         # Slots 18, 19, 0, 1 of orbit 0: the minimal arc crosses the seam.
         res = self.greedy(snapshot, 0, [18, 19, 0, 1], np.random.default_rng(3))
-        assert len(res.edges) == 3
-        children = {c for c, _ in res.edges} | {p for _, p in res.edges}
-        assert children == {18, 19, 0, 1}
+        assert len(res.edges) == 4   # three ring hops and the uplink
+        assert res.nodes() == {18, 19, 0, 1, snapshot.geo_node}
 
     def test_cost_includes_uplinks(self, snapshot):
         res = self.greedy(snapshot, 0, [2, 25], np.random.default_rng(1))
-        ring = sum(snapshot.weights_j[0][e] for e in res.edge_ids)
-        ups = sum(snapshot.weights_j[0][snapshot.edge_rows(res.uplink_nodes,
-                                                            snapshot.geo_node)])
-        assert res.total_cost == pytest.approx(ring + ups, rel=1e-12)
-        assert res.uplink_cost == pytest.approx(ups, rel=1e-12)
+        assert len(self.uplink_nodes(snapshot, res)) == 2
+        assert res.total_cost == ordered_sum(
+            snapshot.weights_j[0].tolist()[e] for e in res.edge_ids)
 
     def test_root_choice_seeded(self, snapshot):
         a = self.greedy(snapshot, 0, [3, 9], np.random.default_rng(8))
         b = self.greedy(snapshot, 0, [3, 9], np.random.default_rng(8))
-        assert a.orbit_roots == b.orbit_roots and a.edges == b.edges
+        assert a == b
 
     def test_plan_rows_are_the_arcs_links(self, snapshot):
         # Terminals in orbits 0 (across the seam), 1 (one node) and 3.
         plan = orbit_plan(snapshot, [19, 1, 0, 25, 70, 66])
-        assert [(o, arc) for o, arc, *_ in plan] == [
-            (0, (19, 0, 1)), (1, (25,)), (3, (66, 67, 68, 69, 70))]
+        assert [arc for arc, *_ in plan] == [
+            (19, 0, 1), (25,), (66, 67, 68, 69, 70)]
         src, dst = snapshot.src.tolist(), snapshot.dst.tolist()
-        for _, arc, forward, backward, uplink in plan:
+        for arc, forward, backward, uplink in plan:
             pairs = list(zip(arc, arc[1:]))
             assert [(src[e], dst[e]) for e in forward] == pairs
             assert [(dst[e], src[e]) for e in backward] == pairs
@@ -692,22 +694,22 @@ class TestOrbitGreedy:
                 (v, snapshot.geo_node) for v in arc]
 
     def test_one_plan_serves_every_frame(self, snapshot):
-        # A round's plan is built once; each frame draws only the arc roots
-        # and charges that frame's weights.
+        # A round's plan is built once; each frame draws only the arc roots,
+        # one per orbit in orbit order, and charges that frame's weights.
         terminals = [2, 5, 25, 47, 50]
         plan = orbit_plan(snapshot, terminals)
-        rng = np.random.default_rng(4)
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
         for u in range(snapshot.frame_count):
             res = orbit_greedy(snapshot, u, plan, rng)
-            assert [o for o, _ in res.orbit_roots] == [0, 1, 2]
+            res.validate(terminals)
+            drawn = [uplink[int(ref.integers(len(arc)))] for arc, *_, uplink in plan]
+            assert [e for (_, p), e in zip(res.edges, res.edge_ids)
+                    if p == snapshot.geo_node] == drawn
             assert list(res.edge_ids) == snapshot.edge_rows(
                 [c for c, _ in res.edges], [p for _, p in res.edges]).tolist()
-            assert [c for c, _ in res.edges] == sorted(c for c, _ in res.edges)
+            assert list(res.edge_ids) == sorted(res.edge_ids)
             w = snapshot.weights_j[u].tolist()
-            ups = snapshot.edge_rows(res.uplink_nodes, snapshot.geo_node).tolist()
-            assert res.uplink_cost == ordered_sum(w[e] for e in ups)
-            assert res.total_cost == ordered_sum(
-                w[e] for e in res.edge_ids) + res.uplink_cost
+            assert res.total_cost == ordered_sum(w[e] for e in res.edge_ids)
 
     def test_requires_constellation_graph(self):
         g = graph_of(3, [(0, 1, 1.0)])

@@ -216,10 +216,14 @@ def test_gamma0_array_equals_scalar_calls(star_spec):
 
 
 def solve_frame(algorithm, g, u, terminals, root, rng):
-    """sim._solve_frame on the plan that _simulate would pass it."""
-    plan = (routing.orbit_plan(g, terminals) if algorithm == "orbit_greedy"
-            else routing.shortest_paths_to_root(g, u, terminals, root))
-    return sim._solve_frame(algorithm, g, u, terminals, root, plan, rng)
+    """sim._solve_frame on the plan that _simulate would pass it: root is
+    the path routers' uplink satellite."""
+    if algorithm == "orbit_greedy":
+        plan = routing.orbit_plan(g, terminals)
+    else:
+        plan = sorted(routing.shortest_paths_to_root(g, u, terminals, root)
+                      + [int(g.edge_rows(root, g.geo_node))])
+    return sim._solve_frame(algorithm, g, u, terminals, plan, rng)
 
 
 def test_routers_return_rows_of_the_energy_graph(star_spec):
@@ -263,12 +267,38 @@ def test_router_costs_are_left_to_right_edge_sums(shell, rho, delta_spec, star_s
             for algorithm in sim.ALGORITHMS:
                 res = solve_frame(algorithm, g, u, terminals, root,
                                   np.random.default_rng(u))
-                tree = left_to_right(w[e] for e in res.edge_ids)
-                if algorithm == "orbit_greedy":
-                    up = g.edge_rows(res.uplink_nodes, g.geo_node).tolist()
-                    assert res.uplink_cost == left_to_right(w[e] for e in up)
-                    tree += res.uplink_cost
-                assert res.total_cost == tree, algorithm
+                assert res.total_cost == left_to_right(
+                    w[e] for e in res.edge_ids), algorithm
+
+
+def test_every_tree_is_rooted_at_the_relay(delta_spec, monkeypatch):
+    # Each router's tree ends at the GEO relay. A path router's holds one
+    # uplink row, out of the record's root; orbit_greedy's one per occupied
+    # orbit.
+    cfg = make_scenario(delta_spec, algorithms=sim.ALGORITHMS, rounds=2)
+    trees = {a: [] for a in sim.ALGORITHMS}
+    real = sim._solve_frame
+
+    def spy(algorithm, g, u, terminals, plan, rng):
+        res = real(algorithm, g, u, terminals, plan, rng)
+        trees[algorithm].append((g, terminals, res))
+        return res
+
+    monkeypatch.setattr(sim, "_solve_frame", spy)
+    results = sim.compare_algorithms(cfg)
+    frames = cfg.times.frames_per_slot
+    for algorithm, m in results.items():
+        assert len(trees[algorithm]) == frames * cfg.rounds
+        for k, (g, terminals, res) in enumerate(trees[algorithm]):
+            assert isinstance(res, routing.Arborescence)
+            assert res.root == g.geo_node
+            res.validate(terminals)
+            ups = [c for c, p in res.edges if p == g.geo_node]
+            if algorithm == "orbit_greedy":
+                assert g.node_orbit[ups].tolist() == sorted(
+                    set(g.node_orbit[terminals].tolist()))
+            else:
+                assert ups == [m.records[k // frames].root]
 
 
 class TestRunScenario:
@@ -330,10 +360,10 @@ class TestRunScenario:
         real = sim._solve_frame
         state = {"round": 0}
 
-        def flaky(algorithm, g, u, terminals, root, rows, rng):
+        def flaky(algorithm, g, u, terminals, plan, rng):
             if state["round"] == 1:
                 raise RoutingInfeasibleError([terminals[0]], what="terminal")
-            return real(algorithm, g, u, terminals, root, rows, rng)
+            return real(algorithm, g, u, terminals, plan, rng)
 
         monkeypatch.setattr(sim, "_solve_frame", flaky)
         cfg = make_scenario(delta_spec, rounds=3)

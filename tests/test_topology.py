@@ -109,6 +109,15 @@ class TestEdgeRows:
         rows = g.edge_rows([], [])
         assert rows.shape == (0,) and rows.dtype == np.intp
 
+    def test_scalar_pairs(self):
+        g = SnapshotGraph.from_edge_list(4, [(2, 0, 1.0), (0, 3, 2.0), (0, 1, 3.0)])
+        row = g.edge_rows(0, 3)
+        assert row.shape == () and int(row) == 1
+        assert g.edge_rows(0, [[1, 3]]).tolist() == [[0, 1]]
+        with pytest.raises(KeyError) as exc:
+            g.edge_rows(3, 0)
+        assert exc.value.args[0] == "no edge(s) [(3, 0)]"
+
 
 class TestBuildSnapshot:
     def test_intra_orbit_ring_out_degree(self, delta_snapshot, delta_spec):
