@@ -405,7 +405,7 @@ def taeer(g: SnapshotGraph, u: int, terminals, root: int, rows) -> Arborescence:
     leaves are pruned away. The result covers every terminal; cost is the
     sum of the surviving edge weights.
     """
-    if root not in terminals and root != g.geo_node:
+    if root != g.geo_node and root not in terminals:
         raise ValueError("root must be a terminal or the graph's relay")
     idx = np.array(rows, dtype=np.intp)
     src, dst, w = g.src[idx].tolist(), g.dst[idx].tolist(), g.weights_j[u, idx].tolist()
@@ -432,7 +432,7 @@ def d_merge(g: SnapshotGraph, u: int, terminals, root: int, rows) -> Arborescenc
     rows are sorted edge rows as taeer takes them, which are that union
     already, and a tree.
     """
-    if root not in terminals and root != g.geo_node:
+    if root != g.geo_node and root not in terminals:
         raise ValueError("root must be a terminal or the graph's relay")
     # Rows are (src, dst)-sorted, so sorted rows give sorted pairs.
     eids = list(rows)

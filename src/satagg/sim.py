@@ -286,15 +286,12 @@ def _simulate(cfg: ScenarioConfig, algorithms, collect_edges: bool = False):
                         plan = path_rows[u, root]
                     result = _solve_frame(algorithm, route_graph, u, terminals,
                                           plan, rng)
-                    isl, w_tree = [], []
-                    w_rows = np.take(graph.weights_j[u], result.edge_ids).tolist()
-                    for (_, p), e, w in zip(result.edges, result.edge_ids, w_rows):
-                        if p == geo:
-                            rec.geo_energy_j += w
-                        else:
-                            isl.append(e)
-                            w_tree.append(w)
-                    eids = np.array(isl, dtype=np.intp)
+                    eids = np.asarray(result.edge_ids, dtype=np.intp)
+                    w_rows = graph.weights_j[u][eids]
+                    isl = graph.dst[eids] != geo
+                    for w in w_rows[~isl].tolist():
+                        rec.geo_energy_j += w
+                    eids, w_tree = eids[isl], w_rows[isl].tolist()
                     rec.tree_energy_j += ordered_sum(w_tree)
                     routed_gamma0.append(graph.gamma0[u][eids])
                     rec.edge_frames += len(eids)
