@@ -122,58 +122,43 @@ def shortest_path_csr(indptr, indices, weights, source, start=None):
 
 
 class PathTree:
-    """Reverse shortest-path tree toward root from the last frame of one
-    graph that `shortest_paths_to_root` searched: pred is the int array of
-    next hops, -1 at the root and at unreached nodes (None before the first
-    search).
+    """What the next frame's search toward root reads from the last frame of
+    one graph that `shortest_paths_to_root` searched: rows is the int array
+    of one tight out-row of every reached non-root node (its next-hop row,
+    unless the node is tied), in ascending distance order, ties by node id
+    (None before the first search).
 
     A caller keeps one per (graph, root) across that graph's frames, so
     each frame's search starts from the previous frame's tree: a slot fixes
     the topology and only the weights drift between frames.
     """
 
-    __slots__ = ("root", "pred")
+    __slots__ = ("root", "rows")
 
     def __init__(self, root: int):
         self.root = root
-        self.pred = None
+        self.rows = None
 
 
-def _tree_order(pred: np.ndarray) -> np.ndarray:
-    """The nodes with a next hop in the tree pred, each after its next hop:
-    sorted by depth, which pointer jumping finds in log2(depth) passes."""
-    up = np.where(pred >= 0, pred, np.arange(pred.size))
-    depth = (pred >= 0).astype(np.intp)   # edges from v up to up[v]
-    while True:
-        jump = up[up]
-        if np.array_equal(jump, up):
-            break
-        depth += depth[up]
-        up = jump
-    below = np.flatnonzero(depth)
-    return below[np.argsort(depth[below], kind="stable")]
-
-
-def _warm_start(g: SnapshotGraph, u: int, root: int, prev: np.ndarray) -> tuple:
-    """(dist, pred, seeds) for `shortest_path_csr` at frame u from the tree
-    prev of another frame: each node's label is re-summed along prev with
-    frame u's weights, next hop before node, as the search adds them, so it
-    is the float sum along a real path. A label whose path crosses a +inf
-    row stays +inf. The seeds are the nodes with an edge that improves a
-    label, found in one pass over all rows."""
-    order = _tree_order(prev)
-    hops = prev[order]
-    w_hop = np.take(g.weights_j[u], g.edge_rows(order, hops)).tolist()
+def _warm_start(g: SnapshotGraph, w: np.ndarray, root: int, rows: np.ndarray) -> tuple:
+    """(dist, pred, seeds) for `shortest_path_csr` on the frame weights w
+    from the tight rows of another frame's tree: in the stored order, each
+    row's tail takes its head's label plus the row's weight, so every finite
+    label is the float sum along a real path. A tail listed before its head
+    (possible only at equal distance, over a zero-weight or
+    rounding-absorbed row) keeps +inf, as does a label whose path crosses a
+    +inf row. The seeds are the nodes with an edge that improves a label,
+    found in one pass over all rows; the search from them repairs both."""
     dist = [math.inf] * g.num_nodes
     pred = [-1] * g.num_nodes
     dist[root] = 0.0
-    for v, x, w in zip(order.tolist(), hops.tolist(), w_hop):
-        d = dist[x] + w
+    for v, x, wv in zip(g.src[rows].tolist(), g.dst[rows].tolist(), w[rows].tolist()):
+        d = dist[x] + wv
         if d < math.inf:
             dist[v] = d
             pred[v] = x
     to_root = np.array(dist)
-    improves = g.weights_j[u] + np.take(to_root, g.dst) < np.take(to_root, g.src)
+    improves = w + np.take(to_root, g.dst) < np.take(to_root, g.src)
     seeds = np.zeros(g.num_nodes, dtype=bool)
     seeds[g.dst[improves]] = True
     return dist, pred, np.flatnonzero(seeds).tolist()
@@ -224,23 +209,24 @@ def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals, root: int,
     a node with one tight out-row takes it, and a tied node, with two or
     more, takes the one `_break_ties` picks (computed only when a walk
     meets a tied node). The rows are then a function of the distances
-    alone, and their union is a tree toward the root. A walk stops at the
-    first node of an earlier walk, whose rows are in the union already.
+    alone, and their union is a tree toward the root: the rows out of the
+    walked nodes. A walk stops at the first node of an earlier walk.
 
-    With a PathTree toward root that holds another frame's tree, the search
-    starts from that tree (`_warm_start`); the distances, and so the rows,
-    are bit-identical to a cold search's. On success the PathTree holds
-    this frame's tree; a search that raises leaves it as it was.
+    With a PathTree toward root that holds another frame's tight rows, the
+    search starts from them (`_warm_start`); the distances, and so the
+    rows, are bit-identical to a cold search's. On success the PathTree
+    holds this frame's tight rows; a search that raises leaves it as it was.
     """
     if tree is not None and tree.root != root:
         raise ValueError(f"the tree is rooted at {tree.root}, not at {root}")
     terms = [t for t in sorted(set(terminals)) if t != root]
     if not terms:
         return []
+    w = g.weights_j[u]
     ptr, nbr, wts = g.frame_reverse_csr(u)
     start = None
-    if tree is not None and tree.pred is not None:
-        start = _warm_start(g, u, root, tree.pred)
+    if tree is not None and tree.rows is not None:
+        start = _warm_start(g, w, root, tree.rows)
     dist, nxt = shortest_path_csr(ptr, nbr, wts, root, start=start)
     to_root = dist.tolist()
     missing = [t for t in terms if not math.isfinite(to_root[t])]
@@ -249,30 +235,28 @@ def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals, root: int,
     # inf == inf makes a row out of an unreached node tight; no terminal's
     # path passes one, since a tight row out of a reached node has a
     # reached head.
-    tight = np.flatnonzero(g.weights_j[u] + np.take(dist, g.dst) == np.take(dist, g.src))
+    tight = np.flatnonzero(w + np.take(dist, g.dst) == np.take(dist, g.src))
     tight_src = g.src[tight]
     tied = (np.bincount(tight_src, minlength=g.num_nodes) > 1).tolist()
     hop = np.zeros(g.num_nodes, dtype=np.intp)
     hop[tight_src] = tight
+    if tree is not None:
+        # Unreached nodes (+inf) sort last.
+        order = np.argsort(dist, kind="stable")[:np.count_nonzero(dist < math.inf)]
+        tree.rows = hop[order[order != root]]
     hop = hop.tolist()
     next_hop = nxt.tolist()
     ties_broken = False
-    union = set()
-    done = {root}   # nodes whose path rows are in the union
+    done = {root}   # the root and the walked nodes
     for t in terms:
-        walk = []
         x = t
         while x not in done:
             if tied[x] and not ties_broken:
                 _break_ties(g, tight, root, hop, next_hop)
                 ties_broken = True
-            walk.append(x)
+            done.add(x)
             x = next_hop[x]
-        done.update(walk)
-        union.update([hop[y] for y in walk])
-    if tree is not None:
-        tree.pred = nxt
-    return sorted(union)
+    return sorted(hop[y] for y in done - {root})
 
 
 def _msa_edge_ids(nodes, redges, root, next_id):

@@ -308,11 +308,24 @@ class TestWarmStart:
         g = SnapshotGraph.from_arrays(3, [0, 1, 0], [1, 2, 2], w)
         tree = PathTree(2)
         assert shortest_paths_to_root(g, 0, [0, 2], 2, tree) == [0, 2]
-        kept = tree.pred
+        kept = tree.rows
+        assert kept.tolist() == [2, 0]   # node 1's tight row, then node 0's
         with pytest.raises(RoutingInfeasibleError):
             shortest_paths_to_root(g, 1, [0, 2], 2, tree)
-        assert tree.pred is kept
+        assert tree.rows is kept
         assert shortest_paths_to_root(g, 2, [0, 2], 2, tree) == [1]
+
+    def test_node_listed_before_its_head_matches_cold_search(self, monkeypatch):
+        # Rows (1, 0), (1, 2), (2, 0), (3, 1). Over the zero-weight row
+        # (1, 2), node 1 is as far from the root as its head 2 and has the
+        # lower id, so the stored tree lists it first: re-summed in that
+        # order it keeps +inf, and only the seed pass reaches it and node 3.
+        w = np.array([[5.0, 0.0, 1.0, 2.0], [5.0, 0.0, 1.5, 2.5]])
+        g = SnapshotGraph.from_arrays(4, [1, 1, 2, 3], [0, 2, 0, 1], w)
+        tree = PathTree(0)
+        shortest_paths_to_root(g, 0, [0, 3], 0, tree)
+        assert tree.rows.tolist() == [1, 2, 3]
+        assert assert_warm_equals_cold(g, [0, 3], 0, monkeypatch) == 1
 
     def test_tree_of_another_root_rejected(self):
         g = graph_of(3, [(0, 1, 1.0), (1, 2, 1.0)])
