@@ -297,16 +297,15 @@ def write_snapshot_csv(path, g: SnapshotGraph) -> None:
     """Edge-list export: one row per (frame, edge) for external plotting."""
     if g.node_orbit is None:
         raise ValueError("graph carries no orbit/slot labels to export")
+    orbit, slot = g.node_orbit.tolist(), g.node_slot.tolist()
+    ends = [(orbit[i], slot[i], orbit[j], slot[j])
+            for i, j in zip(g.src.tolist(), g.dst.tolist())]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["slot", "frame", "src_orbit", "src_slot", "dst_orbit",
                     "dst_slot", "distance_km", "weight_j", "outage_prob"])
         for u in range(g.frame_count):
-            for e in range(g.num_edges):
-                i, j = g.src[e], g.dst[e]
-                w.writerow([g.slot_index, u,
-                            int(g.node_orbit[i]), int(g.node_slot[i]),
-                            int(g.node_orbit[j]), int(g.node_slot[j]),
-                            repr(float(g.distance_km[u, e])),
-                            repr(float(g.weights_j[u, e])),
-                            repr(float(g.outage_prob[u, e]))])
+            # csv writes a float as its repr.
+            w.writerows((g.slot_index, u, *e, d, wj, p) for e, d, wj, p in zip(
+                ends, g.distance_km[u].tolist(), g.weights_j[u].tolist(),
+                g.outage_prob[u].tolist()))

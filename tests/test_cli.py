@@ -1,5 +1,6 @@
 import configparser
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -175,6 +176,16 @@ class TestDispatch:
         assert code == 0
         header = (out / "snapshot_slot3.csv").read_text().splitlines()[0]
         assert header.startswith("slot,frame,src_orbit")
+
+    def test_export_snapshot_bytes_pinned(self, tmp_path):
+        # The shipped delta80 scenario's slot-3 export, as the writer wrote it
+        # when it still read one numpy scalar per value.
+        out = tmp_path / "snap"
+        assert parse_and_dispatch(["export-snapshot", "--config",
+                                   str(SCENARIOS / "walker_delta_80.cfg"),
+                                   "--slot", "3", "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "snapshot_slot3.csv").read_bytes()).hexdigest()
+        assert digest == "4d4165dc8ede4ae7fefee2e1aa56b5864106d19e3f0c0805e2c0531b0337e70f"
 
     def test_export_snapshot_matches_simulated_round(self, tmp_path, cfg_file,
                                                      monkeypatch):
