@@ -146,9 +146,10 @@ def _warm_start(g: SnapshotGraph, w: np.ndarray, root: int, rows: np.ndarray) ->
     row's tail takes its head's label plus the row's weight, so every finite
     label is the float sum along a real path. A tail listed before its head
     (possible only at equal distance, over a zero-weight or
-    rounding-absorbed row) keeps +inf, as does a label whose path crosses a
-    +inf row. The seeds are the nodes with an edge that improves a label,
-    found in one pass over all rows; the search from them repairs both."""
+    rounding-absorbed row) keeps +inf, and so does every label whose path
+    crosses such a node or a +inf row. The seeds are the nodes with an edge
+    that improves a label, found in one pass over all rows; the search from
+    them lowers every label to the cold search's."""
     dist = [math.inf] * g.num_nodes
     pred = [-1] * g.num_nodes
     dist[root] = 0.0

@@ -178,8 +178,7 @@ class TestDispatch:
         assert header.startswith("slot,frame,src_orbit")
 
     def test_export_snapshot_bytes_pinned(self, tmp_path):
-        # The shipped delta80 scenario's slot-3 export, as the writer wrote it
-        # when it still read one numpy scalar per value.
+        # The shipped delta80 scenario's slot-3 export, pinned byte for byte.
         out = tmp_path / "snap"
         assert parse_and_dispatch(["export-snapshot", "--config",
                                    str(SCENARIOS / "walker_delta_80.cfg"),
