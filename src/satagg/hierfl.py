@@ -191,20 +191,6 @@ def run_training(tasks, failed, rng: np.random.Generator):
     return trace
 
 
-def centralized_gd(tasks, rounds: int, learning_rate: float,
-                   x0: np.ndarray | None = None):
-    """Full-gradient descent on the global objective; the reference the
-    federated trajectory is compared against."""
-    dim = tasks[0].features.shape[1]
-    x = np.zeros(dim) if x0 is None else np.array(x0, dtype=float)
-    trace = []
-    for t in range(rounds):
-        x = x - learning_rate * global_gradient(tasks, x)
-        trace.append((t, global_loss(tasks, x),
-                      float(np.linalg.norm(global_gradient(tasks, x)))))
-    return trace
-
-
 def make_synthetic_tasks(num_devices: int, settings: TrainingSettings,
                          rng: np.random.Generator):
     """Linear-regression tasks with a controllable spread of per-device

@@ -33,10 +33,6 @@ class RoutingInfeasibleError(RuntimeError):
         super().__init__(f"{what}(s) cannot reach the root: {self.stranded}")
 
 
-class OracleSizeLimitError(ValueError):
-    """Instance too large for exhaustive enumeration."""
-
-
 @dataclass(frozen=True)
 class Arborescence:
     """Rooted aggregation tree; edges are (child, parent) toward the root."""
@@ -361,24 +357,6 @@ def _msa_rows(src, dst, w, root, nodes) -> dict:
     return {src[k]: k for k in _msa_edge_ids(nodes, redges, root, next_id=max(nodes) + 1)}
 
 
-def chu_liu_edmonds(g: SnapshotGraph, root: int, u: int = 0, nodes=None) -> Arborescence:
-    """Exact minimum spanning arborescence in data-flow orientation.
-
-    Spans `nodes` (default: every node incident to an edge, plus the root).
-    Raises RoutingInfeasibleError listing nodes that cannot reach the root.
-    """
-    src, dst = g.src.tolist(), g.dst.tolist()
-    nodes = set(src) | set(dst) if nodes is None else {int(v) for v in nodes}
-    nodes.add(root)
-    eids = [e for e, (i, j) in enumerate(zip(src, dst)) if i in nodes and j in nodes]
-    src, dst = [src[e] for e in eids], [dst[e] for e in eids]
-    w = np.take(g.weights_j[u], eids).tolist()
-    picked = sorted(_msa_rows(src, dst, w, root, nodes).values())
-    return Arborescence(root=root, edges=tuple((src[k], dst[k]) for k in picked),
-                        total_cost=ordered_sum(w[k] for k in picked),
-                        edge_ids=tuple(eids[k] for k in picked))
-
-
 def taeer(g: SnapshotGraph, u: int, terminals, root: int, rows) -> Arborescence:
     """Topology-aware energy-efficient routing for one frame.
 
@@ -504,31 +482,6 @@ def orbit_greedy(g: SnapshotGraph, u: int, plan: tuple,
                         edges=tuple(zip(g.src[rows].tolist(), g.dst[rows].tolist())),
                         total_cost=ordered_sum(g.weights_j[u][rows].tolist()),
                         edge_ids=tuple(rows))
-
-
-def exact_dst_oracle(g: SnapshotGraph, terminals, root: int, u: int = 0,
-                     max_nodes: int = 12) -> float:
-    """Exact minimum directed sub-branching cost by exhaustive enumeration
-    over Steiner-node subsets, solving a spanning arborescence on each
-    induced subgraph. Only viable for tiny instances."""
-    active = set(map(int, np.concatenate([g.src, g.dst]))) | {root}
-    if len(active) > max_nodes:
-        raise OracleSizeLimitError(
-            f"{len(active)} nodes exceed the {max_nodes}-node enumeration limit")
-    terminals = set(terminals) | {root}
-    candidates = sorted(active - terminals)
-    best = np.inf
-    for mask in range(1 << len(candidates)):
-        chosen = {candidates[i] for i in range(len(candidates)) if mask >> i & 1}
-        try:
-            arb = chu_liu_edmonds(g, root, u=u, nodes=terminals | chosen)
-        except RoutingInfeasibleError:
-            continue
-        if arb.total_cost < best:
-            best = arb.total_cost
-    if not np.isfinite(best):
-        raise RoutingInfeasibleError(sorted(terminals - {root}), what="terminal")
-    return float(best)
 
 
 def select_root(g: SnapshotGraph, u: int, terminals, rule: str,

@@ -12,7 +12,7 @@ import bisect
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -214,8 +214,8 @@ def _solve_frame(algorithm: str, g: SnapshotGraph, u: int, terminals,
     raise ValueError(f"unknown algorithm {algorithm}")
 
 
-def _simulate(cfg: ScenarioConfig, algorithms, collect_edges: bool = False):
-    """Shared driver; returns ({algorithm: RunMetrics}, edge collections).
+def _simulate(cfg: ScenarioConfig, algorithms) -> dict:
+    """Shared driver; returns {algorithm: RunMetrics}.
 
     Every algorithm sees identical terminal sets and identical per-round rng
     seeds, and every router returns a tree rooted at the GEO relay. The path
@@ -235,8 +235,7 @@ def _simulate(cfg: ScenarioConfig, algorithms, collect_edges: bool = False):
     energy is not finite needed an unusable link and is marked failed. The
     analytic outage of the routed LEO-LEO rows comes from their gamma0 in
     one call per round and algorithm, so a rho = 1 run evaluates no other
-    row's. Edge collections hold (tx_power, distance) per used LEO-LEO edge
-    transmission, for threshold sweeps.
+    row's.
     """
     tx_power = scenario_tx_power(cfg)
     round_seeds = np.random.SeedSequence(cfg.rng_seed).spawn(2)[1].spawn(cfg.rounds)
@@ -244,7 +243,6 @@ def _simulate(cfg: ScenarioConfig, algorithms, collect_edges: bool = False):
     m_slots = cfg.times.slots_per_period
 
     records = {a: [] for a in algorithms}
-    collected = {a: ([], []) for a in algorithms}  # (p_t list, d_km list)
 
     for t in range(cfg.rounds):
         t_abs = t * cfg.times.slot_len_s
@@ -295,9 +293,6 @@ def _simulate(cfg: ScenarioConfig, algorithms, collect_edges: bool = False):
                     rec.tree_energy_j += ordered_sum(w_tree)
                     routed_gamma0.append(graph.gamma0[u][eids])
                     rec.edge_frames += len(eids)
-                    if collect_edges:
-                        collected[algorithm][0].extend(tx_power[graph.src[eids]])
-                        collected[algorithm][1].extend(graph.distance_km[u][eids])
                     if cfg.outages_enabled:
                         ks, oks = sample_attempts(rng, routed_gamma0[-1].tolist(),
                                                   cfg.params, cfg.max_attempts)
@@ -343,40 +338,20 @@ def _simulate(cfg: ScenarioConfig, algorithms, collect_edges: bool = False):
             seed=cfg.rng_seed, avg_energy_per_slot_j=float(energy),
             avg_outage_per_isl_pct=outage, analytic_outage_pct=float(analytic),
             failed_rounds=len(recs) - len(good), records=recs)
-    edge_data = {a: (np.asarray(p), np.asarray(d)) for a, (p, d) in collected.items()}
-    return out, edge_data
+    return out
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     """Run the first configured algorithm over cfg.rounds rounds;
     deterministic under seed."""
     algorithm = cfg.algorithms[0]
-    results, _ = _simulate(cfg, (algorithm,))
-    return results[algorithm]
+    return _simulate(cfg, (algorithm,))[algorithm]
 
 
 def compare_algorithms(cfg: ScenarioConfig) -> dict:
     """Run every configured algorithm on identical terminal sets and
     per-round seeds; returns {algorithm: RunMetrics}."""
-    results, _ = _simulate(cfg, tuple(cfg.algorithms))
-    return results
-
-
-def sweep_snr_threshold(cfg: ScenarioConfig, thresholds_db) -> list:
-    """Analytic per-ISL outage of the routed trees under a range of receiver
-    SNR thresholds. Routing is done once at cfg.params' threshold and the
-    used edges are held fixed, so each sweep point re-evaluates only the
-    outage probability; per-edge monotonicity in the threshold is preserved
-    exactly. The routed algorithm is the first configured one."""
-    algorithm = cfg.algorithms[0]
-    _, edges = _simulate(cfg, (algorithm,), collect_edges=True)
-    p_t, d_km = edges[algorithm]
-    out = []
-    for th in thresholds_db:
-        params = replace(cfg.params, snr_th_db=float(th))
-        pout = channel.outage_from_gamma0(channel.gamma0(p_t, d_km, params), params)
-        out.append((float(th), float(100.0 * np.mean(pout))))
-    return out
+    return _simulate(cfg, tuple(cfg.algorithms))
 
 
 def comparison_table(results: dict) -> str:

@@ -187,20 +187,6 @@ class SnapshotGraph:
                    slot_index=slot_index, node_orbit=node_orbit, node_slot=node_slot,
                    geo_node=geo_node, link=link)
 
-    @classmethod
-    def from_edge_list(cls, num_nodes, edges, frame_count=1, slot_index=0):
-        """Synthetic test graph from [(u, v, w), ...]; the same weight is
-        replicated across frames."""
-        if edges:
-            src, dst, w = zip(*edges)
-        else:
-            src, dst, w = (), (), ()
-        weights = np.tile(np.asarray(w, dtype=float), (frame_count, 1))
-        return cls.from_arrays(num_nodes, np.asarray(src, dtype=np.int32),
-                               np.asarray(dst, dtype=np.int32), weights,
-                               slot_index=slot_index)
-
-
 def tx_power_draw(spec: ConstellationSpec, rng: np.random.Generator,
                   low_w: float, high_w: float) -> np.ndarray:
     """Per-satellite transmit power, drawn once per scenario."""

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -59,3 +60,73 @@ def route(router, g, u, terminals, root):
     shortest-path rows toward root, searched as the simulator does."""
     rows = routing.shortest_paths_to_root(g, u, terminals, root)
     return router(g, u, terminals, root, rows)
+
+
+def from_edge_list(num_nodes, edges, frame_count=1):
+    """Synthetic graph from [(u, v, w), ...]; the same weight is replicated
+    across frames."""
+    if edges:
+        src, dst, w = zip(*edges)
+    else:
+        src, dst, w = (), (), ()
+    weights = np.tile(np.asarray(w, dtype=float), (frame_count, 1))
+    return topology.SnapshotGraph.from_arrays(
+        num_nodes, np.asarray(src, dtype=np.int32), np.asarray(dst, dtype=np.int32), weights)
+
+
+def chu_liu_edmonds(g, root, u=0, nodes=None):
+    """Exact minimum spanning arborescence in data-flow orientation: the
+    package's arborescence core (`routing._msa_rows`) on a graph's rows.
+
+    Spans `nodes` (default: every node incident to an edge, plus the root).
+    Raises RoutingInfeasibleError listing nodes that cannot reach the root.
+    """
+    src, dst = g.src.tolist(), g.dst.tolist()
+    nodes = set(src) | set(dst) if nodes is None else {int(v) for v in nodes}
+    nodes.add(root)
+    eids = [e for e, (i, j) in enumerate(zip(src, dst)) if i in nodes and j in nodes]
+    src, dst = [src[e] for e in eids], [dst[e] for e in eids]
+    w = np.take(g.weights_j[u], eids).tolist()
+    picked = sorted(routing._msa_rows(src, dst, w, root, nodes).values())
+    return routing.Arborescence(root=root, edges=tuple((src[k], dst[k]) for k in picked),
+                                total_cost=topology.ordered_sum(w[k] for k in picked),
+                                edge_ids=tuple(eids[k] for k in picked))
+
+
+def routed_isl_links(cfg):
+    """sim.run_scenario(cfg) with taeer, cfg's first algorithm, wrapped to
+    record (tx power, distance) of every LEO-LEO row of every tree it
+    returns, in the order the simulator charges them; uplink rows end at
+    the GEO relay and are left out. Returns (RunMetrics, p_t, d_km)."""
+    assert cfg.algorithms[0] == "taeer"
+    tx_power = sim.scenario_tx_power(cfg)
+    p_t, d_km = [], []
+    solve = routing.taeer
+
+    def recording(g, u, terminals, root, rows):
+        tree = solve(g, u, terminals, root, rows)
+        eids = np.asarray(tree.edge_ids, dtype=np.intp)
+        eids = eids[g.dst[eids] != g.geo_node]
+        p_t.extend(tx_power[g.src[eids]])
+        d_km.extend(g.distance_km[u][eids])
+        return tree
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(routing, "taeer", recording)
+        metrics = sim.run_scenario(cfg)
+    return metrics, np.asarray(p_t), np.asarray(d_km)
+
+
+def sweep_snr_threshold(cfg, thresholds_db):
+    """Analytic per-ISL outage of the routed trees under a range of receiver
+    SNR thresholds, as (threshold, percent) pairs. Routing is done once at
+    cfg.params' threshold and the used rows are held fixed, so each sweep
+    point re-evaluates only the outage probability; per-edge monotonicity
+    in the threshold is preserved exactly."""
+    _, p_t, d_km = routed_isl_links(cfg)
+    out = []
+    for th in thresholds_db:
+        params = replace(cfg.params, snr_th_db=float(th))
+        pout = channel.outage_from_gamma0(channel.gamma0(p_t, d_km, params), params)
+        out.append((float(th), float(100.0 * np.mean(pout))))
+    return out

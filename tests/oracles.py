@@ -1,13 +1,23 @@
 """Independent reference implementations used only to check the package.
 
 These deliberately avoid the package's algorithms: Bellman-Ford instead of
-Dijkstra, exhaustive choice enumeration instead of contraction, adaptive
-quadrature instead of the closed form, one normal draw per call instead of
-batched draws.
+Dijkstra, exhaustive choice enumeration instead of contraction, a
+directed Steiner tree optimum from that enumeration over every Steiner-node
+subset instead of the path routers, full-gradient descent on the global
+objective instead of federated rounds, adaptive quadrature instead of the
+closed form, one normal draw per call instead of batched draws.
 """
 import math
 
+import numpy as np
 from scipy import integrate
+
+from satagg import hierfl
+from satagg.routing import RoutingInfeasibleError
+
+
+class OracleSizeLimitError(ValueError):
+    """Instance too large for exhaustive enumeration."""
 
 
 def bellman_ford(num_nodes, edges, source):
@@ -67,6 +77,46 @@ def enumerate_min_arborescence(edges, root, nodes):
 
     rec(0, 0.0)
     return best[0] if math.isfinite(best[0]) else None
+
+
+def exact_dst_oracle(g, terminals, root, u=0, max_nodes=12):
+    """Exact minimum directed Steiner tree cost toward root at frame u.
+
+    Every subset of the Steiner (non-terminal) nodes is scored with
+    enumerate_min_arborescence on the terminals, the root and the subset,
+    and the cheapest is the optimum. Only viable for tiny instances: more
+    than max_nodes nodes on the graph's edges raise OracleSizeLimitError.
+    """
+    src, dst = g.src.tolist(), g.dst.tolist()
+    edges = list(zip(src, dst, g.weights_j[u].tolist()))
+    active = set(src) | set(dst) | {root}
+    if len(active) > max_nodes:
+        raise OracleSizeLimitError(
+            f"{len(active)} nodes exceed the {max_nodes}-node enumeration limit")
+    terminals = set(terminals) | {root}
+    candidates = sorted(active - terminals)
+    best = math.inf
+    for mask in range(1 << len(candidates)):
+        chosen = {candidates[i] for i in range(len(candidates)) if mask >> i & 1}
+        cost = enumerate_min_arborescence(edges, root, terminals | chosen)
+        if cost is not None and cost < best:
+            best = cost
+    if not math.isfinite(best):
+        raise RoutingInfeasibleError(sorted(terminals - {root}), what="terminal")
+    return best
+
+
+def centralized_gd(tasks, rounds, learning_rate):
+    """Full-gradient descent on the global objective from the zero model;
+    the reference the federated trajectory is compared against. Returns
+    [(round, global_loss, grad_norm)] after each step."""
+    x = np.zeros(tasks[0].features.shape[1])
+    trace = []
+    for t in range(rounds):
+        x = x - learning_rate * hierfl.global_gradient(tasks, x)
+        trace.append((t, hierfl.global_loss(tasks, x),
+                      float(np.linalg.norm(hierfl.global_gradient(tasks, x)))))
+    return trace
 
 
 def sample_attempts_per_edge(rng, gamma0_value, params, max_attempts):

@@ -7,9 +7,19 @@ import time
 import numpy as np
 import pytest
 
-from conftest import TX_POWER_W, make_scenario, random_digraph, route
+from conftest import (
+    TX_POWER_W,
+    chu_liu_edmonds,
+    from_edge_list,
+    make_scenario,
+    random_digraph,
+    route,
+    sweep_snr_threshold,
+)
 from oracles import (
+    centralized_gd,
     enumerate_min_arborescence,
+    exact_dst_oracle,
     pointing_pdf_quadrature,
     pointing_pdf_quadrature_logspace,
 )
@@ -17,7 +27,6 @@ from satagg import channel, geometry, hierfl, routing, sim, topology
 from satagg.channel import LinkParams
 from satagg.cli import parse_and_dispatch
 from satagg.routing import RoutingInfeasibleError
-from satagg.topology import SnapshotGraph
 from test_routing import random_dst_instance
 
 
@@ -35,10 +44,10 @@ def test_criterion_1_msa_exactness():
         if not edges:
             continue
         root = int(rng.integers(n))
-        g = SnapshotGraph.from_edge_list(n, edges)
+        g = from_edge_list(n, edges)
         oracle = enumerate_min_arborescence(edges, root, range(n))
         try:
-            arb = routing.chu_liu_edmonds(g, root, nodes=range(n))
+            arb = chu_liu_edmonds(g, root, nodes=range(n))
         except RoutingInfeasibleError:
             assert oracle is None  # both sides must agree it is unsolvable
             infeasible_agreed += 1
@@ -60,7 +69,7 @@ def test_criterion_2_heuristic_sandwich():
     for k in range(200):
         g, terminals, root = random_dst_instance(
             rng, max_nodes=9, max_terminals=4, integer_weights=(k % 2 == 0))
-        opt = routing.exact_dst_oracle(g, terminals, root)
+        opt = exact_dst_oracle(g, terminals, root)
         arb = route(routing.taeer, g, 0, terminals, root)
         arb.validate(terminals)
         merged = route(routing.d_merge, g, 0, terminals, root)
@@ -130,7 +139,7 @@ def test_criterion_4_aggregation_equivalence():
         dim=10, samples_per_device=20, heterogeneity=1.0, noise_std=0.1,
         local_steps=1, learning_rate=0.02, batch_size=20), np.random.default_rng(4))
     fed = hierfl.run_training(tasks, [False] * 50, np.random.default_rng(0))
-    cent = hierfl.centralized_gd(tasks, 50, 0.02)
+    cent = centralized_gd(tasks, 50, 0.02)
     step_worst = max(abs(lf - lc) / max(abs(lc), 1e-30)
                      for (_, lf, _), (_, lc, _) in zip(fed, cent))
     assert step_worst <= 1e-10
@@ -212,7 +221,7 @@ def test_criterion_7_snr_threshold_trend(ordering_runs):
     for name in ("delta", "star"):
         cfg = make_scenario(ordering_runs[name]["spec"], algorithms=("taeer",),
                             rho=0.1, rounds=10, seed=2007, clusters=41)
-        sweep = sim.sweep_snr_threshold(cfg, thresholds)
+        sweep = sweep_snr_threshold(cfg, thresholds)
         values = [v for _, v in sweep]
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert values[-1] > values[0]

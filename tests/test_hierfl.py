@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracles import centralized_gd
 from satagg import hierfl
 from satagg.hierfl import LocalTask, TrainingSettings
 from satagg.routing import Arborescence
@@ -127,7 +128,7 @@ class TestRunTraining:
             dim=10, samples_per_device=16, heterogeneity=1.0, noise_std=0.2,
             local_steps=1, learning_rate=0.02, batch_size=16), rng)
         fed = hierfl.run_training(tasks, [False] * 50, np.random.default_rng(0))
-        cent = hierfl.centralized_gd(tasks, 50, 0.02)
+        cent = centralized_gd(tasks, 50, 0.02)
         for (_, lf, gf), (_, lc, gc) in zip(fed, cent):
             assert lf == pytest.approx(lc, rel=1e-10, abs=1e-10)
             assert gf == pytest.approx(gc, rel=1e-10, abs=1e-10)
@@ -143,7 +144,7 @@ class TestRunTraining:
         assert all(ma[i + 1] <= ma[i] + tol for i in range(len(ma) - 1))
         assert ma[10] < ma[0] and ma[-1] < 0.1 * ma[0]
         # Oracle: exact gradient descent with the same step budget ends lower.
-        cent = hierfl.centralized_gd(tasks, 100 * 5, 0.03)
+        cent = centralized_gd(tasks, 100 * 5, 0.03)
         assert cent[-1][1] <= losses[-1] + 1e-12
 
     def test_heterogeneity_widens_centralized_gap(self):
@@ -154,7 +155,7 @@ class TestRunTraining:
         def gap(h):
             tasks = make_fleet(h, 0.03)
             fed = hierfl.run_training(tasks, [False] * 400, np.random.default_rng(7))
-            cent = hierfl.centralized_gd(tasks, 400 * 5, 0.03)
+            cent = centralized_gd(tasks, 400 * 5, 0.03)
             return fed[-1][1] - cent[-1][1]
 
         g_iid, g_mid, g_het = gap(0.0), gap(1.0), gap(2.0)

@@ -4,15 +4,17 @@ import time
 import numpy as np
 import pytest
 
-from oracles import bellman_ford, enumerate_min_arborescence
+from oracles import (
+    OracleSizeLimitError,
+    bellman_ford,
+    enumerate_min_arborescence,
+    exact_dst_oracle,
+)
 from satagg import config, routing, sim, topology
 from satagg.routing import (
-    OracleSizeLimitError,
     PathTree,
     RoutingInfeasibleError,
-    chu_liu_edmonds,
     d_merge,
-    exact_dst_oracle,
     orbit_greedy,
     orbit_plan,
     select_root,
@@ -22,11 +24,19 @@ from satagg.routing import (
 )
 from satagg.topology import SnapshotGraph, ordered_sum
 
-from conftest import SCENARIOS, TX_POWER_W, make_scenario, random_digraph, route
+from conftest import (
+    SCENARIOS,
+    TX_POWER_W,
+    chu_liu_edmonds,
+    from_edge_list,
+    make_scenario,
+    random_digraph,
+    route,
+)
 
 
 def graph_of(n, edges, frames=1):
-    return SnapshotGraph.from_edge_list(n, edges, frame_count=frames)
+    return from_edge_list(n, edges, frame_count=frames)
 
 
 def reaches_root(n, edges, root):

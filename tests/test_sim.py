@@ -7,7 +7,7 @@ from operator import add
 import numpy as np
 import pytest
 
-from conftest import SCENARIOS, make_scenario
+from conftest import SCENARIOS, make_scenario, routed_isl_links, sweep_snr_threshold
 from oracles import sample_attempts_per_edge
 from satagg import channel, config, routing, sim, topology
 from satagg.geometry import ConfigError
@@ -495,10 +495,22 @@ def test_rho_pareto_trend(delta_spec):
 
 def test_sweep_snr_threshold_monotone(delta_spec):
     cfg = make_scenario(delta_spec, rho=0.1, rounds=2)
-    sweep = sim.sweep_snr_threshold(cfg, [-130, -120, -110, -100, -90, -80])
+    sweep = sweep_snr_threshold(cfg, [-130, -120, -110, -100, -90, -80])
     values = [v for _, v in sweep]
     assert all(b >= a for a, b in zip(values, values[1:]))
     assert values[-1] > values[0]
+
+
+@pytest.mark.parametrize("shell, rho", [("delta", 1.0), ("star", 0.1)])
+def test_routed_isl_links_match_the_charged_rows(shell, rho, delta_spec, star_spec):
+    # The sweep's rows are exactly the LEO-LEO rows the simulator charges,
+    # and recording them leaves the run as it was.
+    spec = delta_spec if shell == "delta" else star_spec
+    cfg = make_scenario(spec, rho=rho, rounds=3, clusters=41)
+    m, p_t, d_km = routed_isl_links(cfg)
+    frames = sum(r.edge_frames for r in m.records)
+    assert frames > 0 and len(p_t) == len(d_km) == frames
+    assert m.records == sim.run_scenario(cfg).records
 
 
 class TestExports:

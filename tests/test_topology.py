@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import TX_POWER_W, make_scenario
+from conftest import TX_POWER_W, from_edge_list, make_scenario
 from satagg import channel, geometry, sim, topology
 from satagg.geometry import ConfigError
 from satagg.topology import SnapshotGraph, TimeStructure
@@ -47,14 +47,14 @@ class TestTimeStructure:
 class TestSnapshotGraphContainer:
     def test_rejects_self_loops(self):
         with pytest.raises(ValueError):
-            SnapshotGraph.from_edge_list(3, [(0, 0, 1.0)])
+            from_edge_list(3, [(0, 0, 1.0)])
 
     def test_rejects_parallel_edges(self):
         with pytest.raises(ValueError):
-            SnapshotGraph.from_edge_list(3, [(0, 1, 1.0), (0, 1, 2.0)])
+            from_edge_list(3, [(0, 1, 1.0), (0, 1, 2.0)])
 
     def test_csr_ordering(self):
-        g = SnapshotGraph.from_edge_list(4, [(2, 0, 1.0), (0, 3, 2.0), (0, 1, 3.0)])
+        g = from_edge_list(4, [(2, 0, 1.0), (0, 3, 2.0), (0, 1, 3.0)])
         assert g.src.tolist() == [0, 0, 2]
         assert g.dst.tolist() == [1, 3, 0]
         assert g.weights_j[0].tolist() == [3.0, 2.0, 1.0]
@@ -99,7 +99,7 @@ class TestEdgeRows:
     def test_out_of_range_node_is_absent(self):
         # Key 0 * 2 + 2 equals the key of (1, 0); a dst outside the graph
         # must not alias it.
-        g = SnapshotGraph.from_edge_list(2, [(1, 0, 1.0)])
+        g = from_edge_list(2, [(1, 0, 1.0)])
         assert g.edge_rows([1], [0]).tolist() == [0]
         with pytest.raises(KeyError, match=r"\(0, 2\)"):
             g.edge_rows([0], [2])
@@ -110,7 +110,7 @@ class TestEdgeRows:
         assert rows.shape == (0,) and rows.dtype == np.intp
 
     def test_scalar_pairs(self):
-        g = SnapshotGraph.from_edge_list(4, [(2, 0, 1.0), (0, 3, 2.0), (0, 1, 3.0)])
+        g = from_edge_list(4, [(2, 0, 1.0), (0, 3, 2.0), (0, 1, 3.0)])
         row = g.edge_rows(0, 3)
         assert row.shape == () and int(row) == 1
         assert g.edge_rows(0, [[1, 3]]).tolist() == [[0, 1]]
@@ -226,7 +226,7 @@ class TestRobustWeights:
         assert np.all(r.weights_j[:, ~isl] == 0.0)  # uplinks outage-exempt
 
     def test_zero_outage_edge_scales_by_rho(self):
-        g = SnapshotGraph.from_edge_list(3, [(0, 1, 4.0), (1, 2, 2.0)])
+        g = from_edge_list(3, [(0, 1, 4.0), (1, 2, 2.0)])
         r = topology.robust_weights(g, 0.25)
         assert r.weights_j[0].tolist() == [1.0, 0.5]
 

@@ -1,0 +1,55 @@
+"""The benchmark's traced runs (`perfbench/run.py --trace 1`) wrap the
+package's functions and read names of its objects from their hooks: the
+graphs' `dropped_edges`, the trees' `validate`. A refactor that drops such a
+name crashes every traced run while the untraced suite still passes, so each
+traced command runs here on a small config."""
+import sys
+from pathlib import Path
+
+import pytest
+
+from satagg.cli import parse_and_dispatch
+from satagg.sim import ALGORITHMS
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from tracing import Tracer  # noqa: E402
+
+TRACED_CFG = """
+[constellation]
+pattern = delta
+altitude_km = 500
+inclination_deg = 45
+
+[time]
+frames_per_slot = 5
+
+[algorithms]
+names = taeer, d_merge, orbit_greedy
+rho = 0.1
+
+[run]
+rounds = 2
+seed = 42
+
+[training]
+rounds = 2
+"""
+
+
+@pytest.mark.parametrize("command, algorithms", [
+    ("compare-algorithms", ALGORITHMS), ("train", ("taeer",))],
+    ids=["compare-algorithms", "train"])
+def test_traced_command_runs_clean(tmp_path, command, algorithms):
+    cfg = tmp_path / "traced.cfg"
+    cfg.write_text(TRACED_CFG)
+    tracer = Tracer("traced").install()
+    try:
+        code = tracer.call("cli.parse_and_dispatch", parse_and_dispatch,
+                           [command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.errors == []
+    assert sorted(tracer.records) == sorted(algorithms)
+    assert all(len(recs) == 2 for recs in tracer.records.values())
+    assert tracer.metrics()["sim.frames"][0] == 2 * 5 * len(algorithms)
