@@ -109,8 +109,7 @@ def _cmd_export_snapshot(args) -> int:
     cfg = _scenario(args, cfgmod.read_config(args.config))
     t_abs = args.slot * cfg.times.slot_len_s
     g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, t_abs,
-                                sim.scenario_tx_power(cfg),
-                                slot_index=args.slot % cfg.times.slots_per_period)
+                                sim.scenario_tx_power(cfg))
     path = _out_path(args, f"snapshot_slot{args.slot}.csv")
     topology.write_snapshot_csv(path, g)
     print(f"wrote {path} ({g.num_edges} directed edges x {g.frame_count} frames)")

@@ -43,7 +43,6 @@ FIELDS = {
     ("clusters", "file"): (None, "file"),
     ("algorithms", "names"): (ScenarioConfig, "algorithms"),
     ("algorithms", "rho"): (ScenarioConfig, "rho"),
-    ("algorithms", "root_rule"): (ScenarioConfig, "root_rule"),
     ("run", "rounds"): (ScenarioConfig, "rounds"),
     ("run", "seed"): (ScenarioConfig, "rng_seed"),
     ("run", "max_attempts"): (ScenarioConfig, "max_attempts"),

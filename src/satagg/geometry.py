@@ -129,8 +129,8 @@ def positions(spec: ConstellationSpec, t) -> np.ndarray:
     bit-identical to a call with that epoch alone.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ConfigError("t", "must be >= 0")
+    if not np.all(np.isfinite(t) & (t >= 0)):
+        raise ConfigError("t", "must be finite and >= 0")
     a = spec.orbit_radius_km
     n_mean = math.sqrt(EARTH_MU_KM3_S2 / a ** 3)  # rad/s
     inc = math.radians(spec.inclination_deg)

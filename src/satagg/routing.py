@@ -22,9 +22,6 @@ import numpy as np
 
 from .topology import SnapshotGraph, ordered_sum
 
-ROOT_RULES = ("min_uplink", "random")   # select_root's rules
-
-
 class RoutingInfeasibleError(RuntimeError):
     """A required node cannot reach the root through the graph."""
 
@@ -118,11 +115,11 @@ def shortest_path_csr(indptr, indices, weights, source, start=None):
 
 
 class PathTree:
-    """What the next frame's search toward root reads from the last frame of
-    one graph that `shortest_paths_to_root` searched: rows is the int array
-    of one tight out-row of every reached non-root node (its next-hop row,
-    unless the node is tied), in ascending distance order, ties by node id
-    (None before the first search).
+    """The root that `shortest_paths_to_root` searches toward, and what the
+    next frame's search reads from the last frame of one graph that it
+    searched: rows is the int array of one tight out-row of every reached
+    non-root node (its next-hop row, unless the node is tied), in ascending
+    distance order, ties by node id (None before the first search).
 
     A caller keeps one per (graph, root) across that graph's frames, so
     each frame's search starts from the previous frame's tree: a slot fixes
@@ -194,10 +191,10 @@ def _break_ties(g: SnapshotGraph, tight: np.ndarray, root: int,
         next_hop[s] = d
 
 
-def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals, root: int,
-                           tree: PathTree | None = None) -> list:
-    """Sorted edge rows on the union of every terminal's shortest path to the
-    root at frame u; unreachable terminals raise.
+def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals,
+                           tree: PathTree) -> list:
+    """Sorted edge rows on the union of every terminal's shortest path to
+    tree.root at frame u; unreachable terminals raise.
 
     One search from the root over the reversed edges gives every node's
     distance to the root. A row is tight when w + dist[dst] == dist[src] in
@@ -209,20 +206,19 @@ def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals, root: int,
     alone, and their union is a tree toward the root: the rows out of the
     walked nodes. A walk stops at the first node of an earlier walk.
 
-    With a PathTree toward root that holds another frame's tight rows, the
-    search starts from them (`_warm_start`); the distances, and so the
-    rows, are bit-identical to a cold search's. On success the PathTree
-    holds this frame's tight rows; a search that raises leaves it as it was.
+    When the PathTree holds another frame's tight rows, the search starts
+    from them (`_warm_start`); the distances, and so the rows, are
+    bit-identical to a cold search's. On success the PathTree holds this
+    frame's tight rows; a search that raises leaves it as it was.
     """
-    if tree is not None and tree.root != root:
-        raise ValueError(f"the tree is rooted at {tree.root}, not at {root}")
+    root = tree.root
     terms = [t for t in sorted(set(terminals)) if t != root]
     if not terms:
         return []
     w = g.weights_j[u]
     ptr, nbr, wts = g.frame_reverse_csr(u)
     start = None
-    if tree is not None and tree.rows is not None:
+    if tree.rows is not None:
         start = _warm_start(g, w, root, tree.rows)
     dist, nxt = shortest_path_csr(ptr, nbr, wts, root, start=start)
     to_root = dist.tolist()
@@ -237,10 +233,9 @@ def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals, root: int,
     tied = (np.bincount(tight_src, minlength=g.num_nodes) > 1).tolist()
     hop = np.zeros(g.num_nodes, dtype=np.intp)
     hop[tight_src] = tight
-    if tree is not None:
-        # Unreached nodes (+inf) sort last.
-        order = np.argsort(dist, kind="stable")[:np.count_nonzero(dist < math.inf)]
-        tree.rows = hop[order[order != root]]
+    # Unreached nodes (+inf) sort last.
+    order = np.argsort(dist, kind="stable")[:np.count_nonzero(dist < math.inf)]
+    tree.rows = hop[order[order != root]]
     hop = hop.tolist()
     next_hop = nxt.tolist()
     ties_broken = False
@@ -484,22 +479,12 @@ def orbit_greedy(g: SnapshotGraph, u: int, plan: tuple,
                         edge_ids=tuple(rows))
 
 
-def select_root(g: SnapshotGraph, u: int, terminals, rule: str,
-                rng: np.random.Generator | None = None) -> int:
-    """Pick the aggregation root among the terminals by one of ROOT_RULES.
-
-    'min_uplink': the terminal with the cheapest GEO uplink at
-    frame u, ties to the lowest node id. 'random': seeded uniform choice.
-    """
+def select_root(g: SnapshotGraph, u: int, terminals) -> int:
+    """The aggregation root: the terminal with the cheapest GEO uplink at
+    frame u, ties to the lowest node id (the lowest terminal on a graph
+    without a relay)."""
     terms = sorted(set(terminals))
-    if rule == "random":
-        if rng is None:
-            raise ValueError("random root selection needs an rng")
-        return terms[int(rng.integers(len(terms)))]
-    if rule != "min_uplink":
-        raise ValueError(f"unknown root selection rule: {rule}")
     if g.geo_node is None:
         return terms[0]
     costs = g.weights_j[u][g.edge_rows(terms, g.geo_node)]
     return terms[int(np.argmin(costs))]
-

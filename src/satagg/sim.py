@@ -40,7 +40,6 @@ class ScenarioConfig:
     tx_power_min_w: float = 0.0316
     tx_power_max_w: float = 5.0
     max_attempts: int = 100
-    root_rule: str = "min_uplink"
 
     def __post_init__(self):
         # The seed first: config draws the clusters from it, and cannot from
@@ -50,15 +49,14 @@ class ScenarioConfig:
                                           f"got {self.rng_seed}")
         if not self.algorithms:
             raise ConfigError("algorithms", "need at least one algorithm")
-        for a in self.algorithms:
+        for k, a in enumerate(self.algorithms):
             if a not in ALGORITHMS:
                 raise ConfigError("algorithms", f"unknown algorithm {a!r} "
                                                 f"(choose from {sorted(ALGORITHMS)})")
+            if a in self.algorithms[:k]:
+                raise ConfigError("algorithms", f"{a!r} is named twice")
         if not 0.0 <= self.rho <= 1.0:
             raise ConfigError("rho", f"value {self.rho} outside the [0, 1] bound")
-        if self.root_rule not in routing.ROOT_RULES:
-            raise ConfigError("root_rule", f"must be one of {routing.ROOT_RULES}, "
-                                           f"got {self.root_rule!r}")
         for name in ("rounds", "max_attempts"):
             if getattr(self, name) < 1:
                 raise ConfigError(name, f"must be >= 1, got {getattr(self, name)}")
@@ -203,8 +201,8 @@ def sample_attempts(rng: np.random.Generator, gamma0, params: LinkParams,
 def _solve_frame(algorithm: str, g: SnapshotGraph, u: int, terminals,
                  plan, rng: np.random.Generator) -> routing.Arborescence:
     """One router's tree at frame u, rooted at g's GEO relay; plan is the
-    frame's path rows with the root's uplink row for the path routers and
-    the round's routing.orbit_plan for orbit_greedy."""
+    frame's path rows with the uplink satellite's uplink row for the path
+    routers and the round's routing.orbit_plan for orbit_greedy."""
     if algorithm == "taeer":
         return routing.taeer(g, u, terminals, g.geo_node, plan)
     if algorithm == "d_merge":
@@ -218,56 +216,57 @@ def _simulate(cfg: ScenarioConfig, algorithms) -> dict:
     """Shared driver; returns {algorithm: RunMetrics}.
 
     Every algorithm sees identical terminal sets and identical per-round rng
-    seeds, and every router returns a tree rooted at the GEO relay. The path
-    routers (taeer, d_merge) pick the uplink satellite (the record's root)
-    with their own rngs and share one plan per (frame, root): the rows of
-    the shortest-path search toward root plus root's uplink row, looked up
-    once per round. The first to reach a frame searches, starting from the
-    tree of the last frame searched toward root in the round; only a
-    successful search is kept, so one that raises fails each path router's
-    round alike. orbit_greedy looks its ring arcs' rows up once per round
-    (routing.orbit_plan) and draws only its arc roots per frame. Routers
-    run on the rows of the energy graph (outage blending only re-weights
-    them), so their edge_ids index its true weights. A tree's uplink rows
-    add to the GEO energy one at a time; its LEO-LEO rows make the tree
-    energy, summed left to right, and only they are sampled for outage, in
-    one sample_attempts call per frame in row order. A round whose charged
-    energy is not finite needed an unusable link and is marked failed. The
-    analytic outage of the routed LEO-LEO rows comes from their gamma0 in
-    one call per round and algorithm, so a rho = 1 run evaluates no other
-    row's.
+    seeds, and every router returns a tree rooted at the GEO relay. When a
+    path router (taeer, d_merge) runs, each round picks one uplink
+    satellite (routing.select_root; the path routers' record root), looks
+    its uplink row up and starts one routing.PathTree toward it. The path
+    routers share one plan per frame: the rows of the shortest-path search
+    toward the uplink satellite plus its uplink row. The first to reach a
+    frame searches, starting from the tree of the last frame searched in
+    the round; only a successful search is kept, so one that raises fails
+    each path router's round alike. orbit_greedy looks its ring arcs' rows
+    up once per round (routing.orbit_plan) and draws only its arc roots per
+    frame. Routers run on the rows of the energy graph (outage blending
+    only re-weights them), so their edge_ids index its true weights. A
+    tree's uplink rows add to the GEO energy one at a time; its LEO-LEO rows
+    make the tree energy, summed left to right, and only they are sampled
+    for outage, in one sample_attempts call per frame in row order. A round
+    whose charged energy is not finite needed an unusable link and is
+    marked failed. The analytic outage of the routed LEO-LEO rows comes
+    from their gamma0 in one call per round and algorithm, so a rho = 1 run
+    evaluates no other row's.
     """
     tx_power = scenario_tx_power(cfg)
     round_seeds = np.random.SeedSequence(cfg.rng_seed).spawn(2)[1].spawn(cfg.rounds)
     u_frames = cfg.times.frames_per_slot
-    m_slots = cfg.times.slots_per_period
+    path_routed = [a for a in algorithms if a in ("taeer", "d_merge")]
 
     records = {a: [] for a in algorithms}
 
     for t in range(cfg.rounds):
         t_abs = t * cfg.times.slot_len_s
         graph = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, t_abs,
-                                        tx_power, slot_index=t % m_slots)
+                                        tx_power)
         if cfg.rho < 1.0:
             route_graph = topology.robust_weights(graph, cfg.rho)
         else:
             route_graph = graph
         _, terminals = terminals_for_round(cfg, t_abs)
         geo = graph.geo_node
-        path_rows = {}   # (frame, root) -> sorted path rows with root's uplink
-        trees = {}       # root -> PathTree of the last frame searched
+        root = None
+        if path_routed:
+            root = routing.select_root(graph, 0, terminals)
+            uplink = int(graph.edge_rows(root, geo))
+            tree = routing.PathTree(root)
+            path_rows = [None] * u_frames   # sorted path rows with the uplink
 
         for algorithm in algorithms:
             rng = np.random.default_rng(round_seeds[t])
-            root = plan = None
             if algorithm == "orbit_greedy":
                 plan = routing.orbit_plan(route_graph, terminals)
-            if algorithm in ("taeer", "d_merge"):
-                root = routing.select_root(graph, 0, terminals, cfg.root_rule, rng)
-                tree = trees.setdefault(root, routing.PathTree(root))
-                uplink = int(graph.edge_rows(root, geo))
-            rec = RoundRecord(round_index=t, slot_label=t % m_slots,
-                              algorithm=algorithm, root=root,
+            rec = RoundRecord(round_index=t, slot_label=graph.slot_index,
+                              algorithm=algorithm,
+                              root=root if algorithm in path_routed else None,
                               num_terminals=len(terminals), tree_energy_j=0.0,
                               retrans_energy_j=0.0, geo_energy_j=0.0,
                               attempts=0, failures=0, analytic_outage_sum=0.0,
@@ -275,13 +274,13 @@ def _simulate(cfg: ScenarioConfig, algorithms) -> dict:
             routed_gamma0 = []   # per frame, the gamma0 of the routed rows
             try:
                 for u in range(u_frames):
-                    if root is not None:
-                        if (u, root) not in path_rows:
+                    if algorithm in path_routed:
+                        if path_rows[u] is None:
                             rows = routing.shortest_paths_to_root(
-                                route_graph, u, terminals, root, tree)
+                                route_graph, u, terminals, tree)
                             bisect.insort(rows, uplink)
-                            path_rows[u, root] = rows
-                        plan = path_rows[u, root]
+                            path_rows[u] = rows
+                        plan = path_rows[u]
                     result = _solve_frame(algorithm, route_graph, u, terminals,
                                           plan, rng)
                     eids = np.asarray(result.edge_ids, dtype=np.intp)

@@ -195,8 +195,10 @@ def tx_power_draw(spec: ConstellationSpec, rng: np.random.Generator,
 
 def build_snapshot(spec: ConstellationSpec, params: LinkParams,
                    times: TimeStructure, t_slot_start: float,
-                   tx_power_w: np.ndarray, slot_index: int | None = None) -> SnapshotGraph:
-    """Snapshot graph for the slot starting at t_slot_start.
+                   tx_power_w: np.ndarray) -> SnapshotGraph:
+    """Snapshot graph for the slot starting at t_slot_start, labelled with
+    its slot index within the period (t_slot_start / slot length, rounded,
+    mod slots_per_period).
 
     Connectivity is frozen at the slot start: both directions of every
     feasible LEO ISL, plus one uplink edge from every LEO to the aggregate
@@ -249,8 +251,7 @@ def build_snapshot(spec: ConstellationSpec, params: LinkParams,
                                       spec.sats_per_orbit), [-1]])
     slot = np.concatenate([np.tile(np.arange(spec.sats_per_orbit, dtype=np.int32),
                                    spec.num_orbits), [0]])
-    if slot_index is None:
-        slot_index = int(round(t_slot_start / times.slot_len_s))
+    slot_index = int(round(t_slot_start / times.slot_len_s)) % times.slots_per_period
     return SnapshotGraph.from_arrays(
         n_leo + 1, src, dst, weights, distance_km=dist,
         gamma0=channel.gamma0(p_t, dist, params), slot_index=slot_index,

@@ -58,7 +58,7 @@ def random_digraph(rng, max_nodes=12, p=0.4, w_low=0.01, w_high=10.0,
 def route(router, g, u, terminals, root):
     """A path router (taeer or d_merge) at frame u on that frame's
     shortest-path rows toward root, searched as the simulator does."""
-    rows = routing.shortest_paths_to_root(g, u, terminals, root)
+    rows = routing.shortest_paths_to_root(g, u, terminals, routing.PathTree(root))
     return router(g, u, terminals, root, rows)
 
 

@@ -203,7 +203,7 @@ def test_criterion_6_scale_runtime():
     clusters = sim.random_clusters(rng, 41)
     terminals = sorted(set(geometry.serving_satellites(
         clusters, 0.0, geometry.positions(spec, 0.0))))
-    root = routing.select_root(g, 0, terminals, "min_uplink")
+    root = routing.select_root(g, 0, terminals)
     t0 = time.perf_counter()
     arb = route(routing.taeer, g, 0, terminals, root)
     elapsed = time.perf_counter() - t0

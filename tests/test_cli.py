@@ -134,6 +134,12 @@ class TestDispatch:
         assert parse_and_dispatch(["run-scenario", "--config", str(bad)]) == 2
         assert "run.sample_outages" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_epoch_named(self, tmp_path, cfg_file, capsys, value):
+        assert parse_and_dispatch(["generate-constellation", "--config", cfg_file,
+                                   "--t", value, "--out", str(tmp_path)]) == 2
+        assert "config field 't': must be finite and >= 0" in capsys.readouterr().err
+
     def test_unknown_subcommand_exit_2(self, capsys):
         assert parse_and_dispatch(["frobnicate"]) == 2
 
@@ -235,7 +241,7 @@ def test_train_energy_is_run_scenario_energy(tmp_path):
     # train charges each training round with the routed round of the same
     # scenario: every scenario setting must reach it, not only the defaults.
     text = (SMALL_CFG.replace("rounds = 2", "rounds = 5")
-            .replace("rho = 1.0", "rho = 0.1\nroot_rule = random")
+            .replace("rho = 1.0", "rho = 0.1")
             .replace("seed = 11", "seed = 11\nmax_attempts = 1"))
     path = tmp_path / "train.cfg"
     path.write_text(text)
@@ -404,7 +410,8 @@ def test_shipped_scenarios_parse(path):
     ("time", "frames_per_slot", "0"),
     ("link", "rx_telescope_diameter_m", "-1"),
     ("link", "tx_power_min_w", "0"),
-    ("algorithms", "root_rule", "bogus"),
+    ("algorithms", "root_rule", "bogus"),   # a removed key, rejected as unknown
+    ("algorithms", "names", "taeer, d_merge, taeer"),
     ("run", "max_attempts", "0"),
     ("run", "seed", "-1"),
     ("training", "batch_size", "0"),

@@ -1,0 +1,91 @@
+"""Every output file of a set of short CLI commands, pinned by sha256.
+
+A refactor that means to keep the outputs must keep these digests. They
+were recorded with Python 3.11.7 and numpy 2.4.6 on x86-64; another numpy
+(or a libm with other rounding) may change the last bits of a float and
+with them a digest, which this test then reports file by file.
+
+The commands run on the shipped 80-satellite scenarios, cut to 2 routed
+rounds and 3 training rounds: `compare-algorithms` at rho 1 (delta) and at
+rho 0.1 (star, outage sampling on), `run-scenario`, `train`,
+`export-snapshot` at a slot past the first period, `link-sweep` and
+`generate-constellation`.
+"""
+import configparser
+import hashlib
+from pathlib import Path
+
+from satagg.cli import parse_and_dispatch
+
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
+
+# (name, scenario, extra arguments); outputs go to <tmp>/<name>/.
+COMMANDS = (
+    ("compare_rho1", "walker_delta_80.cfg", ["compare-algorithms"]),
+    ("compare_rho0.1", "walker_star_80.cfg", ["compare-algorithms"]),
+    ("run", "walker_star_80.cfg", ["run-scenario", "--algorithms", "d_merge"]),
+    ("train", "walker_delta_80.cfg", ["train"]),
+    ("snapshot", "walker_delta_80.cfg", ["export-snapshot", "--slot", "30"]),
+    ("sweep", "walker_delta_80.cfg", ["link-sweep"]),
+    ("ephemerides", "walker_delta_80.cfg", ["generate-constellation"]),
+)
+
+DIGESTS = {
+    "compare_rho1/comparison.json":
+        "093f34b4925684a1cfdb06fab90bd33423a078dcd920b6e2c7cab06e492c07e8",
+    "compare_rho1/rounds_d_merge.csv":
+        "f018915f251e00d82f0f31680e517fc505fea35d59d23a68c3605c9327e2e491",
+    "compare_rho1/rounds_orbit_greedy.csv":
+        "826e29d7a3ae43b8e79c0ee9a19862b4c12abd6839444f21a501ba2846dd077c",
+    "compare_rho1/rounds_taeer.csv":
+        "11f628b7ec58ad90d0cb49650ed11cc3d7be9242f9d3535fc40c5bbe126a050a",
+    "compare_rho0.1/comparison.json":
+        "429de1bef787de897ebe100fe57f7c71a1d8bdae5c95367fffe87ae977c9985f",
+    "compare_rho0.1/rounds_d_merge.csv":
+        "1ea3d873c2596ba72ed8d86aa24076d67c04d511234dbaf2a413008ce7af2ec7",
+    "compare_rho0.1/rounds_orbit_greedy.csv":
+        "41cc8eb572b0f87a80b0ede7cf3f2349f8a0e60822a90c634e2edfa718e4b621",
+    "compare_rho0.1/rounds_taeer.csv":
+        "19a613314e169b33662901d97ce251283ad84e300432e398199273baaed3ca6b",
+    "run/metrics.json":
+        "3db0825d58ac1db95c2c59fe4bfd0c08c339e72dc3dc6aac595b76aec186e81f",
+    "run/rounds.csv":
+        "1ea3d873c2596ba72ed8d86aa24076d67c04d511234dbaf2a413008ce7af2ec7",
+    "train/loss_trace.csv":
+        "406f9ae45fc42dbe01dd2a7756fe414990f9d58e02a675119676c5a308dd35a6",
+    "snapshot/snapshot_slot30.csv":
+        "d6e060e97d802df47a5c4dc423de3c46fdde696aad67c9b03ac10e3cd3eda035",
+    "sweep/link_sweep.csv":
+        "7390dc92d6db65070cab49ed13a98128fbd6471fcd92209da5dc8175ed51914f",
+    "ephemerides/ephemerides.csv":
+        "836c706bbee22ade3cc61b6ad59eed6d4144593b9a663e5f1a3fd60c9a311f4b",
+}
+
+
+def short_config(tmp_path, scenario):
+    """The shipped scenario with 2 routed rounds and 3 training rounds."""
+    values = configparser.ConfigParser(interpolation=None)
+    values.read(SCENARIOS / scenario)
+    values["run"]["rounds"] = "2"
+    values["training"] = {"rounds": "3"}
+    path = tmp_path / f"short_{scenario}"
+    with open(path, "w") as fh:
+        values.write(fh)
+    return path
+
+
+def output_digests(tmp_path):
+    """{"name/file": sha256} of every file the commands write."""
+    digests = {}
+    for name, scenario, argv in COMMANDS:
+        out = tmp_path / name
+        code = parse_and_dispatch(argv + ["--config", str(short_config(tmp_path, scenario)),
+                                          "--out", str(out)])
+        assert code == 0, name
+        for path in sorted(out.iterdir()):
+            digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+def test_outputs_match_pinned_digests(tmp_path):
+    assert output_digests(tmp_path) == DIGESTS

@@ -158,9 +158,9 @@ class TestShortestPathsToRoot:
             g = SnapshotGraph.from_arrays(g.num_nodes, g.src, g.dst, w)
             tree = PathTree(root)
             for u in range(2):
-                rows = shortest_paths_to_root(g, u, terminals, root, tree)
+                rows = shortest_paths_to_root(g, u, terminals, tree)
                 # Frame 1 starts warm from frame 0's tree.
-                assert rows == shortest_paths_to_root(g, u, terminals, root)
+                assert rows == shortest_paths_to_root(g, u, terminals, PathTree(root))
                 assert_tight_tree(g, u, terminals, root, rows)
 
     @pytest.mark.parametrize("shell, rho", [("delta", 1.0), ("star", 0.1)])
@@ -175,9 +175,9 @@ class TestShortestPathsToRoot:
             if rho < 1.0:
                 g = topology.robust_weights(g, rho)
             _, terminals = sim.terminals_for_round(cfg, t_abs)
-            root = select_root(g, 0, terminals, "min_uplink")
+            root = select_root(g, 0, terminals)
             for u in (0, 12, 24):
-                rows = shortest_paths_to_root(g, u, terminals, root)
+                rows = shortest_paths_to_root(g, u, terminals, PathTree(root))
                 assert_tight_tree(g, u, terminals, root, rows)
 
     def test_equal_cost_tie_takes_fewest_hops(self):
@@ -187,21 +187,21 @@ class TestShortestPathsToRoot:
         g = graph_of(5, [(0, 2, 1.0), (0, 3, 1.0), (2, 4, 1.0), (3, 1, 2.0),
                          (4, 1, 1.0)])
         assert shortest_path_csr(*g.frame_reverse_csr(0), 1)[1][0] == 2
-        assert shortest_paths_to_root(g, 0, [0, 1], 1) == [1, 3]   # 0-3-1
+        assert shortest_paths_to_root(g, 0, [0, 1], PathTree(1)) == [1, 3]   # 0-3-1
 
     def test_equal_hops_tie_goes_to_lowest_head(self):
         # Both routes from 0 cost 3 over two hops. The search reaches 0
         # through 3 first; the rule takes the lower head id, 2.
         g = graph_of(4, [(0, 2, 1.0), (0, 3, 2.0), (2, 1, 2.0), (3, 1, 1.0)])
         assert shortest_path_csr(*g.frame_reverse_csr(0), 1)[1][0] == 3
-        assert shortest_paths_to_root(g, 0, [0, 1], 1) == [0, 2]   # 0-2-1
+        assert shortest_paths_to_root(g, 0, [0, 1], PathTree(1)) == [0, 2]   # 0-2-1
 
     def test_zero_weight_rows_pointing_at_each_other_stay_acyclic(self):
         # 1 -> 2 and 2 -> 1 weigh 0, so node 1 is tied between 2 and the
         # root 3. The lowest head id alone would close the cycle 1-2-1; the
         # fewest hops send 1 to the root.
         g = graph_of(4, [(1, 2, 0.0), (2, 1, 0.0), (1, 3, 1.0)])
-        rows = shortest_paths_to_root(g, 0, [1, 2, 3], 3)
+        rows = shortest_paths_to_root(g, 0, [1, 2, 3], PathTree(3))
         assert rows == [1, 2]   # 2-1-3
         d_merge(g, 0, [1, 2, 3], 3, rows).validate([1, 2, 3])
 
@@ -211,7 +211,7 @@ class TestShortestPathsToRoot:
         # node 0 has one tight row and no tie is broken.
         g = graph_of(5, [(0, 2, 0.2), (2, 3, 0.4), (3, 1, 0.3),
                          (0, 4, 0.1), (4, 1, 0.8)])
-        assert shortest_paths_to_root(g, 0, [0, 1], 1) == [0, 2, 3]
+        assert shortest_paths_to_root(g, 0, [0, 1], PathTree(1)) == [0, 2, 3]
 
     def test_tied_node_takes_one_row_for_every_terminal(self):
         # Node 1 is tied: 1-0-3 and 1-3 both sum to 0.5 from the root 3.
@@ -219,14 +219,14 @@ class TestShortestPathsToRoot:
         # hops), so the union is a tree.
         g = graph_of(5, [(0, 3, 0.2), (1, 0, 0.3), (1, 3, 0.5), (2, 1, 0.4),
                          (4, 2, 0.7)])
-        rows = shortest_paths_to_root(g, 0, [0, 2, 3, 4], 3)
+        rows = shortest_paths_to_root(g, 0, [0, 2, 3, 4], PathTree(3))
         assert rows == [0, 2, 3, 4]
         d_merge(g, 0, [0, 2, 3, 4], 3, rows).validate([0, 2, 3, 4])
 
     def test_unreachable_terminals_listed(self):
         g = graph_of(4, [(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(RoutingInfeasibleError) as exc:
-            shortest_paths_to_root(g, 0, [0, 1, 2, 3], 1)
+            shortest_paths_to_root(g, 0, [0, 1, 2, 3], PathTree(1))
         assert exc.value.stranded == [2, 3]
 
 
@@ -255,8 +255,8 @@ def assert_warm_equals_cold(g, terminals, root, monkeypatch):
     warm = 0
     for u in range(g.frame_count):
         searched.clear()
-        assert rows_or_stranded(g, u, terminals, root, tree) == rows_or_stranded(
-            g, u, terminals, root), u
+        assert rows_or_stranded(g, u, terminals, tree) == rows_or_stranded(
+            g, u, terminals, PathTree(root)), u
         if not searched:     # no terminal other than the root
             continue
         (was_warm, (dist, pred)), (_, (cold_dist, cold_pred)) = searched
@@ -285,7 +285,7 @@ class TestWarmStart:
             if rho < 1.0:
                 g = topology.robust_weights(g, rho)
             _, terminals = sim.terminals_for_round(cfg, t_abs)
-            root = select_root(g, 0, terminals, "min_uplink")
+            root = select_root(g, 0, terminals)
             warm = assert_warm_equals_cold(g, terminals, root, monkeypatch)
             assert warm == g.frame_count - 1
 
@@ -317,13 +317,13 @@ class TestWarmStart:
         w = np.array([[1.0, 1.0, 5.0], [np.inf, 1.0, np.inf], [2.0, 1.0, 1.0]])
         g = SnapshotGraph.from_arrays(3, [0, 1, 0], [1, 2, 2], w)
         tree = PathTree(2)
-        assert shortest_paths_to_root(g, 0, [0, 2], 2, tree) == [0, 2]
+        assert shortest_paths_to_root(g, 0, [0, 2], tree) == [0, 2]
         kept = tree.rows
         assert kept.tolist() == [2, 0]   # node 1's tight row, then node 0's
         with pytest.raises(RoutingInfeasibleError):
-            shortest_paths_to_root(g, 1, [0, 2], 2, tree)
+            shortest_paths_to_root(g, 1, [0, 2], tree)
         assert tree.rows is kept
-        assert shortest_paths_to_root(g, 2, [0, 2], 2, tree) == [1]
+        assert shortest_paths_to_root(g, 2, [0, 2], tree) == [1]
 
     def test_node_listed_before_its_head_matches_cold_search(self, monkeypatch):
         # Rows (1, 0), (1, 2), (2, 0), (3, 1). Over the zero-weight row
@@ -333,14 +333,9 @@ class TestWarmStart:
         w = np.array([[5.0, 0.0, 1.0, 2.0], [5.0, 0.0, 1.5, 2.5]])
         g = SnapshotGraph.from_arrays(4, [1, 1, 2, 3], [0, 2, 0, 1], w)
         tree = PathTree(0)
-        shortest_paths_to_root(g, 0, [0, 3], 0, tree)
+        shortest_paths_to_root(g, 0, [0, 3], tree)
         assert tree.rows.tolist() == [1, 2, 3]
         assert assert_warm_equals_cold(g, [0, 3], 0, monkeypatch) == 1
-
-    def test_tree_of_another_root_rejected(self):
-        g = graph_of(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        with pytest.raises(ValueError):
-            shortest_paths_to_root(g, 0, [0, 2], 2, PathTree(1))
 
 
 def row_pairs(g, rows):
@@ -378,13 +373,13 @@ class TestSubstituteGraph:
 
     def test_single_terminal_is_the_path(self):
         g = graph_of(4, [(0, 1, 1.0), (1, 3, 1.0), (0, 2, 5.0), (2, 3, 5.0)])
-        rows = shortest_paths_to_root(g, 0, [0, 3], 3)
+        rows = shortest_paths_to_root(g, 0, [0, 3], PathTree(3))
         assert row_pairs(g, rows) == [(0, 1), (1, 3)]
         assert taeer(g, 0, [0, 3], 3, rows).edges == ((0, 1), (1, 3))
 
     def test_disjoint_paths_edge_count(self):
         g = graph_of(5, [(0, 2, 1.0), (2, 4, 1.0), (1, 3, 1.0), (3, 4, 1.0)])
-        rows = shortest_paths_to_root(g, 0, [0, 1, 4], 4)
+        rows = shortest_paths_to_root(g, 0, [0, 1, 4], PathTree(4))
         assert len(rows) == 4
         arb = taeer(g, 0, [0, 1, 4], 4, rows)
         assert arb.edge_ids == tuple(rows) and arb.total_cost == 4.0
@@ -392,7 +387,7 @@ class TestSubstituteGraph:
     def test_shared_suffix_deduplicated(self):
         # Both terminals funnel through 2 -> 3; the shared edge appears once.
         g = graph_of(4, [(0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-        rows = shortest_paths_to_root(g, 0, [0, 1, 3], 3)
+        rows = shortest_paths_to_root(g, 0, [0, 1, 3], PathTree(3))
         expected = [(0, 2), (1, 2), (2, 3)]  # set union oracle
         assert row_pairs(g, rows) == expected
         arb = taeer(g, 0, [0, 1, 3], 3, rows)
@@ -400,7 +395,7 @@ class TestSubstituteGraph:
 
     def test_empty_path_set_root_only(self):
         g = graph_of(3, [(0, 1, 1.0)])
-        rows = shortest_paths_to_root(g, 0, [2], 2)
+        rows = shortest_paths_to_root(g, 0, [2], PathTree(2))
         assert rows == []
         arb = taeer(g, 0, [2], 2, rows)
         assert arb.edges == () and arb.edge_ids == () and arb.total_cost == 0.0
@@ -783,17 +778,9 @@ class TestSelectRoot:
         txp = topology.tx_power_draw(delta_spec, np.random.default_rng(0), *TX_POWER_W)
         g = topology.build_snapshot(delta_spec, params, times, 0.0, txp)
         terms = [5, 23, 41, 66]
-        root = select_root(g, 0, terms, "min_uplink")
+        root = select_root(g, 0, terms)
         ups = dict(zip(terms, g.weights_j[0][g.edge_rows(terms, g.geo_node)]))
         assert ups[root] == min(ups.values())
-
-    def test_random_seeded(self):
-        g = graph_of(4, [(0, 1, 1.0), (2, 1, 1.0), (3, 1, 1.0)])
-        r1 = select_root(g, 0, [0, 2, 3], rule="random",
-                         rng=np.random.default_rng(4))
-        r2 = select_root(g, 0, [0, 2, 3], rule="random",
-                         rng=np.random.default_rng(4))
-        assert r1 == r2 and r1 in (0, 2, 3)
 
 
 def test_complexity_smoke():

@@ -16,15 +16,15 @@ from satagg.sim import ScenarioConfig, sample_attempts
 
 class TestScenarioConfig:
     def test_rejects_bad_rho(self, delta_spec, params):
-        # Like rho, max_attempts and root_rule are checked on construction
-        # rather than failing rounds or raising mid-run.
-        for field, value in (("rho", 1.5), ("max_attempts", 0), ("root_rule", "bogus")):
+        # Like rho, max_attempts is checked on construction rather than
+        # failing rounds or raising mid-run.
+        for field, value in (("rho", 1.5), ("max_attempts", 0)):
             with pytest.raises(ConfigError) as exc:
                 make_scenario(delta_spec, **{field: value})
             assert exc.value.field == field
 
     def test_rejects_unknown_algorithm(self, delta_spec):
-        for algorithms in (("magic",), ()):
+        for algorithms in (("magic",), (), ("taeer", "d_merge", "taeer")):
             with pytest.raises(ConfigError) as exc:
                 make_scenario(delta_spec, algorithms=algorithms)
             assert exc.value.field == "algorithms"
@@ -221,7 +221,8 @@ def solve_frame(algorithm, g, u, terminals, root, rng):
     if algorithm == "orbit_greedy":
         plan = routing.orbit_plan(g, terminals)
     else:
-        plan = sorted(routing.shortest_paths_to_root(g, u, terminals, root)
+        plan = sorted(routing.shortest_paths_to_root(g, u, terminals,
+                                                     routing.PathTree(root))
                       + [int(g.edge_rows(root, g.geo_node))])
     return sim._solve_frame(algorithm, g, u, terminals, plan, rng)
 
@@ -235,7 +236,7 @@ def test_routers_return_rows_of_the_energy_graph(star_spec):
     r = topology.robust_weights(g, cfg.rho)
     assert np.array_equal(r.src, g.src) and np.array_equal(r.dst, g.dst)
     _, terminals = sim.terminals_for_round(cfg, 0.0)
-    root = routing.select_root(g, 0, terminals, "min_uplink")
+    root = routing.select_root(g, 0, terminals)
     for algorithm in sim.ALGORITHMS:
         for u in range(g.frame_count):
             result = solve_frame(algorithm, r, u, terminals, root,
@@ -261,7 +262,7 @@ def test_router_costs_are_left_to_right_edge_sums(shell, rho, delta_spec, star_s
         if rho < 1.0:
             g = topology.robust_weights(g, rho)
         _, terminals = sim.terminals_for_round(cfg, t_abs)
-        root = routing.select_root(g, 0, terminals, "min_uplink")
+        root = routing.select_root(g, 0, terminals)
         for u in (0, 12, 24):
             w = g.weights_j[u].tolist()
             for algorithm in sim.ALGORITHMS:
@@ -387,6 +388,16 @@ class TestRunScenario:
             sum(r.total_energy_j for r in good) / len(good))
 
 
+def test_slot_label_is_the_graphs_slot(delta_spec):
+    # Rounds past the first period take the slot label of their graph.
+    cfg = make_scenario(delta_spec, algorithms=("d_merge",), rounds=26)
+    cfg = replace(cfg, times=replace(cfg.times, frames_per_slot=1))
+    m = cfg.times.slots_per_period
+    assert cfg.rounds > m
+    labels = [r.slot_label for r in sim.run_scenario(cfg).records]
+    assert labels == [t % m for t in range(cfg.rounds)]
+
+
 class TestCompareAlgorithms:
     def test_single_algorithm_single_column(self, delta_spec):
         cfg = make_scenario(delta_spec, algorithms=("orbit_greedy",), rounds=2)
@@ -402,29 +413,39 @@ class TestCompareAlgorithms:
             assert a.root == b.root
 
     @pytest.mark.parametrize("algorithms, searches_per_frame", [
-        (("taeer", "d_merge", "orbit_greedy"), 1), (("orbit_greedy",), 0)])
+        (("taeer", "d_merge", "orbit_greedy"), 1), (("orbit_greedy",), 0),
+        (("orbit_greedy", "d_merge"), 1), (("taeer",), 1)])
     def test_one_path_search_per_frame(self, delta_spec, monkeypatch,
                                        algorithms, searches_per_frame):
-        real = routing.shortest_paths_to_root
-        calls = []
+        # One uplink satellite per round with a path router, none for
+        # orbit_greedy alone, and one search per frame toward it.
+        real_search, real_select = routing.shortest_paths_to_root, routing.select_root
+        calls, roots = [], []
 
-        def counted(g, u, terminals, root, tree=None):
-            calls.append((u, root))
-            return real(g, u, terminals, root, tree)
+        def counted(g, u, terminals, tree):
+            calls.append((u, tree.root))
+            return real_search(g, u, terminals, tree)
+
+        def selected(*args):
+            roots.append(real_select(*args))
+            return roots[-1]
 
         monkeypatch.setattr(routing, "shortest_paths_to_root", counted)
+        monkeypatch.setattr(routing, "select_root", selected)
         cfg = make_scenario(delta_spec, algorithms=algorithms, rounds=2)
-        sim.compare_algorithms(cfg)
+        res = sim.compare_algorithms(cfg)
         frames = cfg.times.frames_per_slot
         assert len(calls) == searches_per_frame * cfg.rounds * frames
+        assert len(roots) == searches_per_frame * cfg.rounds
+        assert [root for _, root in calls] == [r for r in roots for _ in range(frames)]
+        for m in res.values():
+            want = roots if m.algorithm != "orbit_greedy" else [None] * cfg.rounds
+            assert [r.root for r in m.records] == want
 
-    @pytest.mark.parametrize("rho, root_rule", [
-        (1.0, "min_uplink"), (0.1, "min_uplink"), (1.0, "random"), (0.1, "random")])
-    def test_shared_search_matches_each_router_alone(self, delta_spec, rho,
-                                                     root_rule):
-        cfg = replace(make_scenario(delta_spec, rho=rho, rounds=3, seed=11,
-                                    algorithms=sim.ALGORITHMS),
-                      root_rule=root_rule)
+    @pytest.mark.parametrize("rho", [1.0, 0.1])
+    def test_shared_search_matches_each_router_alone(self, delta_spec, rho):
+        cfg = make_scenario(delta_spec, rho=rho, rounds=3, seed=11,
+                            algorithms=sim.ALGORITHMS)
         together = sim.compare_algorithms(cfg)
         for algorithm in sim.ALGORITHMS:
             alone = sim.run_scenario(replace(cfg, algorithms=(algorithm,)))
@@ -438,10 +459,10 @@ class TestCompareAlgorithms:
         # round index here (3 rounds < slots_per_period).
         assert cfg.rounds < cfg.times.slots_per_period
 
-        def flaky(g, u, terminals, root, tree=None):
+        def flaky(g, u, terminals, tree):
             if g.slot_index == 1 and u == 3:
                 raise RoutingInfeasibleError([terminals[0]], what="terminal")
-            return real(g, u, terminals, root, tree)
+            return real(g, u, terminals, tree)
 
         monkeypatch.setattr(routing, "shortest_paths_to_root", flaky)
         res = sim.compare_algorithms(cfg)

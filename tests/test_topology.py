@@ -199,6 +199,16 @@ class TestBuildSnapshot:
 
         assert intra(g0) == intra(g1)
 
+    def test_slot_label_wraps_at_the_period(self, delta_spec, params):
+        # Slot 30 of a 23-slot period is labelled 7, as every caller labels it.
+        times = TimeStructure.for_constellation(delta_spec, frames_per_slot=1)
+        assert times.slots_per_period == 23
+        txp = topology.tx_power_draw(delta_spec, np.random.default_rng(0), *TX_POWER_W)
+        for slot, label in ((0, 0), (22, 22), (23, 0), (30, 7)):
+            g = topology.build_snapshot(delta_spec, params, times,
+                                        slot * times.slot_len_s, txp)
+            assert g.slot_index == label, slot
+
     def test_weight_against_scalar_channel_path(self, delta_snapshot, params):
         g, times, txp = delta_snapshot
         for e in (0, g.num_edges // 2, g.num_edges - 1):
