@@ -23,6 +23,10 @@ pointing loss has CDF 1 - erf(sqrt(-ln x / (2*G0*sigma_p^2))) and density
 
 which integrates to 1 over (0, 1) (both endpoints are integrable
 singularities when c < 1).
+
+The functions take arrays (a scalar is a 0-d array) and broadcast over
+them. `link_budget` is the one place that composes the chain from transmit
+power and range to a frame's energy and outage threshold.
 """
 import math
 from dataclasses import dataclass, fields
@@ -114,22 +118,13 @@ class LinkParams:
         return 10.0 ** (self.snr_th_db / 10.0)
 
 
-@dataclass(frozen=True)
-class LinkMetrics:
-    distance_km: float
-    rx_power_w: float
-    snr_linear: float
-    rate_bps: float
-    energy_j: float
-    outage_prob: float
-
-
 def free_space_loss(d_m, wavelength_m: float):
-    """(lambda / (4*pi*d))^2; accepts scalar or array distance in metres.
+    """(lambda / (4*pi*d))^2 of an array of distances in metres.
 
-    Squares by multiplying, as numpy does for an array ** 2, so a scalar
-    call rounds exactly as the same element of an array call; a float64
-    scalar ** 2 goes through pow, which is 1 ulp off for some inputs.
+    Squares by multiplying, as numpy does for an array ** 2, so a 0-d
+    distance (whose ratio numpy returns as a float64 scalar) rounds exactly
+    as the same element of a longer array; a float64 scalar ** 2 goes
+    through pow, which is 1 ulp off for some inputs.
     """
     ratio = wavelength_m / (4.0 * math.pi * d_m)
     return ratio * ratio
@@ -144,9 +139,8 @@ def received_power(p_t_w, d_km, params: LinkParams):
     if np.any(d_m <= 0):
         raise ValueError("distance must be > 0 (path loss is singular at 0)")
     l_pl = math.exp(-params.g0 * params.theta_0_rad ** 2)
-    out = (p_t * params.eta_s * params.g_t * params.g_r * l_pl
-           * free_space_loss(d_m, params.wavelength_m))
-    return float(out) if np.isscalar(d_km) and np.isscalar(p_t_w) else out
+    return (p_t * params.eta_s * params.g_t * params.g_r * l_pl
+            * free_space_loss(d_m, params.wavelength_m))
 
 
 def noise_power(params: LinkParams) -> float:
@@ -171,11 +165,10 @@ def frame_energy(p_t_w, rate_bps, params: LinkParams, frames_per_slot: int):
     """
     rate = np.asarray(rate_bps, dtype=float)
     with np.errstate(divide="ignore"):
-        out = np.where(rate > 0,
-                       params.payload_bits * np.asarray(p_t_w, dtype=float)
-                       / (frames_per_slot * rate),
-                       np.inf)
-    return float(out) if np.isscalar(rate_bps) and np.isscalar(p_t_w) else out
+        return np.where(rate > 0,
+                        params.payload_bits * np.asarray(p_t_w, dtype=float)
+                        / (frames_per_slot * rate),
+                        np.inf)
 
 
 def _power_exponent(params: LinkParams) -> float:
@@ -189,8 +182,7 @@ def pointing_loss_pdf(theta, params: LinkParams):
     if np.any(x <= 0.0) or np.any(x >= 1.0):
         raise ValueError("pointing loss density is defined on (0, 1)")
     c = _power_exponent(params)
-    out = math.sqrt(c / math.pi) * x ** (c - 1.0) / np.sqrt(-np.log(x))
-    return float(out) if np.isscalar(theta) else out
+    return math.sqrt(c / math.pi) * x ** (c - 1.0) / np.sqrt(-np.log(x))
 
 
 def gamma0(p_t_w, d_km, params: LinkParams):
@@ -198,8 +190,7 @@ def gamma0(p_t_w, d_km, params: LinkParams):
     d_m = np.asarray(d_km, dtype=float) * 1e3
     denom = (np.asarray(p_t_w, dtype=float) * params.eta_s * params.g_t
              * params.g_r * free_space_loss(d_m, params.wavelength_m))
-    out = noise_power(params) * params.snr_th_linear / denom
-    return float(out) if np.isscalar(d_km) and np.isscalar(p_t_w) else out
+    return noise_power(params) * params.snr_th_linear / denom
 
 
 def _erf(x):
@@ -215,30 +206,16 @@ def outage_from_gamma0(g0_val, params: LinkParams):
     scale = 2.0 * params.g0 * params.sigma_p_rad ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         arg = np.sqrt(np.maximum(-np.log(g), 0.0) / scale)
-    out = np.where(g >= 1.0, 1.0, np.where(g <= 0.0, 0.0, 1.0 - _erf(arg)))
-    return float(out) if np.isscalar(g0_val) else out
+    return np.where(g >= 1.0, 1.0, np.where(g <= 0.0, 0.0, 1.0 - _erf(arg)))
 
 
-def outage_probability(p_t_w, d_km, params: LinkParams):
-    """Outage probability of the link (p_t_w, d_km)."""
-    if np.any(np.asarray(p_t_w) <= 0):
-        raise ValueError("p_t_w must be > 0")
-    return outage_from_gamma0(gamma0(p_t_w, d_km, params), params)
-
-
-def link_metrics(p_t_w: float, d_km: float, params: LinkParams,
-                 frames_per_slot: int) -> LinkMetrics:
-    """Full per-edge budget evaluation for one transmit power and range;
-    energy_j is the energy of one of frames_per_slot frames."""
-    p_r = received_power(p_t_w, d_km, params)
-    sigma2 = noise_power(params)
-    rate = achievable_rate(p_r, sigma2, params)
-    return LinkMetrics(
-        distance_km=float(d_km),
-        rx_power_w=float(p_r),
-        snr_linear=float(p_r / sigma2),
-        rate_bps=float(rate),
-        energy_j=float(frame_energy(p_t_w, rate, params, frames_per_slot)),
-        outage_prob=float(outage_probability(p_t_w, d_km, params)),
-    )
-
+def link_budget(p_t_w, d_km, params: LinkParams, frames_per_slot: int):
+    """(energy_j, gamma0) of the links (p_t_w, d_km), broadcast over power
+    and range: energy_j ships one of frames_per_slot frames at the Shannon
+    rate of the received power (+inf where that rate is 0), and gamma0 is
+    the outage threshold that outage_from_gamma0 maps to the link's outage
+    probability."""
+    rate = achievable_rate(received_power(p_t_w, d_km, params),
+                           noise_power(params), params)
+    return (frame_energy(p_t_w, rate, params, frames_per_slot),
+            gamma0(p_t_w, d_km, params))

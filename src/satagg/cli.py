@@ -106,6 +106,8 @@ def _cmd_generate_constellation(args) -> int:
 
 
 def _cmd_export_snapshot(args) -> int:
+    if args.slot < 0:
+        raise cfgmod.ConfigError("slot", f"must be >= 0, got {args.slot}")
     cfg = _scenario(args, cfgmod.read_config(args.config))
     t_abs = args.slot * cfg.times.slot_len_s
     g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, t_abs,

@@ -19,9 +19,6 @@ from .constants import (
     SIDEREAL_DAY_S,
 )
 
-SatId = tuple[int, int]  # (orbit index, slot index within orbit)
-
-
 class ConfigError(ValueError):
     """A setting outside its bounds. field names it: the parameter of the
     class or function that checks it, or a config file's section.key."""
@@ -91,13 +88,6 @@ class ConstellationSpec:
 
 
 @dataclass(frozen=True)
-class SatelliteEphemeris:
-    sat_id: SatId
-    position_km: np.ndarray
-    epoch_s: float
-
-
-@dataclass(frozen=True)
 class GroundCluster:
     """Fixed surface region; device_weights are the aggregation weights of the
     devices it hosts (global sum over all clusters must be 1)."""
@@ -156,16 +146,6 @@ def positions(spec: ConstellationSpec, t) -> np.ndarray:
     return out
 
 
-def propagate(spec: ConstellationSpec, t: float) -> list[SatelliteEphemeris]:
-    """One ephemeris per satellite at time t, ordered by (orbit, slot)."""
-    pos = positions(spec, t)
-    out = []
-    for n in range(spec.num_orbits):
-        for k in range(spec.sats_per_orbit):
-            out.append(SatelliteEphemeris((n, k), pos[n * spec.sats_per_orbit + k], t))
-    return out
-
-
 def comm_radius_km(altitude_km: float) -> float:
     """Maximum ISL range 2*sqrt((R_E+h)^2 - R_E^2): twice the horizon slant,
     so the link line keeps clear of the Earth's limb."""
@@ -175,63 +155,21 @@ def comm_radius_km(altitude_km: float) -> float:
     return 2.0 * math.sqrt(h_star ** 2 - EARTH_RADIUS_KM ** 2)
 
 
-def _ring_adjacent(i: int, j: int, ring_size: int) -> bool:
-    d = abs(i - j)
-    return d == 1 or d == ring_size - 1
-
-
-def nearest_in_orbit(from_pos: np.ndarray, orbit_positions: np.ndarray) -> tuple[int, float]:
-    """Index (slot) and distance of the closest satellite in another orbit.
-
-    Ties resolve to the lowest slot index (argmin keeps the first minimum).
-    """
-    d = np.linalg.norm(orbit_positions - from_pos, axis=1)
-    k = int(np.argmin(d))
-    return k, float(d[k])
-
-
-def isl_feasible(a: SatelliteEphemeris, b: SatelliteEphemeris,
-                 spec: ConstellationSpec,
-                 ephemerides: list[SatelliteEphemeris]) -> bool:
-    """Whether a may open a laser ISL toward b.
-
-    Same orbit: only ring-adjacent slots (an intermediate satellite blocks the
-    line). Different orbits: the Euclidean distance must not exceed the smaller
-    communication radius of the two shells and b must be a's nearest in-range
-    satellite within b's orbit. The full ephemeris list is required to evaluate
-    the nearest-in-orbit rule. This per-satellite form is the reference that
-    the tests hold `feasible_isl_pairs` to.
-    """
-    if a.sat_id == b.sat_id:
-        raise ConfigError("b", "must be a satellite other than a")
-    na, ka = a.sat_id
-    nb, kb = b.sat_id
-    if na == nb:
-        return _ring_adjacent(ka, kb, spec.sats_per_orbit)
-    radius = comm_radius_km(spec.altitude_km)
-    dist = float(np.linalg.norm(a.position_km - b.position_km))
-    if dist > radius:
-        return False
-    orbit_b = np.array([e.position_km for e in ephemerides if e.sat_id[0] == nb])
-    k_near, _ = nearest_in_orbit(a.position_km, orbit_b)
-    return k_near == kb
-
-
 def feasible_isl_pairs(spec: ConstellationSpec, pos: np.ndarray) -> np.ndarray:
     """Unordered satellite-index pairs holding a feasible ISL, as a (k, 2)
     int array of rows (i, j), i < j, in ascending order.
 
     Intra-orbit: the ring of adjacent slots. Inter-orbit: for each satellite
     and each other orbit, the nearest in-range satellite of that orbit; a pair
-    is kept if either endpoint selects the other. This is `isl_feasible` in
-    either direction, with `nearest_in_orbit`'s rule batched: one distance
-    block per orbit n against the orbits m > n, (n's slot, m, m's slot),
-    whose argmin over the last axis picks each n satellite's nearest in m
-    and over the first axis each m satellite's nearest in n; argmin keeps
-    the first minimum, as `nearest_in_orbit` does. The block sums the
-    squared components as (dx^2 + dy^2) + dz^2, the order in which
-    `np.linalg.norm` reduces a length-3 axis, and a difference squares
-    alike in either direction, so distances match it both ways.
+    is kept if either endpoint selects the other. Ties go to the lowest
+    slot. This is the per-pair ISL rule of `tests/oracles.py` in either
+    direction, batched: one distance block per orbit n against the orbits
+    m > n, (n's slot, m, m's slot), whose argmin over the last axis picks
+    each n satellite's nearest in m and over the first axis each m
+    satellite's nearest in n; argmin keeps the first minimum. The block sums
+    the squared components as (dx^2 + dy^2) + dz^2, the order in which
+    `np.linalg.norm` reduces a length-3 axis, and a difference squares alike
+    in either direction, so distances match the oracle's both ways.
     """
     p, s, total = spec.num_orbits, spec.sats_per_orbit, spec.total_sats
     lo, hi = [], []
@@ -322,14 +260,15 @@ def geo_slant_range_km(sat_pos: np.ndarray, t) -> np.ndarray:
 
 
 def write_ephemeris_csv(path, spec: ConstellationSpec, times) -> None:
-    """CSV export with columns (t_s, orbit, slot, x_km, y_km, z_km)."""
+    """CSV export with columns (t_s, orbit, slot, x_km, y_km, z_km), one row
+    per satellite in (orbit, slot) order for each epoch. Every epoch is
+    propagated, and so checked, before the file is opened."""
+    times = np.asarray(times, dtype=float)
+    pos = positions(spec, times).tolist()
+    labels = [(n, k) for n in range(spec.num_orbits) for k in range(spec.sats_per_orbit)]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t_s", "orbit", "slot", "x_km", "y_km", "z_km"])
-        for t in times:
-            pos = positions(spec, t)
-            for n in range(spec.num_orbits):
-                for k in range(spec.sats_per_orbit):
-                    p = pos[n * spec.sats_per_orbit + k]
-                    w.writerow([repr(float(t)), n, k, repr(float(p[0])),
-                                repr(float(p[1])), repr(float(p[2]))])
+        # csv writes a float as its repr.
+        for t, block in zip(times.tolist(), pos):
+            w.writerows((t, n, k, *p) for (n, k), p in zip(labels, block))

@@ -247,7 +247,7 @@ def _simulate(cfg: ScenarioConfig, algorithms) -> dict:
         t_abs = t * cfg.times.slot_len_s
         graph = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, t_abs,
                                         tx_power)
-        if cfg.rho < 1.0:
+        if cfg.outages_enabled:
             route_graph = topology.robust_weights(graph, cfg.rho)
         else:
             route_graph = graph
@@ -415,17 +415,21 @@ def write_rounds_csv(path, metrics: RunMetrics) -> None:
 def write_link_sweep_csv(path, params: LinkParams, frames_per_slot: int,
                          distances_km, powers_w) -> None:
     """Link-budget sweep export (d_km, p_t_w, rx_power_w, snr_db, rate_bps,
-    energy_j, outage_prob) over the given grids; energy_j is per frame."""
+    energy_j, outage_prob), one row per (power, distance) with the power
+    outer; energy_j is per frame. Each column is evaluated on the whole grid
+    in one call."""
+    p_t = np.asarray(powers_w, dtype=float)[:, None]
+    d_km = np.asarray(distances_km, dtype=float)
     sigma2 = channel.noise_power(params)
+    p_r = channel.received_power(p_t, d_km, params)
+    rate = channel.achievable_rate(p_r, sigma2, params)
+    energy, gamma0 = channel.link_budget(p_t, d_km, params, frames_per_slot)
+    columns = np.broadcast_arrays(d_km, p_t, p_r, rate, energy,
+                                  channel.outage_from_gamma0(gamma0, params))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["d_km", "p_t_w", "rx_power_w", "snr_db", "rate_bps",
                     "energy_j", "outage_prob"])
-        for p_t in powers_w:
-            for d in distances_km:
-                m = channel.link_metrics(float(p_t), float(d), params,
-                                         frames_per_slot)
-                w.writerow([repr(float(d)), repr(float(p_t)), repr(m.rx_power_w),
-                            repr(10.0 * math.log10(m.snr_linear)),
-                            repr(m.rate_bps), repr(m.energy_j),
-                            repr(m.outage_prob)])
+        # csv writes a float as its repr.
+        w.writerows((d, p, rx, 10.0 * math.log10(rx / sigma2), rate, e, out)
+                    for d, p, rx, rate, e, out in zip(*(c.ravel().tolist() for c in columns)))

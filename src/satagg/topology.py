@@ -239,12 +239,7 @@ def build_snapshot(spec: ConstellationSpec, params: LinkParams,
     dist = np.take(np.concatenate([pair_km, pair_km, geo_km], axis=1), order, axis=1)
     del pair_km, geo_km
 
-    p_t = tx_power_w[src]
-    sigma2 = channel.noise_power(params)
-    rate = channel.achievable_rate(channel.received_power(p_t, dist, params),
-                                   sigma2, params)
-    weights = channel.frame_energy(p_t, rate, params, u_frames)
-
+    weights, gamma0 = channel.link_budget(tx_power_w[src], dist, params, u_frames)
     keep = np.all(np.isfinite(weights) & (weights > 0), axis=0)
     weights = np.where(keep, weights, np.inf)
     orbit = np.concatenate([np.repeat(np.arange(spec.num_orbits, dtype=np.int32),
@@ -254,7 +249,7 @@ def build_snapshot(spec: ConstellationSpec, params: LinkParams,
     slot_index = int(round(t_slot_start / times.slot_len_s)) % times.slots_per_period
     return SnapshotGraph.from_arrays(
         n_leo + 1, src, dst, weights, distance_km=dist,
-        gamma0=channel.gamma0(p_t, dist, params), slot_index=slot_index,
+        gamma0=gamma0, slot_index=slot_index,
         node_orbit=orbit, node_slot=slot, geo_node=geo, link=params)
 
 

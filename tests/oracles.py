@@ -5,14 +5,15 @@ Dijkstra, exhaustive choice enumeration instead of contraction, a
 directed Steiner tree optimum from that enumeration over every Steiner-node
 subset instead of the path routers, full-gradient descent on the global
 objective instead of federated rounds, adaptive quadrature instead of the
-closed form, one normal draw per call instead of batched draws.
+closed form, one normal draw per call instead of batched draws, the
+per-pair ISL rule instead of the batched pair search.
 """
 import math
 
 import numpy as np
 from scipy import integrate
 
-from satagg import hierfl
+from satagg import geometry, hierfl
 from satagg.routing import RoutingInfeasibleError
 
 
@@ -168,3 +169,34 @@ def pointing_pdf_quadrature_logspace(pdf, upper, abs_tol=1e-9):
     y0 = -math.log(upper) if upper < 1.0 else 0.0
     val, err = integrate.quad(g, y0, math.inf, epsabs=abs_tol, limit=300)
     return val, err
+
+
+def nearest_in_orbit(from_pos, orbit_positions):
+    """Index (slot) and distance of the closest satellite in another orbit.
+
+    Ties resolve to the lowest slot index (argmin keeps the first minimum).
+    """
+    d = np.linalg.norm(orbit_positions - from_pos, axis=1)
+    k = int(np.argmin(d))
+    return k, float(d[k])
+
+
+def isl_feasible(spec, pos, a, b):
+    """Whether satellite a may open a laser ISL toward satellite b; a and b
+    are rows of pos, the (total_sats, 3) positions of one epoch.
+
+    Same orbit: only ring-adjacent slots (an intermediate satellite blocks
+    the line). Different orbits: the Euclidean distance must not exceed the
+    communication radius and b must be a's nearest satellite within b's
+    orbit. geometry.feasible_isl_pairs is this rule in either direction,
+    batched.
+    """
+    if a == b:
+        raise ValueError("b must be a satellite other than a")
+    s = spec.sats_per_orbit
+    (na, ka), (nb, kb) = divmod(a, s), divmod(b, s)
+    if na == nb:
+        return abs(ka - kb) in (1, s - 1)
+    if float(np.linalg.norm(pos[a] - pos[b])) > geometry.comm_radius_km(spec.altitude_km):
+        return False
+    return nearest_in_orbit(pos[a], pos[nb * s:(nb + 1) * s])[0] == kb

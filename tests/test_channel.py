@@ -176,21 +176,29 @@ class TestOutageProbability:
             assert abs(closed - integral) < 1e-6
 
     def test_monotone_in_threshold_and_distance(self, params):
-        base = channel.outage_probability(1.0, 2000.0, params)
-        farther = channel.outage_probability(1.0, 4000.0, params)
-        assert farther >= base
-        stricter = LinkParams(snr_th_db=-100.0)
-        assert channel.outage_probability(1.0, 2000.0, stricter) >= base
+        def outage(d_km, p):
+            _, g0 = channel.link_budget(1.0, d_km, p, 25)
+            return channel.outage_from_gamma0(g0, p)
+
+        base = outage(2000.0, params)
+        assert outage(4000.0, params) >= base
+        assert outage(2000.0, LinkParams(snr_th_db=-100.0)) >= base
 
     def test_rejects_bad_power(self, params):
         with pytest.raises(ValueError):
-            channel.outage_probability(0.0, 100.0, params)
+            channel.link_budget(0.0, 100.0, params, 25)
 
 
-def test_link_metrics_bundle(params):
-    m = channel.link_metrics(1.0, 2000.0, params, 25)
-    assert m.rx_power_w > 0
-    assert 0 <= m.outage_prob <= 1
-    assert m.energy_j > 0
-    assert m.rate_bps == pytest.approx(
-        params.bandwidth_hz * math.log2(1 + m.snr_linear), rel=1e-12)
+def test_link_budget_bundle(params):
+    rx = channel.received_power(1.0, 2000.0, params)
+    snr = rx / channel.noise_power(params)
+    rate = channel.achievable_rate(rx, channel.noise_power(params), params)
+    energy, g0 = channel.link_budget(1.0, 2000.0, params, 25)
+    assert rx > 0
+    assert 0 <= channel.outage_from_gamma0(g0, params) <= 1
+    assert energy > 0
+    assert energy == channel.frame_energy(1.0, rate, params, 25)
+    assert rate == pytest.approx(params.bandwidth_hz * math.log2(1 + snr), rel=1e-12)
+    # gamma0 is the pointing loss at which the SNR falls to the threshold.
+    l_pl = math.exp(-params.g0 * params.theta_0_rad ** 2)
+    assert g0 == pytest.approx(params.snr_th_linear * l_pl / snr, rel=1e-12)

@@ -134,11 +134,19 @@ class TestDispatch:
         assert parse_and_dispatch(["run-scenario", "--config", str(bad)]) == 2
         assert "run.sample_outages" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
-    def test_bad_epoch_named(self, tmp_path, cfg_file, capsys, value):
-        assert parse_and_dispatch(["generate-constellation", "--config", cfg_file,
-                                   "--t", value, "--out", str(tmp_path)]) == 2
-        assert "config field 't': must be finite and >= 0" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv, message, output", [
+        pytest.param(["generate-constellation", "--t", value],
+                     "config field 't': must be finite and >= 0", "ephemerides.csv",
+                     id=value) for value in ("-1", "nan", "inf")] + [
+        pytest.param(["export-snapshot", "--slot", "-1"],
+                     "config field 'slot': must be >= 0, got -1", "snapshot_slot-1.csv",
+                     id="slot-1")])
+    def test_bad_epoch_named(self, tmp_path, cfg_file, capsys, argv, message, output):
+        # The flag that sets the epoch is named, and no output is left behind.
+        out = tmp_path / "out"
+        assert parse_and_dispatch(argv + ["--config", cfg_file, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / output).exists()
 
     def test_unknown_subcommand_exit_2(self, capsys):
         assert parse_and_dispatch(["frobnicate"]) == 2

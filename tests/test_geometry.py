@@ -1,8 +1,11 @@
 import math
 
+import csv
+
 import numpy as np
 import pytest
 
+from oracles import isl_feasible, nearest_in_orbit
 from satagg import geometry
 from satagg.constants import EARTH_RADIUS_KM
 from satagg.geometry import ConstellationSpec, GroundCluster
@@ -62,12 +65,18 @@ class TestPropagate:
             r = np.linalg.norm(pos, axis=1)
             assert np.max(np.abs(r - 6871.0) / 6871.0) < 1e-9
 
-    def test_ephemeris_count_and_order(self, delta_spec):
-        eph = geometry.propagate(delta_spec, 0.0)
-        assert len(eph) == 80
-        assert [e.sat_id for e in eph[:3]] == [(0, 0), (0, 1), (0, 2)]
-        assert all(abs(np.linalg.norm(e.position_km) - 6871.0) < 6871.0 * 1e-6
-                   for e in eph)
+    def test_ephemeris_count_and_order(self, delta_spec, tmp_path):
+        path = tmp_path / "ephemerides.csv"
+        geometry.write_ephemeris_csv(path, delta_spec, [0.0, 250.0])
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * 80
+        assert [(r["t_s"], r["orbit"], r["slot"]) for r in rows[79:82]] == [
+            ("0.0", "3", "19"), ("250.0", "0", "0"), ("250.0", "0", "1")]
+        pos = np.array([[float(r[c]) for c in ("x_km", "y_km", "z_km")] for r in rows])
+        assert np.array_equal(pos, geometry.positions(delta_spec, np.array([0.0, 250.0]))
+                              .reshape(-1, 3))
+        assert np.all(np.abs(np.linalg.norm(pos, axis=1) - 6871.0) < 6871.0 * 1e-6)
 
     def test_periodicity(self, star_spec):
         period = geometry.orbital_period_s(star_spec)
@@ -118,34 +127,34 @@ class TestCommRadius:
 
 class TestIslFeasible:
     def test_intra_orbit_adjacent(self, delta_spec):
-        eph = geometry.propagate(delta_spec, 0.0)
-        assert geometry.isl_feasible(eph[0], eph[1], delta_spec, eph)
-        assert geometry.isl_feasible(eph[0], eph[19], delta_spec, eph)  # ring wrap
+        pos = geometry.positions(delta_spec, 0.0)
+        assert isl_feasible(delta_spec, pos, 0, 1)
+        assert isl_feasible(delta_spec, pos, 0, 19)  # ring wrap
 
     def test_intra_orbit_skip_blocked(self, delta_spec):
-        eph = geometry.propagate(delta_spec, 0.0)
-        assert not geometry.isl_feasible(eph[0], eph[2], delta_spec, eph)
+        pos = geometry.positions(delta_spec, 0.0)
+        assert not isl_feasible(delta_spec, pos, 0, 2)
 
     def test_inter_orbit_out_of_range(self, delta_spec):
-        eph = geometry.propagate(delta_spec, 0.0)
+        pos = geometry.positions(delta_spec, 0.0)
         radius = geometry.comm_radius_km(delta_spec.altitude_km)
-        far = [(a, b) for a in eph[:20] for b in eph[20:40]
-               if np.linalg.norm(a.position_km - b.position_km) > radius]
+        far = [(a, b) for a in range(20) for b in range(20, 40)
+               if np.linalg.norm(pos[a] - pos[b]) > radius]
         assert far, "expected some out-of-range cross-plane pair"
         a, b = far[0]
-        assert not geometry.isl_feasible(a, b, delta_spec, eph)
+        assert not isl_feasible(delta_spec, pos, a, b)
 
     def test_distance_predicate_symmetry(self, delta_spec):
-        eph = geometry.propagate(delta_spec, 0.0)
-        for a, b in [(eph[0], eph[25]), (eph[3], eph[70]), (eph[10], eph[45])]:
-            d_ab = np.linalg.norm(a.position_km - b.position_km)
-            d_ba = np.linalg.norm(b.position_km - a.position_km)
+        pos = geometry.positions(delta_spec, 0.0)
+        for a, b in [(0, 25), (3, 70), (10, 45)]:
+            d_ab = np.linalg.norm(pos[a] - pos[b])
+            d_ba = np.linalg.norm(pos[b] - pos[a])
             assert d_ab == d_ba
 
     def test_identical_satellites_rejected(self, delta_spec):
-        eph = geometry.propagate(delta_spec, 0.0)
-        with pytest.raises(geometry.ConfigError):
-            geometry.isl_feasible(eph[0], eph[0], delta_spec, eph)
+        pos = geometry.positions(delta_spec, 0.0)
+        with pytest.raises(ValueError):
+            isl_feasible(delta_spec, pos, 0, 0)
 
     def test_ring_degree_two(self, delta_spec):
         pos = geometry.positions(delta_spec, 0.0)
@@ -159,10 +168,10 @@ class TestIslFeasible:
 
 def _pairs_by_rule(spec, t):
     """feasible_isl_pairs' oracle: pairs where isl_feasible holds either way."""
-    eph = geometry.propagate(spec, t)
-    return [[i, j] for i in range(len(eph)) for j in range(i + 1, len(eph))
-            if geometry.isl_feasible(eph[i], eph[j], spec, eph)
-            or geometry.isl_feasible(eph[j], eph[i], spec, eph)]
+    pos = geometry.positions(spec, t)
+    n = spec.total_sats
+    return [[i, j] for i in range(n) for j in range(i + 1, n)
+            if isl_feasible(spec, pos, i, j) or isl_feasible(spec, pos, j, i)]
 
 
 class TestFeasibleIslPairs:
@@ -202,7 +211,7 @@ class TestFeasibleIslPairs:
             for m in range(spec.num_orbits):
                 if m == i // s:
                     continue
-                k, d = geometry.nearest_in_orbit(pos[i], pos[m * s:(m + 1) * s])
+                k, d = nearest_in_orbit(pos[i], pos[m * s:(m + 1) * s])
                 if d <= radius:
                     want.add((min(i, m * s + k), max(i, m * s + k)))
         assert geometry.feasible_isl_pairs(spec, pos).tolist() == sorted(map(list, want))

@@ -203,16 +203,23 @@ def test_energy_split_pinned(scenario):
 
 
 def test_gamma0_array_equals_scalar_calls(star_spec):
-    # The simulator computes one gamma0 array per frame, which must equal
-    # the per-edge scalar calls exactly, on every edge of every frame.
+    # The snapshot evaluates the link budget in one call for all (frame,
+    # edge) cells. A call per frame on its rows must equal the per-edge
+    # scalar calls bit for bit, and so must the snapshot's own arrays.
     cfg = make_scenario(star_spec, rho=0.1, clusters=41, seed=42)
     tx_power = sim.scenario_tx_power(cfg)
     g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, 0.0, tx_power)
+    u_frames = cfg.times.frames_per_slot
     for u in range(g.frame_count):
         p_t, d_km = tx_power[g.src], g.distance_km[u]
-        batched = channel.gamma0(p_t, d_km, cfg.params).tolist()
-        scalar = [channel.gamma0(p, d, cfg.params) for p, d in zip(p_t, d_km)]
-        assert batched == scalar
+        energy, gamma0 = channel.link_budget(p_t, d_km, cfg.params, u_frames)
+        scalar = [channel.link_budget(p, d, cfg.params, u_frames)
+                  for p, d in zip(p_t.tolist(), d_km.tolist())]
+        assert energy.tolist() == [float(e) for e, _ in scalar]
+        assert gamma0.tolist() == [float(g0) for _, g0 in scalar]
+        assert channel.gamma0(p_t, d_km, cfg.params).tolist() == gamma0.tolist()
+        assert g.gamma0[u].tolist() == gamma0.tolist()
+        assert g.weights_j[u].tolist() == energy.tolist()
 
 
 def solve_frame(algorithm, g, u, terminals, root, rng):

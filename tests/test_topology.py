@@ -212,11 +212,12 @@ class TestBuildSnapshot:
     def test_weight_against_scalar_channel_path(self, delta_snapshot, params):
         g, times, txp = delta_snapshot
         for e in (0, g.num_edges // 2, g.num_edges - 1):
-            m = channel.link_metrics(float(txp[g.src[e]]),
-                                     float(g.distance_km[3][e]), params,
-                                     times.frames_per_slot)
-            assert g.weights_j[3][e] == pytest.approx(m.energy_j, rel=1e-12)
-            assert g.outage_prob[3][e] == pytest.approx(m.outage_prob, rel=1e-12)
+            energy, g0 = channel.link_budget(float(txp[g.src[e]]),
+                                             float(g.distance_km[3][e]), params,
+                                             times.frames_per_slot)
+            assert g.weights_j[3][e] == pytest.approx(energy, rel=1e-12)
+            assert g.outage_prob[3][e] == pytest.approx(
+                channel.outage_from_gamma0(g0, params), rel=1e-12)
 
 
 class TestRobustWeights:
