@@ -91,6 +91,9 @@ class LinkParams:
             if not math.isfinite(v) or (name == "sigma_p_rad" and v == 0):
                 raise ConfigError(name, f"gives a non-finite or zero {derived}, "
                                         f"got {getattr(self, name)!r}")
+        if not noise_power(self) > 0:   # the Shannon rate divides by it
+            raise ConfigError("t_system_k", f"gives zero noise power k_b*B*(T_solar + "
+                                            f"T_system + T_CMB), got {self.t_system_k}")
 
     @property
     def wavelength_m(self) -> float:

@@ -109,11 +109,16 @@ def _cmd_export_snapshot(args) -> int:
     if args.slot < 0:
         raise cfgmod.ConfigError("slot", f"must be >= 0, got {args.slot}")
     cfg = _scenario(args, cfgmod.read_config(args.config))
-    t_abs = args.slot * cfg.times.slot_len_s
+    try:
+        t_abs = args.slot * cfg.times.slot_len_s
+    except OverflowError:   # a slot past the float range
+        t_abs = np.inf
+    if not np.isfinite(t_abs):
+        raise cfgmod.ConfigError("slot", "gives a slot start time beyond the float range")
     g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, t_abs,
                                 sim.scenario_tx_power(cfg))
     path = _out_path(args, f"snapshot_slot{args.slot}.csv")
-    topology.write_snapshot_csv(path, g)
+    topology.write_snapshot_csv(path, g, cfg.params)
     print(f"wrote {path} ({g.num_edges} directed edges x {g.frame_count} frames)")
     return 0
 
@@ -134,14 +139,15 @@ def _cmd_train(args) -> int:
     train = cfgmod.build_training(values)
     cfg = _scenario(args, values)
     task_rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed, spawn_key=(4,)))
-    tasks = hierfl.make_synthetic_tasks(len(cfg.clusters), train, task_rng)
-    hierfl.check_learning_rate(tasks)
+    tasks = hierfl.make_synthetic_tasks([w for c in cfg.clusters for w in c.device_weights],
+                                        train, task_rng)
+    hierfl.check_learning_rate(tasks, train)
 
     metrics = sim.run_scenario(dataclasses.replace(cfg, rounds=train.rounds))
     energy_per_round = [r.total_energy_j for r in metrics.records]
 
     sgd_rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed, spawn_key=(5,)))
-    trace = hierfl.run_training(tasks, [r.failed for r in metrics.records], sgd_rng)
+    trace = hierfl.run_training(tasks, [r.failed for r in metrics.records], train, sgd_rng)
     path = _out_path(args, "loss_trace.csv")
     hierfl.write_loss_trace_csv(path, trace, energy_per_round)
     print(f"wrote {path} (final loss {trace[-1][1]:.6g}, "

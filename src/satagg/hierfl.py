@@ -62,13 +62,12 @@ class TrainingSettings:
 
 @dataclass(frozen=True)
 class LocalTask:
-    """One device's regression task, trained with settings' local SGD."""
+    """One device's regression task and its aggregation weight."""
 
     device_id: int
     features: np.ndarray        # (samples, dim)
     targets: np.ndarray         # (samples,)
     weight: float               # aggregation weight lambda
-    settings: TrainingSettings
 
     def __post_init__(self):
         if self.weight < 0:
@@ -82,26 +81,25 @@ class LocalTask:
         return self.features.T @ (self.features @ x - self.targets)
 
 
-def local_update(task: LocalTask, global_model: np.ndarray,
+def local_update(task: LocalTask, global_model: np.ndarray, settings: TrainingSettings,
                  rng: np.random.Generator | None = None) -> np.ndarray:
-    """E steps of mini-batch SGD from the global model; returns the delta
-    x_final - x_initial. Batches are sampled without replacement and scaled
-    by n/|batch| so the stochastic gradient stays unbiased; when batch_size
-    covers the dataset the update is deterministic full-batch."""
+    """settings.local_steps steps of mini-batch SGD from the global model;
+    returns the delta x_final - x_initial. Batches are sampled without
+    replacement and scaled by n/|batch| so the stochastic gradient stays
+    unbiased; a batch covering the dataset makes the update full-batch."""
     n = task.features.shape[0]
-    s = task.settings
-    full_batch = s.batch_size >= n
+    full_batch = settings.batch_size >= n
     if not full_batch and rng is None:
         raise ValueError("mini-batch updates need an rng")
     x = np.array(global_model, dtype=float)
-    for _ in range(s.local_steps):
+    for _ in range(settings.local_steps):
         if full_batch:
             g = task.gradient(x)
         else:
-            idx = rng.choice(n, size=s.batch_size, replace=False)
+            idx = rng.choice(n, size=settings.batch_size, replace=False)
             a, b = task.features[idx], task.targets[idx]
-            g = (n / s.batch_size) * (a.T @ (a @ x - b))
-        x -= s.learning_rate * g
+            g = (n / settings.batch_size) * (a.T @ (a @ x - b))
+        x -= settings.learning_rate * g
     return x - np.asarray(global_model, dtype=float)
 
 
@@ -166,21 +164,21 @@ def global_gradient(tasks, x: np.ndarray) -> np.ndarray:
     return g
 
 
-def run_training(tasks, failed, rng: np.random.Generator):
-    """Federated rounds with flat aggregation from the zero model, one per
-    flag in failed; returns per-round records [(round, global_loss,
-    grad_norm)], loss/grad evaluated on the updated model. A round whose
-    flag is true (its aggregation was not delivered) still draws every
-    device's local update, so later rounds see the same SGD stream, but
-    leaves the model unchanged. Raises TrainingDivergedError if the loss
-    blows up."""
+def run_training(tasks, failed, settings: TrainingSettings, rng: np.random.Generator):
+    """Federated rounds of settings' local SGD with flat aggregation from
+    the zero model, one per flag in failed; returns per-round records
+    [(round, global_loss, grad_norm)], loss/grad evaluated on the updated
+    model. A round whose flag is true (its aggregation was not delivered)
+    still draws every device's local update, so later rounds see the same
+    SGD stream, but leaves the model unchanged. Raises TrainingDivergedError
+    if the loss blows up."""
     x = np.zeros(tasks[0].features.shape[1])
     initial = global_loss(tasks, x)
     trace = []
     for t, dropped in enumerate(failed):
         deltas = {}
         for task in sorted(tasks, key=lambda task: task.device_id):
-            deltas[task.device_id] = local_update(task, x, rng)
+            deltas[task.device_id] = local_update(task, x, settings, rng)
         if not dropped:
             weights = {task.device_id: task.weight for task in tasks}
             x = x + flat_aggregate(deltas, weights)
@@ -191,21 +189,20 @@ def run_training(tasks, failed, rng: np.random.Generator):
     return trace
 
 
-def make_synthetic_tasks(num_devices: int, settings: TrainingSettings,
+def make_synthetic_tasks(weights, settings: TrainingSettings,
                          rng: np.random.Generator):
-    """Linear-regression tasks with a controllable spread of per-device
-    optima: device i fits b = A (w* + heterogeneity*z_i) + noise. Larger
-    heterogeneity raises the gradient-dissimilarity level across devices.
-    Aggregation weights are the (equal) sample-size ratios."""
+    """One linear-regression task per aggregation weight, device i taking
+    weights[i]. The per-device optima have a controllable spread: device i
+    fits b = A (w* + heterogeneity*z_i) + noise. Larger heterogeneity raises
+    the gradient-dissimilarity level across devices."""
     dim, samples = settings.dim, settings.samples_per_device
     w_star = rng.standard_normal(dim)
     tasks = []
-    for i in range(num_devices):
+    for i, weight in enumerate(weights):
         w_i = w_star + settings.heterogeneity * rng.standard_normal(dim)
         a = rng.standard_normal((samples, dim)) / math.sqrt(samples)
         b = a @ w_i + settings.noise_std * rng.standard_normal(samples)
-        tasks.append(LocalTask(device_id=i, features=a, targets=b,
-                               weight=1.0 / num_devices, settings=settings))
+        tasks.append(LocalTask(device_id=i, features=a, targets=b, weight=weight))
     return tasks
 
 
@@ -217,32 +214,29 @@ def smoothness_constant(tasks) -> float:
     return max(l_local, float(np.linalg.eigvalsh(h_global)[-1]))
 
 
-def learning_rate_bound(smoothness: float, local_steps: int, dissimilarity_alpha: float = 1.0) -> float:
-    """Step-size cap min{1/(2LE), 1/(L*sqrt(2E(E-1)(2a+1)))} under which the
-    federated recursion is guaranteed stable; for E = 1 only the first term
-    applies."""
-    if smoothness <= 0 or local_steps < 1 or dissimilarity_alpha < 1:
-        raise ValueError("need smoothness > 0, local_steps >= 1, alpha >= 1")
+def learning_rate_bound(smoothness: float, local_steps: int) -> float:
+    """Step-size cap min{1/(2LE), 1/(L*sqrt(6E(E-1)))} under which the
+    federated recursion is guaranteed stable, the bound
+    1/(L*sqrt(2E(E-1)(2a+1))) at gradient dissimilarity a = 1; for E = 1
+    only the first term applies."""
+    if smoothness <= 0 or local_steps < 1:
+        raise ValueError("need smoothness > 0 and local_steps >= 1")
     cap = 1.0 / (2.0 * smoothness * local_steps)
     if local_steps > 1:
         cap = min(cap, 1.0 / (smoothness * math.sqrt(
-            2.0 * local_steps * (local_steps - 1) * (2.0 * dissimilarity_alpha + 1.0))))
+            6.0 * local_steps * (local_steps - 1))))
     return cap
 
 
-def check_learning_rate(tasks, smoothness: float | None = None,
-                        dissimilarity_alpha: float = 1.0) -> float:
-    """Warn when any task's learning rate exceeds the stability cap; returns
-    the cap."""
-    if smoothness is None:
-        smoothness = smoothness_constant(tasks)
-    cap = learning_rate_bound(smoothness, max(t.settings.local_steps for t in tasks),
-                              dissimilarity_alpha)
-    worst = max(t.settings.learning_rate for t in tasks)
-    if worst > cap:
+def check_learning_rate(tasks, settings: TrainingSettings) -> float:
+    """Warn when settings' learning rate exceeds the stability cap of the
+    tasks' smoothness at settings' local steps; returns the cap."""
+    smoothness = smoothness_constant(tasks)
+    cap = learning_rate_bound(smoothness, settings.local_steps)
+    if settings.learning_rate > cap:
         warnings.warn(
-            f"learning rate {worst:g} exceeds the stability cap {cap:g} "
-            f"(smoothness={smoothness:g})", RuntimeWarning, stacklevel=2)
+            f"learning rate {settings.learning_rate:g} exceeds the stability cap "
+            f"{cap:g} (smoothness={smoothness:g})", RuntimeWarning, stacklevel=2)
     return cap
 
 

@@ -248,7 +248,7 @@ def _simulate(cfg: ScenarioConfig, algorithms) -> dict:
         graph = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, t_abs,
                                         tx_power)
         if cfg.outages_enabled:
-            route_graph = topology.robust_weights(graph, cfg.rho)
+            route_graph = topology.robust_weights(graph, cfg.rho, cfg.params)
         else:
             route_graph = graph
         _, terminals = terminals_for_round(cfg, t_abs)

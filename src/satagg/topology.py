@@ -29,9 +29,10 @@ def ordered_sum(values) -> float:
 
 @dataclass(frozen=True)
 class TimeStructure:
-    """Slot/frame subdivision of the (approximate) constellation period."""
+    """Slot/frame grid of the (approximate) constellation period: the slot
+    length as configured, the slots in one period and the frames in a slot."""
 
-    period_s: float
+    slot_len_s: float
     slots_per_period: int
     frames_per_slot: int
 
@@ -39,12 +40,12 @@ class TimeStructure:
         for name in ("slots_per_period", "frames_per_slot"):
             if getattr(self, name) < 1:
                 raise ConfigError(name, f"must be >= 1, got {getattr(self, name)}")
-        if self.period_s <= 0:
-            raise ConfigError("period_s", f"must be > 0, got {self.period_s}")
+        if not (math.isfinite(self.slot_len_s) and self.slot_len_s > 0):
+            raise ConfigError("slot_len_s", f"must be finite and > 0, got {self.slot_len_s!r}")
 
     @property
-    def slot_len_s(self) -> float:
-        return self.period_s / self.slots_per_period
+    def period_s(self) -> float:
+        return self.slot_len_s * self.slots_per_period
 
     @property
     def frame_len_s(self) -> float:
@@ -54,17 +55,15 @@ class TimeStructure:
     def for_constellation(cls, spec: ConstellationSpec, slot_len_s: float = 250.0,
                           frames_per_slot: int = 25) -> "TimeStructure":
         """Slot grid covering one orbital period; the period is rounded to a
-        whole number of slots, at least one, so slot_len_s is honoured
-        exactly."""
-        if not (math.isfinite(slot_len_s) and slot_len_s > 0):
-            raise ConfigError("slot_len_s", f"must be finite and > 0, got {slot_len_s!r}")
+        whole number of slots, at least one, so slot_len_s is kept exactly."""
         t_orb = geometry.orbital_period_s(spec)
-        m = round(t_orb / slot_len_s)
+        # A slot length that is not finite and > 0 is named by the constructor.
+        m = round(t_orb / slot_len_s) if 0 < slot_len_s < math.inf else 1
         if m < 1:
             raise ConfigError("slot_len_s", f"must be below twice the orbital period "
                                             f"({2 * t_orb:.1f} s), so that the period "
                                             f"rounds to one slot at least; got {slot_len_s!r}")
-        return cls(period_s=m * slot_len_s, slots_per_period=m,
+        return cls(slot_len_s=slot_len_s, slots_per_period=m,
                    frames_per_slot=frames_per_slot)
 
 
@@ -74,9 +73,10 @@ class SnapshotGraph:
 
     Edges are stored CSR-sorted by (src, dst); weights_j / distance_km /
     gamma0 are (frames, edges) arrays sharing that column order. gamma0 is
-    each link's outage threshold, which link's outage law maps to
-    outage_prob when that is first read. A link the model cannot use keeps
-    its row with weight +inf, which no shortest-path search relaxes.
+    each link's outage threshold, which channel.outage_from_gamma0 maps to
+    its outage probability under the scenario's link parameters. A link the
+    model cannot use keeps its row with weight +inf, which no shortest-path
+    search relaxes.
     geo_node is the index of the aggregate GEO relay (None for synthetic
     graphs). Instances are immutable; re-weighting returns a new graph on
     the same rows.
@@ -92,7 +92,6 @@ class SnapshotGraph:
     node_orbit: np.ndarray | None = None
     node_slot: np.ndarray | None = None
     geo_node: int | None = None
-    link: LinkParams = LinkParams()
 
     @property
     def num_edges(self) -> int:
@@ -106,12 +105,6 @@ class SnapshotGraph:
     def dropped_edges(self) -> int:
         """Number of unusable rows: weight +inf in every frame."""
         return int(np.count_nonzero(~np.isfinite(self.weights_j).any(axis=0)))
-
-    @cached_property
-    def outage_prob(self) -> np.ndarray:
-        """Outage probability of every (frame, edge), computed on first read:
-        a rho = 1 run reads it only for its routed rows, from gamma0."""
-        return channel.outage_from_gamma0(self.gamma0, self.link)
 
     @cached_property
     def rev_order(self) -> np.ndarray:
@@ -160,7 +153,7 @@ class SnapshotGraph:
     @classmethod
     def from_arrays(cls, num_nodes, src, dst, weights, *, distance_km=None,
                     gamma0=None, slot_index=0, node_orbit=None,
-                    node_slot=None, geo_node=None, link=LinkParams()):
+                    node_slot=None, geo_node=None):
         """Canonicalise edge order to (src, dst)-lexicographic and wrap;
         rows given in that order keep it without a copy.
 
@@ -185,7 +178,7 @@ class SnapshotGraph:
         return cls(num_nodes=num_nodes, src=src, dst=dst, weights_j=weights,
                    distance_km=distance_km, gamma0=gamma0,
                    slot_index=slot_index, node_orbit=node_orbit, node_slot=node_slot,
-                   geo_node=geo_node, link=link)
+                   geo_node=geo_node)
 
 def tx_power_draw(spec: ConstellationSpec, rng: np.random.Generator,
                   low_w: float, high_w: float) -> np.ndarray:
@@ -250,11 +243,12 @@ def build_snapshot(spec: ConstellationSpec, params: LinkParams,
     return SnapshotGraph.from_arrays(
         n_leo + 1, src, dst, weights, distance_km=dist,
         gamma0=gamma0, slot_index=slot_index,
-        node_orbit=orbit, node_slot=slot, geo_node=geo, link=params)
+        node_orbit=orbit, node_slot=slot, geo_node=geo)
 
 
-def robust_weights(g: SnapshotGraph, rho: float) -> SnapshotGraph:
-    """Blend energy with an outage penalty: rho*w + (1-rho)*ln(1/(1-P_out)).
+def robust_weights(g: SnapshotGraph, rho: float, params: LinkParams) -> SnapshotGraph:
+    """Blend energy with the outage penalty of g's gamma0 under params:
+    rho*w + (1-rho)*ln(1/(1-P_out)).
 
     The returned graph has g's rows. An ISL in certain outage (P_out = 1 in
     any frame) is unusable for the slot and weighs +inf in every frame, as
@@ -265,7 +259,7 @@ def robust_weights(g: SnapshotGraph, rho: float) -> SnapshotGraph:
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
-    out = g.outage_prob
+    out = channel.outage_from_gamma0(g.gamma0, params)
     if g.geo_node is not None:
         out = np.where(g.dst[None, :] == g.geo_node, 0.0, out)
     # Unusable rows give inf/0 and 0*inf here; np.where replaces them.
@@ -275,11 +269,12 @@ def robust_weights(g: SnapshotGraph, rho: float) -> SnapshotGraph:
     return replace(g, weights_j=np.where(unusable, np.inf, blended))
 
 
-def write_snapshot_csv(path, g: SnapshotGraph) -> None:
-    """Edge-list export: one row per (frame, edge) for external plotting."""
+def write_snapshot_csv(path, g: SnapshotGraph, params: LinkParams) -> None:
+    """Edge-list export, one row per (frame, edge), outage under params."""
     if g.node_orbit is None:
         raise ValueError("graph carries no orbit/slot labels to export")
     orbit, slot = g.node_orbit.tolist(), g.node_slot.tolist()
+    outage = channel.outage_from_gamma0(g.gamma0, params)
     ends = [(orbit[i], slot[i], orbit[j], slot[j])
             for i, j in zip(g.src.tolist(), g.dst.tolist())]
     with open(path, "w", newline="") as fh:
@@ -290,4 +285,4 @@ def write_snapshot_csv(path, g: SnapshotGraph) -> None:
             # csv writes a float as its repr.
             w.writerows((g.slot_index, u, *e, d, wj, p) for e, d, wj, p in zip(
                 ends, g.distance_km[u].tolist(), g.weights_j[u].tolist(),
-                g.outage_prob[u].tolist()))
+                outage[u].tolist()))

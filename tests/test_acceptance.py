@@ -135,10 +135,11 @@ def test_criterion_4_aggregation_equivalence():
         worst = max(worst, err)
         assert err <= 1e-12
 
-    tasks = hierfl.make_synthetic_tasks(8, hierfl.TrainingSettings(
+    settings = hierfl.TrainingSettings(
         dim=10, samples_per_device=20, heterogeneity=1.0, noise_std=0.1,
-        local_steps=1, learning_rate=0.02, batch_size=20), np.random.default_rng(4))
-    fed = hierfl.run_training(tasks, [False] * 50, np.random.default_rng(0))
+        local_steps=1, learning_rate=0.02, batch_size=20)
+    tasks = hierfl.make_synthetic_tasks([1 / 8] * 8, settings, np.random.default_rng(4))
+    fed = hierfl.run_training(tasks, [False] * 50, settings, np.random.default_rng(0))
     cent = centralized_gd(tasks, 50, 0.02)
     step_worst = max(abs(lf - lc) / max(abs(lc), 1e-30)
                      for (_, lf, _), (_, lc, _) in zip(fed, cent))

@@ -82,8 +82,16 @@ class TestNoisePower:
         assert channel.noise_power(params) == pytest.approx(NOISE_DEFAULT, rel=1e-12)
 
     def test_zero_temperature_limit(self):
-        p = LinkParams(t_solar_k=0.0, t_system_k=0.0, t_cmb_k=0.0)
-        assert channel.noise_power(p) == 0.0
+        # The noise power falls to 0 with the temperatures, and any one of
+        # them may be 0; all three at 0 give zero noise power, which the
+        # Shannon rate divides by, and are rejected.
+        for name in ("t_solar_k", "t_system_k", "t_cmb_k"):
+            assert channel.noise_power(LinkParams(**{name: 0.0})) > 0
+        p = LinkParams(t_solar_k=0.0, t_system_k=0.0, t_cmb_k=1e-300)
+        assert 0.0 < channel.noise_power(p) == pytest.approx(p.k_b * p.bandwidth_hz * 1e-300)
+        with pytest.raises(ConfigError) as exc:
+            LinkParams(t_solar_k=0.0, t_system_k=0.0, t_cmb_k=0.0)
+        assert exc.value.field == "t_system_k"
 
     def test_linear_in_bandwidth(self, params):
         doubled = LinkParams(bandwidth_fraction=0.04)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from satagg import config as cfgmod
-from satagg import sim, topology
+from satagg import hierfl, sim, topology
 from satagg.cli import parse_and_dispatch
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -134,19 +134,22 @@ class TestDispatch:
         assert parse_and_dispatch(["run-scenario", "--config", str(bad)]) == 2
         assert "run.sample_outages" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv, message, output", [
+    @pytest.mark.parametrize("argv, message", [
         pytest.param(["generate-constellation", "--t", value],
-                     "config field 't': must be finite and >= 0", "ephemerides.csv",
+                     "config field 't': must be finite and >= 0",
                      id=value) for value in ("-1", "nan", "inf")] + [
         pytest.param(["export-snapshot", "--slot", "-1"],
-                     "config field 'slot': must be >= 0, got -1", "snapshot_slot-1.csv",
-                     id="slot-1")])
-    def test_bad_epoch_named(self, tmp_path, cfg_file, capsys, argv, message, output):
+                     "config field 'slot': must be >= 0, got -1", id="slot-1"),
+        # Its start time overflows a float; its file name would be too long.
+        pytest.param(["export-snapshot", "--slot", "9" * 401],
+                     "config field 'slot': gives a slot start time beyond the float range",
+                     id="slot-401-digits")])
+    def test_bad_epoch_named(self, tmp_path, cfg_file, capsys, argv, message):
         # The flag that sets the epoch is named, and no output is left behind.
         out = tmp_path / "out"
         assert parse_and_dispatch(argv + ["--config", cfg_file, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
-        assert not (out / output).exists()
+        assert not out.exists() or not any(out.iterdir())
 
     def test_unknown_subcommand_exit_2(self, capsys):
         assert parse_and_dispatch(["frobnicate"]) == 2
@@ -412,6 +415,11 @@ def test_shipped_scenarios_parse(path):
     cfgmod.build_training(values)
 
 
+# Keys that a case of test_every_error_names_its_key sets besides its own:
+# the noise power is zero only when all three noise temperatures are.
+ALONGSIDE = {("link", "system_temp_k", "0"): {"solar_temp_k": "0", "cmb_temp_k": "0"}}
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("constellation", "num_orbits", "0"),
     ("constellation", "altitude_km", "nan"),
@@ -438,6 +446,7 @@ def test_shipped_scenarios_parse(path):
     ("link", "snr_threshold_db", "1e300"),
     ("link", "payload_bits", "inf"),
     ("link", "tx_power_max_w", "inf"),
+    ("link", "system_temp_k", "0"),         # with ALONGSIDE's: zero noise power
 ])
 def test_every_error_names_its_key(tmp_path, capsys, monkeypatch, section, key, value):
     def routed(cfg):
@@ -449,6 +458,8 @@ def test_every_error_names_its_key(tmp_path, capsys, monkeypatch, section, key, 
     if not values.has_section(section):
         values.add_section(section)
     values.set(section, key, value)
+    for other, other_value in ALONGSIDE.get((section, key, value), {}).items():
+        values.set(section, other, other_value)
     bad = tmp_path / "bad.cfg"
     with open(bad, "w") as fh:
         values.write(fh)
@@ -506,3 +517,28 @@ def test_clusters_csv_roundtrip(tmp_path):
     scenario = cfgmod.build_scenario(cfg, seed=1)
     assert len(scenario.clusters) == 2
     assert scenario.clusters[0].lat_deg == 10.0
+
+
+def test_train_weights_devices_by_cluster_weight(tmp_path, monkeypatch):
+    # Each cluster's device aggregates with the cluster's weight from the
+    # CSV, so unequal weights change the loss trace.
+    made = []
+    make_synthetic_tasks = hierfl.make_synthetic_tasks
+
+    def record(*args, **kwargs):
+        made.append(make_synthetic_tasks(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(hierfl, "make_synthetic_tasks", record)
+    traces = {}
+    for weights in ((0.9, 0.1), (0.5, 0.5)):
+        clusters = tmp_path / f"clusters_{weights[0]}.csv"
+        clusters.write_text(HEADER + f"0,10.0,20.0,{weights[0]}\n"
+                                     f"1,-5.0,40.0,{weights[1]}\n")
+        cfg = tmp_path / f"clusters_{weights[0]}.cfg"
+        cfg.write_text(SMALL_CFG.replace("count = 8\n", f"file = {clusters}\n"))
+        out = tmp_path / f"out_{weights[0]}"
+        assert parse_and_dispatch(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert [task.weight for task in made[-1]] == list(weights)
+        traces[weights] = (out / "loss_trace.csv").read_bytes()
+    assert traces[0.9, 0.1] != traces[0.5, 0.5]

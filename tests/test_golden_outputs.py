@@ -12,7 +12,11 @@ rho 0.1 (star, outage sampling on), `run-scenario`, `train`,
 `generate-constellation`. `link-sweep` and `export-snapshot` run once more
 on the star scenario with a narrower transmit beam and a stricter SNR
 threshold than the defaults, so that settings the shipped scenarios leave
-at their defaults reach the link budget.
+at their defaults reach the link budget. `train` runs once more on four
+clusters with unequal weights (`clusters_unequal.csv`), and
+`compare-algorithms` once more on the star scenario with a 53.3 s slot, a
+length that a round trip through the period would not keep
+(53.3 * 111 / 111 != 53.3).
 """
 import configparser
 import hashlib
@@ -23,10 +27,11 @@ from satagg.cli import parse_and_dispatch
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 # Non-default [link] settings for the *_link commands.
-LINK = {"tx_divergence_rad": "0.05", "snr_threshold_db": "-100"}
+LINK = {"link": {"tx_divergence_rad": "0.05", "snr_threshold_db": "-100"}}
+WEIGHTED = {"clusters": {"file": str(Path(__file__).parent / "clusters_unequal.csv")}}
 
-# (name, scenario, [link] settings, extra arguments); outputs go to
-# <tmp>/<name>/.
+# (name, scenario, {section: {key: value}} settings, extra arguments);
+# outputs go to <tmp>/<name>/.
 COMMANDS = (
     ("compare_rho1", "walker_delta_80.cfg", {}, ["compare-algorithms"]),
     ("compare_rho0.1", "walker_star_80.cfg", {}, ["compare-algorithms"]),
@@ -37,6 +42,9 @@ COMMANDS = (
     ("ephemerides", "walker_delta_80.cfg", {}, ["generate-constellation"]),
     ("snapshot_link", "walker_star_80.cfg", LINK, ["export-snapshot", "--slot", "3"]),
     ("sweep_link", "walker_star_80.cfg", LINK, ["link-sweep"]),
+    ("train_weighted", "walker_delta_80.cfg", WEIGHTED, ["train"]),
+    ("compare_slot53.3", "walker_star_80.cfg", {"time": {"slot_len_s": "53.3"}},
+     ["compare-algorithms"]),
 )
 
 DIGESTS = {
@@ -72,17 +80,28 @@ DIGESTS = {
         "a2bb7a7fd487d9cbeab5f4538de37bb36d0443e4837e72d388170eeeb5257da5",
     "sweep_link/link_sweep.csv":
         "d72cef1ebd4720e3ac13010ea948173c464921eb191aeb714e58dd98f4549cac",
+    "train_weighted/loss_trace.csv":
+        "a53e5e9433a995db3ef6232b58ee8970bafaee79a93c60907ff2f57b2186f593",
+    "compare_slot53.3/comparison.json":
+        "ecc8ab1c0d04b2c3df9977bdc23b7479a110fc4ad7cd808c9c256184fa996cef",
+    "compare_slot53.3/rounds_d_merge.csv":
+        "ccbdcad1925d8d6a9ec0bd88c306c440ff0f6f0b3575308ce8829810f10cd503",
+    "compare_slot53.3/rounds_orbit_greedy.csv":
+        "ae92bf4a74c34d18a5e0ee84cc2436ff7545f7bc0331a9eb44e50778814f20d5",
+    "compare_slot53.3/rounds_taeer.csv":
+        "58309c1386801c92836bcef06cf8700ce70c2825fa8403d66334dc09269410f5",
 }
 
 
-def short_config(tmp_path, name, scenario, link):
+def short_config(tmp_path, name, scenario, settings):
     """The shipped scenario with 2 routed rounds, 3 training rounds and the
-    given [link] settings."""
+    given settings."""
     values = configparser.ConfigParser(interpolation=None)
     values.read(SCENARIOS / scenario)
     values["run"]["rounds"] = "2"
     values["training"] = {"rounds": "3"}
-    values["link"] = link
+    for section, keys in settings.items():
+        values[section] = keys
     path = tmp_path / f"{name}.cfg"
     with open(path, "w") as fh:
         values.write(fh)
@@ -92,9 +111,9 @@ def short_config(tmp_path, name, scenario, link):
 def output_digests(tmp_path):
     """{"name/file": sha256} of every file the commands write."""
     digests = {}
-    for name, scenario, link, argv in COMMANDS:
+    for name, scenario, settings, argv in COMMANDS:
         out = tmp_path / name
-        config = short_config(tmp_path, name, scenario, link)
+        config = short_config(tmp_path, name, scenario, settings)
         code = parse_and_dispatch(argv + ["--config", str(config), "--out", str(out)])
         assert code == 0, name
         for path in sorted(out.iterdir()):

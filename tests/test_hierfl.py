@@ -10,12 +10,12 @@ from satagg.routing import Arborescence
 
 
 def quadratic_task(rng, n=20, d=8, **kw):
+    """A one-device task and the settings it trains with."""
     a = rng.standard_normal((n, d)) / np.sqrt(n)
     w = rng.standard_normal(d)
     b = a @ w + 0.05 * rng.standard_normal(n)
     kw.setdefault("batch_size", n)
-    return LocalTask(device_id=0, features=a, targets=b, weight=1.0,
-                     settings=TrainingSettings(**kw))
+    return LocalTask(device_id=0, features=a, targets=b, weight=1.0), TrainingSettings(**kw)
 
 
 def random_arborescence(rng, n_nodes):
@@ -27,16 +27,16 @@ def random_arborescence(rng, n_nodes):
 class TestLocalUpdate:
     def test_zero_learning_rate_like_limit(self):
         rng = np.random.default_rng(0)
-        task = quadratic_task(rng, learning_rate=1e-300, local_steps=3)
-        delta = hierfl.local_update(task, np.zeros(8))
+        task, settings = quadratic_task(rng, learning_rate=1e-300, local_steps=3)
+        delta = hierfl.local_update(task, np.zeros(8), settings)
         assert np.linalg.norm(delta) < 1e-290
 
     def test_full_batch_single_step_closed_form(self):
         # Oracle: delta = -eta * A^T (A x - b) for loss 0.5*||Ax-b||^2.
         rng = np.random.default_rng(1)
-        task = quadratic_task(rng, learning_rate=0.01, local_steps=1)
+        task, settings = quadratic_task(rng, learning_rate=0.01, local_steps=1)
         x = rng.standard_normal(8)
-        delta = hierfl.local_update(task, x)
+        delta = hierfl.local_update(task, x, settings)
         expected = -0.01 * task.features.T @ (task.features @ x - task.targets)
         assert np.allclose(delta, expected, rtol=1e-12, atol=1e-15)
 
@@ -44,26 +44,27 @@ class TestLocalUpdate:
         rng = np.random.default_rng(2)
         a = rng.standard_normal((10, 4))
         x_star = rng.standard_normal(4)
-        task = LocalTask(0, a, a @ x_star, weight=1.0, settings=TrainingSettings(
-            local_steps=7, learning_rate=0.05, batch_size=10))
-        delta = hierfl.local_update(task, x_star)
+        task = LocalTask(0, a, a @ x_star, weight=1.0)
+        settings = TrainingSettings(local_steps=7, learning_rate=0.05, batch_size=10)
+        delta = hierfl.local_update(task, x_star, settings)
         assert np.allclose(delta, 0.0, atol=1e-12)
 
     def test_minibatch_needs_rng(self):
         rng = np.random.default_rng(3)
-        task = quadratic_task(rng, batch_size=4)
+        task, settings = quadratic_task(rng, batch_size=4)
         with pytest.raises(ValueError):
-            hierfl.local_update(task, np.zeros(8))
+            hierfl.local_update(task, np.zeros(8), settings)
 
     def test_minibatch_gradient_unbiased(self):
         # Mean of the scaled mini-batch step over many draws approaches the
         # full-batch step (law of large numbers, 3-sigma style slack).
         rng = np.random.default_rng(4)
-        task = quadratic_task(rng, n=16, learning_rate=0.01, local_steps=1,
-                              batch_size=4)
+        task, settings = quadratic_task(rng, n=16, learning_rate=0.01, local_steps=1,
+                                        batch_size=4)
         x = rng.standard_normal(8)
         full = -0.01 * task.features.T @ (task.features @ x - task.targets)
-        draws = np.array([hierfl.local_update(task, x, rng) for _ in range(4000)])
+        draws = np.array([hierfl.local_update(task, x, settings, rng)
+                          for _ in range(4000)])
         assert np.allclose(draws.mean(axis=0), full, atol=4 * np.abs(full).max()
                            / np.sqrt(4000) + 1e-4)
 
@@ -104,10 +105,24 @@ class TestTreeAggregate:
 
 
 def make_fleet(heterogeneity, eta, rng_seed=100, local_steps=5):
-    return hierfl.make_synthetic_tasks(10, TrainingSettings(
+    """Ten equally weighted tasks and the settings they train with."""
+    settings = TrainingSettings(
         dim=12, samples_per_device=24, heterogeneity=heterogeneity, noise_std=0.1,
-        local_steps=local_steps, learning_rate=eta, batch_size=8),
-        np.random.default_rng(rng_seed))
+        local_steps=local_steps, learning_rate=eta, batch_size=8)
+    return (hierfl.make_synthetic_tasks([1 / 10] * 10, settings,
+                                        np.random.default_rng(rng_seed)), settings)
+
+
+def test_synthetic_tasks_take_the_given_weights():
+    # One task per weight, in order; the weights change no draw.
+    settings = TrainingSettings(dim=4, samples_per_device=6)
+    tasks = hierfl.make_synthetic_tasks([0.9, 0.1], settings, np.random.default_rng(1))
+    equal = hierfl.make_synthetic_tasks([0.5, 0.5], settings, np.random.default_rng(1))
+    assert [t.weight for t in tasks] == [0.9, 0.1]
+    assert [t.device_id for t in tasks] == [0, 1]
+    for t, e in zip(tasks, equal):
+        assert np.array_equal(t.features, e.features)
+        assert np.array_equal(t.targets, e.targets)
 
 
 def test_global_loss_adds_left_to_right():
@@ -124,18 +139,19 @@ class TestRunTraining:
         # With E = 1 and full batches the federated round IS one centralized
         # gradient step on the weighted objective.
         rng = np.random.default_rng(21)
-        tasks = hierfl.make_synthetic_tasks(6, TrainingSettings(
+        settings = TrainingSettings(
             dim=10, samples_per_device=16, heterogeneity=1.0, noise_std=0.2,
-            local_steps=1, learning_rate=0.02, batch_size=16), rng)
-        fed = hierfl.run_training(tasks, [False] * 50, np.random.default_rng(0))
+            local_steps=1, learning_rate=0.02, batch_size=16)
+        tasks = hierfl.make_synthetic_tasks([1 / 6] * 6, settings, rng)
+        fed = hierfl.run_training(tasks, [False] * 50, settings, np.random.default_rng(0))
         cent = centralized_gd(tasks, 50, 0.02)
         for (_, lf, gf), (_, lc, gc) in zip(fed, cent):
             assert lf == pytest.approx(lc, rel=1e-10, abs=1e-10)
             assert gf == pytest.approx(gc, rel=1e-10, abs=1e-10)
 
     def test_iid_moving_average_decreases(self):
-        tasks = make_fleet(0.0, 0.03)
-        trace = hierfl.run_training(tasks, [False] * 100, np.random.default_rng(7))
+        tasks, settings = make_fleet(0.0, 0.03)
+        trace = hierfl.run_training(tasks, [False] * 100, settings, np.random.default_rng(7))
         losses = [x[1] for x in trace]
         ma = [float(np.mean(losses[i:i + 10])) for i in range(len(losses) - 9)]
         # Downward trend: upticks are bounded by the SGD noise floor, and the
@@ -153,8 +169,8 @@ class TestRunTraining:
         # total gradient-step budget), so the gap difference isolates the
         # client-drift bias added by heterogeneous data.
         def gap(h):
-            tasks = make_fleet(h, 0.03)
-            fed = hierfl.run_training(tasks, [False] * 400, np.random.default_rng(7))
+            tasks, settings = make_fleet(h, 0.03)
+            fed = hierfl.run_training(tasks, [False] * 400, settings, np.random.default_rng(7))
             cent = centralized_gd(tasks, 400 * 5, 0.03)
             return fed[-1][1] - cent[-1][1]
 
@@ -164,25 +180,26 @@ class TestRunTraining:
     def test_failed_rounds_leave_the_model_unchanged(self):
         # Every round fails: the loss stays the zero model's, and every
         # device's update is still drawn.
-        tasks = make_fleet(0.0, 0.03)
+        tasks, settings = make_fleet(0.0, 0.03)
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-        trace = hierfl.run_training(tasks, [True] * 4, rng)
+        trace = hierfl.run_training(tasks, [True] * 4, settings, rng)
         zero = hierfl.global_loss(tasks, np.zeros(tasks[0].features.shape[1]))
         assert [(t, loss) for t, loss, _ in trace] == [(t, zero) for t in range(4)]
-        hierfl.run_training(tasks, [False] * 4, ref)
+        hierfl.run_training(tasks, [False] * 4, settings, ref)
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_failed_round_between_applied_rounds(self):
         # Round 1 fails: it keeps round 0's model, and round 2 starts from
         # that model with the draws that follow round 1's.
-        tasks = make_fleet(0.0, 0.03)
-        trace = hierfl.run_training(tasks, [False, True, False], np.random.default_rng(3))
+        tasks, settings = make_fleet(0.0, 0.03)
+        trace = hierfl.run_training(tasks, [False, True, False], settings,
+                                    np.random.default_rng(3))
         rng = np.random.default_rng(3)
         weights = {t.device_id: t.weight for t in tasks}
         x = np.zeros(tasks[0].features.shape[1])
         models = []
         for applied in (True, False, True):
-            deltas = {t.device_id: hierfl.local_update(t, x, rng) for t in tasks}
+            deltas = {t.device_id: hierfl.local_update(t, x, settings, rng) for t in tasks}
             if applied:
                 x = x + hierfl.flat_aggregate(deltas, weights)
             models.append(x)
@@ -191,28 +208,28 @@ class TestRunTraining:
         assert trace[1][1:] == trace[0][1:] and trace[2][1] < trace[1][1]
 
     def test_divergence_aborts(self):
-        tasks = make_fleet(0.0, 50.0)  # far above the stability cap
+        tasks, settings = make_fleet(0.0, 50.0)  # far above the stability cap
         with pytest.raises(hierfl.TrainingDivergedError):
-            hierfl.run_training(tasks, [False] * 200, np.random.default_rng(0))
+            hierfl.run_training(tasks, [False] * 200, settings, np.random.default_rng(0))
 
 
 class TestLearningRateGuard:
     def test_bound_shape(self):
         assert hierfl.learning_rate_bound(2.0, 1) == pytest.approx(0.25)
-        e5 = hierfl.learning_rate_bound(2.0, 5, dissimilarity_alpha=1.0)
+        e5 = hierfl.learning_rate_bound(2.0, 5)
         assert e5 == pytest.approx(min(1 / 20, 1 / (2 * np.sqrt(2 * 5 * 4 * 3))))
 
     def test_warns_above_cap(self):
-        tasks = make_fleet(0.0, 0.5)
+        tasks, settings = make_fleet(0.0, 0.5)
         with pytest.warns(RuntimeWarning):
-            hierfl.check_learning_rate(tasks)
+            hierfl.check_learning_rate(tasks, settings)
 
     def test_silent_below_cap(self):
-        tasks = make_fleet(0.0, 1e-4)
+        tasks, settings = make_fleet(0.0, 1e-4)
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            hierfl.check_learning_rate(tasks)
+            hierfl.check_learning_rate(tasks, settings)
 
 
 def test_loss_trace_csv(tmp_path):

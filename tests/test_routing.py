@@ -113,7 +113,7 @@ class TestShortestPathCsr:
         g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, 0.0,
                                     sim.scenario_tx_power(cfg))
         if rho < 1.0:
-            g = topology.robust_weights(g, rho)
+            g = topology.robust_weights(g, rho, cfg.params)
         root = 3
         for u in (0, 12):
             dist, pred = shortest_path_csr(*g.frame_reverse_csr(u), root)
@@ -173,7 +173,7 @@ class TestShortestPathsToRoot:
             g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, t_abs,
                                         tx_power)
             if rho < 1.0:
-                g = topology.robust_weights(g, rho)
+                g = topology.robust_weights(g, rho, cfg.params)
             _, terminals = sim.terminals_for_round(cfg, t_abs)
             root = select_root(g, 0, terminals)
             for u in (0, 12, 24):
@@ -283,7 +283,7 @@ class TestWarmStart:
             t_abs = t * cfg.times.slot_len_s
             g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, t_abs, tx_power)
             if rho < 1.0:
-                g = topology.robust_weights(g, rho)
+                g = topology.robust_weights(g, rho, cfg.params)
             _, terminals = sim.terminals_for_round(cfg, t_abs)
             root = select_root(g, 0, terminals)
             warm = assert_warm_equals_cold(g, terminals, root, monkeypatch)

@@ -240,7 +240,7 @@ def test_routers_return_rows_of_the_energy_graph(star_spec):
     cfg = make_scenario(star_spec, rho=0.1, clusters=41, seed=42)
     g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, 0.0,
                                 sim.scenario_tx_power(cfg))
-    r = topology.robust_weights(g, cfg.rho)
+    r = topology.robust_weights(g, cfg.rho, cfg.params)
     assert np.array_equal(r.src, g.src) and np.array_equal(r.dst, g.dst)
     _, terminals = sim.terminals_for_round(cfg, 0.0)
     root = routing.select_root(g, 0, terminals)
@@ -267,7 +267,7 @@ def test_router_costs_are_left_to_right_edge_sums(shell, rho, delta_spec, star_s
         t_abs = t * cfg.times.slot_len_s
         g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, t_abs, tx_power)
         if rho < 1.0:
-            g = topology.robust_weights(g, rho)
+            g = topology.robust_weights(g, rho, cfg.params)
         _, terminals = sim.terminals_for_round(cfg, t_abs)
         root = routing.select_root(g, 0, terminals)
         for u in (0, 12, 24):

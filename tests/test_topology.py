@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -29,11 +30,21 @@ class TestTimeStructure:
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            TimeStructure(period_s=100.0, slots_per_period=0, frames_per_slot=5)
+            TimeStructure(slot_len_s=50.0, slots_per_period=0, frames_per_slot=5)
         with pytest.raises(ValueError):
-            TimeStructure(period_s=-1.0, slots_per_period=2, frames_per_slot=5)
+            TimeStructure(slot_len_s=-0.5, slots_per_period=2, frames_per_slot=5)
         with pytest.raises(ValueError):
-            TimeStructure(period_s=100.0, slots_per_period=2, frames_per_slot=0)
+            TimeStructure(slot_len_s=50.0, slots_per_period=2, frames_per_slot=0)
+
+    @pytest.mark.parametrize("shell", ["star", "delta"])
+    def test_configured_slot_length_kept_exactly(self, shell, star_spec, delta_spec):
+        # Every tenth of a second up to 200 s comes back as configured, and
+        # the period is that slot length times the slot count.
+        spec = star_spec if shell == "star" else delta_spec
+        for k in range(1, 2001):
+            ts = TimeStructure.for_constellation(spec, k / 10)
+            assert ts.slot_len_s == k / 10, k
+            assert ts.period_s == (k / 10) * ts.slots_per_period
 
     def test_slot_longer_than_twice_the_period_rejected(self, delta_spec):
         # round() gives 0 slots: the period cannot hold one slot of this length.
@@ -79,7 +90,7 @@ class TestEdgeRows:
         cfg = make_scenario(star_spec, rho=0.1, clusters=41, seed=42)
         g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, 0.0,
                                     sim.scenario_tx_power(cfg))
-        r = topology.robust_weights(g, cfg.rho)
+        r = topology.robust_weights(g, cfg.rho, cfg.params)
         assert_edge_rows_match_dict(r)
 
     def test_every_edge_of_random_instances(self):
@@ -211,47 +222,66 @@ class TestBuildSnapshot:
 
     def test_weight_against_scalar_channel_path(self, delta_snapshot, params):
         g, times, txp = delta_snapshot
+        outage = channel.outage_from_gamma0(g.gamma0, params)
         for e in (0, g.num_edges // 2, g.num_edges - 1):
             energy, g0 = channel.link_budget(float(txp[g.src[e]]),
                                              float(g.distance_km[3][e]), params,
                                              times.frames_per_slot)
             assert g.weights_j[3][e] == pytest.approx(energy, rel=1e-12)
-            assert g.outage_prob[3][e] == pytest.approx(
+            assert outage[3][e] == pytest.approx(
                 channel.outage_from_gamma0(g0, params), rel=1e-12)
 
 
 class TestRobustWeights:
-    def test_rho_one_unchanged(self, delta_snapshot):
+    def test_rho_one_unchanged(self, delta_snapshot, params):
         g, _, _ = delta_snapshot
-        r = topology.robust_weights(g, 1.0)
+        r = topology.robust_weights(g, 1.0, params)
         assert np.array_equal(r.weights_j, g.weights_j)
 
-    def test_rho_zero_pure_log_survival(self, delta_snapshot):
+    def test_rho_zero_pure_log_survival(self, delta_snapshot, params):
         g, _, _ = delta_snapshot
-        r = topology.robust_weights(g, 0.0)
+        r = topology.robust_weights(g, 0.0, params)
         isl = g.dst != g.geo_node
         # log(1/(1-p)) evaluated naively loses precision for small p; the
         # implementation uses the log1p form, so compare at 1e-9 relative.
-        expected = np.log(1.0 / (1.0 - g.outage_prob[:, isl]))
+        outage = channel.outage_from_gamma0(g.gamma0[:, isl], params)
+        expected = np.log(1.0 / (1.0 - outage))
         assert np.allclose(r.weights_j[:, isl], expected, rtol=1e-9, atol=0)
         assert np.all(r.weights_j[:, ~isl] == 0.0)  # uplinks outage-exempt
 
-    def test_zero_outage_edge_scales_by_rho(self):
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 1.0])
+    def test_penalty_is_the_outage_of_gamma0_under_params(self, star_spec, rho):
+        # Bit for bit: the blend of the outage probability that
+        # outage_from_gamma0 gives for the graph's gamma0 under the params
+        # passed in, with uplinks exempt and unusable rows at +inf.
+        params = channel.LinkParams(theta_t_rad=0.05, snr_th_db=-100.0)
+        cfg = make_scenario(star_spec, rho=0.1, clusters=41, seed=42, params=params)
+        g = topology.build_snapshot(cfg.spec, params, cfg.times, 0.0,
+                                    sim.scenario_tx_power(cfg))
+        out = np.where(g.dst == g.geo_node, 0.0, channel.outage_from_gamma0(g.gamma0, params))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            blended = rho * g.weights_j + (1.0 - rho) * np.log1p(out / (1.0 - out))
+        unusable = ~np.isfinite(g.weights_j) | np.any(out >= 1.0, axis=0)
+        r = topology.robust_weights(g, rho, params)
+        assert np.array_equal(r.weights_j, np.where(unusable, np.inf, blended))
+        assert 0 < r.dropped_edges < r.num_edges
+
+    def test_zero_outage_edge_scales_by_rho(self, params):
         g = from_edge_list(3, [(0, 1, 4.0), (1, 2, 2.0)])
-        r = topology.robust_weights(g, 0.25)
+        r = topology.robust_weights(g, 0.25, params)
         assert r.weights_j[0].tolist() == [1.0, 0.5]
 
-    def test_affine_in_rho(self, delta_snapshot):
+    def test_affine_in_rho(self, delta_snapshot, params):
         g, _, _ = delta_snapshot
-        r0 = topology.robust_weights(g, 0.0)
-        r1 = topology.robust_weights(g, 1.0)
+        r0 = topology.robust_weights(g, 0.0, params)
+        r1 = topology.robust_weights(g, 1.0, params)
         rho = 0.3
-        r = topology.robust_weights(g, rho)
+        r = topology.robust_weights(g, rho, params)
         assert np.allclose(r.weights_j,
                            rho * r1.weights_j + (1 - rho) * r0.weights_j,
                            rtol=1e-12, atol=1e-300)
 
-    def test_certain_outage_isl_dropped_and_counted(self):
+    def test_certain_outage_isl_dropped_and_counted(self, params):
         # Certain outage in one frame makes the ISL unusable for the slot:
         # its row stays, at +inf in every frame, and counts as dropped.
         # gamma0 >= 1 is certain outage, gamma0 <= 0 none.
@@ -259,10 +289,10 @@ class TestRobustWeights:
         g = SnapshotGraph.from_arrays(4, np.array([0, 1, 2]), np.array([1, 2, 3]),
                                       w, gamma0=np.array([[1e-3, 1.0, 0.0],
                                                           [2e-3, 1e-2, 5e-4]]))
-        outage = g.outage_prob
+        outage = channel.outage_from_gamma0(g.gamma0, params)
         assert outage[0, 1] == 1.0 and outage[0, 2] == 0.0
         assert np.all(outage[1] < 1.0)
-        r = topology.robust_weights(g, 0.5)
+        r = topology.robust_weights(g, 0.5, params)
         assert r.dropped_edges == 1
         assert np.array_equal(r.src, g.src) and np.array_equal(r.dst, g.dst)
         assert np.all(r.weights_j[:, 1] == np.inf)
@@ -272,38 +302,39 @@ class TestRobustWeights:
         assert np.array_equal(r.weights_j[:, kept], expected)
 
     @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
-    def test_unusable_row_stays_unusable_at_every_rho(self, rho):
+    def test_unusable_row_stays_unusable_at_every_rho(self, rho, params):
         # 0 * inf is nan at rho 0 and 1; the row must read +inf instead.
         w = np.array([[1.0, np.inf], [2.0, np.inf]])
         g = SnapshotGraph.from_arrays(3, np.array([0, 1]), np.array([1, 2]), w,
                                       gamma0=np.array([[1e-3, 1.0], [1e-3, 0.0]]))
         assert g.dropped_edges == 1
-        r = topology.robust_weights(g, rho)
+        r = topology.robust_weights(g, rho, params)
         assert np.all(r.weights_j[:, 1] == np.inf)
         assert np.all(np.isfinite(r.weights_j[:, 0]))
         assert r.dropped_edges == 1
 
-    def test_geo_uplinks_exempt_from_dropping(self, delta_snapshot):
+    def test_geo_uplinks_exempt_from_dropping(self, delta_snapshot, params):
         g, _, _ = delta_snapshot
         geo = g.dst == g.geo_node
-        assert np.any(g.outage_prob[:, geo] >= 1.0)  # weak transmitters
-        r = topology.robust_weights(g, 0.5)
+        # weak transmitters
+        assert np.any(channel.outage_from_gamma0(g.gamma0[:, geo], params) >= 1.0)
+        r = topology.robust_weights(g, 0.5, params)
         assert r.dropped_edges == 0
         assert r.num_edges == g.num_edges
         # exempt means penalty-free: blended weight is exactly rho * energy
         assert np.allclose(r.weights_j[:, geo], 0.5 * g.weights_j[:, geo],
                            rtol=0, atol=0)
 
-    def test_edge_subset_preserved(self, delta_snapshot):
+    def test_edge_subset_preserved(self, delta_snapshot, params):
         g, _, _ = delta_snapshot
-        r = topology.robust_weights(g, 0.5)
+        r = topology.robust_weights(g, 0.5, params)
         orig = set(zip(g.src.tolist(), g.dst.tolist()))
         assert set(zip(r.src.tolist(), r.dst.tolist())) <= orig
 
-    def test_rejects_bad_rho(self, delta_snapshot):
+    def test_rejects_bad_rho(self, delta_snapshot, params):
         g, _, _ = delta_snapshot
         with pytest.raises(ValueError):
-            topology.robust_weights(g, 1.5)
+            topology.robust_weights(g, 1.5, params)
 
 
 def test_ordered_sum_adds_left_to_right():
@@ -318,13 +349,29 @@ def test_ordered_sum_adds_left_to_right():
     assert topology.ordered_sum([]) == 0.0
 
 
-def test_snapshot_csv_export(tmp_path, delta_snapshot):
+def test_snapshot_csv_export(tmp_path, delta_snapshot, params):
     g, _, _ = delta_snapshot
     path = tmp_path / "snap.csv"
-    topology.write_snapshot_csv(path, g)
+    topology.write_snapshot_csv(path, g, params)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == ("slot,frame,src_orbit,src_slot,dst_orbit,dst_slot,"
                         "distance_km,weight_j,outage_prob")
     assert len(lines) == 1 + g.frame_count * g.num_edges
     # GEO rows are labelled orbit -1.
     assert any(",-1,0," in ln for ln in lines[1:])
+
+
+def test_snapshot_csv_outage_column_is_outage_of_gamma0_under_params(tmp_path, star_spec):
+    # Bit for bit, frame by frame in row order: the column holds what
+    # outage_from_gamma0 gives for the graph's gamma0 under the params passed.
+    params = channel.LinkParams(theta_t_rad=0.05, snr_th_db=-100.0)
+    times = TimeStructure.for_constellation(star_spec, frames_per_slot=3)
+    txp = topology.tx_power_draw(star_spec, np.random.default_rng(0), *TX_POWER_W)
+    g = topology.build_snapshot(star_spec, params, times, 0.0, txp)
+    path = tmp_path / "snap.csv"
+    topology.write_snapshot_csv(path, g, params)
+    with open(path, newline="") as fh:
+        column = [float(row["outage_prob"]) for row in csv.DictReader(fh)]
+    expected = channel.outage_from_gamma0(g.gamma0, params)
+    assert column == expected.ravel().tolist()
+    assert 0.0 < min(column) < max(column)
