@@ -96,12 +96,13 @@ def _cmd_compare(args) -> int:
 def _cmd_generate_constellation(args) -> int:
     cfg = _scenario(args, cfgmod.read_config(args.config))
     if args.t is not None:
-        times = [args.t]
-    else:
-        times = [m * cfg.times.slot_len_s for m in range(cfg.times.slots_per_period)]
+        count, times = 1, [args.t]
+    else:   # every slot start of one period, generated as they are written
+        count = cfg.times.slots_per_period
+        times = (m * cfg.times.slot_len_s for m in range(count))
     path = _out_path(args, "ephemerides.csv")
     geometry.write_ephemeris_csv(path, cfg.spec, times)
-    print(f"wrote {path} ({len(times)} epochs x {cfg.spec.total_sats} satellites)")
+    print(f"wrote {path} ({count} epochs x {cfg.spec.total_sats} satellites)")
     return 0
 
 
@@ -115,8 +116,13 @@ def _cmd_export_snapshot(args) -> int:
         t_abs = np.inf
     if not np.isfinite(t_abs):
         raise cfgmod.ConfigError("slot", "gives a slot start time beyond the float range")
-    g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, t_abs,
-                                sim.scenario_tx_power(cfg))
+    try:
+        g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, t_abs,
+                                    sim.scenario_tx_power(cfg))
+    except cfgmod.ConfigError as exc:   # an epoch that `positions` rejects
+        if exc.field != "t":
+            raise
+        raise cfgmod.ConfigError("slot", f"gives a slot start time that {exc.message}") from None
     path = _out_path(args, f"snapshot_slot{args.slot}.csv")
     topology.write_snapshot_csv(path, g, cfg.params)
     print(f"wrote {path} ({g.num_edges} directed edges x {g.frame_count} frames)")

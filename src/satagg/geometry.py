@@ -7,6 +7,7 @@ orbit radius and u the argument of latitude. Ground clusters are fixed on the
 rotating Earth; their inertial longitude advances at 360 deg per sidereal day.
 """
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -18,6 +19,10 @@ from .constants import (
     GEO_ALTITUDE_KM,
     SIDEREAL_DAY_S,
 )
+
+# Epochs per `positions` call when writing ephemerides: 256 epochs of an
+# 800-satellite shell are about 600,000 coordinates.
+EPHEMERIS_CHUNK = 256
 
 class ConfigError(ValueError):
     """A setting outside its bounds. field names it: the parameter of the
@@ -116,7 +121,10 @@ def positions(spec: ConstellationSpec, t) -> np.ndarray:
     Row order is (orbit 0 slot 0), (orbit 0 slot 1), ..., i.e. index
     n * sats_per_orbit + k for satellite (n, k). For an array of epochs the
     result has shape t.shape + (total_sats, 3), and each epoch's block is
-    bit-identical to a call with that epoch alone.
+    bit-identical to a call with that epoch alone. An epoch so late that
+    the float spacing of its orbit phase reaches half the in-plane phase
+    spacing, where neighbouring satellites could share a position, is
+    rejected.
     """
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t) & (t >= 0)):
@@ -132,6 +140,9 @@ def positions(spec: ConstellationSpec, t) -> np.ndarray:
     u = (2.0 * math.pi * k_idx / spec.sats_per_orbit
          + 2.0 * math.pi * spec.phasing_factor * n_idx / spec.total_sats
          + n_mean * t[..., None])
+    if np.spacing(u.max(initial=0.0)) >= math.pi / spec.sats_per_orbit:
+        raise ConfigError("t", "is too late: the float spacing of the orbit phase reaches "
+                               "half the in-plane satellite spacing")
 
     cos_u, sin_u = np.cos(u), np.sin(u)
     # In-plane coords rotated by inclination about x, then by node about z.
@@ -253,22 +264,34 @@ def geo_slant_range_km(sat_pos: np.ndarray, t) -> np.ndarray:
     """Distance from each satellite row to its nearest geostationary relay.
 
     sat_pos is (N, 3) at epoch t, or t.shape + (N, 3) for an array of epochs
-    as `positions` returns it."""
+    as `positions` returns it. Squared lengths are summed as
+    np.linalg.norm sums a length-3 axis, (dx^2 + dy^2) + dz^2, one component
+    at a time, and the square root of the smallest is the smallest length."""
     geo = geo_positions_km(t)
-    d = np.linalg.norm(sat_pos[..., :, None, :] - geo[..., None, :, :], axis=-1)
-    return d.min(axis=-1)
+    dx, dy, dz = (sat_pos[..., :, None, c] - geo[..., None, :, c] for c in range(3))
+    return np.sqrt(((dx * dx + dy * dy) + dz * dz).min(axis=-1))
 
 
 def write_ephemeris_csv(path, spec: ConstellationSpec, times) -> None:
     """CSV export with columns (t_s, orbit, slot, x_km, y_km, z_km), one row
-    per satellite in (orbit, slot) order for each epoch. Every epoch is
+    per satellite in (orbit, slot) order for each epoch of the iterable
+    times. Epochs are propagated and written EPHEMERIS_CHUNK at a time, so
+    memory stays bounded however many there are; the first chunk is
     propagated, and so checked, before the file is opened."""
-    times = np.asarray(times, dtype=float)
-    pos = positions(spec, times).tolist()
+    times = iter(times)
     labels = [(n, k) for n in range(spec.num_orbits) for k in range(spec.sats_per_orbit)]
+
+    def propagated():
+        """(epochs, positions) of the next chunk of times, as lists."""
+        chunk = np.fromiter(itertools.islice(times, EPHEMERIS_CHUNK), dtype=float)
+        return chunk.tolist(), positions(spec, chunk).tolist()
+
+    epochs, pos = propagated()
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t_s", "orbit", "slot", "x_km", "y_km", "z_km"])
-        # csv writes a float as its repr.
-        for t, block in zip(times.tolist(), pos):
-            w.writerows((t, n, k, *p) for (n, k), p in zip(labels, block))
+        while epochs:
+            # csv writes a float as its repr.
+            for t, block in zip(epochs, pos):
+                w.writerows((t, n, k, *p) for (n, k), p in zip(labels, block))
+            epochs, pos = propagated()

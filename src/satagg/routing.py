@@ -4,14 +4,14 @@ and the three tree-building algorithms compared by the simulator.
 All trees use data-flow orientation: an edge (child, parent) means the child
 transmits toward the root, so every non-root tree node has exactly one
 outgoing edge. The arborescence solver picks each node's cheapest outgoing
-edge in one pass and returns those edges when they already lead every node
-to the root; only when they form a cycle does it reverse the edges, run the
-classic min-incoming-edge / contract / expand procedure, and reverse back.
+edge and returns those edges when they already lead every node to the
+root; when they form a cycle, it contracts the cycle and solves the smaller
+graph the same way (Chu-Liu/Edmonds, without reversing any edge).
 
 Ties are broken by fixed rules everywhere (a tied next hop by its head's
-hop count to the root, then by node id; the minimum-incoming-edge choice and
-the cycle detection scan order by node id) so identical inputs always
-produce identical trees.
+hop count to the root, then by node id; a tied arborescence pick by the
+lower (head, tail) pair, and the cycle search by ascending node id) so
+identical inputs always produce identical trees.
 """
 import heapq
 import math
@@ -251,105 +251,74 @@ def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals,
     return sorted(hop[y] for y in done - {root})
 
 
-def _msa_edge_ids(nodes, redges, root, next_id):
-    """Recursive contraction on the reversed graph; returns chosen edge ids.
-
-    redges entries are (tail, head, weight, eid, tiebreak) with tiebreak the
-    original (tail, head) pair, constant through contractions.
-    """
-    best = {}
-    for ed in redges:
-        u, v, w, eid, tb = ed
-        if v == root:
-            continue
-        cur = best.get(v)
-        if cur is None or (w, tb) < (cur[2], cur[4]):
-            best[v] = ed
-
-    cycle = None
-    done = {root}
-    for start in sorted(nodes):
-        if start in done:
-            continue
-        order = {}
-        path = []
-        v = start
-        while v not in done and v not in order:
-            order[v] = len(path)
-            path.append(v)
-            v = best[v][0]
-        if v in order:
-            cycle = set(path[order[v]:])
-            break
-        done.update(path)
-    if cycle is None:
-        return [best[v][3] for v in nodes if v != root]
-
-    c = next_id
-    new_nodes = {x for x in nodes if x not in cycle}
-    new_nodes.add(c)
-    new_edges = []
-    head_in_cycle = {}
-    for u, v, w, eid, tb in redges:
-        cu = c if u in cycle else u
-        cv = c if v in cycle else v
-        if cu == cv:
-            continue
-        if cv == c:
-            new_edges.append((cu, cv, w - best[v][2], eid, tb))
-            head_in_cycle[eid] = v
-        else:
-            new_edges.append((cu, cv, w, eid, tb))
-    chosen = _msa_edge_ids(new_nodes, new_edges, root, next_id + 1)
-    entering = [eid for eid in chosen if eid in head_in_cycle]
-    v_star = head_in_cycle[entering[0]]
-    chosen.extend(best[v][3] for v in cycle if v != v_star)
-    return chosen
-
-
 def _msa_rows(src, dst, w, root, nodes) -> dict:
     """{node: position k of its out-row} in an exact minimum spanning
     arborescence of nodes (which hold root) toward root over the rows
     src[k] -> dst[k] of weight w[k], (src, dst)-sorted and within nodes.
 
-    Each non-root node picks its cheapest out-row, the first of equal
-    weights. If following the picks leads every node to the root, they are
-    optimal. Otherwise the nodes that cannot reach the root raise
-    RoutingInfeasibleError; with none, the picks form a cycle, which the
-    contraction (`_msa_edge_ids`) resolves.
+    Chu-Liu/Edmonds in data-flow orientation. Each level picks every
+    non-root node's cheapest out-row, ties to the lower original
+    (head, tail) pair: a level lists its rows in that order for each tail,
+    which at level 0 is row order, and keeps the first of equal weights.
+    If following the picks leads every node to the root, they are optimal.
+    Otherwise the nodes that cannot reach the root raise
+    RoutingInfeasibleError; with none, the first cycle met scanning the
+    nodes in ascending order becomes a supernode with an id above every
+    node, and the next level solves the contracted rows, sorted by their
+    original (head, tail) pair: rows leaving the cycle lose their tail's
+    picked weight, rows entering it keep theirs, and rows inside it drop.
+    Expanding a level keeps every cycle node's pick except the tail of the
+    supernode's chosen exit row, which takes that row.
     """
-    best = {}
-    for k, s in enumerate(src):
-        if s not in best or w[k] < w[best[s]]:
-            best[s] = k
-    best.pop(root, None)
-    reaches = {root: True}   # False: on the walk in progress
-    for v in nodes:
-        walk = []
-        while v not in reaches and v in best:
-            reaches[v] = False
-            walk.append(v)
-            v = dst[best[v]]
-        if not reaches.get(v, False):
+    pos, tails, heads, levels = range(len(src)), src, dst, []
+    while True:
+        best = {}
+        for k, s in enumerate(tails):
+            if s not in best or w[k] < w[best[s]]:
+                best[s] = k
+        best.pop(root, None)
+        reaches = {root: True}   # False: on the walk in progress
+        for v in sorted(nodes):
+            walk = []
+            while v not in reaches and v in best:
+                reaches[v] = False
+                walk.append(v)
+                v = heads[best[v]]
+            if not reaches.get(v, False):
+                break
+            for x in walk:
+                reaches[x] = True
+        else:
             break
-        for x in walk:
-            reaches[x] = True
-    else:
-        return best
-    into = {}
-    for i, j in zip(src, dst):
-        into.setdefault(j, []).append(i)
-    reach, stack = {root}, [root]
-    while stack:
-        for x in into.get(stack.pop(), ()):
-            if x not in reach:
-                reach.add(x)
-                stack.append(x)
-    if nodes - reach:
-        raise RoutingInfeasibleError(nodes - reach)
-    # Reversed rows, tie-broken on the (tail, head) pair as the picks above.
-    redges = [(j, i, w[k], k, (j, i)) for k, (i, j) in enumerate(zip(src, dst))]
-    return {src[k]: k for k in _msa_edge_ids(nodes, redges, root, next_id=max(nodes) + 1)}
+        if not levels:
+            into = {}
+            for i, j in zip(src, dst):
+                into.setdefault(j, []).append(i)
+            reach, stack = {root}, [root]
+            while stack:
+                for x in into.get(stack.pop(), ()):
+                    if x not in reach:
+                        reach.add(x)
+                        stack.append(x)
+            if nodes - reach:
+                raise RoutingInfeasibleError(nodes - reach)
+        cycle = set(walk[walk.index(v):])
+        c = max(nodes) + 1
+        keep = sorted((k for k, (i, j) in enumerate(zip(tails, heads))
+                       if i not in cycle or j not in cycle),
+                      key=lambda k: (dst[pos[k]], src[pos[k]]))
+        levels.append((c, keep, {v: best[v] for v in cycle}, tails))
+        w = [w[k] - w[best[tails[k]]] if tails[k] in cycle else w[k] for k in keep]
+        pos = [pos[k] for k in keep]
+        tails, heads = ([c if x[k] in cycle else x[k] for k in keep] for x in (tails, heads))
+        nodes = nodes - cycle | {c}
+    # Level positions map back through each level's kept rows.
+    for c, keep, picks, tails in reversed(levels):
+        k = keep[best.pop(c)]
+        best = {v: keep[p] for v, p in best.items()}
+        best.update(picks)
+        best[tails[k]] = k
+    return best
 
 
 def taeer(g: SnapshotGraph, u: int, terminals, root: int, rows) -> Arborescence:

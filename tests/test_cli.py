@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from satagg import config as cfgmod
-from satagg import hierfl, sim, topology
+from satagg import geometry, hierfl, sim, topology
 from satagg.cli import parse_and_dispatch
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -143,13 +143,28 @@ class TestDispatch:
         # Its start time overflows a float; its file name would be too long.
         pytest.param(["export-snapshot", "--slot", "9" * 401],
                      "config field 'slot': gives a slot start time beyond the float range",
-                     id="slot-401-digits")])
+                     id="slot-401-digits")] + [
+        # So late that the float spacing of the orbit phase would let
+        # neighbouring satellites share a position.
+        pytest.param(["export-snapshot", "--slot", "9" * digits],
+                     "config field 'slot': gives a slot start time that is too late",
+                     id=f"slot-{digits}-digits") for digits in (17, 20)] + [
+        pytest.param(["generate-constellation", "--t", "1e20"],
+                     "config field 't': is too late", id="1e20")])
     def test_bad_epoch_named(self, tmp_path, cfg_file, capsys, argv, message):
         # The flag that sets the epoch is named, and no output is left behind.
         out = tmp_path / "out"
         assert parse_and_dispatch(argv + ["--config", cfg_file, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_export_snapshot_15_digit_slot(self, tmp_path, cfg_file):
+        # The float spacing of the orbit phase is still below half the
+        # in-plane satellite spacing.
+        out = tmp_path / "out"
+        assert parse_and_dispatch(["export-snapshot", "--slot", "9" * 15, "--config",
+                                   cfg_file, "--out", str(out)]) == 0
+        assert (out / f"snapshot_slot{'9' * 15}.csv").exists()
 
     def test_unknown_subcommand_exit_2(self, capsys):
         assert parse_and_dispatch(["frobnicate"]) == 2
@@ -185,6 +200,33 @@ class TestDispatch:
         assert code == 0
         lines = (out / "ephemerides.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 80
+
+    def test_generate_constellation_in_chunks(self, tmp_path, monkeypatch):
+        # A 2-satellite shell at 9 s slots has 657 slot starts: three chunks
+        # of at most EPHEMERIS_CHUNK epochs, and the bytes of one call for all.
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("[constellation]\nnum_orbits = 1\nsats_per_orbit = 2\n"
+                       "phasing_factor = 0\n\n[time]\nslot_len_s = 9\n")
+        sizes = []
+        propagate = geometry.positions
+
+        def recording(spec, t):
+            sizes[-1].append(len(t))
+            return propagate(spec, t)
+
+        monkeypatch.setattr(geometry, "positions", recording)
+        outs = []
+        for chunk in (geometry.EPHEMERIS_CHUNK, 10 ** 6):
+            monkeypatch.setattr(geometry, "EPHEMERIS_CHUNK", chunk)
+            sizes.append([])
+            out = tmp_path / str(chunk)
+            assert parse_and_dispatch(["generate-constellation", "--config", str(cfg),
+                                       "--out", str(out)]) == 0
+            outs.append((out / "ephemerides.csv").read_bytes())
+        chunked, whole = sizes
+        assert sum(chunked) == sum(whole) == 657 and max(whole) == 657
+        assert max(chunked) <= 256 and len([n for n in chunked if n]) == 3
+        assert outs[0] == outs[1]
 
     def test_export_snapshot(self, tmp_path, cfg_file):
         out = tmp_path / "snap"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import isl_feasible, nearest_in_orbit
-from satagg import geometry
+from satagg import geometry, topology
 from satagg.constants import EARTH_RADIUS_KM
 from satagg.geometry import ConstellationSpec, GroundCluster
 
@@ -284,6 +284,20 @@ class TestGeoRelay:
         # worst-case longitude offset plus latitude.
         assert np.all(d >= 35786.0 + EARTH_RADIUS_KM - 6871.0 - 1.0)
         assert np.all(d <= math.hypot(35786.0 + EARTH_RADIUS_KM, 6871.0) + 1.0)
+
+    @pytest.mark.parametrize("shell", ["delta80", "star800"])
+    def test_slant_range_equals_norm_form(self, shell, delta_spec):
+        # The frame midpoints of slot 7, as build_snapshot forms them: the
+        # component sums round as np.linalg.norm's, bit for bit.
+        spec = {"delta80": delta_spec,
+                "star800": ConstellationSpec.walker(800, 20, 1, 700.0, 99.5, "star")}[shell]
+        times = topology.TimeStructure.for_constellation(spec)
+        t = np.array([7 * times.slot_len_s + (u + 0.5) * times.frame_len_s
+                      for u in range(times.frames_per_slot)])
+        pos = geometry.positions(spec, t)
+        geo = geometry.geo_positions_km(t)
+        norm = np.linalg.norm(pos[..., :, None, :] - geo[..., None, :, :], axis=-1)
+        assert geometry.geo_slant_range_km(pos, t).tobytes() == norm.min(axis=-1).tobytes()
 
 
 def test_ephemeris_csv_export(tmp_path, delta_spec):

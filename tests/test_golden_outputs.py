@@ -16,7 +16,8 @@ at their defaults reach the link budget. `train` runs once more on four
 clusters with unequal weights (`clusters_unequal.csv`), and
 `compare-algorithms` once more on the star scenario with a 53.3 s slot, a
 length that a round trip through the period would not keep
-(53.3 * 111 / 111 != 53.3).
+(53.3 * 111 / 111 != 53.3). One routed round of 5 frames on the shipped
+800-satellite star, the benchmark's star800 size, covers the large shell.
 """
 import configparser
 import hashlib
@@ -44,6 +45,9 @@ COMMANDS = (
     ("sweep_link", "walker_star_80.cfg", LINK, ["link-sweep"]),
     ("train_weighted", "walker_delta_80.cfg", WEIGHTED, ["train"]),
     ("compare_slot53.3", "walker_star_80.cfg", {"time": {"slot_len_s": "53.3"}},
+     ["compare-algorithms"]),
+    ("compare_star800", "walker_star_800.cfg",
+     {"run": {"rounds": "1", "seed": "42"}, "time": {"frames_per_slot": "5"}},
      ["compare-algorithms"]),
 )
 
@@ -90,6 +94,12 @@ DIGESTS = {
         "ae92bf4a74c34d18a5e0ee84cc2436ff7545f7bc0331a9eb44e50778814f20d5",
     "compare_slot53.3/rounds_taeer.csv":
         "58309c1386801c92836bcef06cf8700ce70c2825fa8403d66334dc09269410f5",
+    "compare_star800/comparison.json":
+        "ca7887a3dd1b3b839605291b330bc06b61f91064c22e5fc4901c70d6ff9c642f",
+    "compare_star800/rounds_d_merge.csv":
+        "09185ddd2dbcaad837251d3d3269379ab10a3550e38be0d8ebc4f5a8b11e8306",
+    "compare_star800/rounds_taeer.csv":
+        "84b8ba672cab57f2764c6ea7fe86ad5dbe2786dc44e701dc94b7d2642d870eb9",
 }
 
 

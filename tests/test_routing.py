@@ -355,15 +355,25 @@ def prune_leaves(edges, terminals):
 
 
 def count_contractions(monkeypatch):
-    """Patch the contraction step to record each of its calls."""
+    """Patch the arborescence core to record each solve that contracts: its
+    answer is not the one-pass picks (every non-root node's cheapest
+    out-row, the first of equal weights). The core runs its levels in one
+    call, so a solve is the finest step seen from outside."""
     calls = []
-    contract = routing._msa_edge_ids
+    solve = routing._msa_rows
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return contract(*args, **kwargs)
+    def counted(src, dst, w, root, nodes):
+        out = solve(src, dst, w, root, nodes)
+        picks = {}
+        for k, s in enumerate(src):
+            if s not in picks or w[k] < w[picks[s]]:
+                picks[s] = k
+        picks.pop(root, None)
+        if out != picks:
+            calls.append((src, dst, w, root, nodes))
+        return out
 
-    monkeypatch.setattr(routing, "_msa_edge_ids", counted)
+    monkeypatch.setattr(routing, "_msa_rows", counted)
     return calls
 
 
@@ -464,29 +474,34 @@ class TestChuLiuEdmonds:
     def test_exact_against_enumeration(self, monkeypatch):
         # Both branches of the solver: the cheapest out-rows already form
         # the arborescence (one pass), or they cycle and contraction runs.
+        # Small integer weights make equal-weight picks common, at the
+        # contracted levels too.
         contractions = count_contractions(monkeypatch)
-        rng = np.random.default_rng(77)
-        checked = one_pass = 0
-        for _ in range(150):
-            n, edges = random_digraph(rng, max_nodes=8, p=0.45)
-            if not edges:
-                continue
-            root = int(rng.integers(n))
-            oracle = enumerate_min_arborescence(edges, root, range(n))
-            g = graph_of(n, edges)
-            before = len(contractions)
-            try:
-                arb = chu_liu_edmonds(g, root, nodes=range(n))
-            except RoutingInfeasibleError:
-                assert oracle is None
-                continue
-            arb.validate()
-            assert oracle is not None
-            assert arb.total_cost == pytest.approx(oracle, rel=1e-12, abs=1e-12)
-            checked += 1
-            one_pass += len(contractions) == before
-        assert checked > 50
-        assert one_pass > 20 and checked - one_pass > 20
+        for integer_weights in (False, True):
+            rng = np.random.default_rng(77)
+            checked = one_pass = 0
+            for _ in range(150):
+                n, edges = random_digraph(rng, max_nodes=8, p=0.45)
+                if not edges:
+                    continue
+                if integer_weights:
+                    edges = [(u, v, float(rng.integers(1, 5))) for u, v, _ in edges]
+                root = int(rng.integers(n))
+                oracle = enumerate_min_arborescence(edges, root, range(n))
+                g = graph_of(n, edges)
+                before = len(contractions)
+                try:
+                    arb = chu_liu_edmonds(g, root, nodes=range(n))
+                except RoutingInfeasibleError:
+                    assert oracle is None
+                    continue
+                arb.validate()
+                assert oracle is not None
+                assert arb.total_cost == pytest.approx(oracle, rel=1e-12, abs=1e-12)
+                checked += 1
+                one_pass += len(contractions) == before
+            assert checked > 50
+            assert one_pass > 20 and checked - one_pass > 20
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
