@@ -22,7 +22,8 @@ pointing loss has CDF 1 - erf(sqrt(-ln x / (2*G0*sigma_p^2))) and density
     f(x) = sqrt(c/pi) * x^(c-1) / sqrt(-ln x),   c = 1/(2*G0*sigma_p^2),
 
 which integrates to 1 over (0, 1) (both endpoints are integrable
-singularities when c < 1).
+singularities when c < 1). The tests integrate it (`oracles.pointing_loss_pdf`)
+to check the closed-form outage below.
 
 The functions take arrays (a scalar is a 0-d array) and broadcast over
 them. `link_budget` is the one place that composes the chain from transmit
@@ -172,20 +173,6 @@ def frame_energy(p_t_w, rate_bps, params: LinkParams, frames_per_slot: int):
                         params.payload_bits * np.asarray(p_t_w, dtype=float)
                         / (frames_per_slot * rate),
                         np.inf)
-
-
-def _power_exponent(params: LinkParams) -> float:
-    # c = 1/(2*G0*sigma_p^2): exponent of the pointing-loss power-law CDF.
-    return 1.0 / (2.0 * params.g0 * params.sigma_p_rad ** 2)
-
-
-def pointing_loss_pdf(theta, params: LinkParams):
-    """Density of the random pointing loss at theta in (0, 1)."""
-    x = np.asarray(theta, dtype=float)
-    if np.any(x <= 0.0) or np.any(x >= 1.0):
-        raise ValueError("pointing loss density is defined on (0, 1)")
-    c = _power_exponent(params)
-    return math.sqrt(c / math.pi) * x ** (c - 1.0) / np.sqrt(-np.log(x))
 
 
 def gamma0(p_t_w, d_km, params: LinkParams):

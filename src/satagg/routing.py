@@ -16,7 +16,7 @@ identical inputs always produce identical trees.
 import heapq
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,12 +32,26 @@ class RoutingInfeasibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class Arborescence:
-    """Rooted aggregation tree; edges are (child, parent) toward the root."""
+    """Rooted aggregation tree at frame `frame` of `graph`: the sorted edge
+    rows edge_ids, each (child, parent) toward the root. Two trees are equal
+    when their frame, root and rows are. The node pairs and the cost are
+    derived from the rows each time they are read."""
 
+    graph: SnapshotGraph = field(compare=False, repr=False)
+    frame: int
     root: int
-    edges: tuple
-    total_cost: float
-    edge_ids: tuple = ()
+    edge_ids: tuple
+
+    @property
+    def edges(self) -> tuple:
+        """The (child, parent) node pairs of the rows, in row order."""
+        rows = list(self.edge_ids)
+        return tuple(zip(self.graph.src[rows].tolist(), self.graph.dst[rows].tolist()))
+
+    @property
+    def total_cost(self) -> float:
+        """The rows' frame weights summed in row order."""
+        return ordered_sum(self.graph.weights_j[self.frame][list(self.edge_ids)].tolist())
 
     def nodes(self) -> set:
         out = {self.root}
@@ -69,14 +83,15 @@ class Arborescence:
 
 
 def shortest_path_csr(indptr, indices, weights, source, start=None):
-    """Single-source shortest paths on a CSR digraph with weights >= 0.
+    """Single-source shortest paths on a CSR digraph with weights >= 0,
+    given as lists (`SnapshotGraph.frame_reverse_csr`).
 
     Returns (dist, pred) arrays, float64 and int32; pred[v] = -1 for the
     source and unreached nodes. Heap entries are (distance, node) so cost
     ties pop in ascending node order, and predecessors update only on strict
-    improvement. The loop runs on lists (array arguments are copied to lists): indexing a
-    list is several times faster than indexing an array, and Python float
-    addition rounds exactly as float64 addition does.
+    improvement. The loop runs on lists: indexing a list is several times
+    faster than indexing an array, and Python float addition rounds exactly
+    as float64 addition does.
 
     start = (dist, pred, seeds) replaces the cold start from the source with
     lists that the search updates in place: every finite dist[v] is the
@@ -87,10 +102,8 @@ def shortest_path_csr(indptr, indices, weights, source, start=None):
     above, and the cold labels satisfy dist[v] = min over in-edges of
     dist[x] + w, so both starts end with bit-identical distances.
     """
-    ptr, nbr, wts = (x if isinstance(x, list) else np.asarray(x).tolist()
-                     for x in (indptr, indices, weights))
     if start is None:
-        n = len(ptr) - 1
+        n = len(indptr) - 1
         dist = [math.inf] * n
         pred = [-1] * n
         dist[source] = 0.0
@@ -104,9 +117,9 @@ def shortest_path_csr(indptr, indices, weights, source, start=None):
         d, u = pop(heap)
         if d > dist[u]:
             continue
-        for k in range(ptr[u], ptr[u + 1]):
-            v = nbr[k]
-            nd = d + wts[k]
+        for k in range(indptr[u], indptr[u + 1]):
+            v = indices[k]
+            nd = d + weights[k]
             if nd < dist[v]:
                 dist[v] = nd
                 pred[v] = u
@@ -329,8 +342,7 @@ def taeer(g: SnapshotGraph, u: int, terminals, root: int, rows) -> Arborescence:
     shortest paths to a terminal (`shortest_paths_to_root`), plus that
     terminal's uplink row when root is the relay. An exact minimum spanning
     arborescence of those rows is computed (`_msa_rows`), and non-terminal
-    leaves are pruned away. The result covers every terminal; cost is the
-    sum of the surviving edge weights.
+    leaves are pruned away. The result covers every terminal.
     """
     if root != g.geo_node and root not in terminals:
         raise ValueError("root must be a terminal or the graph's relay")
@@ -346,11 +358,7 @@ def taeer(g: SnapshotGraph, u: int, terminals, root: int, rows) -> Arborescence:
         into[p] -= 1
         if not into[p] and p not in term and p in out_row:
             leaves.append(p)
-    if len(out_row) < len(rows):   # else every position is kept
-        kept = sorted(out_row.values())
-        src, dst, w, rows = ([x[k] for k in kept] for x in (src, dst, w, rows))
-    return Arborescence(root=root, edges=tuple(zip(src, dst)),
-                        total_cost=ordered_sum(w), edge_ids=tuple(rows))
+    return Arborescence(g, u, root, tuple(rows[k] for k in sorted(out_row.values())))
 
 
 def d_merge(g: SnapshotGraph, u: int, terminals, root: int, rows) -> Arborescence:
@@ -361,12 +369,7 @@ def d_merge(g: SnapshotGraph, u: int, terminals, root: int, rows) -> Arborescenc
     """
     if root != g.geo_node and root not in terminals:
         raise ValueError("root must be a terminal or the graph's relay")
-    # Rows are (src, dst)-sorted, so sorted rows give sorted pairs.
-    eids = list(rows)
-    pairs = zip(g.src[eids].tolist(), g.dst[eids].tolist())
-    cost = ordered_sum(g.weights_j[u][eids].tolist())
-    return Arborescence(root=root, edges=tuple(pairs), total_cost=cost,
-                        edge_ids=tuple(eids))
+    return Arborescence(g, u, root, tuple(rows))
 
 
 def _minimal_ring_arc(slots, ring_size):
@@ -433,8 +436,7 @@ def orbit_greedy(g: SnapshotGraph, u: int, plan: tuple,
     Each orbit holding terminals routes them along its minimal ring arc
     (from plan, see orbit_plan) to a randomly chosen arc node, drawn per
     orbit in ascending orbit order, which uplinks to the GEO relay. The
-    tree is rooted at the relay; cost is its rows' weights summed in row
-    order.
+    tree is rooted at the relay.
     """
     rows = []
     for arc, forward, backward, uplink in plan:
@@ -442,10 +444,7 @@ def orbit_greedy(g: SnapshotGraph, u: int, plan: tuple,
         # Arc nodes before the root arc[k] send forward, the others backward.
         rows += forward[:k] + backward[k:] + (uplink[k],)
     rows.sort()
-    return Arborescence(root=g.geo_node,
-                        edges=tuple(zip(g.src[rows].tolist(), g.dst[rows].tolist())),
-                        total_cost=ordered_sum(g.weights_j[u][rows].tolist()),
-                        edge_ids=tuple(rows))
+    return Arborescence(g, u, g.geo_node, tuple(rows))
 
 
 def select_root(g: SnapshotGraph, u: int, terminals) -> int:

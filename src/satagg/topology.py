@@ -44,10 +44,6 @@ class TimeStructure:
             raise ConfigError("slot_len_s", f"must be finite and > 0, got {self.slot_len_s!r}")
 
     @property
-    def period_s(self) -> float:
-        return self.slot_len_s * self.slots_per_period
-
-    @property
     def frame_len_s(self) -> float:
         return self.slot_len_s / self.frames_per_slot
 

@@ -88,9 +88,7 @@ def chu_liu_edmonds(g, root, u=0, nodes=None):
     src, dst = [src[e] for e in eids], [dst[e] for e in eids]
     w = np.take(g.weights_j[u], eids).tolist()
     picked = sorted(routing._msa_rows(src, dst, w, root, nodes).values())
-    return routing.Arborescence(root=root, edges=tuple((src[k], dst[k]) for k in picked),
-                                total_cost=topology.ordered_sum(w[k] for k in picked),
-                                edge_ids=tuple(eids[k] for k in picked))
+    return routing.Arborescence(g, u, root, tuple(eids[k] for k in picked))
 
 
 def routed_isl_links(cfg):

@@ -6,7 +6,9 @@ directed Steiner tree optimum from that enumeration over every Steiner-node
 subset instead of the path routers, full-gradient descent on the global
 objective instead of federated rounds, adaptive quadrature instead of the
 closed form, one normal draw per call instead of batched draws, the
-per-pair ISL rule instead of the batched pair search.
+per-pair ISL rule instead of the batched pair search. The pointing-loss
+density is the one `satagg.channel`'s docstring states; the quadratures
+integrate it to check the closed-form outage.
 """
 import math
 
@@ -139,6 +141,17 @@ def sample_attempts_per_edge(rng, gamma0_value, params, max_attempts):
         if z * z <= z2_max:
             return k, True
     return max_attempts, False
+
+
+def pointing_loss_pdf(theta, params):
+    """Density of the random pointing loss at theta in (0, 1):
+    sqrt(c/pi) * x^(c-1) / sqrt(-ln x) with c = 1/(2*G0*sigma_p^2), the
+    exponent of the pointing-loss power-law CDF."""
+    x = np.asarray(theta, dtype=float)
+    if np.any(x <= 0.0) or np.any(x >= 1.0):
+        raise ValueError("pointing loss density is defined on (0, 1)")
+    c = 1.0 / (2.0 * params.g0 * params.sigma_p_rad ** 2)
+    return math.sqrt(c / math.pi) * x ** (c - 1.0) / np.sqrt(-np.log(x))
 
 
 def pointing_pdf_quadrature(pdf, upper, abs_tol=1e-9):

@@ -20,6 +20,7 @@ from oracles import (
     centralized_gd,
     enumerate_min_arborescence,
     exact_dst_oracle,
+    pointing_loss_pdf,
     pointing_pdf_quadrature,
     pointing_pdf_quadrature_logspace,
 )
@@ -97,7 +98,7 @@ def test_criterion_3_outage_closed_form():
             continue
         closed = channel.outage_from_gamma0(g0_val, params)
         integral, _ = pointing_pdf_quadrature_logspace(
-            lambda x: channel.pointing_loss_pdf(x, params), g0_val)
+            lambda x: pointing_loss_pdf(x, params), g0_val)
         worst = max(worst, abs(closed - integral))
         assert abs(closed - integral) <= 1e-6
         checked += 1
@@ -107,7 +108,7 @@ def test_criterion_3_outage_closed_form():
             sigma_p_rad=float(rng.uniform(0.02, 0.1)),
             theta_3db_rad=float(rng.uniform(0.05, 0.2)))
         quad = pointing_pdf_quadrature if k == 0 else pointing_pdf_quadrature_logspace
-        total, _ = quad(lambda x: channel.pointing_loss_pdf(x, params), 1.0)
+        total, _ = quad(lambda x: pointing_loss_pdf(x, params), 1.0)
         norm_worst = max(norm_worst, abs(total - 1.0))
         assert abs(total - 1.0) <= 1e-6
     _report(3, f"1000 draws, worst |closed-integral| {worst:.2e}; "

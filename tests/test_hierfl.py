@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import from_edge_list
 from oracles import centralized_gd
 from satagg import hierfl
 from satagg.hierfl import LocalTask, TrainingSettings
@@ -18,10 +19,17 @@ def quadratic_task(rng, n=20, d=8, **kw):
     return LocalTask(device_id=0, features=a, targets=b, weight=1.0), TrainingSettings(**kw)
 
 
+def tree_of(root, edges):
+    """The tree toward root over the (child, parent) pairs edges, on a graph
+    holding just those edges."""
+    nodes = [root] + [v for e in edges for v in e]
+    g = from_edge_list(max(nodes) + 1, [(c, p, 0.0) for c, p in edges])
+    return Arborescence(g, 0, root, tuple(range(len(edges))))
+
+
 def random_arborescence(rng, n_nodes):
     """Random tree toward root 0: each node's parent has a smaller index."""
-    edges = tuple(sorted((v, int(rng.integers(0, v))) for v in range(1, n_nodes)))
-    return Arborescence(root=0, edges=edges, total_cost=0.0)
+    return tree_of(0, [(v, int(rng.integers(0, v))) for v in range(1, n_nodes)])
 
 
 class TestLocalUpdate:
@@ -71,14 +79,14 @@ class TestLocalUpdate:
 
 class TestTreeAggregate:
     def test_two_devices_arithmetic(self):
-        tree = Arborescence(root=0, edges=((1, 0),), total_cost=0.0)
+        tree = tree_of(0, [(1, 0)])
         out = hierfl.tree_aggregate(
             tree, {0: np.array([2.0]), 1: np.array([4.0])},
             {0: 0.5, 1: 0.5}, {0: 0, 1: 1})
         assert out.tolist() == [3.0]
 
     def test_single_device_identity(self):
-        tree = Arborescence(root=5, edges=(), total_cost=0.0)
+        tree = tree_of(5, [])
         delta = np.array([1.0, -2.0, 3.0])
         out = hierfl.tree_aggregate(tree, {9: delta}, {9: 1.0}, {9: 5})
         assert np.array_equal(out, delta)
@@ -99,7 +107,7 @@ class TestTreeAggregate:
             assert np.allclose(got, ref, rtol=1e-12, atol=1e-14)
 
     def test_missing_terminal_raises(self):
-        tree = Arborescence(root=0, edges=((1, 0),), total_cost=0.0)
+        tree = tree_of(0, [(1, 0)])
         with pytest.raises(hierfl.AggregationError):
             hierfl.tree_aggregate(tree, {0: np.ones(2)}, {0: 1.0}, {0: 7})
 

