@@ -145,15 +145,15 @@ def _cmd_train(args) -> int:
     train = cfgmod.build_training(values)
     cfg = _scenario(args, values)
     task_rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed, spawn_key=(4,)))
-    tasks = hierfl.make_synthetic_tasks([w for c in cfg.clusters for w in c.device_weights],
-                                        train, task_rng)
-    hierfl.check_learning_rate(tasks, train)
+    devices = hierfl.make_synthetic_tasks([w for c in cfg.clusters for w in c.device_weights],
+                                          train, task_rng)
+    hierfl.check_learning_rate(devices, train)
 
     metrics = sim.run_scenario(dataclasses.replace(cfg, rounds=train.rounds))
     energy_per_round = [r.total_energy_j for r in metrics.records]
 
     sgd_rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed, spawn_key=(5,)))
-    trace = hierfl.run_training(tasks, [r.failed for r in metrics.records], train, sgd_rng)
+    trace = hierfl.run_training(devices, [r.failed for r in metrics.records], train, sgd_rng)
     path = _out_path(args, "loss_trace.csv")
     hierfl.write_loss_trace_csv(path, trace, energy_per_round)
     print(f"wrote {path} (final loss {trace[-1][1]:.6g}, "

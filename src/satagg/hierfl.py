@@ -4,7 +4,9 @@ Model vectors are plain numpy arrays. Each device holds a least-squares task
 with loss 0.5*||A x - b||^2 (sum over its samples) and runs E steps of
 mini-batch SGD per round; the network aggregates the weighted model deltas
 (bottom-up along a routing tree, or flat) and applies them to the global
-model:  x <- x + sum_i lambda_i * delta_i.
+model:  x <- x + sum_i lambda_i * delta_i. A run's devices are one
+`DeviceStack`, and each round trains the whole stack at once; every sum
+across devices is still added left to right in device order.
 
 Tree aggregation is exactly linear in the deltas, so any tree shape yields
 the flat weighted sum up to floating-point association; that equivalence is
@@ -61,71 +63,107 @@ class TrainingSettings:
 
 
 @dataclass(frozen=True)
-class LocalTask:
-    """One device's regression task and its aggregation weight."""
+class DeviceStack:
+    """A run's devices as one stack: device d is row d of every field, so a
+    device is its index. Device d fits features[d] (samples, dim) to
+    targets[d] (samples,) and aggregates with weight weights[d]."""
 
-    device_id: int
-    features: np.ndarray        # (samples, dim)
-    targets: np.ndarray         # (samples,)
-    weight: float               # aggregation weight lambda
+    features: np.ndarray        # (devices, samples, dim)
+    targets: np.ndarray         # (devices, samples)
+    weights: np.ndarray         # (devices,) aggregation weights lambda
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError("weight must be >= 0")
+        d, s, _ = self.features.shape
+        if d < 1:
+            raise ValueError("need at least one device")
+        if self.targets.shape != (d, s) or self.weights.shape != (d,):
+            raise ValueError(
+                f"features {self.features.shape} need targets of shape {(d, s)} "
+                f"and weights of shape {(d,)}, got {self.targets.shape} and "
+                f"{self.weights.shape}")
+        negative = np.flatnonzero(~(self.weights >= 0))
+        if negative.size:
+            raise ValueError(f"weight of device {int(negative[0])} must be >= 0, "
+                             f"got {self.weights[negative[0]]}")
 
-    def loss(self, x: np.ndarray) -> float:
-        r = self.features @ x - self.targets
-        return 0.5 * float(r @ r)
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.features.T @ (self.features @ x - self.targets)
+    @property
+    def dim(self) -> int:
+        return self.features.shape[2]
 
 
-def local_update(task: LocalTask, global_model: np.ndarray, settings: TrainingSettings,
+def _residuals(a, b, x):
+    """Per-device residuals a_d x_d - b_d as (devices, samples, 1) columns,
+    for stacked rows a (devices, samples, dim), targets b (devices, samples)
+    and models x, one per device (devices, dim) or one shared (dim,). Each
+    product is one matrix-vector product per device, as on a single device."""
+    return a @ np.asarray(x, dtype=float)[..., None] - b[..., None]
+
+
+def _gradients(a, b, x):
+    """Per-device gradients a_d^T (a_d x_d - b_d) of 0.5*||a_d x_d - b_d||^2,
+    (devices, dim); arguments as in _residuals."""
+    return (a.transpose(0, 2, 1) @ _residuals(a, b, x))[..., 0]
+
+
+def local_update(stack: DeviceStack, global_model: np.ndarray,
+                 settings: TrainingSettings,
                  rng: np.random.Generator | None = None) -> np.ndarray:
-    """settings.local_steps steps of mini-batch SGD from the global model;
-    returns the delta x_final - x_initial. Batches are sampled without
-    replacement and scaled by n/|batch| so the stochastic gradient stays
-    unbiased; a batch covering the dataset makes the update full-batch."""
-    n = task.features.shape[0]
-    full_batch = settings.batch_size >= n
-    if not full_batch and rng is None:
-        raise ValueError("mini-batch updates need an rng")
-    x = np.array(global_model, dtype=float)
-    for _ in range(settings.local_steps):
+    """settings.local_steps steps of mini-batch SGD on every device from the
+    global model; returns the deltas x_final - x_initial, (devices, dim).
+
+    Batches are sampled without replacement and scaled by n/|batch| so the
+    stochastic gradient stays unbiased; a batch covering the dataset makes
+    the update full-batch and draws nothing. All batch indices are drawn
+    first, device by device and step by step, one rng.choice each, which is
+    the order in which devices trained one after another would draw them;
+    each step then trains the whole stack at once."""
+    d, n, dim = stack.features.shape
+    steps, size = settings.local_steps, settings.batch_size
+    full_batch = size >= n
+    if not full_batch:
+        if rng is None:
+            raise ValueError("mini-batch updates need an rng")
+        choice = rng.choice
+        idx = np.array([[choice(n, size=size, replace=False) for _ in range(steps)]
+                        for _ in range(d)])
+        idx += (n * np.arange(d))[:, None, None]     # rows of the flattened stack
+        features = stack.features.reshape(d * n, dim)
+        targets = stack.targets.reshape(d * n)
+    x0 = np.asarray(global_model, dtype=float)
+    x = np.repeat(x0[None], d, axis=0)
+    for e in range(steps):
         if full_batch:
-            g = task.gradient(x)
+            g = _gradients(stack.features, stack.targets, x)
         else:
-            idx = rng.choice(n, size=settings.batch_size, replace=False)
-            a, b = task.features[idx], task.targets[idx]
-            g = (n / settings.batch_size) * (a.T @ (a @ x - b))
+            rows = idx[:, e]
+            g = (n / size) * _gradients(features[rows], targets[rows], x)
         x -= settings.learning_rate * g
-    return x - np.asarray(global_model, dtype=float)
+    return x - x0
 
 
-def tree_aggregate(tree, deltas: dict, weights: dict, device_terminals: dict) -> np.ndarray:
+def tree_aggregate(tree, deltas, weights, terminals) -> np.ndarray:
     """Weighted-sum reduction of device deltas along an aggregation tree.
 
-    Partial sums flow child -> parent; the root ends up holding
-    sum_i weight_i * delta_i. Devices and children are accumulated in
-    ascending id order so the result is reproducible bit-for-bit.
+    Device d contributes weights[d] * deltas[d] at its serving node
+    terminals[d]. Partial sums flow child -> parent; the root ends up
+    holding sum_d weights[d] * deltas[d]. Devices are accumulated in device
+    order and children in ascending node order, so the result is
+    reproducible bit-for-bit.
     """
-    nodes = tree.nodes()
-    missing = sorted(t for t in set(device_terminals.values()) if t not in nodes)
-    if missing:
-        raise AggregationError(f"terminals not covered by the tree: {missing}")
-
-    payload = {}
-    for dev in sorted(deltas):
-        node = device_terminals[dev]
-        term = weights[dev] * np.asarray(deltas[dev], dtype=float)
-        payload[node] = payload.get(node, 0.0) + term
-
     children = {}
     out_edge = {}
     for c, p in tree.edges:
         children.setdefault(p, []).append(c)
         out_edge[c] = p
+    nodes = {tree.root, *out_edge, *children}
+    missing = sorted(set(terminals) - nodes)
+    if missing:
+        raise AggregationError(f"terminals not covered by the tree: {missing}")
+
+    payload = {}
+    for node, weight, delta in zip(terminals, weights, deltas, strict=True):
+        payload[node] = payload.get(node, 0.0) + weight * np.asarray(delta, dtype=float)
+
     depth = {}
     for v in nodes:
         d = 0
@@ -144,27 +182,28 @@ def tree_aggregate(tree, deltas: dict, weights: dict, device_terminals: dict) ->
     return np.asarray(partial[tree.root], dtype=float)
 
 
-def flat_aggregate(deltas: dict, weights: dict) -> np.ndarray:
-    """Reference reduction: sum of weight_i * delta_i in ascending device id."""
-    acc = 0.0
-    for dev in sorted(deltas):
-        acc = acc + weights[dev] * np.asarray(deltas[dev], dtype=float)
-    return np.asarray(acc, dtype=float)
+def flat_aggregate(deltas, weights) -> np.ndarray:
+    """Reference reduction: sum of weights[d] * deltas[d], added in device
+    order."""
+    return np.asarray(ordered_sum(np.asarray(weights)[:, None] * np.asarray(deltas)),
+                      dtype=float)
 
 
-def global_loss(tasks, x: np.ndarray) -> float:
-    """Weighted sum of the task losses, added left to right."""
-    return float(ordered_sum(t.weight * t.loss(x) for t in tasks))
+def global_loss(stack: DeviceStack, x: np.ndarray) -> float:
+    """Weighted sum of the device losses, added left to right."""
+    r = _residuals(stack.features, stack.targets, x)
+    losses = 0.5 * (r.transpose(0, 2, 1) @ r)[:, 0, 0]
+    return float(ordered_sum((stack.weights * losses).tolist()))
 
 
-def global_gradient(tasks, x: np.ndarray) -> np.ndarray:
-    g = np.zeros_like(np.asarray(x, dtype=float))
-    for t in tasks:
-        g += t.weight * t.gradient(x)
-    return g
+def global_gradient(stack: DeviceStack, x: np.ndarray) -> np.ndarray:
+    """Weighted sum of the device gradients, added left to right."""
+    return np.asarray(ordered_sum(
+        stack.weights[:, None] * _gradients(stack.features, stack.targets, x)))
 
 
-def run_training(tasks, failed, settings: TrainingSettings, rng: np.random.Generator):
+def run_training(stack: DeviceStack, failed, settings: TrainingSettings,
+                 rng: np.random.Generator):
     """Federated rounds of settings' local SGD with flat aggregation from
     the zero model, one per flag in failed; returns per-round records
     [(round, global_loss, grad_norm)], loss/grad evaluated on the updated
@@ -172,45 +211,46 @@ def run_training(tasks, failed, settings: TrainingSettings, rng: np.random.Gener
     still draws every device's local update, so later rounds see the same
     SGD stream, but leaves the model unchanged. Raises TrainingDivergedError
     if the loss blows up."""
-    x = np.zeros(tasks[0].features.shape[1])
-    initial = global_loss(tasks, x)
+    x = np.zeros(stack.dim)
+    initial = global_loss(stack, x)
     trace = []
     for t, dropped in enumerate(failed):
-        deltas = {}
-        for task in sorted(tasks, key=lambda task: task.device_id):
-            deltas[task.device_id] = local_update(task, x, settings, rng)
+        deltas = local_update(stack, x, settings, rng)
         if not dropped:
-            weights = {task.device_id: task.weight for task in tasks}
-            x = x + flat_aggregate(deltas, weights)
-        loss = global_loss(tasks, x)
+            x = x + flat_aggregate(deltas, stack.weights)
+        loss = global_loss(stack, x)
         if not math.isfinite(loss) or loss > DIVERGENCE_LIMIT * max(initial, 1.0):
             raise TrainingDivergedError(t, loss)
-        trace.append((t, loss, float(np.linalg.norm(global_gradient(tasks, x)))))
+        trace.append((t, loss, float(np.linalg.norm(global_gradient(stack, x)))))
     return trace
 
 
 def make_synthetic_tasks(weights, settings: TrainingSettings,
-                         rng: np.random.Generator):
-    """One linear-regression task per aggregation weight, device i taking
-    weights[i]. The per-device optima have a controllable spread: device i
-    fits b = A (w* + heterogeneity*z_i) + noise. Larger heterogeneity raises
-    the gradient-dissimilarity level across devices."""
+                         rng: np.random.Generator) -> DeviceStack:
+    """One linear-regression task per aggregation weight, device d taking
+    weights[d]. The per-device optima have a controllable spread: device d
+    fits b = A (w* + heterogeneity*z_d) + noise. Larger heterogeneity raises
+    the gradient-dissimilarity level across devices. After w*, each device
+    draws its z_d, its A and its noise in turn, written into its rows of
+    the stack."""
     dim, samples = settings.dim, settings.samples_per_device
+    weights = np.array(weights, dtype=float)
+    features = np.empty((len(weights), samples, dim))
+    targets = np.empty((len(weights), samples))
     w_star = rng.standard_normal(dim)
-    tasks = []
-    for i, weight in enumerate(weights):
-        w_i = w_star + settings.heterogeneity * rng.standard_normal(dim)
-        a = rng.standard_normal((samples, dim)) / math.sqrt(samples)
-        b = a @ w_i + settings.noise_std * rng.standard_normal(samples)
-        tasks.append(LocalTask(device_id=i, features=a, targets=b, weight=weight))
-    return tasks
+    for a, b in zip(features, targets):
+        w_d = w_star + settings.heterogeneity * rng.standard_normal(dim)
+        rng.standard_normal(out=a)
+        a /= math.sqrt(samples)
+        b[:] = a @ w_d + settings.noise_std * rng.standard_normal(samples)
+    return DeviceStack(features, targets, weights)
 
 
-def smoothness_constant(tasks) -> float:
+def smoothness_constant(stack: DeviceStack) -> float:
     """Largest curvature among the device objectives and the global one."""
-    hessians = [t.features.T @ t.features for t in tasks]
-    l_local = max(float(np.linalg.eigvalsh(h)[-1]) for h in hessians)
-    h_global = sum(t.weight * h for t, h in zip(tasks, hessians))
+    hessians = stack.features.transpose(0, 2, 1) @ stack.features
+    l_local = float(np.linalg.eigvalsh(hessians)[:, -1].max())
+    h_global = ordered_sum(stack.weights[:, None, None] * hessians)
     return max(l_local, float(np.linalg.eigvalsh(h_global)[-1]))
 
 
@@ -228,10 +268,10 @@ def learning_rate_bound(smoothness: float, local_steps: int) -> float:
     return cap
 
 
-def check_learning_rate(tasks, settings: TrainingSettings) -> float:
+def check_learning_rate(stack: DeviceStack, settings: TrainingSettings) -> float:
     """Warn when settings' learning rate exceeds the stability cap of the
-    tasks' smoothness at settings' local steps; returns the cap."""
-    smoothness = smoothness_constant(tasks)
+    devices' smoothness at settings' local steps; returns the cap."""
+    smoothness = smoothness_constant(stack)
     cap = learning_rate_bound(smoothness, settings.local_steps)
     if settings.learning_rate > cap:
         warnings.warn(

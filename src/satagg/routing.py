@@ -54,10 +54,7 @@ class Arborescence:
         return ordered_sum(self.graph.weights_j[self.frame][list(self.edge_ids)].tolist())
 
     def nodes(self) -> set:
-        out = {self.root}
-        for c, p in self.edges:
-            out.update((c, p))
-        return out
+        return {self.root}.union(*self.edges)
 
     def validate(self, terminals=None) -> None:
         """Raise AssertionError if any arborescence invariant is violated."""
@@ -76,9 +73,10 @@ class Arborescence:
                 v = out_edge[v]
         if terminals is not None:
             term = set(terminals)
-            assert term <= self.nodes(), "tree does not cover all terminals"
             parents = set(out_edge.values())
-            for v in self.nodes() - parents - {self.root}:
+            nodes = {self.root, *out_edge, *parents}
+            assert term <= nodes, "tree does not cover all terminals"
+            for v in nodes - parents - {self.root}:
                 assert v in term, f"leaf {v} is not a terminal"
 
 

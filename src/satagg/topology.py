@@ -18,9 +18,10 @@ from .geometry import ConfigError, ConstellationSpec
 
 
 def ordered_sum(values) -> float:
-    """Sum of floats added strictly left to right, as numpy-scalar
-    accumulation adds them. The built-in sum() compensates rounding over
-    Python floats from Python 3.12 on, so its bits depend on the version."""
+    """Sum of floats, or of arrays elementwise, added strictly left to
+    right, as numpy-scalar accumulation adds them. The built-in sum()
+    compensates rounding over Python floats from Python 3.12 on, so its bits
+    depend on the version."""
     total = 0.0
     for v in values:
         total += v

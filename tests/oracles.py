@@ -6,16 +6,18 @@ directed Steiner tree optimum from that enumeration over every Steiner-node
 subset instead of the path routers, full-gradient descent on the global
 objective instead of federated rounds, adaptive quadrature instead of the
 closed form, one normal draw per call instead of batched draws, the
-per-pair ISL rule instead of the batched pair search. The pointing-loss
-density is the one `satagg.channel`'s docstring states; the quadratures
-integrate it to check the closed-form outage.
+per-pair ISL rule instead of the batched pair search, devices trained one
+at a time instead of as one stack. The pointing-loss density is the one
+`satagg.channel`'s docstring states; the quadratures integrate it to check
+the closed-form outage.
 """
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 
-from satagg import geometry, hierfl
+from satagg import geometry
 from satagg.routing import RoutingInfeasibleError
 
 
@@ -109,16 +111,120 @@ def exact_dst_oracle(g, terminals, root, u=0, max_nodes=12):
     return best
 
 
-def centralized_gd(tasks, rounds, learning_rate):
-    """Full-gradient descent on the global objective from the zero model;
-    the reference the federated trajectory is compared against. Returns
-    [(round, global_loss, grad_norm)] after each step."""
+@dataclass(frozen=True)
+class LocalTask:
+    """One device's regression task and its aggregation weight: a device
+    of `hierfl.DeviceStack` on its own."""
+
+    features: np.ndarray        # (samples, dim)
+    targets: np.ndarray         # (samples,)
+    weight: float               # aggregation weight lambda
+
+    def loss(self, x: np.ndarray) -> float:
+        r = self.features @ x - self.targets
+        return 0.5 * float(r @ r)
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return self.features.T @ (self.features @ x - self.targets)
+
+
+def local_tasks(stack):
+    """The devices of a `hierfl.DeviceStack` as LocalTasks, in device order."""
+    return [LocalTask(a, b, float(w))
+            for a, b, w in zip(stack.features, stack.targets, stack.weights)]
+
+
+def make_tasks(weights, settings, rng):
+    """Per-device form of `hierfl.make_synthetic_tasks`: one normal draw
+    per array, device after device, each device's data its own arrays."""
+    dim, samples = settings.dim, settings.samples_per_device
+    w_star = rng.standard_normal(dim)
+    tasks = []
+    for weight in weights:
+        w_i = w_star + settings.heterogeneity * rng.standard_normal(dim)
+        a = rng.standard_normal((samples, dim)) / math.sqrt(samples)
+        b = a @ w_i + settings.noise_std * rng.standard_normal(samples)
+        tasks.append(LocalTask(features=a, targets=b, weight=weight))
+    return tasks
+
+
+def local_update(task, global_model, settings, rng=None):
+    """One device's settings.local_steps steps of mini-batch SGD from the
+    global model, each step drawing its batch just before it trains;
+    returns the delta x_final - x_initial. `hierfl.local_update` must give
+    every device's delta, and leave the generator, as calling this device
+    after device does."""
+    n = task.features.shape[0]
+    full_batch = settings.batch_size >= n
+    if not full_batch and rng is None:
+        raise ValueError("mini-batch updates need an rng")
+    x = np.array(global_model, dtype=float)
+    for _ in range(settings.local_steps):
+        if full_batch:
+            g = task.gradient(x)
+        else:
+            idx = rng.choice(n, size=settings.batch_size, replace=False)
+            a, b = task.features[idx], task.targets[idx]
+            g = (n / settings.batch_size) * (a.T @ (a @ x - b))
+        x -= settings.learning_rate * g
+    return x - np.asarray(global_model, dtype=float)
+
+
+def global_loss(tasks, x):
+    """Weighted sum of the task losses, added left to right."""
+    total = 0.0
+    for t in tasks:
+        total += t.weight * t.loss(x)
+    return total
+
+
+def global_gradient(tasks, x):
+    """Weighted sum of the task gradients, added left to right."""
+    g = np.zeros_like(np.asarray(x, dtype=float))
+    for t in tasks:
+        g += t.weight * t.gradient(x)
+    return g
+
+
+def smoothness_constant(tasks):
+    """Largest curvature among the task objectives and the global one."""
+    hessians = [t.features.T @ t.features for t in tasks]
+    l_local = max(float(np.linalg.eigvalsh(h)[-1]) for h in hessians)
+    h_global = sum(t.weight * h for t, h in zip(tasks, hessians))
+    return max(l_local, float(np.linalg.eigvalsh(h_global)[-1]))
+
+
+def train_per_device(tasks, failed, settings, rng):
+    """Federated rounds trained device after device: every device's
+    local_update in device order, the weighted deltas added left to right
+    unless the round's flag in failed is true, then the loss and gradient
+    norm; [(round, global_loss, grad_norm)] as `hierfl.run_training`."""
     x = np.zeros(tasks[0].features.shape[1])
     trace = []
+    for t, dropped in enumerate(failed):
+        deltas = [local_update(task, x, settings, rng) for task in tasks]
+        if not dropped:
+            acc = 0.0
+            for task, delta in zip(tasks, deltas):
+                acc = acc + task.weight * delta
+            x = x + acc
+        trace.append((t, global_loss(tasks, x),
+                      float(np.linalg.norm(global_gradient(tasks, x)))))
+    return trace
+
+
+def centralized_gd(stack, rounds, learning_rate):
+    """Full-gradient descent on the global objective of a
+    `hierfl.DeviceStack` from the zero model; the reference the federated
+    trajectory is compared against. Returns [(round, global_loss,
+    grad_norm)] after each step."""
+    tasks = local_tasks(stack)
+    x = np.zeros(stack.dim)
+    trace = []
     for t in range(rounds):
-        x = x - learning_rate * hierfl.global_gradient(tasks, x)
-        trace.append((t, hierfl.global_loss(tasks, x),
-                      float(np.linalg.norm(hierfl.global_gradient(tasks, x)))))
+        x = x - learning_rate * global_gradient(tasks, x)
+        trace.append((t, global_loss(tasks, x),
+                      float(np.linalg.norm(global_gradient(tasks, x)))))
     return trace
 
 

@@ -125,10 +125,10 @@ def test_criterion_4_aggregation_equivalence():
         tree = random_arborescence(rng, int(rng.integers(2, 14)))
         n_dev = int(rng.integers(1, 20))
         d = int(rng.integers(1, 8))
-        deltas = {i: rng.standard_normal(d) for i in range(n_dev)}
+        deltas = rng.standard_normal((n_dev, d))
         raw = rng.uniform(0.05, 1.0, n_dev)
-        weights = {i: float(w) for i, w in enumerate(raw / raw.sum())}
-        terms = {i: int(rng.integers(len(tree.nodes()))) for i in range(n_dev)}
+        weights = raw / raw.sum()
+        terms = [int(rng.integers(len(tree.nodes()))) for _ in range(n_dev)]
         got = hierfl.tree_aggregate(tree, deltas, weights, terms)
         ref = hierfl.flat_aggregate(deltas, weights)
         scale = max(float(np.max(np.abs(ref))), 1e-30)
@@ -139,9 +139,9 @@ def test_criterion_4_aggregation_equivalence():
     settings = hierfl.TrainingSettings(
         dim=10, samples_per_device=20, heterogeneity=1.0, noise_std=0.1,
         local_steps=1, learning_rate=0.02, batch_size=20)
-    tasks = hierfl.make_synthetic_tasks([1 / 8] * 8, settings, np.random.default_rng(4))
-    fed = hierfl.run_training(tasks, [False] * 50, settings, np.random.default_rng(0))
-    cent = centralized_gd(tasks, 50, 0.02)
+    stack = hierfl.make_synthetic_tasks([1 / 8] * 8, settings, np.random.default_rng(4))
+    fed = hierfl.run_training(stack, [False] * 50, settings, np.random.default_rng(0))
+    cent = centralized_gd(stack, 50, 0.02)
     step_worst = max(abs(lf - lc) / max(abs(lc), 1e-30)
                      for (_, lf, _), (_, lc, _) in zip(fed, cent))
     assert step_worst <= 1e-10

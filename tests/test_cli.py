@@ -581,6 +581,6 @@ def test_train_weights_devices_by_cluster_weight(tmp_path, monkeypatch):
         cfg.write_text(SMALL_CFG.replace("count = 8\n", f"file = {clusters}\n"))
         out = tmp_path / f"out_{weights[0]}"
         assert parse_and_dispatch(["train", "--config", str(cfg), "--out", str(out)]) == 0
-        assert [task.weight for task in made[-1]] == list(weights)
+        assert made[-1].weights.tolist() == list(weights)
         traces[weights] = (out / "loss_trace.csv").read_bytes()
     assert traces[0.9, 0.1] != traces[0.5, 0.5]
