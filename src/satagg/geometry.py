@@ -23,6 +23,19 @@ from .constants import (
 # Epochs per `positions` call when writing ephemerides: 256 epochs of an
 # 800-satellite shell are about 600,000 coordinates.
 EPHEMERIS_CHUNK = 256
+# (satellite, orbit) entries that `feasible_isl_pairs` searches at once:
+# each of its half-dozen temporaries then takes 64 KB, whatever the shell.
+ISL_BATCH = 8192
+# Below this float margin, relative to the orbit radius a, a satellite's
+# phase no longer picks its nearest slot of another orbit (see
+# `feasible_isl_pairs`). The two squared distances it must tell apart round
+# by about 40 eps * a^2 in all: a few eps for each of the float positions,
+# the differences, squares and sums, and the square root. A phase projected
+# at radius r is off by about 5 eps * a / r. With slots D apart, that asks
+# for r * margin * sin(D/2) above about 21 eps * a, margin being the angle
+# by which the phase clears the midpoint between two slots; 1024 eps leaves
+# a factor of about 50 to spare.
+PHASE_TOL = 1024 * np.finfo(float).eps
 
 class ConfigError(ValueError):
     """A setting outside its bounds. field names it: the parameter of the
@@ -166,6 +179,39 @@ def comm_radius_km(altitude_km: float) -> float:
     return 2.0 * math.sqrt(h_star ** 2 - EARTH_RADIUS_KM ** 2)
 
 
+def _lengths(coords, idx, x, y, z, out, tmp):
+    """Distances from the points (x, y, z) to the satellites idx, computed
+    as np.linalg.norm reduces a length-3 axis: sqrt((dx^2 + dy^2) + dz^2).
+    coords are the three coordinate columns of the positions; x, y, z
+    broadcast against idx, and out and tmp are float buffers of its shape."""
+    for c, (col, at) in enumerate(zip(coords, (x, y, z))):
+        buf = out if c == 0 else tmp
+        np.take(col, idx, out=buf)
+        buf -= at
+        buf *= buf
+        if c:
+            out += tmp
+    return np.sqrt(out, out=out)
+
+
+def _nearest_of_every_slot(coords, s, rows, orbits):
+    """For each satellite rows[i], its nearest satellite of orbit orbits[i]
+    and the distance to it, from the distance to every slot of that orbit;
+    the first minimum in slot order wins. At most ISL_BATCH distances are
+    held at once."""
+    nearest, length = np.empty(rows.size, dtype=np.intp), np.empty(rows.size)
+    step = max(1, ISL_BATCH // s)
+    for lo in range(0, rows.size, step):
+        r, m = rows[lo:lo + step, None], orbits[lo:lo + step, None]
+        every = m * s + np.arange(s)
+        d = _lengths(coords, every, *(col[r] for col in coords),
+                     np.empty(every.shape), np.empty(every.shape))
+        k = d.argmin(axis=1)
+        at = np.arange(k.size)
+        nearest[lo:lo + step], length[lo:lo + step] = every[at, k], d[at, k]
+    return nearest, length
+
+
 def feasible_isl_pairs(spec: ConstellationSpec, pos: np.ndarray) -> np.ndarray:
     """Unordered satellite-index pairs holding a feasible ISL, as a (k, 2)
     int array of rows (i, j), i < j, in ascending order.
@@ -174,52 +220,131 @@ def feasible_isl_pairs(spec: ConstellationSpec, pos: np.ndarray) -> np.ndarray:
     and each other orbit, the nearest in-range satellite of that orbit; a pair
     is kept if either endpoint selects the other. Ties go to the lowest
     slot. This is the per-pair ISL rule of `tests/oracles.py` in either
-    direction, batched: one distance block per orbit n against the orbits
-    m > n, (n's slot, m, m's slot), whose argmin over the last axis picks
-    each n satellite's nearest in m and over the first axis each m
-    satellite's nearest in n; argmin keeps the first minimum. The block sums
-    the squared components as (dx^2 + dy^2) + dz^2, the order in which
-    `np.linalg.norm` reduces a length-3 axis, and a difference squares alike
-    in either direction, so distances match the oracle's both ways.
+    direction, with the same distances: each is summed as
+    np.linalg.norm reduces a length-3 axis, (dx^2 + dy^2) + dz^2, and a
+    difference squares alike in either direction.
+
+    The nearest slot comes from the phases, not from every distance. Orbit
+    m's slots lie on its plane at radius a and phases theta_l = theta_0 +
+    l * D, D = 2 pi / s. If a satellite x projects onto that plane at radius
+    r and phase phi, then by the cosine law
+    |x - p_l|^2 = |x|^2 + a^2 - 2 a r cos(theta_l - phi), so the slot whose
+    phase lies closest to phi is the nearest, and only its distance is
+    computed. Let phi lie u * D from that slot (|u| <= 1/2). Every other slot
+    lies at least (1 - |u|) * D from phi, so its squared distance exceeds
+    the nearest one's by at least 4 a r sin(D/2) sin((1/2 - |u|) * D). That
+    gap closes as r -> 0, when x sits on the plane's axis and every slot is
+    as far as the others, and as |u| -> 1/2, when phi lies halfway between
+    two slots. There the float rounding of the distances, not the phases,
+    decides which slot is the first minimum. So wherever
+    r * ((1/2 - |u|) * D - slack) * sin(D/2) <= PHASE_TOL * a, the distance
+    to every slot of m is computed and the first minimum kept. slack adds to
+    PHASE_TOL the largest gap, measured from the satellites' own phases,
+    between a slot's float phase and theta_0 + l * D; it grows with the
+    epoch. The search runs ISL_BATCH (satellite, orbit) entries at a time.
     """
     p, s, total = spec.num_orbits, spec.sats_per_orbit, spec.total_sats
-    lo, hi = [], []
+    keys = []
     if s >= 2:
         ring = np.arange(total)
         nxt = ring - ring % s + (ring + 1) % s
-        lo.append(np.minimum(ring, nxt))
-        hi.append(np.maximum(ring, nxt))
-    radius = comm_radius_km(spec.altitude_km)
-    x, y, z = (np.ascontiguousarray(pos[:, c]) for c in range(3))
-    for n in range(p - 1):
-        src, far = slice(n * s, (n + 1) * s), slice((n + 1) * s, total)
-        d = x[far] - x[src, None]
-        d *= d
-        sq = y[far] - y[src, None]
-        sq *= sq
-        d += sq
-        np.subtract(z[far], z[src, None], out=sq)
-        sq *= sq
-        d += sq
-        d = np.sqrt(d, out=d).reshape(s, p - 1 - n, s)
-        # n's slot k selects m's slot to_m[k, m], and m's slot l selects
-        # n's slot to_n[m, l].
-        to_m, to_n = d.argmin(axis=2), d.argmin(axis=0)
-        k, m = np.nonzero(np.take_along_axis(d, to_m[..., None], 2)[..., 0] <= radius)
-        lo.append(n * s + k)
-        hi.append((n + 1 + m) * s + to_m[k, m])
-        m, l = np.nonzero(np.take_along_axis(d, to_n[None], 0)[0] <= radius)
-        lo.append(n * s + to_n[m, l])
-        hi.append((n + 1 + m) * s + l)
+        keys.append(np.minimum(ring, nxt) * total + np.maximum(ring, nxt))
+    if p >= 2:
+        keys += _inter_orbit_keys(spec, pos)
+    if not keys:
+        return np.empty((0, 2), dtype=np.intp)
     # A stable sort: numpy's default one runs through SIMD kernels whose
     # code pages add a few hundred KB to the peak RSS of an 80-satellite run.
-    lo, hi = np.concatenate(lo), np.concatenate(hi)
-    keys = lo * total + hi
-    order = np.argsort(keys, kind="stable")
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = keys[order[1:]] != keys[order[:-1]]
-    order = order[first]
-    return np.stack([lo[order], hi[order]], axis=1)
+    # The keys come as a few sorted runs, which it merges.
+    keys = np.concatenate(keys)
+    keys = keys[np.argsort(keys, kind="stable")]
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    out = np.empty((keys.size, 2), dtype=np.intp)
+    np.floor_divide(keys, total, out=out[:, 0])
+    np.remainder(keys, total, out=out[:, 1])
+    return out
+
+
+def _inter_orbit_keys(spec: ConstellationSpec, pos: np.ndarray) -> list:
+    """feasible_isl_pairs' inter-orbit pairs (i, j), i < j, as keys
+    i * total_sats + j in two ascending arrays: the pairs where i chose j,
+    then those where j chose i. A pair that both ends chose is in both."""
+    p, s, total = spec.num_orbits, spec.sats_per_orbit, spec.total_sats
+    a, width = spec.orbit_radius_km, 2.0 * math.pi / s
+    radius = comm_radius_km(spec.altitude_km)
+    # Orbit m's plane axes, as `positions` places phase u at
+    # a * (cos(u) * e1[m] + sin(u) * e2[m]).
+    nodes, inc = raan_rad(spec), math.radians(spec.inclination_deg)
+    e1 = (np.cos(nodes), np.sin(nodes))
+    e2 = (-np.sin(nodes) * math.cos(inc), np.cos(nodes) * math.cos(inc), math.sin(inc))
+    coords = px, py, pz = tuple(np.ascontiguousarray(pos[:, c]) for c in range(3))
+    orbit = np.repeat(np.arange(p), s)
+    own = np.arctan2(px * e2[0][orbit] + py * e2[1][orbit] + pz * e2[2],
+                     px * e1[0][orbit] + py * e1[1][orbit])
+    theta0 = own[::s]
+    stray = (own - theta0[orbit] - width * np.tile(np.arange(s), p) + math.pi) \
+        % (2.0 * math.pi) - math.pi
+    slack = float(np.abs(stray).max()) + PHASE_TOL
+    lead = 0.5 - slack / width
+    # One slot has no rival.
+    bar = PHASE_TOL * a / (width * math.sin(width / 2)) if s > 1 else -math.inf
+    # Orbit m's slot at rounded phase index b in [-s - 1, s + 1] (phases
+    # relative to theta0 span (-2 pi, 2 pi], plus rounding):
+    # slot_of[off[m] + b].
+    slot_of = (np.arange(p)[:, None] * s + np.arange(-s - 1, s + 2) % s).ravel()
+    off = np.arange(p) * (2 * s + 3) + s + 1
+
+    ahead, behind_lo, behind_hi = [], [], []
+    step = max(1, ISL_BATCH // p)
+    for start in range(0, total, step):
+        rows = slice(start, min(total, start + step))
+        x, y, z = px[rows, None], py[rows, None], pz[rows, None]
+        # Projection (c, d) of each satellite onto each orbit's plane, its
+        # phase psi in slot widths from slot 0, and the nearest slot by phase.
+        c = x * e1[0]
+        c += y * e1[1]
+        d = x * e2[0]
+        d += y * e2[1]
+        d += z * e2[2]
+        psi = np.arctan2(d, c)
+        psi -= theta0
+        psi *= 1.0 / width
+        near = np.rint(psi)
+        pick = near.astype(np.intp)
+        pick += off
+        np.take(slot_of, pick, out=pick)
+        # psi becomes (1/2 - |u|) - slack / D, times r.
+        psi -= near
+        np.abs(psi, out=psi)
+        np.subtract(lead, psi, out=psi)
+        c *= c
+        d *= d
+        c += d
+        psi *= np.sqrt(c, out=c)
+        unsure = psi <= bar
+        del c, d, near
+        best = _lengths(coords, pick, x, y, z, psi, np.empty(pick.shape))
+        if unsure.any():
+            i, m = np.nonzero(unsure)
+            pick[i, m], best[i, m] = _nearest_of_every_slot(coords, s, i + start, m)
+        # A pair toward a later orbit is (row, pick) and comes in key order,
+        # one toward an earlier orbit is (pick, row) and comes in row order.
+        # A satellite's own orbit picks the satellite itself and is dropped.
+        ok = best <= radius
+        later = np.arange(p) - orbit[rows, None]
+        to_later, to_earlier = ok & (later > 0), ok & (later < 0)
+        ahead.append((np.nonzero(to_later)[0] + start) * total + pick[to_later])
+        behind_lo.append(pick[to_earlier])
+        behind_hi.append(np.nonzero(to_earlier)[0] + start)
+    behind_lo, behind_hi = np.concatenate(behind_lo), np.concatenate(behind_hi)
+    # Stable, so pairs that share a lo keep their hi ascending; numpy
+    # radix-sorts unsigned ints of 16 bits or fewer. The final stable sort
+    # then only merges sorted runs, which is cheaper than ordering these
+    # keys itself (a sixth of the whole call on the 800-satellite shell).
+    order = np.argsort(behind_lo.astype(np.min_scalar_type(total)), kind="stable")
+    return [np.concatenate(ahead), behind_lo[order] * total + behind_hi[order]]
 
 
 def earth_rotation_deg(t: float) -> float:

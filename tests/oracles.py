@@ -6,10 +6,11 @@ directed Steiner tree optimum from that enumeration over every Steiner-node
 subset instead of the path routers, full-gradient descent on the global
 objective instead of federated rounds, adaptive quadrature instead of the
 closed form, one normal draw per call instead of batched draws, the
-per-pair ISL rule instead of the batched pair search, devices trained one
-at a time instead of as one stack. The pointing-loss density is the one
-`satagg.channel`'s docstring states; the quadratures integrate it to check
-the closed-form outage.
+per-pair ISL rule and every satellite's distance to every other instead of
+the phase-guided pair search, devices trained one at a time instead of as
+one stack. The pointing-loss density is the one `satagg.channel`'s
+docstring states; the quadratures integrate it to check the closed-form
+outage.
 """
 import math
 from dataclasses import dataclass
@@ -319,3 +320,38 @@ def isl_feasible(spec, pos, a, b):
     if float(np.linalg.norm(pos[a] - pos[b])) > geometry.comm_radius_km(spec.altitude_km):
         return False
     return nearest_in_orbit(pos[a], pos[nb * s:(nb + 1) * s])[0] == kb
+
+
+def nearest_in_orbit_pairs(spec, pos):
+    """The ISL pairs of one epoch by the per-satellite nearest-in-orbit
+    rule, as a (k, 2) int array of rows (i, j), i < j, in ascending order:
+    the ring of adjacent slots, and for each satellite and each other orbit
+    the nearest satellite of that orbit, if it lies within the
+    communication radius. geometry.feasible_isl_pairs must return exactly
+    these.
+
+    pos holds the (total_sats, 3) positions of one epoch. Every satellite's
+    distances to every satellite come from np.linalg.norm, 64 satellites
+    per call: the row of orbit m holds, element for element, what
+    nearest_in_orbit computes for that orbit, and argmin keeps the first
+    minimum, the lowest slot.
+    """
+    p, s, total = spec.num_orbits, spec.sats_per_orbit, spec.total_sats
+    radius = geometry.comm_radius_km(spec.altitude_km)
+    ends = []   # (satellite, the satellite it links to)
+    if s >= 2:
+        ring = np.arange(total)
+        ends.append((ring, ring - ring % s + (ring + 1) % s))
+    for lo in range(0, total, 64):
+        rows = np.arange(lo, min(total, lo + 64))
+        d = np.linalg.norm(pos - pos[rows, None], axis=2).reshape(rows.size, p, s)
+        slot = d.argmin(axis=2)
+        chosen = ((np.take_along_axis(d, slot[..., None], 2)[..., 0] <= radius)
+                  & (np.arange(p) != rows[:, None] // s))
+        k, m = np.nonzero(chosen)
+        ends.append((rows[k], m * s + slot[k, m]))
+    if not ends:
+        return np.empty((0, 2), dtype=np.intp)
+    i, j = (np.concatenate(e) for e in zip(*ends))
+    keys = np.unique(np.minimum(i, j) * total + np.maximum(i, j))
+    return np.stack([keys // total, keys % total], axis=1)

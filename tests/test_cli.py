@@ -318,6 +318,45 @@ def test_train_energy_is_run_scenario_energy(tmp_path):
     assert cumulative == expected
 
 
+ONE_SATELLITE_CFG = """
+[constellation]
+num_orbits = 1
+sats_per_orbit = 1
+phasing_factor = 0
+
+[run]
+rounds = 2
+seed = 3
+
+[training]
+rounds = 2
+"""
+
+
+@pytest.mark.parametrize("command", ["export-snapshot", "compare-algorithms",
+                                     "run-scenario", "train"])
+def test_one_satellite_shell(tmp_path, command):
+    # A 1 x 1 shell has no ISL: its one satellite serves every cluster and
+    # sends straight to the relay, so each round routes on the uplink alone.
+    path = tmp_path / "one.cfg"
+    path.write_text(ONE_SATELLITE_CFG)
+    out = tmp_path / "out"
+    assert parse_and_dispatch([command, "--config", str(path), "--out", str(out)]) == 0
+    if command == "export-snapshot":
+        with open(out / "snapshot_slot0.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 25
+        assert {(r["src_orbit"], r["dst_orbit"]) for r in rows} == {("0", "-1")}
+    elif command == "compare-algorithms":
+        data = json.loads((out / "comparison.json").read_text(),
+                          parse_constant=reject_constant)
+        assert sorted(data) == ["d_merge", "orbit_greedy", "taeer"]
+        assert all(v["failed_rounds"] == 0 for v in data.values())
+    else:
+        name = "metrics.json" if command == "run-scenario" else "loss_trace.csv"
+        assert (out / name).stat().st_size > 0
+
+
 class TestUnusableLinks:
     """A round that needs a link the model cannot use is recorded as failed
     and the run goes on. Outputs are always written; a run exits 1, naming

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from oracles import isl_feasible, nearest_in_orbit
+from oracles import isl_feasible, nearest_in_orbit_pairs
 from satagg import geometry, topology
 from satagg.constants import EARTH_RADIUS_KM
 from satagg.geometry import ConstellationSpec, GroundCluster
@@ -194,27 +194,78 @@ class TestFeasibleIslPairs:
         s = spec.sats_per_orbit
         if spec.num_orbits > 1:
             assert any(i // s != j // s for i, j in want), "no cross-plane pair"
-        pairs = geometry.feasible_isl_pairs(spec, geometry.positions(spec, t))
-        assert pairs.tolist() == want
+        pos = geometry.positions(spec, t)
+        assert geometry.feasible_isl_pairs(spec, pos).tolist() == want
+        assert nearest_in_orbit_pairs(spec, pos).tolist() == want
 
     @pytest.mark.parametrize("t", [0.0, 1234.5])
     def test_800_satellite_shell_matches_nearest_in_orbit(self, t):
         # The 800/20/1 star shell of scenarios/walker_star_800.cfg.
         spec = ConstellationSpec.walker(800, 20, 1, 700.0, 99.5, "star")
         pos = geometry.positions(spec, t)
+        assert np.array_equal(geometry.feasible_isl_pairs(spec, pos),
+                              nearest_in_orbit_pairs(spec, pos))
+
+    @pytest.mark.parametrize("epoch", ["zero", "random", "late", "latest"])
+    def test_random_shells_match_nearest_in_orbit(self, epoch):
+        # Seeded shells of 1-30 orbits of 1-60 slots at 300-45,000 km,
+        # inclined 0, 90, 180 or at random, at t = 0, a random epoch, an
+        # epoch past 1e9 s, and the latest power-of-two epoch that
+        # positions accepts, where a slot's phase strays furthest.
+        rng = np.random.default_rng(23)
+        for _ in range(24):
+            p, s = int(rng.integers(1, 31)), int(rng.integers(1, 61))
+            inclination = (0.0, 90.0, 180.0, float(rng.uniform(0.0, 180.0)))[rng.integers(4)]
+            spec = ConstellationSpec(p, s, float(np.exp(rng.uniform(np.log(300.0),
+                                                                    np.log(45000.0)))),
+                                     inclination, int(rng.integers(p)),
+                                     ("star", "delta")[rng.integers(2)])
+            t = {"zero": 0.0, "random": float(rng.uniform(0.0, 1e5)),
+                 "late": float(rng.uniform(1e9, 4e9)), "latest": _latest_epoch(spec)}[epoch]
+            pos = geometry.positions(spec, t)
+            assert np.array_equal(geometry.feasible_isl_pairs(spec, pos),
+                                  nearest_in_orbit_pairs(spec, pos)), (spec, t)
+
+    @pytest.mark.parametrize("spec", [
+        ConstellationSpec(4, 36, 20200.0, 90.0, 2, "delta"),
+        ConstellationSpec(20, 28, 20200.0, 90.0, 9, "delta"),
+        ConstellationSpec(18, 28, 20200.0, 90.0, 2, "star"),
+    ], ids=lambda spec: f"{spec.num_orbits}x{spec.sats_per_orbit}-{spec.pattern}")
+    def test_polar_shells_where_every_slot_is_as_far(self, spec):
+        # Exactly polar planes at t = 0: some satellite sits on another
+        # plane's axis, every slot of that plane lies as far from it and,
+        # above about 2,640 km, in range. Its phase cannot pick the nearest
+        # slot, so every slot's distance is computed and float rounding
+        # decides, as in the per-satellite rule.
+        pos = geometry.positions(spec, 0.0)
         s = spec.sats_per_orbit
-        radius = geometry.comm_radius_km(spec.altitude_km)
-        want = set()
-        for i in range(spec.total_sats):
-            ring_next = i - i % s + (i + 1) % s
-            want.add((min(i, ring_next), max(i, ring_next)))
-            for m in range(spec.num_orbits):
-                if m == i // s:
-                    continue
-                k, d = nearest_in_orbit(pos[i], pos[m * s:(m + 1) * s])
-                if d <= radius:
-                    want.add((min(i, m * s + k), max(i, m * s + k)))
-        assert geometry.feasible_isl_pairs(spec, pos).tolist() == sorted(map(list, want))
+        d = np.linalg.norm(pos[:, None] - pos.reshape(spec.num_orbits, s, 3)[:, None], axis=-1)
+        spread = d.max(axis=-1) - d.min(axis=-1)
+        assert np.any((spread < 1e-6) & (d.max(axis=-1)
+                                         <= geometry.comm_radius_km(spec.altitude_km)))
+        assert np.array_equal(geometry.feasible_isl_pairs(spec, pos),
+                              nearest_in_orbit_pairs(spec, pos))
+
+    @pytest.mark.parametrize("p, s", [(1, 1), (1, 7), (9, 1), (7, 2), (6, 3)])
+    @pytest.mark.parametrize("t", [0.0, 2345.6, 3e9])
+    def test_edge_shells_match_nearest_in_orbit(self, p, s, t):
+        # A 1 x 1 shell has no pair at all: an empty (0, 2) array.
+        spec = ConstellationSpec(p, s, 1500.0, 53.0, p // 2, "delta")
+        pos = geometry.positions(spec, t)
+        pairs = geometry.feasible_isl_pairs(spec, pos)
+        assert pairs.shape[1:] == (2,) and pairs.dtype == np.intp
+        assert pairs.tolist() == nearest_in_orbit_pairs(spec, pos).tolist()
+
+
+def _latest_epoch(spec):
+    """The latest power-of-two epoch, in seconds, that positions accepts."""
+    t = 1.0
+    while True:
+        try:
+            geometry.positions(spec, 2.0 * t)
+        except geometry.ConfigError:
+            return t
+        t *= 2.0
 
 
 class TestServingSatellite:
