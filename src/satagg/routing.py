@@ -15,8 +15,8 @@ identical inputs always produce identical trees.
 """
 import heapq
 import math
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -332,38 +332,99 @@ def _msa_rows(src, dst, w, root, nodes) -> dict:
     return best
 
 
-def taeer(g: SnapshotGraph, u: int, terminals, root: int, rows) -> Arborescence:
-    """Topology-aware energy-efficient routing for one frame.
+def taeer_round(g: SnapshotGraph, terminals, root: int, plans) -> list:
+    """Topology-aware energy-efficient routing for a round: one tree per
+    frame, frame u's from plans[u].
 
-    rows are sorted edge rows leading every terminal to root, a terminal or
-    the graph's relay: the substitute graph, which merges the terminals'
-    shortest paths to a terminal (`shortest_paths_to_root`), plus that
-    terminal's uplink row when root is the relay. An exact minimum spanning
-    arborescence of those rows is computed (`_msa_rows`), and non-terminal
-    leaves are pruned away. The result covers every terminal.
+    Each plan is sorted edge rows leading every terminal to root, a
+    terminal or the graph's relay: the substitute graph, which merges the
+    terminals' shortest paths to a terminal (`shortest_paths_to_root`),
+    plus that terminal's uplink row when root is the relay. Each frame's
+    tree is an exact minimum spanning arborescence of its rows
+    (`_msa_rows`) with non-terminal leaves pruned away, and covers every
+    terminal.
+
+    The frames are solved together. `_msa_rows`'s first level runs on
+    all of them at once: every tail's pick by its tie rule, then a check,
+    by pointer doubling, that following the picks leads every node to the
+    root. A frame where it does not (a cycle, or a node with no out-row),
+    or with a NaN weight, is solved by `_msa_rows` itself, in frame order,
+    so the first frame with a node that cannot reach the root raises its
+    RoutingInfeasibleError. Pruning runs on all frames at once.
     """
     if root != g.geo_node and root not in terminals:
         raise ValueError("root must be a terminal or the graph's relay")
-    idx = np.array(rows, dtype=np.intp)
-    src, dst, w = g.src[idx].tolist(), g.dst[idx].tolist(), g.weights_j[u, idx].tolist()
-    out_row = _msa_rows(src, dst, w, root, set(src) | set(dst) | {root})
+    n, count = g.num_nodes, len(plans)
+    sizes = [len(p) for p in plans]
+    rows = np.fromiter(chain.from_iterable(plans), dtype=np.intp, count=sum(sizes))
+    plan_ids = np.arange(count)
+    plan = np.repeat(plan_ids, sizes)   # each row's plan: its frame
+    src, dst = g.src[rows], g.dst[rows]
+    w = g.weights_j[plan, rows]
+    tail, head = plan * n + src, plan * n + dst   # node v of plan i is i * n + v
+    # Level 0: each (plan, tail)'s pick by `_msa_rows`'s tie rule. The
+    # stable sort, linear on sorted plans, puts a tail's rows together in
+    # row order.
+    order = np.argsort(tail, kind="stable")
+    group = np.ones(order.size, dtype=bool)
+    group[1:] = tail[order[1:]] != tail[order[:-1]]
+    starts = np.flatnonzero(group)
+    w_sorted = w[order]
+    least = np.minimum.reduceat(w_sorted, starts)
+    ties = np.flatnonzero(w_sorted == np.repeat(least, np.diff(starts, append=order.size)))
+    tie_group = np.cumsum(group)[ties]
+    picked = order[ties[np.diff(tie_group, prepend=0) != 0]]
+    picked = picked[src[picked] != root]
+    # Each pick's next pick, out of its head: k for the root and k + 1 for
+    # a head without an out-row. Doubling the steps leaves k where the
+    # picks lead to the root.
+    k = picked.size
+    at = np.full(count * n, k + 1)
+    at[tail[picked]] = np.arange(k)
+    at[plan_ids * n + root] = k
+    step = np.append(at[head[picked]], [k, k + 1])
+    for _ in range(n.bit_length()):
+        jump = step[step]
+        if (jump == step).all():
+            break
+        step = jump
+    # Plans with a head that has no out-row, a pick that does not reach the
+    # root, or a NaN weight (NaN does not compare as the sort orders it).
+    redo = np.flatnonzero(np.bincount(plan[at[head] > k], minlength=count)
+                          + np.bincount(plan[picked[step[:k] != k]], minlength=count)
+                          + np.bincount(plan[np.isnan(w)], minlength=count))
+    chosen = np.zeros(rows.size, dtype=bool)
+    chosen[picked] = True
+    bounds = np.cumsum([0] + sizes).tolist()
+    for i in redo.tolist():
+        part = slice(bounds[i], bounds[i + 1])
+        chosen[part] = False
+        ps, pd = src[part].tolist(), dst[part].tolist()
+        out_row = _msa_rows(ps, pd, w[part].tolist(), root, set(ps) | set(pd) | {root})
+        chosen[[bounds[i] + j for j in out_row.values()]] = True
     # Prune non-terminal leaves (nodes nobody transmits to) to a fixpoint.
-    term = set(terminals)
-    into = Counter(dst[k] for k in out_row.values())
-    leaves = [v for v in out_row if not into[v] and v not in term]
-    while leaves:
-        p = dst[out_row.pop(leaves.pop())]
-        into[p] -= 1
-        if not into[p] and p not in term and p in out_row:
-            leaves.append(p)
-    return Arborescence(g, u, root, tuple(rows[k] for k in sorted(out_row.values())))
+    # A terminal id that is no node is no row's tail.
+    term = np.zeros(n, dtype=bool)
+    ids = np.array(list(terminals), dtype=np.intp)
+    term[ids[(ids >= 0) & (ids < n)]] = True
+    prunable = chosen & ~term[src]
+    while True:
+        into = np.bincount(head[chosen], minlength=count * n)
+        leaves = prunable & chosen & (into[tail] == 0)
+        if not leaves.any():
+            break
+        chosen &= ~leaves
+    kept = rows[chosen].tolist()
+    ends = np.cumsum(np.bincount(plan[chosen], minlength=count)).tolist()
+    return [Arborescence(g, u, root, tuple(kept[a:b]))
+            for u, (a, b) in enumerate(zip([0] + ends, ends))]
 
 
 def d_merge(g: SnapshotGraph, u: int, terminals, root: int, rows) -> Arborescence:
     """Baseline: union of the per-terminal shortest paths, deduplicated.
 
-    rows are sorted edge rows as taeer takes them, which are that union
-    already, and a tree.
+    rows are sorted edge rows as one of taeer_round's plans, which are that
+    union already, and a tree.
     """
     if root != g.geo_node and root not in terminals:
         raise ValueError("root must be a terminal or the graph's relay")

@@ -1,5 +1,6 @@
-"""Multi-round scenario driver: terminals from cluster geometry, per-frame
-routing, outage sampling with retransmissions, and metric accumulation.
+"""Multi-round scenario driver: terminals from cluster geometry, routing
+of every frame, outage sampling with retransmissions, and metric
+accumulation.
 
 Round t runs in the time slot starting at t * slot_len: the constellation is
 propagated at that absolute epoch (Earth rotation shifts the cluster
@@ -13,6 +14,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -198,18 +200,64 @@ def sample_attempts(rng: np.random.Generator, gamma0, params: LinkParams,
     return attempts, success
 
 
-def _solve_frame(algorithm: str, g: SnapshotGraph, u: int, terminals,
-                 plan, rng: np.random.Generator) -> routing.Arborescence:
-    """One router's tree at frame u, rooted at g's GEO relay; plan is the
-    frame's path rows with the uplink satellite's uplink row for the path
-    routers and the round's routing.orbit_plan for orbit_greedy."""
+def _frame_trees(algorithm: str, g: SnapshotGraph, terminals, plans,
+                 rng: np.random.Generator):
+    """One router's trees of a round, in frame order, rooted at g's GEO
+    relay. The path routers solve one frame per plan in plans (the frame's
+    path rows with the uplink satellite's uplink row), taeer all of them
+    in one call; orbit_greedy solves every frame of the slot, each when it
+    is asked for, drawing its arc roots from rng after the previous frame's
+    outage samples."""
     if algorithm == "taeer":
-        return routing.taeer(g, u, terminals, g.geo_node, plan)
+        return routing.taeer_round(g, terminals, g.geo_node, plans)
     if algorithm == "d_merge":
-        return routing.d_merge(g, u, terminals, g.geo_node, plan)
+        return (routing.d_merge(g, u, terminals, g.geo_node, rows)
+                for u, rows in enumerate(plans))
     if algorithm == "orbit_greedy":
-        return routing.orbit_greedy(g, u, plan, rng)
+        layout = routing.orbit_plan(g, terminals)
+        return (routing.orbit_greedy(g, u, layout, rng) for u in range(g.frame_count))
     raise ValueError(f"unknown algorithm {algorithm}")
+
+
+def _charge(rec: RoundRecord, graph: SnapshotGraph, trees, params: LinkParams,
+            attempts=None, delivered=None) -> None:
+    """Add a round's trees, in frame order, to rec from graph's true
+    weights, in one gather of their rows. Uplink rows add to the GEO energy
+    one at a time; the LEO-LEO rows' weights and analytic outages are
+    summed left to right per frame, and the frame sums added. attempts and
+    delivered are the LEO-LEO rows' sampled attempts and outcomes in the
+    same order (None when outages are not sampled: one attempt each), and
+    each row's retransmissions add its weight once per extra attempt."""
+    if not trees:
+        return
+    sizes = [len(tree.edge_ids) for tree in trees]
+    eids = np.fromiter(chain.from_iterable(tree.edge_ids for tree in trees),
+                       dtype=np.intp, count=sum(sizes))
+    frame = np.repeat(np.array([tree.frame for tree in trees], dtype=np.intp), sizes)
+    w = graph.weights_j[frame, eids]
+    isl = graph.dst[eids] != graph.geo_node
+    for x in w[~isl].tolist():
+        rec.geo_energy_j += x
+    w_tree = w[isl].tolist()
+    p_out = channel.outage_from_gamma0(graph.gamma0[frame[isl], eids[isl]],
+                                       params).tolist()
+    end = 0
+    for size in np.bincount(np.repeat(np.arange(len(trees)), sizes)[isl],
+                            minlength=len(trees)).tolist():
+        start, end = end, end + size
+        rec.tree_energy_j += ordered_sum(w_tree[start:end])
+        rec.analytic_outage_sum += ordered_sum(p_out[start:end])
+    rec.edge_frames += len(w_tree)
+    if attempts is None:
+        rec.attempts += len(w_tree)
+        return
+    k_sum = sum(attempts)
+    rec.attempts += k_sum
+    rec.failures += k_sum - delivered.count(True)
+    for k, w_e in zip(attempts, w_tree):
+        rec.retrans_energy_j += (k - 1) * w_e
+    if not all(delivered):
+        rec.failed = True
 
 
 def _simulate(cfg: ScenarioConfig, algorithms) -> dict:
@@ -219,22 +267,22 @@ def _simulate(cfg: ScenarioConfig, algorithms) -> dict:
     seeds, and every router returns a tree rooted at the GEO relay. When a
     path router (taeer, d_merge) runs, each round picks one uplink
     satellite (routing.select_root; the path routers' record root), looks
-    its uplink row up and starts one routing.PathTree toward it. The path
-    routers share one plan per frame: the rows of the shortest-path search
-    toward the uplink satellite plus its uplink row. The first to reach a
-    frame searches, starting from the tree of the last frame searched in
-    the round; only a successful search is kept, so one that raises fails
-    each path router's round alike. orbit_greedy looks its ring arcs' rows
-    up once per round (routing.orbit_plan) and draws only its arc roots per
-    frame. Routers run on the rows of the energy graph (outage blending
-    only re-weights them), so their edge_ids index its true weights. A
-    tree's uplink rows add to the GEO energy one at a time; its LEO-LEO rows
-    make the tree energy, summed left to right, and only they are sampled
-    for outage, in one sample_attempts call per frame in row order. A round
-    whose charged energy is not finite needed an unusable link and is
-    marked failed. The analytic outage of the routed LEO-LEO rows comes
-    from their gamma0 in one call per round and algorithm, so a rho = 1 run
-    evaluates no other row's.
+    its uplink row up and builds the round's plans before any router runs:
+    for each frame, the rows of the shortest-path search toward the uplink
+    satellite, each search starting from the previous frame's tree, plus
+    its uplink row. The plans stop at the first search that raises, and
+    each path router then fails the round with the frames before it
+    charged. taeer solves the round's plans in one call, d_merge one frame
+    at a time; orbit_greedy looks its ring arcs' rows up once per round
+    (routing.orbit_plan) and draws only its arc roots per frame. Routers
+    run on the rows of the energy graph (outage blending only re-weights
+    them), so their edge_ids index its true weights. Only a tree's
+    LEO-LEO rows are sampled for outage, in one sample_attempts call per
+    frame in row order, right after that frame's tree. The round's trees
+    are then charged in one pass (_charge), whose analytic outage is one
+    call per round and algorithm over the routed LEO-LEO rows, so a rho = 1
+    run evaluates no other row's. A round whose charged energy is not
+    finite needed an unusable link and is marked failed.
     """
     tx_power = scenario_tx_power(cfg)
     round_seeds = np.random.SeedSequence(cfg.rng_seed).spawn(2)[1].spawn(cfg.rounds)
@@ -254,16 +302,21 @@ def _simulate(cfg: ScenarioConfig, algorithms) -> dict:
         _, terminals = terminals_for_round(cfg, t_abs)
         geo = graph.geo_node
         root = None
+        plans = []   # per frame, the sorted path rows with the uplink row
         if path_routed:
             root = routing.select_root(graph, 0, terminals)
             uplink = int(graph.edge_rows(root, geo))
             tree = routing.PathTree(root)
-            path_rows = [None] * u_frames   # sorted path rows with the uplink
+            try:
+                for u in range(u_frames):
+                    rows = routing.shortest_paths_to_root(route_graph, u, terminals, tree)
+                    bisect.insort(rows, uplink)
+                    plans.append(rows)
+            except routing.RoutingInfeasibleError:
+                pass
 
         for algorithm in algorithms:
             rng = np.random.default_rng(round_seeds[t])
-            if algorithm == "orbit_greedy":
-                plan = routing.orbit_plan(route_graph, terminals)
             rec = RoundRecord(round_index=t, slot_label=graph.slot_index,
                               algorithm=algorithm,
                               root=root if algorithm in path_routed else None,
@@ -271,48 +324,23 @@ def _simulate(cfg: ScenarioConfig, algorithms) -> dict:
                               retrans_energy_j=0.0, geo_energy_j=0.0,
                               attempts=0, failures=0, analytic_outage_sum=0.0,
                               edge_frames=0, failed=False)
-            routed_gamma0 = []   # per frame, the gamma0 of the routed rows
+            trees = []
+            attempts, delivered = ([], []) if cfg.outages_enabled else (None, None)
             try:
-                for u in range(u_frames):
-                    if algorithm in path_routed:
-                        if path_rows[u] is None:
-                            rows = routing.shortest_paths_to_root(
-                                route_graph, u, terminals, tree)
-                            bisect.insort(rows, uplink)
-                            path_rows[u] = rows
-                        plan = path_rows[u]
-                    result = _solve_frame(algorithm, route_graph, u, terminals,
-                                          plan, rng)
-                    eids = np.asarray(result.edge_ids, dtype=np.intp)
-                    w_rows = graph.weights_j[u][eids]
-                    isl = graph.dst[eids] != geo
-                    for w in w_rows[~isl].tolist():
-                        rec.geo_energy_j += w
-                    eids, w_tree = eids[isl], w_rows[isl].tolist()
-                    rec.tree_energy_j += ordered_sum(w_tree)
-                    routed_gamma0.append(graph.gamma0[u][eids])
-                    rec.edge_frames += len(eids)
+                for tree in _frame_trees(algorithm, route_graph, terminals, plans, rng):
+                    trees.append(tree)
                     if cfg.outages_enabled:
-                        ks, oks = sample_attempts(rng, routed_gamma0[-1].tolist(),
-                                                  cfg.params, cfg.max_attempts)
-                        k_sum = sum(ks)
-                        rec.attempts += k_sum
-                        rec.failures += k_sum - oks.count(True)
-                        for k, w_e in zip(ks, w_tree):
-                            rec.retrans_energy_j += (k - 1) * w_e
-                        if not all(oks):
-                            rec.failed = True
-                    else:
-                        rec.attempts += len(eids)
+                        eids = np.asarray(tree.edge_ids, dtype=np.intp)
+                        gamma0 = graph.gamma0[tree.frame][eids[graph.dst[eids] != geo]]
+                        ks, oks = sample_attempts(rng, gamma0.tolist(), cfg.params,
+                                                  cfg.max_attempts)
+                        attempts += ks
+                        delivered += oks
             except routing.RoutingInfeasibleError:
                 rec.failed = True
-            if routed_gamma0:
-                p_out = channel.outage_from_gamma0(np.concatenate(routed_gamma0),
-                                                   cfg.params).tolist()
-                end = 0
-                for g0_frame in routed_gamma0:
-                    start, end = end, end + len(g0_frame)
-                    rec.analytic_outage_sum += ordered_sum(p_out[start:end])
+            if algorithm in path_routed and len(plans) < u_frames:
+                rec.failed = True
+            _charge(rec, graph, trees, cfg.params, attempts, delivered)
             # An unusable link (weight +inf) on the tree or the uplink.
             if not math.isfinite(rec.total_energy_j):
                 rec.failed = True

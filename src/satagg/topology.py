@@ -105,8 +105,12 @@ class SnapshotGraph:
 
     @cached_property
     def rev_order(self) -> np.ndarray:
-        """Edge rows grouped by dst (then src): the reversed graph's CSR order."""
-        return np.lexsort((self.src, self.dst))
+        """Edge rows grouped by dst (then src): the reversed graph's CSR order.
+        Rows are (src, dst)-sorted, so a stable sort on dst alone keeps src
+        order among equal heads. dst is cast to the smallest unsigned type
+        that holds num_nodes, on which numpy's stable sort is a radix sort
+        below 65,536 nodes."""
+        return np.argsort(self.dst.astype(np.min_scalar_type(self.num_nodes)), kind="stable")
 
     @cached_property
     def edge_index(self) -> np.ndarray:
@@ -251,14 +255,17 @@ def robust_weights(g: SnapshotGraph, rho: float, params: LinkParams) -> Snapshot
     any frame) is unusable for the slot and weighs +inf in every frame, as
     does every frame in which g's weight is already +inf. GEO uplink edges
     are outage-exempt (the relay hop is charged deterministically and never
-    routed through), so their penalty is 0. rho = 1 leaves the finite
-    weights bit-identical.
+    routed through): their outage is not evaluated, and their penalty is 0.
+    rho = 1 leaves the finite weights bit-identical.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
-    out = channel.outage_from_gamma0(g.gamma0, params)
-    if g.geo_node is not None:
-        out = np.where(g.dst[None, :] == g.geo_node, 0.0, out)
+    if g.geo_node is None:
+        out = channel.outage_from_gamma0(g.gamma0, params)
+    else:
+        isl = g.dst != g.geo_node
+        out = np.zeros_like(g.gamma0)
+        out[:, isl] = channel.outage_from_gamma0(g.gamma0[:, isl], params)
     # Unusable rows give inf/0 and 0*inf here; np.where replaces them.
     with np.errstate(divide="ignore", invalid="ignore"):
         blended = rho * g.weights_j + (1.0 - rho) * np.log1p(out / (1.0 - out))

@@ -55,8 +55,14 @@ def random_digraph(rng, max_nodes=12, p=0.4, w_low=0.01, w_high=10.0,
     return n, edges
 
 
+def taeer(g, u, terminals, root, rows):
+    """routing.taeer_round's tree at frame u, every earlier frame's plan
+    empty."""
+    return routing.taeer_round(g, terminals, root, [[]] * u + [rows])[u]
+
+
 def route(router, g, u, terminals, root):
-    """A path router (taeer or d_merge) at frame u on that frame's
+    """A path router (taeer above or d_merge) at frame u on that frame's
     shortest-path rows toward root, searched as the simulator does."""
     rows = routing.shortest_paths_to_root(g, u, terminals, routing.PathTree(root))
     return router(g, u, terminals, root, rows)
@@ -94,23 +100,25 @@ def chu_liu_edmonds(g, root, u=0, nodes=None):
 def routed_isl_links(cfg):
     """sim.run_scenario(cfg) with taeer, cfg's first algorithm, wrapped to
     record (tx power, distance) of every LEO-LEO row of every tree it
-    returns, in the order the simulator charges them; uplink rows end at
-    the GEO relay and are left out. Returns (RunMetrics, p_t, d_km)."""
+    returns, in the order the simulator charges them: round by round, and
+    in each round's trees frame by frame. Uplink rows end at the GEO relay
+    and are left out. Returns (RunMetrics, p_t, d_km)."""
     assert cfg.algorithms[0] == "taeer"
     tx_power = sim.scenario_tx_power(cfg)
     p_t, d_km = [], []
-    solve = routing.taeer
+    solve = routing.taeer_round
 
-    def recording(g, u, terminals, root, rows):
-        tree = solve(g, u, terminals, root, rows)
-        eids = np.asarray(tree.edge_ids, dtype=np.intp)
-        eids = eids[g.dst[eids] != g.geo_node]
-        p_t.extend(tx_power[g.src[eids]])
-        d_km.extend(g.distance_km[u][eids])
-        return tree
+    def recording(g, terminals, root, plans):
+        trees = solve(g, terminals, root, plans)
+        for tree in trees:
+            eids = np.asarray(tree.edge_ids, dtype=np.intp)
+            eids = eids[g.dst[eids] != g.geo_node]
+            p_t.extend(tx_power[g.src[eids]])
+            d_km.extend(g.distance_km[tree.frame][eids])
+        return trees
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(routing, "taeer", recording)
+        mp.setattr(routing, "taeer_round", recording)
         metrics = sim.run_scenario(cfg)
     return metrics, np.asarray(p_t), np.asarray(d_km)
 

@@ -11,15 +11,22 @@ the phase-guided pair search, devices trained one at a time instead of as
 one stack. The pointing-loss density is the one `satagg.channel`'s
 docstring states; the quadratures integrate it to check the closed-form
 outage.
+
+One reference runs package code: `taeer`, the per-frame form of
+`routing.taeer_round`, which hands each frame to the package's one
+arborescence core (`routing._msa_rows`) and prunes leaves one at a time,
+where the round-level form solves the core's first level and the pruning
+for all frames at once.
 """
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 
 from satagg import geometry
-from satagg.routing import RoutingInfeasibleError
+from satagg.routing import Arborescence, RoutingInfeasibleError, _msa_rows
 
 
 class OracleSizeLimitError(ValueError):
@@ -110,6 +117,28 @@ def exact_dst_oracle(g, terminals, root, u=0, max_nodes=12):
     if not math.isfinite(best):
         raise RoutingInfeasibleError(sorted(terminals - {root}), what="terminal")
     return best
+
+
+def taeer(g, u, terminals, root, rows):
+    """TAEER for one frame: the exact minimum spanning arborescence of the
+    sorted edge rows at frame u (`routing._msa_rows`), with non-terminal
+    leaves pruned away one at a time to a fixpoint. `routing.taeer_round`
+    must give, for every frame, the rows this gives, or raise the
+    RoutingInfeasibleError this raises first in frame order."""
+    if root != g.geo_node and root not in terminals:
+        raise ValueError("root must be a terminal or the graph's relay")
+    idx = np.array(rows, dtype=np.intp)
+    src, dst, w = g.src[idx].tolist(), g.dst[idx].tolist(), g.weights_j[u, idx].tolist()
+    out_row = _msa_rows(src, dst, w, root, set(src) | set(dst) | {root})
+    term = set(terminals)
+    into = Counter(dst[k] for k in out_row.values())
+    leaves = [v for v in out_row if not into[v] and v not in term]
+    while leaves:
+        p = dst[out_row.pop(leaves.pop())]
+        into[p] -= 1
+        if not into[p] and p not in term and p in out_row:
+            leaves.append(p)
+    return Arborescence(g, u, root, tuple(rows[k] for k in sorted(out_row.values())))
 
 
 @dataclass(frozen=True)

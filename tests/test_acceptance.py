@@ -15,6 +15,7 @@ from conftest import (
     random_digraph,
     route,
     sweep_snr_threshold,
+    taeer,
 )
 from oracles import (
     centralized_gd,
@@ -71,7 +72,7 @@ def test_criterion_2_heuristic_sandwich():
         g, terminals, root = random_dst_instance(
             rng, max_nodes=9, max_terminals=4, integer_weights=(k % 2 == 0))
         opt = exact_dst_oracle(g, terminals, root)
-        arb = route(routing.taeer, g, 0, terminals, root)
+        arb = route(taeer, g, 0, terminals, root)
         arb.validate(terminals)
         merged = route(routing.d_merge, g, 0, terminals, root)
         assert opt <= arb.total_cost + 1e-9
@@ -207,7 +208,7 @@ def test_criterion_6_scale_runtime():
         clusters, 0.0, geometry.positions(spec, 0.0))))
     root = routing.select_root(g, 0, terminals)
     t0 = time.perf_counter()
-    arb = route(routing.taeer, g, 0, terminals, root)
+    arb = route(taeer, g, 0, terminals, root)
     elapsed = time.perf_counter() - t0
     arb.validate(terminals)
     assert elapsed < 1.0

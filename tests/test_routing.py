@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from oracles import (
     enumerate_min_arborescence,
     exact_dst_oracle,
 )
+from oracles import taeer as taeer_per_frame
 from satagg import config, routing, sim, topology
 from satagg.routing import (
     PathTree,
@@ -20,7 +22,6 @@ from satagg.routing import (
     select_root,
     shortest_path_csr,
     shortest_paths_to_root,
-    taeer,
 )
 from satagg.topology import SnapshotGraph, ordered_sum
 
@@ -32,6 +33,7 @@ from conftest import (
     make_scenario,
     random_digraph,
     route,
+    taeer,
 )
 
 
@@ -640,6 +642,97 @@ class TestTaeer:
         a = route(taeer, g, 0, terminals, root)
         b = route(taeer, g, 0, terminals, root)
         assert a.edges == b.edges and a.total_cost == b.total_cost
+
+
+def random_round(rng):
+    """A random multi-frame graph with one plan per frame, for taeer_round
+    against the per-frame reference: (g, terminals, root, plans). Weights
+    are uniform, small integers (ties everywhere), partly +inf or, rarely,
+    partly NaN, and each plan is a random sorted subset of the rows, so
+    its picks may form a tree, hold a cycle or strand a node."""
+    n, edges = random_digraph(rng, max_nodes=9, p=float(rng.uniform(0.2, 0.6)))
+    frames = int(rng.integers(1, 5))
+    kind = rng.choice(["uniform", "integer", "inf", "nan"], p=[0.35, 0.35, 0.25, 0.05])
+    if kind == "integer":
+        w = rng.integers(1, 5, size=(frames, len(edges))).astype(float)
+    else:
+        w = rng.uniform(0.01, 10.0, size=(frames, len(edges)))
+        if kind != "uniform":
+            w[rng.random(w.shape) < 0.2] = np.inf if kind == "inf" else np.nan
+    src, dst = ([e[i] for e in edges] for i in (0, 1))
+    g = SnapshotGraph.from_arrays(n, src, dst, w)
+    root = int(rng.integers(n))
+    terminals = sorted({root} | set(rng.choice(n, size=int(rng.integers(0, n + 1))).tolist()))
+    keep = float(rng.uniform(0.4, 1.0))
+    plans = [np.flatnonzero(rng.random(g.num_edges) < keep).tolist() for _ in range(frames)]
+    return g, terminals, root, plans
+
+
+def per_frame(g, terminals, root, plans):
+    """The reference's tree, or its stranded list, at each frame."""
+    out = []
+    for u, rows in enumerate(plans):
+        try:
+            out.append(taeer_per_frame(g, u, terminals, root, rows))
+        except RoutingInfeasibleError as exc:
+            out.append(exc.stranded)
+    return out
+
+
+class TestTaeerRound:
+    def test_matches_per_frame_reference_on_random_rounds(self, monkeypatch):
+        # Each frame gives the reference's rows, or the call raises the
+        # stranded list of the first frame whose reference raises; each
+        # frame alone gives its own.
+        contractions = count_contractions(monkeypatch)
+        rng = np.random.default_rng(2024)
+        trees = stranded = ties = 0
+        for _ in range(3000):
+            g, terminals, root, plans = random_round(rng)
+            want = per_frame(g, terminals, root, plans)
+            failed = [x for x in want if isinstance(x, list)]
+            if not failed:
+                assert routing.taeer_round(g, terminals, root, plans) == want
+                trees += len(want)
+                ties += any(len(set(w)) < len(w) for w in g.weights_j.tolist())
+                continue
+            with pytest.raises(RoutingInfeasibleError) as exc:
+                routing.taeer_round(g, terminals, root, plans)
+            assert exc.value.stranded == failed[0]
+            for u, (rows, x) in enumerate(zip(plans, want)):
+                if isinstance(x, list):
+                    with pytest.raises(RoutingInfeasibleError) as exc:
+                        taeer(g, u, terminals, root, rows)
+                    assert exc.value.stranded == x
+                    stranded += 1
+                else:
+                    assert taeer(g, u, terminals, root, rows) == x
+        assert trees > 2000 and stranded > 1000 and ties > 300
+        assert len(contractions) > 300
+
+    @pytest.mark.parametrize("scenario", ["walker_delta_80.cfg", "walker_star_80.cfg",
+                                          "walker_star_800.cfg"])
+    def test_matches_per_frame_reference_on_shipped_scenarios(self, scenario, monkeypatch):
+        # Every frame of every round the shipped scenario routes, at its rho.
+        # Its plans are trees, so no frame is left to the per-frame core.
+        cfg = config.build_scenario(config.read_config(str(SCENARIOS / scenario)))
+        real = routing.taeer_round
+        solved = []
+        monkeypatch.setattr(routing, "_msa_rows", None)
+
+        def checked(g, terminals, root, plans):
+            trees = real(g, terminals, root, plans)
+            assert trees == per_frame(g, terminals, root, plans)
+            solved.append(len(trees))
+            return trees
+
+        monkeypatch.setattr(routing, "taeer_round", checked)
+        sim.run_scenario(replace(cfg, algorithms=("taeer",)))
+        assert solved == [cfg.times.frames_per_slot] * cfg.rounds
+
+    def test_no_plans_no_trees(self):
+        g = graph_of(3, [(0, 1, 1.0)])
+        assert routing.taeer_round(g, [0, 1], 1, []) == []
 
 
 class TestDMerge:

@@ -7,8 +7,9 @@ from operator import add
 import numpy as np
 import pytest
 
-from conftest import SCENARIOS, make_scenario, routed_isl_links, sweep_snr_threshold
+from conftest import SCENARIOS, make_scenario, routed_isl_links, sweep_snr_threshold, taeer
 from oracles import sample_attempts_per_edge
+from oracles import taeer as taeer_per_frame
 from satagg import channel, config, routing, sim, topology
 from satagg.geometry import ConfigError
 from satagg.sim import ScenarioConfig, sample_attempts
@@ -223,15 +224,14 @@ def test_gamma0_array_equals_scalar_calls(star_spec):
 
 
 def solve_frame(algorithm, g, u, terminals, root, rng):
-    """sim._solve_frame on the plan that _simulate would pass it: root is
-    the path routers' uplink satellite."""
+    """One router's tree at frame u on the plan that _simulate would pass
+    it: root is the path routers' uplink satellite."""
     if algorithm == "orbit_greedy":
-        plan = routing.orbit_plan(g, terminals)
-    else:
-        plan = sorted(routing.shortest_paths_to_root(g, u, terminals,
-                                                     routing.PathTree(root))
-                      + [int(g.edge_rows(root, g.geo_node))])
-    return sim._solve_frame(algorithm, g, u, terminals, plan, rng)
+        return routing.orbit_greedy(g, u, routing.orbit_plan(g, terminals), rng)
+    rows = sorted(routing.shortest_paths_to_root(g, u, terminals, routing.PathTree(root))
+                  + [int(g.edge_rows(root, g.geo_node))])
+    router = taeer if algorithm == "taeer" else routing.d_merge
+    return router(g, u, terminals, g.geo_node, rows)
 
 
 def test_routers_return_rows_of_the_energy_graph(star_spec):
@@ -285,20 +285,34 @@ def test_every_tree_is_rooted_at_the_relay(delta_spec, monkeypatch):
     # orbit.
     cfg = make_scenario(delta_spec, algorithms=sim.ALGORITHMS, rounds=2)
     trees = {a: [] for a in sim.ALGORITHMS}
-    real = sim._solve_frame
+    round_terminals = []
 
-    def spy(algorithm, g, u, terminals, plan, rng):
-        res = real(algorithm, g, u, terminals, plan, rng)
-        trees[algorithm].append((g, terminals, res))
-        return res
+    def spy(algorithm, real):
+        def solve(g, *args):
+            res = real(g, *args)
+            trees[algorithm].extend((g, tree) for tree in
+                                    (res if algorithm == "taeer" else [res]))
+            return res
+        return solve
 
-    monkeypatch.setattr(sim, "_solve_frame", spy)
+    def terminals_spy(*args):
+        mapping, terminals = real_terminals(*args)
+        round_terminals.append(terminals)
+        return mapping, terminals
+
+    real_terminals = sim.terminals_for_round
+    monkeypatch.setattr(sim, "terminals_for_round", terminals_spy)
+    for algorithm, name in (("taeer", "taeer_round"), ("d_merge", "d_merge"),
+                            ("orbit_greedy", "orbit_greedy")):
+        monkeypatch.setattr(routing, name, spy(algorithm, getattr(routing, name)))
     results = sim.compare_algorithms(cfg)
     frames = cfg.times.frames_per_slot
     for algorithm, m in results.items():
         assert len(trees[algorithm]) == frames * cfg.rounds
-        for k, (g, terminals, res) in enumerate(trees[algorithm]):
+        for k, (g, res) in enumerate(trees[algorithm]):
+            terminals = round_terminals[k // frames]
             assert isinstance(res, routing.Arborescence)
+            assert res.frame == k % frames
             assert res.root == g.geo_node
             res.validate(terminals)
             ups = [c for c, p in res.edges if p == g.geo_node]
@@ -365,15 +379,15 @@ class TestRunScenario:
     def test_infeasible_round_marked_failed_run_continues(self, delta_spec,
                                                           monkeypatch):
         from satagg.routing import RoutingInfeasibleError
-        real = sim._solve_frame
+        real = routing.taeer_round
         state = {"round": 0}
 
-        def flaky(algorithm, g, u, terminals, plan, rng):
+        def flaky(g, terminals, root, plans):
             if state["round"] == 1:
                 raise RoutingInfeasibleError([terminals[0]], what="terminal")
-            return real(algorithm, g, u, terminals, plan, rng)
+            return real(g, terminals, root, plans)
 
-        monkeypatch.setattr(sim, "_solve_frame", flaky)
+        monkeypatch.setattr(routing, "taeer_round", flaky)
         cfg = make_scenario(delta_spec, rounds=3)
         master = []
 
@@ -476,6 +490,55 @@ class TestCompareAlgorithms:
         for algorithm in ("taeer", "d_merge"):
             assert [r.failed for r in res[algorithm].records] == [False, True, False]
         assert not any(r.failed for r in res["orbit_greedy"].records)
+
+    @pytest.mark.parametrize("k", [0, 7, 24])
+    def test_search_failing_at_frame_k_charges_the_frames_before(
+            self, delta_spec, monkeypatch, k):
+        # The search raises at frame k of round 1. Both path routers fail
+        # that round with frames 0..k-1 charged, as the per-frame reference
+        # routes and charges them; everything else is as in a clean run.
+        cfg = make_scenario(delta_spec, algorithms=sim.ALGORITHMS, rounds=3)
+        assert k < cfg.times.frames_per_slot and cfg.rounds < cfg.times.slots_per_period
+        clean = sim.compare_algorithms(cfg)
+        real = routing.shortest_paths_to_root
+
+        def flaky(g, u, terminals, tree):
+            if g.slot_index == 1 and u == k:
+                raise routing.RoutingInfeasibleError([terminals[0]], what="terminal")
+            return real(g, u, terminals, tree)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(routing, "shortest_paths_to_root", flaky)
+            res = sim.compare_algorithms(cfg)
+        assert res["orbit_greedy"] == clean["orbit_greedy"]
+
+        t_abs = cfg.times.slot_len_s
+        g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, t_abs,
+                                    sim.scenario_tx_power(cfg))
+        _, terminals = sim.terminals_for_round(cfg, t_abs)
+        root = routing.select_root(g, 0, terminals)
+        uplink = int(g.edge_rows(root, g.geo_node))
+        for algorithm in ("taeer", "d_merge"):
+            got, want = res[algorithm], clean[algorithm]
+            assert got.failed_rounds == 1
+            assert got.records[0] == want.records[0] and got.records[2] == want.records[2]
+            tree, tree_j, geo_j, outage, edge_frames = routing.PathTree(root), 0.0, 0.0, 0.0, 0
+            for u in range(k):
+                rows = sorted(real(g, u, terminals, tree) + [uplink])
+                if algorithm == "taeer":
+                    rows = list(taeer_per_frame(g, u, terminals, g.geo_node, rows).edge_ids)
+                isl = [e for e in rows if g.dst[e] != g.geo_node]
+                tree_j += left_to_right(g.weights_j[u][isl].tolist())
+                for e in rows:
+                    if e not in isl:
+                        geo_j += float(g.weights_j[u][e])
+                outage += left_to_right(channel.outage_from_gamma0(
+                    g.gamma0[u][isl], cfg.params).tolist())
+                edge_frames += len(isl)
+            assert got.records[1] == replace(
+                want.records[1], tree_energy_j=tree_j, geo_energy_j=geo_j,
+                analytic_outage_sum=outage, edge_frames=edge_frames,
+                attempts=edge_frames, failed=True)
 
     def test_rho_one_evaluates_outage_of_routed_rows_only(self, delta_spec, monkeypatch):
         real = channel._erf

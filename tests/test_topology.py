@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import TX_POWER_W, from_edge_list, make_scenario
+from conftest import TX_POWER_W, from_edge_list, make_scenario, random_digraph
 from satagg import channel, geometry, sim, topology
 from satagg.geometry import ConfigError
 from satagg.topology import SnapshotGraph, TimeStructure
@@ -267,6 +267,50 @@ class TestRobustWeights:
         assert np.array_equal(r.weights_j, np.where(unusable, np.inf, blended))
         assert 0 < r.dropped_edges < r.num_edges
 
+    @pytest.mark.parametrize("rho", [0.1, 0.5])
+    def test_outage_evaluated_on_isl_rows_only(self, star_spec, rho, monkeypatch):
+        # One evaluation over the ISL rows of every frame, none of the
+        # exempt uplinks', and the weights bit for bit those blended from
+        # every row's outage with the uplinks' set to 0.
+        cfg = make_scenario(star_spec, rho=rho, clusters=41, seed=42)
+        tx_power = sim.scenario_tx_power(cfg)
+        real, sizes = channel._erf, []
+
+        def counted(x):
+            sizes.append(np.size(x))
+            return real(x)
+
+        for t in (0, 7):
+            g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times,
+                                        t * cfg.times.slot_len_s, tx_power)
+            uplink = g.dst == g.geo_node
+            out = np.where(uplink, 0.0, channel.outage_from_gamma0(g.gamma0, cfg.params))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                blended = rho * g.weights_j + (1.0 - rho) * np.log1p(out / (1.0 - out))
+            unusable = ~np.isfinite(g.weights_j) | np.any(out >= 1.0, axis=0)
+            sizes.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(channel, "_erf", counted)
+                r = topology.robust_weights(g, rho, cfg.params)
+            assert sizes == [g.frame_count * int(np.count_nonzero(~uplink))]
+            assert np.array_equal(r.weights_j, np.where(unusable, np.inf, blended))
+
+    @pytest.mark.parametrize("rho", [0.1, 0.5])
+    def test_graph_without_relay_evaluates_every_row(self, rho, params):
+        rng = np.random.default_rng(5)
+        n, edges = random_digraph(rng, max_nodes=12, p=0.5, min_nodes=6)
+        src, dst, _ = zip(*edges)
+        w = rng.uniform(0.01, 10.0, size=(3, len(edges)))
+        gamma0 = rng.uniform(-0.1, 1.1, size=w.shape)
+        g = SnapshotGraph.from_arrays(n, src, dst, w, gamma0=gamma0)
+        out = channel.outage_from_gamma0(g.gamma0, params)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            blended = rho * g.weights_j + (1.0 - rho) * np.log1p(out / (1.0 - out))
+        unusable = ~np.isfinite(g.weights_j) | np.any(out >= 1.0, axis=0)
+        r = topology.robust_weights(g, rho, params)
+        assert np.array_equal(r.weights_j, np.where(unusable, np.inf, blended))
+        assert 0 < r.dropped_edges < r.num_edges
+
     def test_zero_outage_edge_scales_by_rho(self, params):
         g = from_edge_list(3, [(0, 1, 4.0), (1, 2, 2.0)])
         r = topology.robust_weights(g, 0.25, params)
@@ -336,6 +380,30 @@ class TestRobustWeights:
         g, _, _ = delta_snapshot
         with pytest.raises(ValueError):
             topology.robust_weights(g, 1.5, params)
+
+
+@pytest.mark.parametrize("num_nodes", [9, 200, 300, 70_000])
+def test_rev_order_is_the_lexsort_by_dst_then_src(num_nodes):
+    # The stable sort on dst alone, on the narrowest unsigned type (uint8,
+    # uint16, uint32 here), against the two-key sort. Heads come from a few
+    # ids, the highest among them, so many rows share a head.
+    rng = np.random.default_rng(num_nodes)
+    for _ in range(25):
+        heads = rng.integers(0, num_nodes, size=int(rng.integers(1, 8)))
+        heads[0] = num_nodes - 1
+        size = int(rng.integers(0, 300))
+        keys = np.unique(rng.integers(0, num_nodes, size) * num_nodes + rng.choice(heads, size))
+        src, dst = keys // num_nodes, keys % num_nodes
+        src, dst = src[src != dst], dst[src != dst]
+        order = rng.permutation(src.size)
+        g = SnapshotGraph.from_arrays(num_nodes, src[order], dst[order],
+                                      rng.uniform(size=(1, src.size)))
+        assert g.rev_order.tolist() == np.lexsort((g.src, g.dst)).tolist()
+
+
+def test_rev_order_of_a_snapshot(delta_snapshot):
+    g, _, _ = delta_snapshot
+    assert g.rev_order.tolist() == np.lexsort((g.src, g.dst)).tolist()
 
 
 def test_ordered_sum_adds_left_to_right():
