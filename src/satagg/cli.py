@@ -29,14 +29,15 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=".", help="output directory")
         return sp
 
-    def routed(sp):
+    def routed(sp, algorithms="comma list override, e.g. taeer,d_merge"):
         common(sp)
         sp.add_argument("--rho", type=float, default=None,
                         help="energy/outage mixing override in [0, 1]")
-        sp.add_argument("--algorithms", default=None,
-                        help="comma list override, e.g. taeer,d_merge")
+        sp.add_argument("--algorithms", default=None, help=algorithms)
 
-    routed(sub.add_parser("run-scenario", help="run one algorithm, write metrics"))
+    first_only = "comma list override; only the first algorithm named is run"
+    routed(sub.add_parser("run-scenario", help="run one algorithm, write metrics"),
+           first_only)
     routed(sub.add_parser("compare-algorithms",
                           help="run all configured algorithms side by side"))
     sp = common(sub.add_parser("generate-constellation", help="export ephemerides CSV"))
@@ -45,7 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = common(sub.add_parser("export-snapshot", help="export one slot's edge list CSV"))
     sp.add_argument("--slot", type=int, default=0, help="round/slot index")
     common(sub.add_parser("link-sweep", help="export link-budget sweep CSV"))
-    routed(sub.add_parser("train", help="synthetic federated training trace"))
+    routed(sub.add_parser("train", help="synthetic federated training trace"),
+           first_only)
     return p
 
 

@@ -94,16 +94,6 @@ class ConstellationSpec:
     def orbit_radius_km(self) -> float:
         return EARTH_RADIUS_KM + self.altitude_km
 
-    @classmethod
-    def walker(cls, total_sats, num_orbits, phasing_factor, altitude_km,
-               inclination_deg, pattern):
-        """Build from T/P/F notation; T must be divisible by P."""
-        if total_sats % num_orbits != 0:
-            raise ConfigError("total_sats", f"{total_sats} is not divisible by "
-                                            f"num_orbits = {num_orbits}")
-        return cls(num_orbits, total_sats // num_orbits, altitude_km,
-                   inclination_deg, phasing_factor, pattern)
-
 
 @dataclass(frozen=True)
 class GroundCluster:

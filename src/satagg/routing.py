@@ -13,6 +13,7 @@ hop count to the root, then by node id; a tied arborescence pick by the
 lower (head, tail) pair, and the cycle search by ascending node id) so
 identical inputs always produce identical trees.
 """
+import bisect
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -52,9 +53,6 @@ class Arborescence:
     def total_cost(self) -> float:
         """The rows' frame weights summed in row order."""
         return ordered_sum(self.graph.weights_j[self.frame][list(self.edge_ids)].tolist())
-
-    def nodes(self) -> set:
-        return {self.root}.union(*self.edges)
 
     def validate(self, terminals=None) -> None:
         """Raise AssertionError if any arborescence invariant is violated."""
@@ -125,25 +123,6 @@ def shortest_path_csr(indptr, indices, weights, source, start=None):
     return np.array(dist, dtype=float), np.array(pred, dtype=np.int32)
 
 
-class PathTree:
-    """The root that `shortest_paths_to_root` searches toward, and what the
-    next frame's search reads from the last frame of one graph that it
-    searched: rows is the int array of one tight out-row of every reached
-    non-root node (its next-hop row, unless the node is tied), in ascending
-    distance order, ties by node id (None before the first search).
-
-    A caller keeps one per (graph, root) across that graph's frames, so
-    each frame's search starts from the previous frame's tree: a slot fixes
-    the topology and only the weights drift between frames.
-    """
-
-    __slots__ = ("root", "rows")
-
-    def __init__(self, root: int):
-        self.root = root
-        self.rows = None
-
-
 def _warm_start(g: SnapshotGraph, w: np.ndarray, root: int, rows: np.ndarray) -> tuple:
     """(dist, pred, seeds) for `shortest_path_csr` on the frame weights w
     from the tight rows of another frame's tree: in the stored order, each
@@ -202,10 +181,11 @@ def _break_ties(g: SnapshotGraph, tight: np.ndarray, root: int,
         next_hop[s] = d
 
 
-def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals,
-                           tree: PathTree) -> list:
-    """Sorted edge rows on the union of every terminal's shortest path to
-    tree.root at frame u; unreachable terminals raise.
+def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals, root: int,
+                           warm=None) -> tuple:
+    """(rows, warm): the sorted edge rows on the union of every terminal's
+    shortest path to root at frame u, and what the next frame's search
+    starts from; unreachable terminals raise.
 
     One search from the root over the reversed edges gives every node's
     distance to the root. A row is tight when w + dist[dst] == dist[src] in
@@ -217,20 +197,24 @@ def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals,
     alone, and their union is a tree toward the root: the rows out of the
     walked nodes. A walk stops at the first node of an earlier walk.
 
-    When the PathTree holds another frame's tight rows, the search starts
-    from them (`_warm_start`); the distances, and so the rows, are
-    bit-identical to a cold search's. On success the PathTree holds this
-    frame's tight rows; a search that raises leaves it as it was.
+    warm is the int array of one tight out-row of every reached non-root
+    node (its next-hop row, unless the node is tied), in ascending distance
+    order, ties by node id, from the last frame of g searched toward root
+    (None: no such frame). A slot fixes the topology and only the weights
+    drift between frames, so the search starts from that tree
+    (`_warm_start`); the distances, and so the rows, are bit-identical to a
+    cold search's. The returned warm is this frame's; with no terminal but
+    the root it is the warm given. A search that raises returns nothing, so
+    the caller's warm stays as it was.
     """
-    root = tree.root
     terms = [t for t in sorted(set(terminals)) if t != root]
     if not terms:
-        return []
+        return [], warm
     w = g.weights_j[u]
     ptr, nbr, wts = g.frame_reverse_csr(u)
     start = None
-    if tree.rows is not None:
-        start = _warm_start(g, w, root, tree.rows)
+    if warm is not None:
+        start = _warm_start(g, w, root, warm)
     dist, nxt = shortest_path_csr(ptr, nbr, wts, root, start=start)
     to_root = dist.tolist()
     missing = [t for t in terms if not math.isfinite(to_root[t])]
@@ -246,7 +230,7 @@ def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals,
     hop[tight_src] = tight
     # Unreached nodes (+inf) sort last.
     order = np.argsort(dist, kind="stable")[:np.count_nonzero(dist < math.inf)]
-    tree.rows = hop[order[order != root]]
+    warm = hop[order[order != root]]
     hop = hop.tolist()
     next_hop = nxt.tolist()
     ties_broken = False
@@ -259,7 +243,25 @@ def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals,
                 ties_broken = True
             done.add(x)
             x = next_hop[x]
-    return sorted(hop[y] for y in done - {root})
+    return sorted(hop[y] for y in done - {root}), warm
+
+
+def path_plans(g: SnapshotGraph, terminals, root: int) -> list:
+    """The path routers' plans of a round toward root, a terminal with a
+    GEO uplink: per frame of g, the sorted rows of the terminals' shortest
+    paths to root (`shortest_paths_to_root`, each search starting from the
+    previous frame's tree) with root's uplink row. The plans stop before
+    the first search that raises."""
+    uplink = int(g.edge_rows(root, g.geo_node))
+    plans, warm = [], None
+    for u in range(g.frame_count):
+        try:
+            rows, warm = shortest_paths_to_root(g, u, terminals, root, warm)
+        except RoutingInfeasibleError:
+            break
+        bisect.insort(rows, uplink)
+        plans.append(rows)
+    return plans
 
 
 def _msa_rows(src, dst, w, root, nodes) -> dict:
@@ -506,12 +508,12 @@ def orbit_greedy(g: SnapshotGraph, u: int, plan: tuple,
     return Arborescence(g, u, g.geo_node, tuple(rows))
 
 
-def select_root(g: SnapshotGraph, u: int, terminals) -> int:
-    """The aggregation root: the terminal with the cheapest GEO uplink at
-    frame u, ties to the lowest node id (the lowest terminal on a graph
-    without a relay)."""
+def select_root(g: SnapshotGraph, terminals) -> int:
+    """The aggregation root: the terminal with the cheapest GEO uplink in
+    the first frame, ties to the lowest node id (the lowest terminal on a
+    graph without a relay)."""
     terms = sorted(set(terminals))
     if g.geo_node is None:
         return terms[0]
-    costs = g.weights_j[u][g.edge_rows(terms, g.geo_node)]
+    costs = g.weights_j[0][g.edge_rows(terms, g.geo_node)]
     return terms[int(np.argmin(costs))]

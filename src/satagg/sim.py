@@ -9,7 +9,6 @@ is t mod slots_per_period. Energy is always charged from the true per-frame
 energy weights even when routing runs on outage-blended weights; the GEO
 uplinks ending every tree are charged deterministically, in the totals.
 """
-import bisect
 import csv
 import json
 import math
@@ -266,12 +265,10 @@ def _simulate(cfg: ScenarioConfig, algorithms) -> dict:
     Every algorithm sees identical terminal sets and identical per-round rng
     seeds, and every router returns a tree rooted at the GEO relay. When a
     path router (taeer, d_merge) runs, each round picks one uplink
-    satellite (routing.select_root; the path routers' record root), looks
-    its uplink row up and builds the round's plans before any router runs:
-    for each frame, the rows of the shortest-path search toward the uplink
-    satellite, each search starting from the previous frame's tree, plus
-    its uplink row. The plans stop at the first search that raises, and
-    each path router then fails the round with the frames before it
+    satellite (routing.select_root; the path routers' record root) and
+    builds the round's plans toward it before any router runs
+    (routing.path_plans). The plans stop at the first search that raises,
+    and each path router then fails the round with the frames before it
     charged. taeer solves the round's plans in one call, d_merge one frame
     at a time; orbit_greedy looks its ring arcs' rows up once per round
     (routing.orbit_plan) and draws only its arc roots per frame. Routers
@@ -286,7 +283,6 @@ def _simulate(cfg: ScenarioConfig, algorithms) -> dict:
     """
     tx_power = scenario_tx_power(cfg)
     round_seeds = np.random.SeedSequence(cfg.rng_seed).spawn(2)[1].spawn(cfg.rounds)
-    u_frames = cfg.times.frames_per_slot
     path_routed = [a for a in algorithms if a in ("taeer", "d_merge")]
 
     records = {a: [] for a in algorithms}
@@ -304,16 +300,8 @@ def _simulate(cfg: ScenarioConfig, algorithms) -> dict:
         root = None
         plans = []   # per frame, the sorted path rows with the uplink row
         if path_routed:
-            root = routing.select_root(graph, 0, terminals)
-            uplink = int(graph.edge_rows(root, geo))
-            tree = routing.PathTree(root)
-            try:
-                for u in range(u_frames):
-                    rows = routing.shortest_paths_to_root(route_graph, u, terminals, tree)
-                    bisect.insort(rows, uplink)
-                    plans.append(rows)
-            except routing.RoutingInfeasibleError:
-                pass
+            root = routing.select_root(graph, terminals)
+            plans = routing.path_plans(route_graph, terminals, root)
 
         for algorithm in algorithms:
             rng = np.random.default_rng(round_seeds[t])
@@ -338,7 +326,7 @@ def _simulate(cfg: ScenarioConfig, algorithms) -> dict:
                         delivered += oks
             except routing.RoutingInfeasibleError:
                 rec.failed = True
-            if algorithm in path_routed and len(plans) < u_frames:
+            if algorithm in path_routed and len(plans) < graph.frame_count:
                 rec.failed = True
             _charge(rec, graph, trees, cfg.params, attempts, delivered)
             # An unusable link (weight +inf) on the tree or the uplink.

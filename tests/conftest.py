@@ -18,12 +18,12 @@ def params():
 
 @pytest.fixture
 def delta_spec():
-    return geometry.ConstellationSpec.walker(80, 4, 1, 500.0, 45.0, "delta")
+    return geometry.ConstellationSpec(4, 20, 500.0, 45.0, 1, "delta")
 
 
 @pytest.fixture
 def star_spec():
-    return geometry.ConstellationSpec.walker(80, 4, 1, 700.0, 99.5, "star")
+    return geometry.ConstellationSpec(4, 20, 700.0, 99.5, 1, "star")
 
 
 # The scenario default transmit-power range, sim.ScenarioConfig's.
@@ -64,7 +64,7 @@ def taeer(g, u, terminals, root, rows):
 def route(router, g, u, terminals, root):
     """A path router (taeer above or d_merge) at frame u on that frame's
     shortest-path rows toward root, searched as the simulator does."""
-    rows = routing.shortest_paths_to_root(g, u, terminals, routing.PathTree(root))
+    rows, _ = routing.shortest_paths_to_root(g, u, terminals, root)
     return router(g, u, terminals, root, rows)
 
 

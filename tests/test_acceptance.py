@@ -129,7 +129,8 @@ def test_criterion_4_aggregation_equivalence():
         deltas = rng.standard_normal((n_dev, d))
         raw = rng.uniform(0.05, 1.0, n_dev)
         weights = raw / raw.sum()
-        terms = [int(rng.integers(len(tree.nodes()))) for _ in range(n_dev)]
+        terms = [int(rng.integers(len({tree.root}.union(*tree.edges))))
+                 for _ in range(n_dev)]
         got = hierfl.tree_aggregate(tree, deltas, weights, terms)
         ref = hierfl.flat_aggregate(deltas, weights)
         scale = max(float(np.max(np.abs(ref))), 1e-30)
@@ -156,8 +157,8 @@ def ordering_runs():
     t0 = time.perf_counter()
     out = {}
     for name, spec in {
-        "delta": geometry.ConstellationSpec.walker(80, 4, 1, 500.0, 45.0, "delta"),
-        "star": geometry.ConstellationSpec.walker(80, 4, 1, 700.0, 99.5, "star"),
+        "delta": geometry.ConstellationSpec(4, 20, 500.0, 45.0, 1, "delta"),
+        "star": geometry.ConstellationSpec(4, 20, 700.0, 99.5, 1, "star"),
     }.items():
         cfg1 = make_scenario(spec, algorithms=("taeer", "d_merge", "orbit_greedy"),
                              rho=1.0, rounds=50, seed=2005, clusters=41)
@@ -197,7 +198,7 @@ def test_criterion_5_paper_ordering(ordering_runs):
 
 def test_criterion_6_scale_runtime():
     """One 800/20/1 frame instance solves in under a second."""
-    spec = geometry.ConstellationSpec.walker(800, 20, 1, 700.0, 99.5, "star")
+    spec = geometry.ConstellationSpec(20, 40, 700.0, 99.5, 1, "star")
     params = LinkParams()
     times = topology.TimeStructure.for_constellation(spec)
     rng = np.random.default_rng(2006)
@@ -206,7 +207,7 @@ def test_criterion_6_scale_runtime():
     clusters = sim.random_clusters(rng, 41)
     terminals = sorted(set(geometry.serving_satellites(
         clusters, 0.0, geometry.positions(spec, 0.0))))
-    root = routing.select_root(g, 0, terminals)
+    root = routing.select_root(g, terminals)
     t0 = time.perf_counter()
     arb = route(taeer, g, 0, terminals, root)
     elapsed = time.perf_counter() - t0

@@ -17,13 +17,10 @@ COMM_RADIUS_500 = 5146.260778468188
 
 class TestConstellationSpec:
     def test_walker_notation(self):
-        spec = ConstellationSpec.walker(80, 4, 1, 500.0, 45.0, "delta")
+        # T/P/F = 80/4/1: total_sats is P planes of T/P satellites.
+        spec = ConstellationSpec(4, 20, 500.0, 45.0, 1, "delta")
         assert spec.total_sats == 80
         assert spec.sats_per_orbit == 20
-
-    def test_walker_indivisible(self):
-        with pytest.raises(geometry.ConfigError):
-            ConstellationSpec.walker(81, 4, 1, 500.0, 45.0, "delta")
 
     @pytest.mark.parametrize("kwargs", [
         dict(num_orbits=0, sats_per_orbit=20, altitude_km=500.0, inclination_deg=45.0),
@@ -93,7 +90,7 @@ class TestPropagate:
     @pytest.mark.parametrize("shell", ["delta", "star", "800"])
     def test_epoch_array_equals_stacked_calls(self, shell, delta_spec, star_spec):
         spec = {"delta": delta_spec, "star": star_spec,
-                "800": ConstellationSpec.walker(800, 20, 1, 700.0, 99.5, "star")}[shell]
+                "800": ConstellationSpec(20, 40, 700.0, 99.5, 1, "star")}[shell]
         # Slot-start and frame-midpoint epochs, as build_snapshot forms them.
         t = np.array([3250.0] + [3250.0 + (u + 0.5) * 10.0 for u in range(25)])
         batched = geometry.positions(spec, t)
@@ -201,7 +198,7 @@ class TestFeasibleIslPairs:
     @pytest.mark.parametrize("t", [0.0, 1234.5])
     def test_800_satellite_shell_matches_nearest_in_orbit(self, t):
         # The 800/20/1 star shell of scenarios/walker_star_800.cfg.
-        spec = ConstellationSpec.walker(800, 20, 1, 700.0, 99.5, "star")
+        spec = ConstellationSpec(20, 40, 700.0, 99.5, 1, "star")
         pos = geometry.positions(spec, t)
         assert np.array_equal(geometry.feasible_isl_pairs(spec, pos),
                               nearest_in_orbit_pairs(spec, pos))
@@ -341,7 +338,7 @@ class TestGeoRelay:
         # The frame midpoints of slot 7, as build_snapshot forms them: the
         # component sums round as np.linalg.norm's, bit for bit.
         spec = {"delta80": delta_spec,
-                "star800": ConstellationSpec.walker(800, 20, 1, 700.0, 99.5, "star")}[shell]
+                "star800": ConstellationSpec(20, 40, 700.0, 99.5, 1, "star")}[shell]
         times = topology.TimeStructure.for_constellation(spec)
         t = np.array([7 * times.slot_len_s + (u + 0.5) * times.frame_len_s
                       for u in range(times.frames_per_slot)])

@@ -14,11 +14,11 @@ from oracles import (
 from oracles import taeer as taeer_per_frame
 from satagg import config, routing, sim, topology
 from satagg.routing import (
-    PathTree,
     RoutingInfeasibleError,
     d_merge,
     orbit_greedy,
     orbit_plan,
+    path_plans,
     select_root,
     shortest_path_csr,
     shortest_paths_to_root,
@@ -158,11 +158,11 @@ class TestShortestPathsToRoot:
                 low = 1 if kind == "integer" else 0
                 w = rng.integers(low, 4, size=shape).astype(float)
             g = SnapshotGraph.from_arrays(g.num_nodes, g.src, g.dst, w)
-            tree = PathTree(root)
+            warm = None
             for u in range(2):
-                rows = shortest_paths_to_root(g, u, terminals, tree)
+                rows, warm = shortest_paths_to_root(g, u, terminals, root, warm)
                 # Frame 1 starts warm from frame 0's tree.
-                assert rows == shortest_paths_to_root(g, u, terminals, PathTree(root))
+                assert rows == shortest_paths_to_root(g, u, terminals, root)[0]
                 assert_tight_tree(g, u, terminals, root, rows)
 
     @pytest.mark.parametrize("shell, rho", [("delta", 1.0), ("star", 0.1)])
@@ -177,9 +177,9 @@ class TestShortestPathsToRoot:
             if rho < 1.0:
                 g = topology.robust_weights(g, rho, cfg.params)
             _, terminals = sim.terminals_for_round(cfg, t_abs)
-            root = select_root(g, 0, terminals)
+            root = select_root(g, terminals)
             for u in (0, 12, 24):
-                rows = shortest_paths_to_root(g, u, terminals, PathTree(root))
+                rows, _ = shortest_paths_to_root(g, u, terminals, root)
                 assert_tight_tree(g, u, terminals, root, rows)
 
     def test_equal_cost_tie_takes_fewest_hops(self):
@@ -189,21 +189,21 @@ class TestShortestPathsToRoot:
         g = graph_of(5, [(0, 2, 1.0), (0, 3, 1.0), (2, 4, 1.0), (3, 1, 2.0),
                          (4, 1, 1.0)])
         assert shortest_path_csr(*g.frame_reverse_csr(0), 1)[1][0] == 2
-        assert shortest_paths_to_root(g, 0, [0, 1], PathTree(1)) == [1, 3]   # 0-3-1
+        assert shortest_paths_to_root(g, 0, [0, 1], 1)[0] == [1, 3]   # 0-3-1
 
     def test_equal_hops_tie_goes_to_lowest_head(self):
         # Both routes from 0 cost 3 over two hops. The search reaches 0
         # through 3 first; the rule takes the lower head id, 2.
         g = graph_of(4, [(0, 2, 1.0), (0, 3, 2.0), (2, 1, 2.0), (3, 1, 1.0)])
         assert shortest_path_csr(*g.frame_reverse_csr(0), 1)[1][0] == 3
-        assert shortest_paths_to_root(g, 0, [0, 1], PathTree(1)) == [0, 2]   # 0-2-1
+        assert shortest_paths_to_root(g, 0, [0, 1], 1)[0] == [0, 2]   # 0-2-1
 
     def test_zero_weight_rows_pointing_at_each_other_stay_acyclic(self):
         # 1 -> 2 and 2 -> 1 weigh 0, so node 1 is tied between 2 and the
         # root 3. The lowest head id alone would close the cycle 1-2-1; the
         # fewest hops send 1 to the root.
         g = graph_of(4, [(1, 2, 0.0), (2, 1, 0.0), (1, 3, 1.0)])
-        rows = shortest_paths_to_root(g, 0, [1, 2, 3], PathTree(3))
+        rows, _ = shortest_paths_to_root(g, 0, [1, 2, 3], 3)
         assert rows == [1, 2]   # 2-1-3
         d_merge(g, 0, [1, 2, 3], 3, rows).validate([1, 2, 3])
 
@@ -213,7 +213,7 @@ class TestShortestPathsToRoot:
         # node 0 has one tight row and no tie is broken.
         g = graph_of(5, [(0, 2, 0.2), (2, 3, 0.4), (3, 1, 0.3),
                          (0, 4, 0.1), (4, 1, 0.8)])
-        assert shortest_paths_to_root(g, 0, [0, 1], PathTree(1)) == [0, 2, 3]
+        assert shortest_paths_to_root(g, 0, [0, 1], 1)[0] == [0, 2, 3]
 
     def test_tied_node_takes_one_row_for_every_terminal(self):
         # Node 1 is tied: 1-0-3 and 1-3 both sum to 0.5 from the root 3.
@@ -221,22 +221,22 @@ class TestShortestPathsToRoot:
         # hops), so the union is a tree.
         g = graph_of(5, [(0, 3, 0.2), (1, 0, 0.3), (1, 3, 0.5), (2, 1, 0.4),
                          (4, 2, 0.7)])
-        rows = shortest_paths_to_root(g, 0, [0, 2, 3, 4], PathTree(3))
+        rows, _ = shortest_paths_to_root(g, 0, [0, 2, 3, 4], 3)
         assert rows == [0, 2, 3, 4]
         d_merge(g, 0, [0, 2, 3, 4], 3, rows).validate([0, 2, 3, 4])
 
     def test_unreachable_terminals_listed(self):
         g = graph_of(4, [(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(RoutingInfeasibleError) as exc:
-            shortest_paths_to_root(g, 0, [0, 1, 2, 3], PathTree(1))
+            shortest_paths_to_root(g, 0, [0, 1, 2, 3], 1)
         assert exc.value.stranded == [2, 3]
 
 
 def assert_warm_equals_cold(g, terminals, root, monkeypatch):
-    """Search every frame of g toward root through one PathTree, each frame
-    starting from the tree of the last frame searched, and compare each with
-    a cold search: distances bit for bit, next hops at every node with a
-    single tight out-edge, and the path rows. Returns the number of frames
+    """Search every frame of g toward root, each frame starting from the
+    warm rows of the last frame searched, and compare each with a cold
+    search: distances bit for bit, next hops at every node with a single
+    tight out-edge, and the path rows. Returns the number of frames
     searched warm."""
     searched = []
     real = routing.shortest_path_csr
@@ -246,23 +246,23 @@ def assert_warm_equals_cold(g, terminals, root, monkeypatch):
         searched.append((kwargs.get("start") is not None, result))
         return result
 
-    def rows_or_stranded(*args):
+    def rows_or_stranded(u, warm=None):
+        # A search that raises hands on no rows: warm stays.
         try:
-            return shortest_paths_to_root(*args)
+            return shortest_paths_to_root(g, u, terminals, root, warm)
         except RoutingInfeasibleError as exc:
-            return exc.stranded
+            return exc.stranded, warm
 
     monkeypatch.setattr(routing, "shortest_path_csr", recorded)
-    tree = PathTree(root)
-    warm = 0
+    warm, warm_frames = None, 0
     for u in range(g.frame_count):
         searched.clear()
-        assert rows_or_stranded(g, u, terminals, tree) == rows_or_stranded(
-            g, u, terminals, PathTree(root)), u
+        got, warm = rows_or_stranded(u, warm)
+        assert got == rows_or_stranded(u)[0], u
         if not searched:     # no terminal other than the root
             continue
         (was_warm, (dist, pred)), (_, (cold_dist, cold_pred)) = searched
-        warm += was_warm
+        warm_frames += was_warm
         assert dist.tobytes() == cold_dist.tobytes(), u
         assert dist.dtype == np.float64 and pred.dtype == np.int32
         assert (pred[~np.isfinite(dist)] == -1).all()
@@ -270,7 +270,7 @@ def assert_warm_equals_cold(g, terminals, root, monkeypatch):
         single = np.bincount(g.src[tight], minlength=g.num_nodes) == 1
         assert np.array_equal(pred[single], cold_pred[single]), u
     monkeypatch.undo()
-    return warm
+    return warm_frames
 
 
 class TestWarmStart:
@@ -287,7 +287,7 @@ class TestWarmStart:
             if rho < 1.0:
                 g = topology.robust_weights(g, rho, cfg.params)
             _, terminals = sim.terminals_for_round(cfg, t_abs)
-            root = select_root(g, 0, terminals)
+            root = select_root(g, terminals)
             warm = assert_warm_equals_cold(g, terminals, root, monkeypatch)
             assert warm == g.frame_count - 1
 
@@ -318,14 +318,13 @@ class TestWarmStart:
         # Frame 1 cuts terminal 0 off the root; frame 2 starts from frame 0's tree.
         w = np.array([[1.0, 1.0, 5.0], [np.inf, 1.0, np.inf], [2.0, 1.0, 1.0]])
         g = SnapshotGraph.from_arrays(3, [0, 1, 0], [1, 2, 2], w)
-        tree = PathTree(2)
-        assert shortest_paths_to_root(g, 0, [0, 2], tree) == [0, 2]
-        kept = tree.rows
-        assert kept.tolist() == [2, 0]   # node 1's tight row, then node 0's
+        rows, warm = shortest_paths_to_root(g, 0, [0, 2], 2)
+        assert rows == [0, 2]
+        assert warm.tolist() == [2, 0]   # node 1's tight row, then node 0's
         with pytest.raises(RoutingInfeasibleError):
-            shortest_paths_to_root(g, 1, [0, 2], tree)
-        assert tree.rows is kept
-        assert shortest_paths_to_root(g, 2, [0, 2], tree) == [1]
+            shortest_paths_to_root(g, 1, [0, 2], 2, warm)
+        assert warm.tolist() == [2, 0]
+        assert shortest_paths_to_root(g, 2, [0, 2], 2, warm)[0] == [1]
 
     def test_node_listed_before_its_head_matches_cold_search(self, monkeypatch):
         # Rows (1, 0), (1, 2), (2, 0), (3, 1). Over the zero-weight row
@@ -334,10 +333,83 @@ class TestWarmStart:
         # order it keeps +inf, and only the seed pass reaches it and node 3.
         w = np.array([[5.0, 0.0, 1.0, 2.0], [5.0, 0.0, 1.5, 2.5]])
         g = SnapshotGraph.from_arrays(4, [1, 1, 2, 3], [0, 2, 0, 1], w)
-        tree = PathTree(0)
-        shortest_paths_to_root(g, 0, [0, 3], tree)
-        assert tree.rows.tolist() == [1, 2, 3]
+        _, warm = shortest_paths_to_root(g, 0, [0, 3], 0)
+        assert warm.tolist() == [1, 2, 3]
         assert assert_warm_equals_cold(g, [0, 3], 0, monkeypatch) == 1
+
+
+def shipped_round0(scenario):
+    """Round 0 of a shipped scenario as the simulator routes it: the
+    routing graph (outage-blended below rho = 1), the terminals and the
+    uplink satellite, picked on the energy graph."""
+    cfg = config.build_scenario(config.read_config(str(SCENARIOS / scenario)))
+    g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, 0.0,
+                                sim.scenario_tx_power(cfg))
+    _, terminals = sim.terminals_for_round(cfg, 0.0)
+    root = select_root(g, terminals)
+    if cfg.outages_enabled:
+        g = topology.robust_weights(g, cfg.rho, cfg.params)
+    return g, terminals, root
+
+
+def assert_plans_match_cold_search(g, terminals, root):
+    """Each of path_plans' plans is a cold search of its frame with root's
+    uplink row among its sorted rows, and the plans stop at the first frame
+    whose cold search raises. Returns the number of plans."""
+    plans = path_plans(g, terminals, root)
+    uplink = int(g.edge_rows(root, g.geo_node))
+    for u in range(g.frame_count):
+        try:
+            rows, _ = shortest_paths_to_root(g, u, terminals, root)
+        except RoutingInfeasibleError:
+            assert len(plans) == u
+            break
+        plan = plans[u]
+        assert plan == sorted(plan) and plan.count(uplink) == 1, u
+        assert [r for r in plan if r != uplink] == rows, u
+    else:
+        assert len(plans) == g.frame_count
+    return len(plans)
+
+
+class TestPathPlans:
+    @pytest.mark.parametrize("scenario", ["walker_delta_80.cfg", "walker_star_80.cfg"])
+    def test_shipped_round_matches_cold_search(self, scenario):
+        # delta80 routes at rho = 1, star80 at rho = 0.1.
+        g, terminals, root = shipped_round0(scenario)
+        assert assert_plans_match_cold_search(g, terminals, root) == g.frame_count
+
+    def test_relay_graphs_with_ties_match_cold_search(self):
+        # Small integer weights from 0 (ties and zero-weight rows), some
+        # rows at +inf in some frames, and a relay every node uplinks to.
+        rng = np.random.default_rng(74)
+        short = 0
+        for _ in range(150):
+            n, edges = random_digraph(rng, max_nodes=9, p=0.45, min_nodes=3)
+            edges += [(v, n, 1.0) for v in range(n)]
+            src, dst, _ = zip(*edges)
+            w = rng.integers(0, 4, size=(4, len(edges))).astype(float)
+            w[rng.random(w.shape) < 0.1] = np.inf
+            g = SnapshotGraph.from_arrays(n + 1, src, dst, w, geo_node=n)
+            terminals = sorted(set(rng.choice(n, size=3).tolist()))
+            root = select_root(g, terminals)
+            short += assert_plans_match_cold_search(g, terminals, root) < g.frame_count
+        assert short   # some rounds stop early
+
+    @pytest.mark.parametrize("k", [0, 7, 24])
+    def test_search_raising_at_frame_k_keeps_the_plans_before(self, k, monkeypatch):
+        g, terminals, root = shipped_round0("walker_delta_80.cfg")
+        full = path_plans(g, terminals, root)
+        assert k < len(full)
+        real = routing.shortest_paths_to_root
+
+        def flaky(g, u, terminals, root, warm=None):
+            if u == k:
+                raise RoutingInfeasibleError([terminals[0]], what="terminal")
+            return real(g, u, terminals, root, warm)
+
+        monkeypatch.setattr(routing, "shortest_paths_to_root", flaky)
+        assert path_plans(g, terminals, root) == full[:k]
 
 
 def row_pairs(g, rows):
@@ -385,13 +457,13 @@ class TestSubstituteGraph:
 
     def test_single_terminal_is_the_path(self):
         g = graph_of(4, [(0, 1, 1.0), (1, 3, 1.0), (0, 2, 5.0), (2, 3, 5.0)])
-        rows = shortest_paths_to_root(g, 0, [0, 3], PathTree(3))
+        rows, _ = shortest_paths_to_root(g, 0, [0, 3], 3)
         assert row_pairs(g, rows) == [(0, 1), (1, 3)]
         assert taeer(g, 0, [0, 3], 3, rows).edges == ((0, 1), (1, 3))
 
     def test_disjoint_paths_edge_count(self):
         g = graph_of(5, [(0, 2, 1.0), (2, 4, 1.0), (1, 3, 1.0), (3, 4, 1.0)])
-        rows = shortest_paths_to_root(g, 0, [0, 1, 4], PathTree(4))
+        rows, _ = shortest_paths_to_root(g, 0, [0, 1, 4], 4)
         assert len(rows) == 4
         arb = taeer(g, 0, [0, 1, 4], 4, rows)
         assert arb.edge_ids == tuple(rows) and arb.total_cost == 4.0
@@ -399,7 +471,7 @@ class TestSubstituteGraph:
     def test_shared_suffix_deduplicated(self):
         # Both terminals funnel through 2 -> 3; the shared edge appears once.
         g = graph_of(4, [(0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-        rows = shortest_paths_to_root(g, 0, [0, 1, 3], PathTree(3))
+        rows, _ = shortest_paths_to_root(g, 0, [0, 1, 3], 3)
         expected = [(0, 2), (1, 2), (2, 3)]  # set union oracle
         assert row_pairs(g, rows) == expected
         arb = taeer(g, 0, [0, 1, 3], 3, rows)
@@ -407,7 +479,7 @@ class TestSubstituteGraph:
 
     def test_empty_path_set_root_only(self):
         g = graph_of(3, [(0, 1, 1.0)])
-        rows = shortest_paths_to_root(g, 0, [2], PathTree(2))
+        rows, _ = shortest_paths_to_root(g, 0, [2], 2)
         assert rows == []
         arb = taeer(g, 0, [2], 2, rows)
         assert arb.edges == () and arb.edge_ids == () and arb.total_cost == 0.0
@@ -793,7 +865,7 @@ class TestOrbitGreedy:
         # Slots 18, 19, 0, 1 of orbit 0: the minimal arc crosses the seam.
         res = self.greedy(snapshot, 0, [18, 19, 0, 1], np.random.default_rng(3))
         assert len(res.edges) == 4   # three ring hops and the uplink
-        assert res.nodes() == {18, 19, 0, 1, snapshot.geo_node}
+        assert {res.root}.union(*res.edges) == {18, 19, 0, 1, snapshot.geo_node}
 
     def test_cost_includes_uplinks(self, snapshot):
         res = self.greedy(snapshot, 0, [2, 25], np.random.default_rng(1))
@@ -848,13 +920,8 @@ def delta80_frame():
     """Frame 0 of round 0 of the shipped delta80 scenario as the simulator
     routes it: the graph, the terminals and the path routers' rows (the
     shortest paths to the uplink satellite, plus its uplink row)."""
-    cfg = config.build_scenario(config.read_config(str(SCENARIOS / "walker_delta_80.cfg")))
-    g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, 0.0,
-                                sim.scenario_tx_power(cfg))
-    _, terminals = sim.terminals_for_round(cfg, 0.0)
-    root = select_root(g, 0, terminals)
-    rows = shortest_paths_to_root(g, 0, terminals, PathTree(root))
-    return g, terminals, sorted(rows + [int(g.edge_rows(root, g.geo_node))])
+    g, terminals, root = shipped_round0("walker_delta_80.cfg")
+    return g, terminals, path_plans(g, terminals, root)[0]
 
 
 @pytest.mark.parametrize("router", [taeer, d_merge, orbit_greedy],
@@ -919,7 +986,7 @@ class TestSelectRoot:
         txp = topology.tx_power_draw(delta_spec, np.random.default_rng(0), *TX_POWER_W)
         g = topology.build_snapshot(delta_spec, params, times, 0.0, txp)
         terms = [5, 23, 41, 66]
-        root = select_root(g, 0, terms)
+        root = select_root(g, terms)
         ups = dict(zip(terms, g.weights_j[0][g.edge_rows(terms, g.geo_node)]))
         assert ups[root] == min(ups.values())
 

@@ -223,15 +223,14 @@ def test_gamma0_array_equals_scalar_calls(star_spec):
         assert g.weights_j[u].tolist() == energy.tolist()
 
 
-def solve_frame(algorithm, g, u, terminals, root, rng):
+def solve_frame(algorithm, g, u, terminals, plans, rng):
     """One router's tree at frame u on the plan that _simulate would pass
-    it: root is the path routers' uplink satellite."""
+    it: plans are the round's path plans (routing.path_plans) toward the
+    path routers' uplink satellite."""
     if algorithm == "orbit_greedy":
         return routing.orbit_greedy(g, u, routing.orbit_plan(g, terminals), rng)
-    rows = sorted(routing.shortest_paths_to_root(g, u, terminals, routing.PathTree(root))
-                  + [int(g.edge_rows(root, g.geo_node))])
     router = taeer if algorithm == "taeer" else routing.d_merge
-    return router(g, u, terminals, g.geo_node, rows)
+    return router(g, u, terminals, g.geo_node, plans[u])
 
 
 def test_routers_return_rows_of_the_energy_graph(star_spec):
@@ -243,10 +242,10 @@ def test_routers_return_rows_of_the_energy_graph(star_spec):
     r = topology.robust_weights(g, cfg.rho, cfg.params)
     assert np.array_equal(r.src, g.src) and np.array_equal(r.dst, g.dst)
     _, terminals = sim.terminals_for_round(cfg, 0.0)
-    root = routing.select_root(g, 0, terminals)
+    plans = routing.path_plans(r, terminals, routing.select_root(g, terminals))
     for algorithm in sim.ALGORITHMS:
         for u in range(g.frame_count):
-            result = solve_frame(algorithm, r, u, terminals, root,
+            result = solve_frame(algorithm, r, u, terminals, plans,
                                  np.random.default_rng(u))
             assert result.edges
             rows = g.edge_rows([c for c, _ in result.edges],
@@ -269,11 +268,11 @@ def test_router_costs_are_left_to_right_edge_sums(shell, rho, delta_spec, star_s
         if rho < 1.0:
             g = topology.robust_weights(g, rho, cfg.params)
         _, terminals = sim.terminals_for_round(cfg, t_abs)
-        root = routing.select_root(g, 0, terminals)
+        plans = routing.path_plans(g, terminals, routing.select_root(g, terminals))
         for u in (0, 12, 24):
             w = g.weights_j[u].tolist()
             for algorithm in sim.ALGORITHMS:
-                res = solve_frame(algorithm, g, u, terminals, root,
+                res = solve_frame(algorithm, g, u, terminals, plans,
                                   np.random.default_rng(u))
                 assert res.total_cost == left_to_right(
                     w[e] for e in res.edge_ids), algorithm
@@ -443,9 +442,9 @@ class TestCompareAlgorithms:
         real_search, real_select = routing.shortest_paths_to_root, routing.select_root
         calls, roots = [], []
 
-        def counted(g, u, terminals, tree):
-            calls.append((u, tree.root))
-            return real_search(g, u, terminals, tree)
+        def counted(g, u, terminals, root, warm=None):
+            calls.append((u, root))
+            return real_search(g, u, terminals, root, warm)
 
         def selected(*args):
             roots.append(real_select(*args))
@@ -480,10 +479,10 @@ class TestCompareAlgorithms:
         # round index here (3 rounds < slots_per_period).
         assert cfg.rounds < cfg.times.slots_per_period
 
-        def flaky(g, u, terminals, tree):
+        def flaky(g, u, terminals, root, warm=None):
             if g.slot_index == 1 and u == 3:
                 raise RoutingInfeasibleError([terminals[0]], what="terminal")
-            return real(g, u, terminals, tree)
+            return real(g, u, terminals, root, warm)
 
         monkeypatch.setattr(routing, "shortest_paths_to_root", flaky)
         res = sim.compare_algorithms(cfg)
@@ -502,10 +501,10 @@ class TestCompareAlgorithms:
         clean = sim.compare_algorithms(cfg)
         real = routing.shortest_paths_to_root
 
-        def flaky(g, u, terminals, tree):
+        def flaky(g, u, terminals, root, warm=None):
             if g.slot_index == 1 and u == k:
                 raise routing.RoutingInfeasibleError([terminals[0]], what="terminal")
-            return real(g, u, terminals, tree)
+            return real(g, u, terminals, root, warm)
 
         with monkeypatch.context() as mp:
             mp.setattr(routing, "shortest_paths_to_root", flaky)
@@ -516,15 +515,13 @@ class TestCompareAlgorithms:
         g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, t_abs,
                                     sim.scenario_tx_power(cfg))
         _, terminals = sim.terminals_for_round(cfg, t_abs)
-        root = routing.select_root(g, 0, terminals)
-        uplink = int(g.edge_rows(root, g.geo_node))
+        plans = routing.path_plans(g, terminals, routing.select_root(g, terminals))
         for algorithm in ("taeer", "d_merge"):
             got, want = res[algorithm], clean[algorithm]
             assert got.failed_rounds == 1
             assert got.records[0] == want.records[0] and got.records[2] == want.records[2]
-            tree, tree_j, geo_j, outage, edge_frames = routing.PathTree(root), 0.0, 0.0, 0.0, 0
-            for u in range(k):
-                rows = sorted(real(g, u, terminals, tree) + [uplink])
+            tree_j, geo_j, outage, edge_frames = 0.0, 0.0, 0.0, 0
+            for u, rows in enumerate(plans[:k]):
                 if algorithm == "taeer":
                     rows = list(taeer_per_frame(g, u, terminals, g.geo_node, rows).edge_ids)
                 isl = [e for e in rows if g.dst[e] != g.geo_node]
