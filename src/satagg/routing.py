@@ -12,6 +12,16 @@ Ties are broken by fixed rules everywhere (a tied next hop by its head's
 hop count to the root, then by node id; a tied arborescence pick by the
 lower (head, tail) pair, and the cycle search by ascending node id) so
 identical inputs always produce identical trees.
+
+A round's shortest paths (`path_plans`) are found by one of two methods,
+with bit-identical distances and so identical rows. Frame 0 is always a
+heap search (Dijkstra on Python lists). When its tree is fewer rows deep
+than the slot has frames, the other frames are solved together by
+Bellman-Ford sweeps over (rows x frames) arrays, each sweep costing about
+one heap search of one frame on 80 satellites; otherwise each frame is a
+heap search that starts from the previous frame's tree. The shipped
+80-satellite shells (11-13 rows deep, 25 frames) take the sweeps; 800
+satellites (44-48 rows deep) and slots of few frames take the heap.
 """
 import bisect
 import heapq
@@ -181,6 +191,26 @@ def _break_ties(g: SnapshotGraph, tight: np.ndarray, root: int,
         next_hop[s] = d
 
 
+def _plan_rows(g: SnapshotGraph, tight: np.ndarray, tied: list, hop: list,
+               next_hop: list, terms: list, root: int) -> list:
+    """The sorted rows of the terminals' walks to root: one frame's tight
+    rows (ascending), whether each node has two or more of them, and each
+    node's tight out-row and its head, which `_break_ties` rewrites the
+    first time a walk meets a tied node. A walk stops at the first node of
+    an earlier walk."""
+    ties_broken = False
+    done = {root}   # the root and the walked nodes
+    for t in terms:
+        x = t
+        while x not in done:
+            if tied[x] and not ties_broken:
+                _break_ties(g, tight, root, hop, next_hop)
+                ties_broken = True
+            done.add(x)
+            x = next_hop[x]
+    return sorted(hop[y] for y in done - {root})
+
+
 def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals, root: int,
                            warm=None) -> tuple:
     """(rows, warm): the sorted edge rows on the union of every terminal's
@@ -195,7 +225,7 @@ def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals, root: int,
     more, takes the one `_break_ties` picks (computed only when a walk
     meets a tied node). The rows are then a function of the distances
     alone, and their union is a tree toward the root: the rows out of the
-    walked nodes. A walk stops at the first node of an earlier walk.
+    walked nodes (`_plan_rows`).
 
     warm is the int array of one tight out-row of every reached non-root
     node (its next-hop row, unless the node is tied), in ascending distance
@@ -231,27 +261,137 @@ def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals, root: int,
     # Unreached nodes (+inf) sort last.
     order = np.argsort(dist, kind="stable")[:np.count_nonzero(dist < math.inf)]
     warm = hop[order[order != root]]
-    hop = hop.tolist()
-    next_hop = nxt.tolist()
-    ties_broken = False
-    done = {root}   # the root and the walked nodes
-    for t in terms:
-        x = t
-        while x not in done:
-            if tied[x] and not ties_broken:
-                _break_ties(g, tight, root, hop, next_hop)
-                ties_broken = True
-            done.add(x)
-            x = next_hop[x]
-    return sorted(hop[y] for y in done - {root}), warm
+    return _plan_rows(g, tight, tied, hop.tolist(), nxt.tolist(), terms, root), warm
+
+
+def _tree_depth(g: SnapshotGraph, warm: np.ndarray) -> int:
+    """The most rows on any node's path to the root along the warm rows of
+    `shortest_paths_to_root`, counted in their stored order: a tail listed
+    before its head (at equal distance) counts from its head's count so
+    far."""
+    hops = [0] * g.num_nodes
+    for v, x in zip(g.src[warm].tolist(), g.dst[warm].tolist()):
+        hops[v] = hops[x] + 1
+    return max(hops)
+
+
+def _sweep_distances(g: SnapshotGraph, root: int, w: np.ndarray) -> np.ndarray:
+    """Every node's distance to root in every frame of w, a (rows x frames)
+    weight array of g's rows, as a (nodes x frames) array (+inf:
+    unreached), from label-correcting sweeps over all the frames at once.
+
+    Labels start at +inf but for root's 0. Each sweep takes the rows whose
+    head's label dropped in any frame in the last sweep (at first, the rows
+    into root), adds their weights to their heads' labels, and keeps each
+    tail's least candidate per frame where it is below the tail's label
+    (`np.fmin`, so a NaN row never relaxes, as in the heap search). Rows
+    out of root are left out, which pins it at 0. The sweeps stop when no
+    label drops: then no row improves a label, which is where the heap
+    search stops too, and every label is a float path sum, so the
+    distances are bit-identical to its (the fixpoint argument of
+    `shortest_path_csr`). A node with a shortest path of d rows in a frame
+    has its final label there after d sweeps.
+    """
+    src, dst = g.src, g.dst
+    dist = np.full((g.num_nodes, w.shape[1]), math.inf)
+    dist[root] = 0.0
+    dropped = np.zeros(g.num_nodes, dtype=bool)
+    dropped[root] = True
+    relaxes = src != root
+    while True:
+        rows = np.flatnonzero(dropped[dst] & relaxes)
+        if not rows.size:
+            return dist
+        tails = src[rows]   # ascending: rows are (src, dst)-sorted
+        first = np.ones(rows.size, dtype=bool)
+        np.not_equal(tails[1:], tails[:-1], out=first[1:])
+        first = np.flatnonzero(first)
+        best = np.fmin.reduceat(w[rows] + dist[dst[rows]], first, axis=0)
+        tails = tails[first]
+        old = dist[tails]
+        better = best < old
+        dist[tails] = np.where(better, best, old)
+        dropped[:] = False
+        dropped[tails[better.any(axis=1)]] = True
+
+
+def _sweep_plans(g: SnapshotGraph, terms: list, root: int, uplink: int) -> list:
+    """The plans of frames 1.. of g, each as `path_plans` builds it, from
+    the distances of `_sweep_distances`; they stop before the first frame
+    with a terminal that cannot reach root.
+
+    Tight rows, each node's tight out-row and the terminals' walks are
+    found for all frames at once. A frame whose walks meet a tied node,
+    with two or more tight out-rows, walks again alone through
+    `_plan_rows`, which breaks its ties; walks meet the same nodes up to
+    the first tied one, so every other frame's rows are the heap search's.
+    """
+    src, dst = g.src, g.dst
+    n, e = g.num_nodes, g.num_edges
+    w = np.ascontiguousarray(g.weights_j[1:].T)   # (rows, frames)
+    dist = _sweep_distances(g, root, w)
+    stranded = np.flatnonzero((dist[terms] == math.inf).any(axis=0))
+    count = int(stranded[0]) if stranded.size else w.shape[1]
+    if not count:
+        return []
+    w, dist = w[:, :count], dist[:, :count]
+    # As in `shortest_paths_to_root`, inf == inf makes rows out of
+    # unreached nodes tight, which no walk meets.
+    tight = w + dist[dst] == dist[src]
+    tight_rows, tight_frames = np.nonzero(tight)
+    hop = np.zeros((n, count), dtype=np.intp)
+    hop[src[tight_rows], tight_frames] = tight_rows
+    tied = np.bincount(src[tight_rows] * count + tight_frames,
+                       minlength=n * count).reshape(n, count) > 1
+    # Walk from the terminals in every frame at once: node v of frame f is
+    # v * count + f.
+    frames = np.arange(count)
+    seen = np.zeros(n * count, dtype=bool)
+    seen[root * count + frames] = True
+    walk = (np.array(terms, dtype=np.intp)[:, None] * count + frames).ravel()
+    hop_flat = hop.ravel()
+    while walk.size:
+        seen[walk] = True
+        heads = dst[hop_flat[walk]] * count + walk % count
+        walk = heads[~seen[heads]]
+    on = seen.reshape(n, count)
+    on[root] = False
+    # Frame-major keys f * e + row sort each frame's rows, root's uplink
+    # row among them.
+    f, v = np.nonzero(on.T)
+    keys = np.concatenate((f * e + hop[v, f], frames * e + uplink))
+    keys.sort()
+    flat = (keys % e).tolist()
+    ends = np.cumsum(np.bincount(keys // e, minlength=count)).tolist()
+    plans = [flat[a:b] for a, b in zip([0] + ends, ends)]
+    for f in np.flatnonzero((on & tied).any(axis=0)).tolist():
+        frame_hop = hop[:, f]
+        rows = _plan_rows(g, np.flatnonzero(tight[:, f]), tied[:, f].tolist(),
+                          frame_hop.tolist(), dst[frame_hop].tolist(), terms, root)
+        bisect.insort(rows, uplink)
+        plans[f] = rows
+    return plans
 
 
 def path_plans(g: SnapshotGraph, terminals, root: int) -> list:
     """The path routers' plans of a round toward root, a terminal with a
     GEO uplink: per frame of g, the sorted rows of the terminals' shortest
-    paths to root (`shortest_paths_to_root`, each search starting from the
-    previous frame's tree) with root's uplink row. The plans stop before
-    the first search that raises."""
+    paths to root (see `shortest_paths_to_root`) with root's uplink row.
+    The plans stop before the first frame with a terminal that cannot
+    reach root.
+
+    Frame 0 is a cold heap search. Its tree's depth, the most rows on a
+    node's path to root, picks how the other frames are solved:
+    - depth below the frame count: all of them together by array sweeps
+      (`_sweep_plans`), one sweep per row of depth, each over every frame;
+    - otherwise: one heap search per frame, each starting from the
+      previous frame's tree.
+    Both give the same distances, and so the same rows. A sweep over all
+    frames costs about one heap search of one frame on 80 satellites,
+    and more on larger shells. The rule picked the faster method at every
+    shell size and frame count measured but 200 satellites, where the two
+    were within 3% of each other (README, Performance).
+    """
     uplink = int(g.edge_rows(root, g.geo_node))
     plans, warm = [], None
     for u in range(g.frame_count):
@@ -261,6 +401,9 @@ def path_plans(g: SnapshotGraph, terminals, root: int) -> list:
             break
         bisect.insort(rows, uplink)
         plans.append(rows)
+        if u == 0 and warm is not None and _tree_depth(g, warm) < g.frame_count:
+            terms = [t for t in sorted(set(terminals)) if t != root]
+            return plans + _sweep_plans(g, terms, root, uplink)
     return plans
 
 

@@ -80,6 +80,35 @@ def from_edge_list(num_nodes, edges, frame_count=1):
         num_nodes, np.asarray(src, dtype=np.int32), np.asarray(dst, dtype=np.int32), weights)
 
 
+def cut_off_from(g, node, k):
+    """g with every out-row of node at +inf from frame k on: from that
+    frame, node reaches no other node."""
+    w = g.weights_j.copy()
+    w[k:, g.src == node] = np.inf
+    return replace(g, weights_j=w)
+
+
+def force_method(monkeypatch, method):
+    """Make routing.path_plans solve the frames after frame 0 by "sweeps" or
+    by the "heap" search, whatever the depth of frame 0's tree."""
+    depth = {"sweeps": lambda g, warm: 0, "heap": lambda g, warm: g.frame_count}[method]
+    monkeypatch.setattr(routing, "_tree_depth", depth)
+
+
+def plans_cut_at(monkeypatch, slot, k):
+    """Make the simulator plan the round of slot `slot` on its routing graph
+    with the lowest terminal other than the root cut off from frame k on
+    (cut_off_from), so that no plan reaches frame k."""
+    real = routing.path_plans
+
+    def cut(g, terminals, root):
+        if g.slot_index == slot:
+            g = cut_off_from(g, min(t for t in terminals if t != root), k)
+        return real(g, terminals, root)
+
+    monkeypatch.setattr(routing, "path_plans", cut)
+
+
 def chu_liu_edmonds(g, root, u=0, nodes=None):
     """Exact minimum spanning arborescence in data-flow orientation: the
     package's arborescence core (`routing._msa_rows`) on a graph's rows.

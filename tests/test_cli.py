@@ -2,6 +2,9 @@ import configparser
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -316,6 +319,57 @@ def test_train_energy_is_run_scenario_energy(tmp_path):
         expected.append(running)
     assert len(totals) == 5
     assert cumulative == expected
+
+
+ONE_ROUND_CFG = """
+[constellation]
+pattern = delta
+altitude_km = 500
+inclination_deg = 45
+
+[algorithms]
+names = taeer, d_merge, orbit_greedy
+rho = 0.1
+
+[run]
+rounds = 1
+seed = 42
+
+[training]
+rounds = 1
+"""
+
+# Runs a command and prints its exit code, then every module that it
+# imported, one line each.
+IMPORTS_DURING_COMMAND = """
+import sys
+from satagg.cli import parse_and_dispatch
+before = set(sys.modules)
+code = parse_and_dispatch(sys.argv[1:])
+print(code)
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+@pytest.mark.parametrize("command", ["compare-algorithms", "train"])
+def test_command_imports_no_module_midway(tmp_path, command):
+    # A module imported on first use costs every command its import time:
+    # np.unique imports numpy.ma, 11-27 ms in a fresh process. Only
+    # argparse's gettext may import locale (and _locale) during a command.
+    # The shell has 80 satellites and 25 frames per slot, so the path plans
+    # are swept (routing.path_plans), and rho < 1 runs outage sampling.
+    path = tmp_path / "one_round.cfg"
+    path.write_text(ONE_ROUND_CFG)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    run = subprocess.run(
+        [sys.executable, "-c", IMPORTS_DURING_COMMAND, command, "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    code, imported = run.stdout.splitlines()[-2:]
+    assert code == "0", run.stderr
+    assert set(imported.split()) <= {"locale", "_locale"}
 
 
 ONE_SATELLITE_CFG = """

@@ -29,7 +29,9 @@ from conftest import (
     SCENARIOS,
     TX_POWER_W,
     chu_liu_edmonds,
+    cut_off_from,
     from_edge_list,
+    force_method,
     make_scenario,
     random_digraph,
     route,
@@ -352,11 +354,13 @@ def shipped_round0(scenario):
     return g, terminals, root
 
 
-def assert_plans_match_cold_search(g, terminals, root):
-    """Each of path_plans' plans is a cold search of its frame with root's
-    uplink row among its sorted rows, and the plans stop at the first frame
-    whose cold search raises. Returns the number of plans."""
-    plans = path_plans(g, terminals, root)
+def assert_plans_match_cold_search(g, terminals, root, plans=None):
+    """Each of path_plans' plans (or of the plans given) is a cold search
+    of its frame with root's uplink row among its sorted rows, and the
+    plans stop at the first frame whose cold search raises. Returns the
+    number of plans."""
+    if plans is None:
+        plans = path_plans(g, terminals, root)
     uplink = int(g.edge_rows(root, g.geo_node))
     for u in range(g.frame_count):
         try:
@@ -372,12 +376,62 @@ def assert_plans_match_cold_search(g, terminals, root):
     return len(plans)
 
 
+def solve_recorded(g, terminals, root, monkeypatch):
+    """(plans, method, tie_frames): path_plans(g, terminals, root), how it
+    solved the frames after frame 0 ("sweeps" or "heap"), and how many of
+    the swept frames it walked again alone to break ties."""
+    calls = {"sweeps": 0, "tie_frames": 0}
+    real_sweeps, real_rows = routing._sweep_plans, routing._plan_rows
+    sweeping = []
+
+    def sweeps(*args):
+        calls["sweeps"] += 1
+        sweeping.append(True)
+        try:
+            return real_sweeps(*args)
+        finally:
+            sweeping.clear()
+
+    def rows(*args):
+        calls["tie_frames"] += bool(sweeping)
+        return real_rows(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(routing, "_sweep_plans", sweeps)
+        mp.setattr(routing, "_plan_rows", rows)
+        plans = path_plans(g, terminals, root)
+    return plans, "sweeps" if calls["sweeps"] else "heap", calls["tie_frames"]
+
+
+def first_frames(g, count):
+    """g cut to its first count frames."""
+    return replace(g, weights_j=g.weights_j[:count], distance_km=g.distance_km[:count],
+                   gamma0=g.gamma0[:count])
+
+
 class TestPathPlans:
     @pytest.mark.parametrize("scenario", ["walker_delta_80.cfg", "walker_star_80.cfg"])
-    def test_shipped_round_matches_cold_search(self, scenario):
-        # delta80 routes at rho = 1, star80 at rho = 0.1.
+    def test_shipped_round_matches_cold_search(self, scenario, monkeypatch):
+        # delta80 routes at rho = 1, star80 at rho = 0.1. Frame 0's tree is
+        # 12 (delta80) or 13 (star80) rows deep, below the slot's 25 frames,
+        # so the frames after it are swept together.
         g, terminals, root = shipped_round0(scenario)
-        assert assert_plans_match_cold_search(g, terminals, root) == g.frame_count
+        plans, method, _ = solve_recorded(g, terminals, root, monkeypatch)
+        assert method == "sweeps"
+        assert assert_plans_match_cold_search(g, terminals, root, plans) == g.frame_count
+
+    @pytest.mark.parametrize("scenario, frames", [
+        ("walker_delta_80.cfg", 5), ("walker_delta_80.cfg", 1), ("walker_star_800.cfg", 25)])
+    def test_heap_search_when_frame_0_is_as_deep_as_the_slot(self, scenario, frames,
+                                                              monkeypatch):
+        # delta80's frame 0 tree is 12 rows deep, more than 5 frames (and a
+        # single frame has none after frame 0); star800's is 46 rows deep,
+        # more than its 25 frames.
+        g, terminals, root = shipped_round0(scenario)
+        g = first_frames(g, frames)
+        plans, method, _ = solve_recorded(g, terminals, root, monkeypatch)
+        assert method == "heap"
+        assert assert_plans_match_cold_search(g, terminals, root, plans) == frames
 
     def test_relay_graphs_with_ties_match_cold_search(self):
         # Small integer weights from 0 (ties and zero-weight rows), some
@@ -398,20 +452,67 @@ class TestPathPlans:
 
     @pytest.mark.parametrize("k", [0, 7, 24])
     def test_search_raising_at_frame_k_keeps_the_plans_before(self, k, monkeypatch):
+        # A terminal cut off from frame k on: the sweeps and the heap search
+        # stop there alike.
         g, terminals, root = shipped_round0("walker_delta_80.cfg")
         full = path_plans(g, terminals, root)
         assert k < len(full)
-        real = routing.shortest_paths_to_root
-
-        def flaky(g, u, terminals, root, warm=None):
-            if u == k:
-                raise RoutingInfeasibleError([terminals[0]], what="terminal")
-            return real(g, u, terminals, root, warm)
-
-        monkeypatch.setattr(routing, "shortest_paths_to_root", flaky)
-        assert path_plans(g, terminals, root) == full[:k]
+        cut = cut_off_from(g, min(t for t in terminals if t != root), k)
+        for method in ("sweeps", "heap"):
+            force_method(monkeypatch, method)
+            plans, ran, _ = solve_recorded(cut, terminals, root, monkeypatch)
+            assert ran == (method if k else "heap")
+            assert plans == full[:k]
 
 
+class TestSweepPlans:
+    """The frames after frame 0 solved together by array sweeps, frame by
+    frame against a cold heap search."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "integer"])
+    def test_relay_graphs_match_cold_search(self, kind, monkeypatch):
+        # 8-29 frames, so that frame 0's tree (at most 11 rows deep) is
+        # shallower than the slot and the sweeps run. Weights are uniform,
+        # or integers from 0 (ties and zero-weight rows); some rows weigh
+        # +inf or NaN, and some rounds cut a terminal off from frame k on.
+        rng = np.random.default_rng({"uniform": 75, "integer": 76}[kind])
+        swept, tie_frames, short = 0, 0, 0
+        for _ in range(200):
+            n, edges = random_digraph(rng, max_nodes=12, p=0.35, min_nodes=3)
+            edges += [(v, n, 1.0) for v in range(n)]
+            src, dst, _ = zip(*edges)
+            frames = int(rng.integers(8, 30))
+            shape = (frames, len(edges))
+            if kind == "uniform":
+                w = rng.uniform(0.01, 10.0, size=shape)
+            else:
+                w = rng.integers(0, 4, size=shape).astype(float)
+            w[rng.random(shape) < 0.05] = np.inf
+            w[rng.random(shape) < 0.03] = np.nan
+            g = SnapshotGraph.from_arrays(n + 1, src, dst, w, geo_node=n)
+            terminals = sorted(set(rng.choice(n, size=4).tolist()))
+            root = select_root(g, terminals)
+            if len(terminals) > 1 and rng.random() < 0.3:
+                cut = min(t for t in terminals if t != root)
+                g = cut_off_from(g, cut, int(rng.integers(1, frames)))
+            plans, method, ties = solve_recorded(g, terminals, root, monkeypatch)
+            count = assert_plans_match_cold_search(g, terminals, root, plans)
+            # Only a round that strands a terminal at frame 0, or has no
+            # terminal but the root, is not swept.
+            if not plans or terminals == [root]:
+                assert method == "heap"
+                continue
+            assert method == "sweeps"
+            swept += 1
+            tie_frames += ties
+            short += count < frames
+            dist = routing._sweep_distances(g, root, np.ascontiguousarray(g.weights_j.T))
+            for u in range(frames):
+                cold, _ = shortest_path_csr(*g.frame_reverse_csr(u), root)
+                assert dist[:, u].tobytes() == cold.tobytes(), u
+        assert swept >= 100 and short
+        if kind == "integer":
+            assert tie_frames   # some frames break ties alone
 def row_pairs(g, rows):
     return list(zip(g.src[rows].tolist(), g.dst[rows].tolist()))
 

@@ -7,7 +7,8 @@ from operator import add
 import numpy as np
 import pytest
 
-from conftest import SCENARIOS, make_scenario, routed_isl_links, sweep_snr_threshold, taeer
+from conftest import (SCENARIOS, force_method, make_scenario, plans_cut_at, routed_isl_links,
+                      sweep_snr_threshold, taeer)
 from oracles import sample_attempts_per_edge
 from oracles import taeer as taeer_per_frame
 from satagg import channel, config, routing, sim, topology
@@ -438,19 +439,21 @@ class TestCompareAlgorithms:
     def test_one_path_search_per_frame(self, delta_spec, monkeypatch,
                                        algorithms, searches_per_frame):
         # One uplink satellite per round with a path router, none for
-        # orbit_greedy alone, and one search per frame toward it.
-        real_search, real_select = routing.shortest_paths_to_root, routing.select_root
+        # orbit_greedy alone, and one plan per frame toward it, from one
+        # routing.path_plans call per round.
+        real_plans, real_select = routing.path_plans, routing.select_root
         calls, roots = [], []
 
-        def counted(g, u, terminals, root, warm=None):
-            calls.append((u, root))
-            return real_search(g, u, terminals, root, warm)
+        def counted(g, terminals, root):
+            plans = real_plans(g, terminals, root)
+            calls.extend((u, root) for u in range(len(plans)))
+            return plans
 
         def selected(*args):
             roots.append(real_select(*args))
             return roots[-1]
 
-        monkeypatch.setattr(routing, "shortest_paths_to_root", counted)
+        monkeypatch.setattr(routing, "path_plans", counted)
         monkeypatch.setattr(routing, "select_root", selected)
         cfg = make_scenario(delta_spec, algorithms=algorithms, rounds=2)
         res = sim.compare_algorithms(cfg)
@@ -472,70 +475,63 @@ class TestCompareAlgorithms:
             assert together[algorithm] == alone, algorithm
 
     def test_failed_search_fails_every_path_router(self, delta_spec, monkeypatch):
-        from satagg.routing import RoutingInfeasibleError
-        real = routing.shortest_paths_to_root
         cfg = make_scenario(delta_spec, algorithms=sim.ALGORITHMS, rounds=3)
-        # The search runs on the round's own graph, whose slot_index is the
-        # round index here (3 rounds < slots_per_period).
+        # The plans are built on the round's own graph, whose slot_index is
+        # the round index here (3 rounds < slots_per_period). Round 1 cuts a
+        # terminal off from frame 3 on, by array sweeps and by the heap
+        # search.
         assert cfg.rounds < cfg.times.slots_per_period
-
-        def flaky(g, u, terminals, root, warm=None):
-            if g.slot_index == 1 and u == 3:
-                raise RoutingInfeasibleError([terminals[0]], what="terminal")
-            return real(g, u, terminals, root, warm)
-
-        monkeypatch.setattr(routing, "shortest_paths_to_root", flaky)
-        res = sim.compare_algorithms(cfg)
-        for algorithm in ("taeer", "d_merge"):
-            assert [r.failed for r in res[algorithm].records] == [False, True, False]
-        assert not any(r.failed for r in res["orbit_greedy"].records)
+        for method in ("sweeps", "heap"):
+            with monkeypatch.context() as mp:
+                force_method(mp, method)
+                plans_cut_at(mp, slot=1, k=3)
+                res = sim.compare_algorithms(cfg)
+            for algorithm in ("taeer", "d_merge"):
+                assert [r.failed for r in res[algorithm].records] == [False, True, False]
+            assert not any(r.failed for r in res["orbit_greedy"].records)
 
     @pytest.mark.parametrize("k", [0, 7, 24])
     def test_search_failing_at_frame_k_charges_the_frames_before(
             self, delta_spec, monkeypatch, k):
-        # The search raises at frame k of round 1. Both path routers fail
-        # that round with frames 0..k-1 charged, as the per-frame reference
-        # routes and charges them; everything else is as in a clean run.
+        # Round 1 cuts a terminal off from frame k on, so its plans stop
+        # there, by array sweeps and by the heap search. Both path routers
+        # fail that round with frames 0..k-1 charged, as the per-frame
+        # reference routes and charges them; everything else is as in a
+        # clean run.
         cfg = make_scenario(delta_spec, algorithms=sim.ALGORITHMS, rounds=3)
         assert k < cfg.times.frames_per_slot and cfg.rounds < cfg.times.slots_per_period
         clean = sim.compare_algorithms(cfg)
-        real = routing.shortest_paths_to_root
-
-        def flaky(g, u, terminals, root, warm=None):
-            if g.slot_index == 1 and u == k:
-                raise routing.RoutingInfeasibleError([terminals[0]], what="terminal")
-            return real(g, u, terminals, root, warm)
-
-        with monkeypatch.context() as mp:
-            mp.setattr(routing, "shortest_paths_to_root", flaky)
-            res = sim.compare_algorithms(cfg)
-        assert res["orbit_greedy"] == clean["orbit_greedy"]
-
         t_abs = cfg.times.slot_len_s
         g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, t_abs,
                                     sim.scenario_tx_power(cfg))
         _, terminals = sim.terminals_for_round(cfg, t_abs)
         plans = routing.path_plans(g, terminals, routing.select_root(g, terminals))
-        for algorithm in ("taeer", "d_merge"):
-            got, want = res[algorithm], clean[algorithm]
-            assert got.failed_rounds == 1
-            assert got.records[0] == want.records[0] and got.records[2] == want.records[2]
-            tree_j, geo_j, outage, edge_frames = 0.0, 0.0, 0.0, 0
-            for u, rows in enumerate(plans[:k]):
-                if algorithm == "taeer":
-                    rows = list(taeer_per_frame(g, u, terminals, g.geo_node, rows).edge_ids)
-                isl = [e for e in rows if g.dst[e] != g.geo_node]
-                tree_j += left_to_right(g.weights_j[u][isl].tolist())
-                for e in rows:
-                    if e not in isl:
-                        geo_j += float(g.weights_j[u][e])
-                outage += left_to_right(channel.outage_from_gamma0(
-                    g.gamma0[u][isl], cfg.params).tolist())
-                edge_frames += len(isl)
-            assert got.records[1] == replace(
-                want.records[1], tree_energy_j=tree_j, geo_energy_j=geo_j,
-                analytic_outage_sum=outage, edge_frames=edge_frames,
-                attempts=edge_frames, failed=True)
+        for method in ("sweeps", "heap"):
+            with monkeypatch.context() as mp:
+                force_method(mp, method)
+                plans_cut_at(mp, slot=1, k=k)
+                res = sim.compare_algorithms(cfg)
+            assert res["orbit_greedy"] == clean["orbit_greedy"]
+            for algorithm in ("taeer", "d_merge"):
+                got, want = res[algorithm], clean[algorithm]
+                assert got.failed_rounds == 1
+                assert got.records[0] == want.records[0] and got.records[2] == want.records[2]
+                tree_j, geo_j, outage, edge_frames = 0.0, 0.0, 0.0, 0
+                for u, rows in enumerate(plans[:k]):
+                    if algorithm == "taeer":
+                        rows = list(taeer_per_frame(g, u, terminals, g.geo_node, rows).edge_ids)
+                    isl = [e for e in rows if g.dst[e] != g.geo_node]
+                    tree_j += left_to_right(g.weights_j[u][isl].tolist())
+                    for e in rows:
+                        if e not in isl:
+                            geo_j += float(g.weights_j[u][e])
+                    outage += left_to_right(channel.outage_from_gamma0(
+                        g.gamma0[u][isl], cfg.params).tolist())
+                    edge_frames += len(isl)
+                assert got.records[1] == replace(
+                    want.records[1], tree_energy_j=tree_j, geo_energy_j=geo_j,
+                    analytic_outage_sum=outage, edge_frames=edge_frames,
+                    attempts=edge_frames, failed=True)
 
     def test_rho_one_evaluates_outage_of_routed_rows_only(self, delta_spec, monkeypatch):
         real = channel._erf
