@@ -13,17 +13,18 @@ hop count to the root, then by node id; a tied arborescence pick by the
 lower (head, tail) pair, and the cycle search by ascending node id) so
 identical inputs always produce identical trees.
 
-A round's shortest paths (`path_plans`) are found by one of two methods,
-with bit-identical distances and so identical rows. Frame 0 is always a
-heap search (Dijkstra on Python lists). When its tree is fewer rows deep
-than the slot has frames, the other frames are solved together by
-Bellman-Ford sweeps over (rows x frames) arrays, each sweep costing about
-one heap search of one frame on 80 satellites; otherwise each frame is a
-heap search that starts from the previous frame's tree. The shipped
-80-satellite shells (11-13 rows deep, 25 frames) take the sweeps; 800
-satellites (44-48 rows deep) and slots of few frames take the heap.
+A round's shortest paths (`path_plans`) are found in two stages: every
+node's distance to the root in every frame, as one (nodes x frames) array,
+then every frame's rows read off that array in one batched pass. Frame 0's
+distances are always a heap search (Dijkstra on Python lists). When its
+tree is fewer rows deep than the slot has frames, the other frames are
+solved together by Bellman-Ford sweeps over (rows x frames) arrays, each
+sweep costing about one heap search of one frame on 80 satellites;
+otherwise each frame is a heap search that starts from the previous
+frame's tree. Both give bit-identical distances. The shipped 80-satellite
+shells (11-13 rows deep, 25 frames) take the sweeps; 800 satellites
+(44-48 rows deep) and slots of few frames take the heap.
 """
-import bisect
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -158,110 +159,28 @@ def _warm_start(g: SnapshotGraph, w: np.ndarray, root: int, rows: np.ndarray) ->
     return dist, pred, np.flatnonzero(seeds).tolist()
 
 
-def _break_ties(g: SnapshotGraph, tight: np.ndarray, root: int,
-                hop: list, next_hop: list) -> None:
-    """Point every node at its tight out-row whose head has the fewest tight
-    rows to the root, then the lowest head id: rewrites hop (the row) and
-    next_hop (its head) in place. tight holds the frame's tight rows,
-    ascending. A node with one tight out-row keeps it. A node's hop count
-    is one more than its chosen head's, so no walk along the chosen rows
-    can cycle, even over zero-weight rows."""
-    src, dst = g.src[tight].tolist(), g.dst[tight].tolist()
-    into = {}
-    for s, d in zip(src, dst):
-        into.setdefault(d, []).append(s)
-    depth = {root: 0}   # breadth-first from the root over the tight rows
-    level = [root]
-    while level:
-        below = []
-        for d in level:
-            for s in into.get(d, ()):
-                if s not in depth:
-                    depth[s] = depth[d] + 1
-                    below.append(s)
-        level = below
-    best = {}
-    # Rows are (src, dst)-sorted, so each tail meets its heads in ascending
-    # order and keeps the first of the fewest hops.
-    for r, s, d in zip(tight.tolist(), src, dst):
-        if d in depth and (s not in best or depth[d] < depth[best[s][1]]):
-            best[s] = (r, d)
-    for s, (r, d) in best.items():
-        hop[s] = r
-        next_hop[s] = d
+def shortest_paths_to_root(g: SnapshotGraph, u: int, root: int, warm=None) -> tuple:
+    """(dist, warm): every node's distance to root at frame u (+inf:
+    unreached), from one heap search from the root over the reversed edges,
+    and what the next frame's search starts from.
 
-
-def _plan_rows(g: SnapshotGraph, tight: np.ndarray, tied: list, hop: list,
-               next_hop: list, terms: list, root: int) -> list:
-    """The sorted rows of the terminals' walks to root: one frame's tight
-    rows (ascending), whether each node has two or more of them, and each
-    node's tight out-row and its head, which `_break_ties` rewrites the
-    first time a walk meets a tied node. A walk stops at the first node of
-    an earlier walk."""
-    ties_broken = False
-    done = {root}   # the root and the walked nodes
-    for t in terms:
-        x = t
-        while x not in done:
-            if tied[x] and not ties_broken:
-                _break_ties(g, tight, root, hop, next_hop)
-                ties_broken = True
-            done.add(x)
-            x = next_hop[x]
-    return sorted(hop[y] for y in done - {root})
-
-
-def shortest_paths_to_root(g: SnapshotGraph, u: int, terminals, root: int,
-                           warm=None) -> tuple:
-    """(rows, warm): the sorted edge rows on the union of every terminal's
-    shortest path to root at frame u, and what the next frame's search
-    starts from; unreachable terminals raise.
-
-    One search from the root over the reversed edges gives every node's
-    distance to the root. A row is tight when w + dist[dst] == dist[src] in
-    float, which the search's next-hop row out of every reached node is.
-    Each terminal's path follows one row out of every node by a fixed rule:
-    a node with one tight out-row takes it, and a tied node, with two or
-    more, takes the one `_break_ties` picks (computed only when a walk
-    meets a tied node). The rows are then a function of the distances
-    alone, and their union is a tree toward the root: the rows out of the
-    walked nodes (`_plan_rows`).
-
-    warm is the int array of one tight out-row of every reached non-root
-    node (its next-hop row, unless the node is tied), in ascending distance
-    order, ties by node id, from the last frame of g searched toward root
-    (None: no such frame). A slot fixes the topology and only the weights
-    drift between frames, so the search starts from that tree
-    (`_warm_start`); the distances, and so the rows, are bit-identical to a
-    cold search's. The returned warm is this frame's; with no terminal but
-    the root it is the warm given. A search that raises returns nothing, so
-    the caller's warm stays as it was.
+    warm is the int array of one tight out-row (w + dist[dst] == dist[src]
+    in float) of every reached non-root node, its only one unless the node
+    is tied, in ascending distance order, ties by node id, from the last
+    frame of g searched toward root (None: no such frame). A slot fixes the
+    topology and only the weights drift between frames, so the search
+    starts from that tree (`_warm_start`); the distances are bit-identical
+    to a cold search's.
     """
-    terms = [t for t in sorted(set(terminals)) if t != root]
-    if not terms:
-        return [], warm
     w = g.weights_j[u]
-    ptr, nbr, wts = g.frame_reverse_csr(u)
-    start = None
-    if warm is not None:
-        start = _warm_start(g, w, root, warm)
-    dist, nxt = shortest_path_csr(ptr, nbr, wts, root, start=start)
-    to_root = dist.tolist()
-    missing = [t for t in terms if not math.isfinite(to_root[t])]
-    if missing:
-        raise RoutingInfeasibleError(missing, what="terminal")
-    # inf == inf makes a row out of an unreached node tight; no terminal's
-    # path passes one, since a tight row out of a reached node has a
-    # reached head.
+    start = None if warm is None else _warm_start(g, w, root, warm)
+    dist, _ = shortest_path_csr(*g.frame_reverse_csr(u), root, start=start)
     tight = np.flatnonzero(w + np.take(dist, g.dst) == np.take(dist, g.src))
-    tight_src = g.src[tight]
-    tied = (np.bincount(tight_src, minlength=g.num_nodes) > 1).tolist()
     hop = np.zeros(g.num_nodes, dtype=np.intp)
-    hop[tight_src] = tight
+    hop[g.src[tight]] = tight
     # Unreached nodes (+inf) sort last.
     order = np.argsort(dist, kind="stable")[:np.count_nonzero(dist < math.inf)]
-    warm = hop[order[order != root]]
-    return _plan_rows(g, tight, tied, hop.tolist(), nxt.tolist(), terms, root), warm
+    return dist, hop[order[order != root]]
 
 
 def _tree_depth(g: SnapshotGraph, warm: np.ndarray) -> int:
@@ -315,96 +234,140 @@ def _sweep_distances(g: SnapshotGraph, root: int, w: np.ndarray) -> np.ndarray:
         dropped[tails[better.any(axis=1)]] = True
 
 
-def _sweep_plans(g: SnapshotGraph, terms: list, root: int, uplink: int) -> list:
-    """The plans of frames 1.. of g, each as `path_plans` builds it, from
-    the distances of `_sweep_distances`; they stop before the first frame
-    with a terminal that cannot reach root.
+def _walk(dst: np.ndarray, hop: np.ndarray, terms: list, root: int) -> np.ndarray:
+    """The nodes met by the terminals' walks to root, as a (nodes x frames)
+    bool array without root: each walk follows hop, one out-row per (node,
+    frame), and stops at root or at a node an earlier walk met."""
+    n, count = hop.shape
+    frames = np.arange(count)
+    seen = np.zeros(n * count, dtype=bool)   # node v of frame f is v * count + f
+    seen[root * count + frames] = True
+    walk = (np.array(terms, dtype=np.intp)[:, None] * count + frames).ravel()
+    hop = hop.ravel()
+    while walk.size:
+        seen[walk] = True
+        heads = dst[hop[walk]] * count + walk % count
+        walk = heads[~seen[heads]]
+    seen[root * count + frames] = False
+    return seen.reshape(n, count)
 
-    Tight rows, each node's tight out-row and the terminals' walks are
-    found for all frames at once. A frame whose walks meet a tied node,
-    with two or more tight out-rows, walks again alone through
-    `_plan_rows`, which breaks its ties; walks meet the same nodes up to
-    the first tied one, so every other frame's rows are the heap search's.
+
+def _fewest_hops(g: SnapshotGraph, tight: np.ndarray, root: int,
+                 hop: np.ndarray) -> np.ndarray:
+    """hop, a (nodes x frames) array of one tight out-row per (node, frame),
+    with every node pointed at its tight out-row whose head has the fewest
+    tight rows to root, then the lowest head id; tight is the frames'
+    (rows x frames) tight mask. A node with one tight out-row keeps it. A
+    node's hop count is one more than its chosen head's, so no walk along
+    the chosen rows can cycle, even over zero-weight rows."""
+    n, count = hop.shape
+    rows, frames = np.divmod(np.flatnonzero(tight), count)
+    tails = g.src[rows] * count + frames
+    heads = g.dst[rows] * count + frames
+    depth = np.full(n * count, -1)
+    depth[root * count + np.arange(count)] = 0
+    level = 0   # breadth-first from root over the tight rows, all frames at once
+    while True:
+        below = tails[(depth[heads] == level) & (depth[tails] < 0)]
+        if not below.size:
+            break
+        level += 1
+        depth[below] = level
+    hops = depth[heads]
+    # Rows are (src, dst)-sorted and lexsort is stable, so each tail meets
+    # its heads in ascending order and keeps the first of the fewest hops.
+    kept = np.flatnonzero(hops >= 0)
+    order = kept[np.lexsort((hops[kept], tails[kept]))]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = tails[order[1:]] != tails[order[:-1]]
+    hop = hop.ravel()
+    hop[tails[order[first]]] = rows[order[first]]
+    return hop.reshape(n, count)
+
+
+def _read_plans(g: SnapshotGraph, w: np.ndarray, dist: np.ndarray, terms: list,
+                root: int, uplink: int) -> list:
+    """Per frame, the sorted rows of the terminals' shortest paths to root
+    with root's uplink row, read off dist, every node's distance to root
+    as a (nodes x frames) array, under the (rows x frames) weights w.
+
+    A row is tight when w + dist[dst] == dist[src] in float. Each
+    terminal's path follows one tight row out of every node by a fixed
+    rule: a node with one tight out-row takes it, and in a frame whose
+    walks meet a tied node, with two or more, every node takes the one
+    `_fewest_hops` picks and the frame is walked again. The rows are then
+    a function of the distances alone, and their union is a tree toward
+    root: the rows out of the walked nodes. All frames are read at once.
     """
     src, dst = g.src, g.dst
     n, e = g.num_nodes, g.num_edges
-    w = np.ascontiguousarray(g.weights_j[1:].T)   # (rows, frames)
-    dist = _sweep_distances(g, root, w)
-    stranded = np.flatnonzero((dist[terms] == math.inf).any(axis=0))
-    count = int(stranded[0]) if stranded.size else w.shape[1]
-    if not count:
-        return []
-    w, dist = w[:, :count], dist[:, :count]
-    # As in `shortest_paths_to_root`, inf == inf makes rows out of
-    # unreached nodes tight, which no walk meets.
-    tight = w + dist[dst] == dist[src]
-    tight_rows, tight_frames = np.nonzero(tight)
+    count = dist.shape[1]
+    # inf == inf makes rows out of unreached nodes tight; no walk meets one,
+    # since a tight row out of a reached node has a reached head.
+    tight = w + np.take(dist, dst, axis=0) == np.take(dist, src, axis=0)
+    tight_rows, tight_frames = np.divmod(np.flatnonzero(tight), count)
     hop = np.zeros((n, count), dtype=np.intp)
     hop[src[tight_rows], tight_frames] = tight_rows
     tied = np.bincount(src[tight_rows] * count + tight_frames,
                        minlength=n * count).reshape(n, count) > 1
-    # Walk from the terminals in every frame at once: node v of frame f is
-    # v * count + f.
-    frames = np.arange(count)
-    seen = np.zeros(n * count, dtype=bool)
-    seen[root * count + frames] = True
-    walk = (np.array(terms, dtype=np.intp)[:, None] * count + frames).ravel()
-    hop_flat = hop.ravel()
-    while walk.size:
-        seen[walk] = True
-        heads = dst[hop_flat[walk]] * count + walk % count
-        walk = heads[~seen[heads]]
-    on = seen.reshape(n, count)
-    on[root] = False
+    on = _walk(dst, hop, terms, root)
+    redo = np.flatnonzero((on & tied).any(axis=0))
+    if redo.size:
+        hop[:, redo] = _fewest_hops(g, tight[:, redo], root, hop[:, redo])
+        on[:, redo] = _walk(dst, hop[:, redo], terms, root)
     # Frame-major keys f * e + row sort each frame's rows, root's uplink
     # row among them.
     f, v = np.nonzero(on.T)
-    keys = np.concatenate((f * e + hop[v, f], frames * e + uplink))
+    keys = np.concatenate((f * e + hop[v, f], np.arange(count) * e + uplink))
     keys.sort()
     flat = (keys % e).tolist()
     ends = np.cumsum(np.bincount(keys // e, minlength=count)).tolist()
-    plans = [flat[a:b] for a, b in zip([0] + ends, ends)]
-    for f in np.flatnonzero((on & tied).any(axis=0)).tolist():
-        frame_hop = hop[:, f]
-        rows = _plan_rows(g, np.flatnonzero(tight[:, f]), tied[:, f].tolist(),
-                          frame_hop.tolist(), dst[frame_hop].tolist(), terms, root)
-        bisect.insort(rows, uplink)
-        plans[f] = rows
-    return plans
+    return [flat[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def path_plans(g: SnapshotGraph, terminals, root: int) -> list:
     """The path routers' plans of a round toward root, a terminal with a
     GEO uplink: per frame of g, the sorted rows of the terminals' shortest
-    paths to root (see `shortest_paths_to_root`) with root's uplink row.
-    The plans stop before the first frame with a terminal that cannot
-    reach root.
+    paths to root with root's uplink row (`_read_plans`). The plans stop
+    before the first frame with a terminal that cannot reach root.
 
-    Frame 0 is a cold heap search. Its tree's depth, the most rows on a
-    node's path to root, picks how the other frames are solved:
+    Every node's distance to root in every frame is found first, as one
+    (nodes x frames) array, and every frame's rows are then read off it at
+    once. Frame 0 is a cold heap search (`shortest_paths_to_root`). Its
+    tree's depth, the most rows on a node's path to root, picks how the
+    other frames are solved:
     - depth below the frame count: all of them together by array sweeps
-      (`_sweep_plans`), one sweep per row of depth, each over every frame;
-    - otherwise: one heap search per frame, each starting from the
-      previous frame's tree.
-    Both give the same distances, and so the same rows. A sweep over all
-    frames costs about one heap search of one frame on 80 satellites,
-    and more on larger shells. The rule picked the faster method at every
-    shell size and frame count measured but 200 satellites, where the two
-    were within 3% of each other (README, Performance).
+      (`_sweep_distances`), one sweep per row of depth, each over every
+      frame;
+    - otherwise: one heap search per frame up to the first that strands a
+      terminal, each starting from the previous frame's tree.
+    Both give the same distances. A sweep over all frames costs about one
+    heap search of one frame on 80 satellites, and more on larger shells.
+    The rule picked the faster method at every shell size and frame count
+    measured but 200 satellites, where the two were within 4% of each
+    other (README, Performance).
     """
     uplink = int(g.edge_rows(root, g.geo_node))
-    plans, warm = [], None
-    for u in range(g.frame_count):
-        try:
-            rows, warm = shortest_paths_to_root(g, u, terminals, root, warm)
-        except RoutingInfeasibleError:
-            break
-        bisect.insort(rows, uplink)
-        plans.append(rows)
-        if u == 0 and warm is not None and _tree_depth(g, warm) < g.frame_count:
-            terms = [t for t in sorted(set(terminals)) if t != root]
-            return plans + _sweep_plans(g, terms, root, uplink)
-    return plans
+    terms = [t for t in sorted(set(terminals)) if t != root]
+    if not terms:
+        return [[uplink] for _ in range(g.frame_count)]
+    dist, warm = shortest_paths_to_root(g, 0, root)
+    if (dist[terms] == math.inf).any():
+        return []
+    if _tree_depth(g, warm) < g.frame_count:
+        w = np.ascontiguousarray(g.weights_j[1:].T)   # (rows, frames)
+        dist = np.column_stack((dist, _sweep_distances(g, root, w)))
+    else:
+        columns = [dist]
+        for u in range(1, g.frame_count):
+            dist, warm = shortest_paths_to_root(g, u, root, warm)
+            columns.append(dist)
+            if (dist[terms] == math.inf).any():
+                break
+        dist = np.column_stack(columns)
+    stranded = np.flatnonzero((dist[terms] == math.inf).any(axis=0))
+    count = int(stranded[0]) if stranded.size else dist.shape[1]
+    return _read_plans(g, g.weights_j[:count].T, dist[:, :count], terms, root, uplink)
 
 
 def _msa_rows(src, dst, w, root, nodes) -> dict:
@@ -483,7 +446,7 @@ def taeer_round(g: SnapshotGraph, terminals, root: int, plans) -> list:
 
     Each plan is sorted edge rows leading every terminal to root, a
     terminal or the graph's relay: the substitute graph, which merges the
-    terminals' shortest paths to a terminal (`shortest_paths_to_root`),
+    terminals' shortest paths to a terminal (`path_plans`),
     plus that terminal's uplink row when root is the relay. Each frame's
     tree is an exact minimum spanning arborescence of its rows
     (`_msa_rows`) with non-terminal leaves pruned away, and covers every

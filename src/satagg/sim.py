@@ -267,10 +267,11 @@ def _simulate(cfg: ScenarioConfig, algorithms) -> dict:
     path router (taeer, d_merge) runs, each round picks one uplink
     satellite (routing.select_root; the path routers' record root) and
     builds the round's plans toward it before any router runs
-    (routing.path_plans). The plans stop at the first search that raises,
-    and each path router then fails the round with the frames before it
-    charged. taeer solves the round's plans in one call, d_merge one frame
-    at a time; orbit_greedy looks its ring arcs' rows up once per round
+    (routing.path_plans). The plans stop at the first frame with a
+    terminal that cannot reach the uplink satellite, and each path router
+    then fails the round with the frames before it charged. taeer solves
+    the round's plans in one call, d_merge one frame at a time;
+    orbit_greedy looks its ring arcs' rows up once per round
     (routing.orbit_plan) and draws only its arc roots per frame. Routers
     run on the rows of the energy graph (outage blending only re-weights
     them), so their edge_ids index its true weights. Only a tree's

@@ -8,6 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # makes oracles importable
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
+from oracles import paths_to_root  # noqa: E402
 from satagg import channel, geometry, routing, sim, topology
 
 
@@ -63,9 +64,9 @@ def taeer(g, u, terminals, root, rows):
 
 def route(router, g, u, terminals, root):
     """A path router (taeer above or d_merge) at frame u on that frame's
-    shortest-path rows toward root, searched as the simulator does."""
-    rows, _ = routing.shortest_paths_to_root(g, u, terminals, root)
-    return router(g, u, terminals, root, rows)
+    shortest-path rows toward root (`oracles.paths_to_root`, the rows
+    `routing.path_plans` gives)."""
+    return router(g, u, terminals, root, paths_to_root(g, u, terminals, root))
 
 
 def from_edge_list(num_nodes, edges, frame_count=1):

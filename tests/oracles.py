@@ -16,7 +16,10 @@ One reference runs package code: `taeer`, the per-frame form of
 `routing.taeer_round`, which hands each frame to the package's one
 arborescence core (`routing._msa_rows`) and prunes leaves one at a time,
 where the round-level form solves the core's first level and the pruning
-for all frames at once.
+for all frames at once. `paths_to_root` is the per-frame form of
+`routing.path_plans`' rows: Bellman-Ford distances, a walk per terminal
+and a dict breadth-first search for ties, where the package reads every
+frame's rows off one distance array.
 """
 import math
 from collections import Counter
@@ -46,6 +49,71 @@ def bellman_ford(num_nodes, edges, source):
         if not changed:
             break
     return dist
+
+
+def _fewest_hop_rows(g, tight, root):
+    """{node: (row, head)}: each node's tight out-row whose head has the
+    fewest tight rows to root, then the lowest head id; tight holds one
+    frame's tight rows, ascending."""
+    src, dst = g.src[tight].tolist(), g.dst[tight].tolist()
+    into = {}
+    for s, d in zip(src, dst):
+        into.setdefault(d, []).append(s)
+    depth = {root: 0}   # breadth-first from the root over the tight rows
+    level = [root]
+    while level:
+        below = []
+        for d in level:
+            for s in into.get(d, ()):
+                if s not in depth:
+                    depth[s] = depth[d] + 1
+                    below.append(s)
+        level = below
+    best = {}
+    # Rows are (src, dst)-sorted, so each tail meets its heads in ascending
+    # order and keeps the first of the fewest hops.
+    for r, s, d in zip(tight.tolist(), src, dst):
+        if d in depth and (s not in best or depth[d] < depth[best[s][1]]):
+            best[s] = (r, d)
+    return best
+
+
+def paths_to_root(g, u, terminals, root):
+    """The sorted edge rows on the union of every terminal's shortest path
+    to root at frame u; terminals that cannot reach root raise
+    RoutingInfeasibleError listing them. `routing.path_plans` must give
+    these rows, plus root's uplink row, for every frame before the first
+    that raises here.
+
+    Distances come from Bellman-Ford over the reversed edges. A row is
+    tight when w + dist[dst] == dist[src] in float. Each terminal's walk
+    follows a node's only tight out-row; the first time a walk meets a
+    node with two or more, every node switches to the one whose head has
+    the fewest tight rows to root, then the lowest head id. A walk stops
+    at the first node of an earlier walk.
+    """
+    w = g.weights_j[u]
+    reversed_edges = list(zip(g.dst.tolist(), g.src.tolist(), w.tolist()))
+    dist = np.array(bellman_ford(g.num_nodes, reversed_edges, root))
+    terms = [t for t in sorted(set(terminals)) if t != root]
+    missing = [t for t in terms if dist[t] == math.inf]
+    if missing:
+        raise RoutingInfeasibleError(missing, what="terminal")
+    tight = np.flatnonzero(w + dist[g.dst] == dist[g.src])
+    src, dst = g.src[tight].tolist(), g.dst[tight].tolist()
+    out = {s: (r, d) for r, s, d in zip(tight.tolist(), src, dst)}
+    tied = {s for s, k in Counter(src).items() if k > 1}
+    ties_broken = False
+    done = {root}   # the root and the walked nodes
+    for t in terms:
+        x = t
+        while x not in done:
+            if x in tied and not ties_broken:
+                out.update(_fewest_hop_rows(g, tight, root))
+                ties_broken = True
+            done.add(x)
+            x = out[x][1]
+    return sorted(out[y][0] for y in done - {root})
 
 
 def enumerate_min_arborescence(edges, root, nodes):

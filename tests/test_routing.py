@@ -10,6 +10,7 @@ from oracles import (
     bellman_ford,
     enumerate_min_arborescence,
     exact_dst_oracle,
+    paths_to_root,
 )
 from oracles import taeer as taeer_per_frame
 from satagg import config, routing, sim, topology
@@ -145,7 +146,23 @@ def assert_tight_tree(g, u, terminals, root, rows):
     d_merge(g, u, terminals, root, rows).validate(terminals)
 
 
+def planned_rows(g, terminals, root):
+    """path_plans' plans on g plus a relay node that only root uplinks to,
+    each without its uplink row and as rows of g."""
+    n = g.num_nodes
+    relayed = SnapshotGraph.from_arrays(
+        n + 1, np.append(g.src, root), np.append(g.dst, n),
+        np.column_stack((g.weights_j, np.ones(g.frame_count))), geo_node=n)
+    plans = []
+    for plan in path_plans(relayed, terminals, root):
+        rows = [r for r in plan if relayed.dst[r] != n]
+        plans.append(g.edge_rows(relayed.src[rows], relayed.dst[rows]).tolist())
+    return plans
+
+
 class TestShortestPathsToRoot:
+    """The rows of path_plans, per frame, against the oracle's rows."""
+
     @pytest.mark.parametrize("kind", ["continuous", "integer", "zero"])
     def test_tight_tree_ensemble(self, kind):
         # Two frames per instance: continuous weights, small integers (ties
@@ -160,11 +177,10 @@ class TestShortestPathsToRoot:
                 low = 1 if kind == "integer" else 0
                 w = rng.integers(low, 4, size=shape).astype(float)
             g = SnapshotGraph.from_arrays(g.num_nodes, g.src, g.dst, w)
-            warm = None
-            for u in range(2):
-                rows, warm = shortest_paths_to_root(g, u, terminals, root, warm)
-                # Frame 1 starts warm from frame 0's tree.
-                assert rows == shortest_paths_to_root(g, u, terminals, root)[0]
+            plans = planned_rows(g, terminals, root)
+            assert len(plans) == 2
+            for u, rows in enumerate(plans):
+                assert rows == paths_to_root(g, u, terminals, root)
                 assert_tight_tree(g, u, terminals, root, rows)
 
     @pytest.mark.parametrize("shell, rho", [("delta", 1.0), ("star", 0.1)])
@@ -180,8 +196,10 @@ class TestShortestPathsToRoot:
                 g = topology.robust_weights(g, rho, cfg.params)
             _, terminals = sim.terminals_for_round(cfg, t_abs)
             root = select_root(g, terminals)
+            uplink = int(g.edge_rows(root, g.geo_node))
+            plans = path_plans(g, terminals, root)
             for u in (0, 12, 24):
-                rows, _ = shortest_paths_to_root(g, u, terminals, root)
+                rows = [r for r in plans[u] if r != uplink]
                 assert_tight_tree(g, u, terminals, root, rows)
 
     def test_equal_cost_tie_takes_fewest_hops(self):
@@ -191,22 +209,25 @@ class TestShortestPathsToRoot:
         g = graph_of(5, [(0, 2, 1.0), (0, 3, 1.0), (2, 4, 1.0), (3, 1, 2.0),
                          (4, 1, 1.0)])
         assert shortest_path_csr(*g.frame_reverse_csr(0), 1)[1][0] == 2
-        assert shortest_paths_to_root(g, 0, [0, 1], 1)[0] == [1, 3]   # 0-3-1
+        assert paths_to_root(g, 0, [0, 1], 1) == [1, 3]   # 0-3-1
+        assert planned_rows(g, [0, 1], 1) == [[1, 3]]
 
     def test_equal_hops_tie_goes_to_lowest_head(self):
         # Both routes from 0 cost 3 over two hops. The search reaches 0
         # through 3 first; the rule takes the lower head id, 2.
         g = graph_of(4, [(0, 2, 1.0), (0, 3, 2.0), (2, 1, 2.0), (3, 1, 1.0)])
         assert shortest_path_csr(*g.frame_reverse_csr(0), 1)[1][0] == 3
-        assert shortest_paths_to_root(g, 0, [0, 1], 1)[0] == [0, 2]   # 0-2-1
+        assert paths_to_root(g, 0, [0, 1], 1) == [0, 2]   # 0-2-1
+        assert planned_rows(g, [0, 1], 1) == [[0, 2]]
 
     def test_zero_weight_rows_pointing_at_each_other_stay_acyclic(self):
         # 1 -> 2 and 2 -> 1 weigh 0, so node 1 is tied between 2 and the
         # root 3. The lowest head id alone would close the cycle 1-2-1; the
         # fewest hops send 1 to the root.
         g = graph_of(4, [(1, 2, 0.0), (2, 1, 0.0), (1, 3, 1.0)])
-        rows, _ = shortest_paths_to_root(g, 0, [1, 2, 3], 3)
+        rows = paths_to_root(g, 0, [1, 2, 3], 3)
         assert rows == [1, 2]   # 2-1-3
+        assert planned_rows(g, [1, 2, 3], 3) == [rows]
         d_merge(g, 0, [1, 2, 3], 3, rows).validate([1, 2, 3])
 
     def test_rounding_tie_follows_the_root_sums(self):
@@ -215,7 +236,8 @@ class TestShortestPathsToRoot:
         # node 0 has one tight row and no tie is broken.
         g = graph_of(5, [(0, 2, 0.2), (2, 3, 0.4), (3, 1, 0.3),
                          (0, 4, 0.1), (4, 1, 0.8)])
-        assert shortest_paths_to_root(g, 0, [0, 1], 1)[0] == [0, 2, 3]
+        assert paths_to_root(g, 0, [0, 1], 1) == [0, 2, 3]
+        assert planned_rows(g, [0, 1], 1) == [[0, 2, 3]]
 
     def test_tied_node_takes_one_row_for_every_terminal(self):
         # Node 1 is tied: 1-0-3 and 1-3 both sum to 0.5 from the root 3.
@@ -223,23 +245,26 @@ class TestShortestPathsToRoot:
         # hops), so the union is a tree.
         g = graph_of(5, [(0, 3, 0.2), (1, 0, 0.3), (1, 3, 0.5), (2, 1, 0.4),
                          (4, 2, 0.7)])
-        rows, _ = shortest_paths_to_root(g, 0, [0, 2, 3, 4], 3)
+        rows = paths_to_root(g, 0, [0, 2, 3, 4], 3)
         assert rows == [0, 2, 3, 4]
+        assert planned_rows(g, [0, 2, 3, 4], 3) == [rows]
         d_merge(g, 0, [0, 2, 3, 4], 3, rows).validate([0, 2, 3, 4])
 
     def test_unreachable_terminals_listed(self):
+        # The oracle lists the stranded terminals; the plans stop before
+        # frame 0.
         g = graph_of(4, [(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(RoutingInfeasibleError) as exc:
-            shortest_paths_to_root(g, 0, [0, 1, 2, 3], 1)
+            paths_to_root(g, 0, [0, 1, 2, 3], 1)
         assert exc.value.stranded == [2, 3]
+        assert planned_rows(g, [0, 1, 2, 3], 1) == []
 
 
-def assert_warm_equals_cold(g, terminals, root, monkeypatch):
+def assert_warm_equals_cold(g, root, monkeypatch):
     """Search every frame of g toward root, each frame starting from the
-    warm rows of the last frame searched, and compare each with a cold
-    search: distances bit for bit, next hops at every node with a single
-    tight out-edge, and the path rows. Returns the number of frames
-    searched warm."""
+    warm rows of the frame before, and compare each with a cold search:
+    distances bit for bit, and next hops at every node with a single tight
+    out-edge. Returns the number of frames searched warm."""
     searched = []
     real = routing.shortest_path_csr
 
@@ -248,21 +273,12 @@ def assert_warm_equals_cold(g, terminals, root, monkeypatch):
         searched.append((kwargs.get("start") is not None, result))
         return result
 
-    def rows_or_stranded(u, warm=None):
-        # A search that raises hands on no rows: warm stays.
-        try:
-            return shortest_paths_to_root(g, u, terminals, root, warm)
-        except RoutingInfeasibleError as exc:
-            return exc.stranded, warm
-
     monkeypatch.setattr(routing, "shortest_path_csr", recorded)
     warm, warm_frames = None, 0
     for u in range(g.frame_count):
         searched.clear()
-        got, warm = rows_or_stranded(u, warm)
-        assert got == rows_or_stranded(u)[0], u
-        if not searched:     # no terminal other than the root
-            continue
+        got, warm = shortest_paths_to_root(g, u, root, warm)
+        assert got.tobytes() == shortest_paths_to_root(g, u, root)[0].tobytes(), u
         (was_warm, (dist, pred)), (_, (cold_dist, cold_pred)) = searched
         warm_frames += was_warm
         assert dist.tobytes() == cold_dist.tobytes(), u
@@ -290,7 +306,7 @@ class TestWarmStart:
                 g = topology.robust_weights(g, rho, cfg.params)
             _, terminals = sim.terminals_for_round(cfg, t_abs)
             root = select_root(g, terminals)
-            warm = assert_warm_equals_cold(g, terminals, root, monkeypatch)
+            warm = assert_warm_equals_cold(g, root, monkeypatch)
             assert warm == g.frame_count - 1
 
     @pytest.mark.parametrize("kind", ["zero", "integer", "inf"])
@@ -313,20 +329,20 @@ class TestWarmStart:
             src, dst, _ = zip(*edges)
             g = SnapshotGraph.from_arrays(n, src, dst, w)
             root = int(rng.integers(n))
-            terminals = sorted({root} | set(rng.choice(n, size=3).tolist()))
-            assert_warm_equals_cold(g, terminals, root, monkeypatch)
+            assert_warm_equals_cold(g, root, monkeypatch)
 
-    def test_search_that_raises_keeps_the_tree(self):
-        # Frame 1 cuts terminal 0 off the root; frame 2 starts from frame 0's tree.
+    def test_search_after_a_stranded_frame_matches_cold_search(self, monkeypatch):
+        # Frame 1 cuts node 0 off the root, so its tree leaves node 0 out;
+        # frame 2 starts from that tree, and its seeds reach node 0 again.
+        # The plans stop before frame 1.
         w = np.array([[1.0, 1.0, 5.0], [np.inf, 1.0, np.inf], [2.0, 1.0, 1.0]])
         g = SnapshotGraph.from_arrays(3, [0, 1, 0], [1, 2, 2], w)
-        rows, warm = shortest_paths_to_root(g, 0, [0, 2], 2)
-        assert rows == [0, 2]
+        _, warm = shortest_paths_to_root(g, 0, 2)
         assert warm.tolist() == [2, 0]   # node 1's tight row, then node 0's
-        with pytest.raises(RoutingInfeasibleError):
-            shortest_paths_to_root(g, 1, [0, 2], 2, warm)
-        assert warm.tolist() == [2, 0]
-        assert shortest_paths_to_root(g, 2, [0, 2], 2, warm)[0] == [1]
+        dist, warm = shortest_paths_to_root(g, 1, 2, warm)
+        assert dist[0] == math.inf and warm.tolist() == [2]
+        assert assert_warm_equals_cold(g, 2, monkeypatch) == 2
+        assert planned_rows(g, [0, 2], 2) == [[0, 2]]
 
     def test_node_listed_before_its_head_matches_cold_search(self, monkeypatch):
         # Rows (1, 0), (1, 2), (2, 0), (3, 1). Over the zero-weight row
@@ -335,9 +351,9 @@ class TestWarmStart:
         # order it keeps +inf, and only the seed pass reaches it and node 3.
         w = np.array([[5.0, 0.0, 1.0, 2.0], [5.0, 0.0, 1.5, 2.5]])
         g = SnapshotGraph.from_arrays(4, [1, 1, 2, 3], [0, 2, 0, 1], w)
-        _, warm = shortest_paths_to_root(g, 0, [0, 3], 0)
+        _, warm = shortest_paths_to_root(g, 0, 0)
         assert warm.tolist() == [1, 2, 3]
-        assert assert_warm_equals_cold(g, [0, 3], 0, monkeypatch) == 1
+        assert assert_warm_equals_cold(g, 0, monkeypatch) == 1
 
 
 def shipped_round0(scenario):
@@ -355,16 +371,16 @@ def shipped_round0(scenario):
 
 
 def assert_plans_match_cold_search(g, terminals, root, plans=None):
-    """Each of path_plans' plans (or of the plans given) is a cold search
-    of its frame with root's uplink row among its sorted rows, and the
-    plans stop at the first frame whose cold search raises. Returns the
+    """Each of path_plans' plans (or of the plans given) is the oracle's
+    rows of its frame with root's uplink row among them, sorted, and the
+    plans stop at the first frame where the oracle raises. Returns the
     number of plans."""
     if plans is None:
         plans = path_plans(g, terminals, root)
     uplink = int(g.edge_rows(root, g.geo_node))
     for u in range(g.frame_count):
         try:
-            rows, _ = shortest_paths_to_root(g, u, terminals, root)
+            rows = paths_to_root(g, u, terminals, root)
         except RoutingInfeasibleError:
             assert len(plans) == u
             break
@@ -378,27 +394,22 @@ def assert_plans_match_cold_search(g, terminals, root, plans=None):
 
 def solve_recorded(g, terminals, root, monkeypatch):
     """(plans, method, tie_frames): path_plans(g, terminals, root), how it
-    solved the frames after frame 0 ("sweeps" or "heap"), and how many of
-    the swept frames it walked again alone to break ties."""
+    solved the frames after frame 0 ("sweeps" or "heap"), and how many
+    frames broke ties in batch (`routing._fewest_hops`)."""
     calls = {"sweeps": 0, "tie_frames": 0}
-    real_sweeps, real_rows = routing._sweep_plans, routing._plan_rows
-    sweeping = []
+    real_sweeps, real_ties = routing._sweep_distances, routing._fewest_hops
 
     def sweeps(*args):
         calls["sweeps"] += 1
-        sweeping.append(True)
-        try:
-            return real_sweeps(*args)
-        finally:
-            sweeping.clear()
+        return real_sweeps(*args)
 
-    def rows(*args):
-        calls["tie_frames"] += bool(sweeping)
-        return real_rows(*args)
+    def ties(g, tight, root, hop):
+        calls["tie_frames"] += hop.shape[1]
+        return real_ties(g, tight, root, hop)
 
     with monkeypatch.context() as mp:
-        mp.setattr(routing, "_sweep_plans", sweeps)
-        mp.setattr(routing, "_plan_rows", rows)
+        mp.setattr(routing, "_sweep_distances", sweeps)
+        mp.setattr(routing, "_fewest_hops", ties)
         plans = path_plans(g, terminals, root)
     return plans, "sweeps" if calls["sweeps"] else "heap", calls["tie_frames"]
 
@@ -433,22 +444,29 @@ class TestPathPlans:
         assert method == "heap"
         assert assert_plans_match_cold_search(g, terminals, root, plans) == frames
 
-    def test_relay_graphs_with_ties_match_cold_search(self):
+    def test_relay_graphs_with_ties_match_cold_search(self, monkeypatch):
         # Small integer weights from 0 (ties and zero-weight rows), some
-        # rows at +inf in some frames, and a relay every node uplinks to.
-        rng = np.random.default_rng(74)
-        short = 0
-        for _ in range(150):
-            n, edges = random_digraph(rng, max_nodes=9, p=0.45, min_nodes=3)
-            edges += [(v, n, 1.0) for v in range(n)]
-            src, dst, _ = zip(*edges)
-            w = rng.integers(0, 4, size=(4, len(edges))).astype(float)
-            w[rng.random(w.shape) < 0.1] = np.inf
-            g = SnapshotGraph.from_arrays(n + 1, src, dst, w, geo_node=n)
-            terminals = sorted(set(rng.choice(n, size=3).tolist()))
-            root = select_root(g, terminals)
-            short += assert_plans_match_cold_search(g, terminals, root) < g.frame_count
-        assert short   # some rounds stop early
+        # rows at +inf in some frames, and a relay every node uplinks to;
+        # the same rounds by each method.
+        for method in ("heap", "sweeps"):
+            force_method(monkeypatch, method)
+            rng = np.random.default_rng(74)
+            short, tie_frames = 0, 0
+            for _ in range(150):
+                n, edges = random_digraph(rng, max_nodes=9, p=0.45, min_nodes=3)
+                edges += [(v, n, 1.0) for v in range(n)]
+                src, dst, _ = zip(*edges)
+                w = rng.integers(0, 4, size=(4, len(edges))).astype(float)
+                w[rng.random(w.shape) < 0.1] = np.inf
+                g = SnapshotGraph.from_arrays(n + 1, src, dst, w, geo_node=n)
+                terminals = sorted(set(rng.choice(n, size=3).tolist()))
+                root = select_root(g, terminals)
+                plans, _, ties = solve_recorded(g, terminals, root, monkeypatch)
+                count = assert_plans_match_cold_search(g, terminals, root, plans)
+                short += count < g.frame_count
+                tie_frames += ties
+            assert short, method   # some rounds stop early
+            assert tie_frames, method   # some frames break ties in batch
 
     @pytest.mark.parametrize("k", [0, 7, 24])
     def test_search_raising_at_frame_k_keeps_the_plans_before(self, k, monkeypatch):
@@ -467,52 +485,61 @@ class TestPathPlans:
 
 class TestSweepPlans:
     """The frames after frame 0 solved together by array sweeps, frame by
-    frame against a cold heap search."""
+    frame against the oracle, and the same rounds by heap searches."""
 
     @pytest.mark.parametrize("kind", ["uniform", "integer"])
     def test_relay_graphs_match_cold_search(self, kind, monkeypatch):
         # 8-29 frames, so that frame 0's tree (at most 11 rows deep) is
-        # shallower than the slot and the sweeps run. Weights are uniform,
-        # or integers from 0 (ties and zero-weight rows); some rows weigh
-        # +inf or NaN, and some rounds cut a terminal off from frame k on.
-        rng = np.random.default_rng({"uniform": 75, "integer": 76}[kind])
-        swept, tie_frames, short = 0, 0, 0
-        for _ in range(200):
-            n, edges = random_digraph(rng, max_nodes=12, p=0.35, min_nodes=3)
-            edges += [(v, n, 1.0) for v in range(n)]
-            src, dst, _ = zip(*edges)
-            frames = int(rng.integers(8, 30))
-            shape = (frames, len(edges))
-            if kind == "uniform":
-                w = rng.uniform(0.01, 10.0, size=shape)
-            else:
-                w = rng.integers(0, 4, size=shape).astype(float)
-            w[rng.random(shape) < 0.05] = np.inf
-            w[rng.random(shape) < 0.03] = np.nan
-            g = SnapshotGraph.from_arrays(n + 1, src, dst, w, geo_node=n)
-            terminals = sorted(set(rng.choice(n, size=4).tolist()))
-            root = select_root(g, terminals)
-            if len(terminals) > 1 and rng.random() < 0.3:
-                cut = min(t for t in terminals if t != root)
-                g = cut_off_from(g, cut, int(rng.integers(1, frames)))
-            plans, method, ties = solve_recorded(g, terminals, root, monkeypatch)
-            count = assert_plans_match_cold_search(g, terminals, root, plans)
-            # Only a round that strands a terminal at frame 0, or has no
-            # terminal but the root, is not swept.
-            if not plans or terminals == [root]:
-                assert method == "heap"
-                continue
-            assert method == "sweeps"
-            swept += 1
-            tie_frames += ties
-            short += count < frames
-            dist = routing._sweep_distances(g, root, np.ascontiguousarray(g.weights_j.T))
-            for u in range(frames):
-                cold, _ = shortest_path_csr(*g.frame_reverse_csr(u), root)
-                assert dist[:, u].tobytes() == cold.tobytes(), u
-        assert swept >= 100 and short
-        if kind == "integer":
-            assert tie_frames   # some frames break ties alone
+        # shallower than the slot and the depth rule picks the sweeps.
+        # Weights are uniform, or integers from 0 (ties and zero-weight
+        # rows); some rows weigh +inf or NaN, and some rounds cut a terminal
+        # off from frame k on.
+        depth = routing._tree_depth
+        for method in ("sweeps", "heap"):
+            force_method(monkeypatch, method)
+            rng = np.random.default_rng({"uniform": 75, "integer": 76}[kind])
+            solved, tie_frames, short = 0, 0, 0
+            for _ in range(200):
+                n, edges = random_digraph(rng, max_nodes=12, p=0.35, min_nodes=3)
+                edges += [(v, n, 1.0) for v in range(n)]
+                src, dst, _ = zip(*edges)
+                frames = int(rng.integers(8, 30))
+                shape = (frames, len(edges))
+                if kind == "uniform":
+                    w = rng.uniform(0.01, 10.0, size=shape)
+                else:
+                    w = rng.integers(0, 4, size=shape).astype(float)
+                w[rng.random(shape) < 0.05] = np.inf
+                w[rng.random(shape) < 0.03] = np.nan
+                g = SnapshotGraph.from_arrays(n + 1, src, dst, w, geo_node=n)
+                terminals = sorted(set(rng.choice(n, size=4).tolist()))
+                root = select_root(g, terminals)
+                if len(terminals) > 1 and rng.random() < 0.3:
+                    cut = min(t for t in terminals if t != root)
+                    g = cut_off_from(g, cut, int(rng.integers(1, frames)))
+                plans, ran, ties = solve_recorded(g, terminals, root, monkeypatch)
+                count = assert_plans_match_cold_search(g, terminals, root, plans)
+                # Only a round that strands a terminal at frame 0, or has no
+                # terminal but the root, is not swept.
+                if not plans or terminals == [root]:
+                    assert ran == "heap"
+                    continue
+                assert ran == method
+                solved += 1
+                tie_frames += ties
+                short += count < frames
+                if method == "heap":
+                    continue
+                assert depth(g, shortest_paths_to_root(g, 0, root)[1]) < frames
+                dist = routing._sweep_distances(g, root, np.ascontiguousarray(g.weights_j.T))
+                for u in range(frames):
+                    cold, _ = shortest_path_csr(*g.frame_reverse_csr(u), root)
+                    assert dist[:, u].tobytes() == cold.tobytes(), u
+            assert solved >= 100 and short
+            if kind == "integer":
+                assert tie_frames, method   # some frames break ties in batch
+
+
 def row_pairs(g, rows):
     return list(zip(g.src[rows].tolist(), g.dst[rows].tolist()))
 
@@ -558,13 +585,13 @@ class TestSubstituteGraph:
 
     def test_single_terminal_is_the_path(self):
         g = graph_of(4, [(0, 1, 1.0), (1, 3, 1.0), (0, 2, 5.0), (2, 3, 5.0)])
-        rows, _ = shortest_paths_to_root(g, 0, [0, 3], 3)
+        rows, = planned_rows(g, [0, 3], 3)
         assert row_pairs(g, rows) == [(0, 1), (1, 3)]
         assert taeer(g, 0, [0, 3], 3, rows).edges == ((0, 1), (1, 3))
 
     def test_disjoint_paths_edge_count(self):
         g = graph_of(5, [(0, 2, 1.0), (2, 4, 1.0), (1, 3, 1.0), (3, 4, 1.0)])
-        rows, _ = shortest_paths_to_root(g, 0, [0, 1, 4], 4)
+        rows, = planned_rows(g, [0, 1, 4], 4)
         assert len(rows) == 4
         arb = taeer(g, 0, [0, 1, 4], 4, rows)
         assert arb.edge_ids == tuple(rows) and arb.total_cost == 4.0
@@ -572,7 +599,7 @@ class TestSubstituteGraph:
     def test_shared_suffix_deduplicated(self):
         # Both terminals funnel through 2 -> 3; the shared edge appears once.
         g = graph_of(4, [(0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-        rows, _ = shortest_paths_to_root(g, 0, [0, 1, 3], 3)
+        rows, = planned_rows(g, [0, 1, 3], 3)
         expected = [(0, 2), (1, 2), (2, 3)]  # set union oracle
         assert row_pairs(g, rows) == expected
         arb = taeer(g, 0, [0, 1, 3], 3, rows)
@@ -580,7 +607,7 @@ class TestSubstituteGraph:
 
     def test_empty_path_set_root_only(self):
         g = graph_of(3, [(0, 1, 1.0)])
-        rows, _ = shortest_paths_to_root(g, 0, [2], 2)
+        rows, = planned_rows(g, [2], 2)
         assert rows == []
         arb = taeer(g, 0, [2], 2, rows)
         assert arb.edges == () and arb.edge_ids == () and arb.total_cost == 0.0
