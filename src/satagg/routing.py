@@ -3,15 +3,16 @@ and the three tree-building algorithms compared by the simulator.
 
 All trees use data-flow orientation: an edge (child, parent) means the child
 transmits toward the root, so every non-root tree node has exactly one
-outgoing edge. The arborescence solver picks each node's cheapest outgoing
-edge and returns those edges when they already lead every node to the
-root; when they form a cycle, it contracts the cycle and solves the smaller
-graph the same way (Chu-Liu/Edmonds, without reversing any edge).
+outgoing edge. The arborescence solver (`_msa`) picks each node's cheapest
+outgoing edge and returns those edges when they already lead every node to
+the root; when they form cycles, it contracts every cycle at once and
+solves the smaller graph the same way (Chu-Liu/Edmonds, without reversing
+any edge). It solves all frames of a round in one call, level by level.
 
 Ties are broken by fixed rules everywhere (a tied next hop by its head's
 hop count to the root, then by node id; a tied arborescence pick by the
-lower (head, tail) pair, and the cycle search by ascending node id) so
-identical inputs always produce identical trees.
+lower original (head, tail) pair, and supernodes numbered by their cycles'
+least members) so identical inputs always produce identical trees.
 
 A round's shortest paths (`path_plans`) are found in two stages: every
 node's distance to the root in every frame, as one (nodes x frames) array,
@@ -64,29 +65,6 @@ class Arborescence:
     def total_cost(self) -> float:
         """The rows' frame weights summed in row order."""
         return ordered_sum(self.graph.weights_j[self.frame][list(self.edge_ids)].tolist())
-
-    def validate(self, terminals=None) -> None:
-        """Raise AssertionError if any arborescence invariant is violated."""
-        out_edge = {}
-        for c, p in self.edges:
-            assert c != self.root, "root must not transmit"
-            assert c not in out_edge, f"node {c} has two outgoing edges"
-            out_edge[c] = p
-        for c in out_edge:
-            seen = set()
-            v = c
-            while v != self.root:
-                assert v in out_edge, f"node {v} does not reach the root"
-                assert v not in seen, f"cycle through node {v}"
-                seen.add(v)
-                v = out_edge[v]
-        if terminals is not None:
-            term = set(terminals)
-            parents = set(out_edge.values())
-            nodes = {self.root, *out_edge, *parents}
-            assert term <= nodes, "tree does not cover all terminals"
-            for v in nodes - parents - {self.root}:
-                assert v in term, f"leaf {v} is not a terminal"
 
 
 def shortest_path_csr(indptr, indices, weights, source, start=None):
@@ -370,74 +348,112 @@ def path_plans(g: SnapshotGraph, terminals, root: int) -> list:
     return _read_plans(g, g.weights_j[:count].T, dist[:, :count], terms, root, uplink)
 
 
-def _msa_rows(src, dst, w, root, nodes) -> dict:
-    """{node: position k of its out-row} in an exact minimum spanning
-    arborescence of nodes (which hold root) toward root over the rows
-    src[k] -> dst[k] of weight w[k], (src, dst)-sorted and within nodes.
+def _msa(tail, head, w, roots, span, n) -> np.ndarray:
+    """Each spanned non-root node's row k in an exact minimum spanning
+    arborescence of its plan, for every plan at once: Chu-Liu/Edmonds in
+    data-flow orientation, level by level over all plans.
 
-    Chu-Liu/Edmonds in data-flow orientation. Each level picks every
-    non-root node's cheapest out-row, ties to the lower original
-    (head, tail) pair: a level lists its rows in that order for each tail,
-    which at level 0 is row order, and keeps the first of equal weights.
-    If following the picks leads every node to the root, they are optimal.
-    Otherwise the nodes that cannot reach the root raise
-    RoutingInfeasibleError; with none, the first cycle met scanning the
-    nodes in ascending order becomes a supernode with an id above every
-    node, and the next level solves the contracted rows, sorted by their
-    original (head, tail) pair: rows leaving the cycle lose their tail's
-    picked weight, rows entering it keep theirs, and rows inside it drop.
-    Expanding a level keeps every cycle node's pick except the tail of the
-    supernode's chosen exit row, which takes that row.
+    Node v of plan i is id i * n + v, and roots holds each plan's root.
+    The rows tail[k] -> head[k] of weight w[k] are (tail, head)-sorted, and
+    both ends lie in span, a bool array over the ids that holds the roots.
+
+    Each level picks every non-root node's cheapest out-row: a node lists
+    its rows in original (head, tail) order, which at the first level is
+    row order, and takes the first of least weight (a NaN first weight
+    stays, a later NaN never wins). At the first level, spanned nodes that
+    cannot reach their root over any row raise RoutingInfeasibleError with
+    the first such plan's nodes. When the picks lead every node to its
+    root, they are optimal. Otherwise every cycle of picks contracts at
+    once: its members are the image of the next-pick pointers doubled past
+    any walk's length, and each cycle, labelled by its least member,
+    becomes a supernode with an id above every id, numbered in label
+    order. Rows inside a cycle drop, rows leaving it lose their tail's
+    picked weight, and rows entering it keep theirs. Expanding a level
+    keeps every member's pick except the tail of the supernode's chosen
+    exit row, which takes that row.
     """
-    pos, tails, heads, levels = range(len(src)), src, dst, []
+    bits, top = n.bit_length(), span.size
+    is_root = np.zeros(top, dtype=bool)
+    is_root[roots] = True
+    t, h, x, pos = tail, head, w, np.arange(tail.size)
+    levels = []
     while True:
-        best = {}
-        for k, s in enumerate(tails):
-            if s not in best or w[k] < w[best[s]]:
-                best[s] = k
-        best.pop(root, None)
-        reaches = {root: True}   # False: on the walk in progress
-        for v in sorted(nodes):
-            walk = []
-            while v not in reaches and v in best:
-                reaches[v] = False
-                walk.append(v)
-                v = heads[best[v]]
-            if not reaches.get(v, False):
+        if levels:
+            order = np.lexsort((tail[pos], head[pos], t))
+            t, h, x, pos = t[order], h[order], x[order], pos[order]
+        start = np.ones(t.size, dtype=bool)
+        np.not_equal(t[1:], t[:-1], out=start[1:])
+        starts = np.flatnonzero(start)
+        least = np.fmin.reduceat(x, starts)
+        hit = x == np.repeat(least, np.diff(starts, append=t.size))
+        hit[starts] |= np.isnan(x[starts])
+        hits = np.flatnonzero(hit)
+        group = np.cumsum(start)[hits]
+        picked = hits[np.diff(group, prepend=0) != 0]
+        picked = picked[~is_root[t[picked]]]
+        # Each pick's next pick, out of its head: k for a root and k + 1 for
+        # a node without an out-row. Doubling the steps past any walk's
+        # length leaves k where the picks lead to the root, and a cycle's
+        # picks elsewhere.
+        k = picked.size
+        at = np.full(top, k + 1)
+        at[t[picked]] = np.arange(k)
+        at[roots] = k
+        step = np.append(at[h[picked]], [k, k + 1])
+        for _ in range(bits):
+            jump = step[step]
+            if (jump == step).all():
                 break
-            for x in walk:
-                reaches[x] = True
-        else:
-            break
+            step = jump
+        ends = step[:k]
+        cyclic = (ends < k).any()   # some walk of picks ends on a cycle
         if not levels:
-            into = {}
-            for i, j in zip(src, dst):
-                into.setdefault(j, []).append(i)
-            reach, stack = {root}, [root]
-            while stack:
-                for x in into.get(stack.pop(), ()):
-                    if x not in reach:
-                        reach.add(x)
-                        stack.append(x)
-            if nodes - reach:
-                raise RoutingInfeasibleError(nodes - reach)
-        cycle = set(walk[walk.index(v):])
-        c = max(nodes) + 1
-        keep = sorted((k for k, (i, j) in enumerate(zip(tails, heads))
-                       if i not in cycle or j not in cycle),
-                      key=lambda k: (dst[pos[k]], src[pos[k]]))
-        levels.append((c, keep, {v: best[v] for v in cycle}, tails))
-        w = [w[k] - w[best[tails[k]]] if tails[k] in cycle else w[k] for k in keep]
-        pos = [pos[k] for k in keep]
-        tails, heads = ([c if x[k] in cycle else x[k] for k in keep] for x in (tails, heads))
-        nodes = nodes - cycle | {c}
-    # Level positions map back through each level's kept rows.
-    for c, keep, picks, tails in reversed(levels):
-        k = keep[best.pop(c)]
-        best = {v: keep[p] for v, p in best.items()}
-        best.update(picks)
-        best[tails[k]] = k
-    return best
+            nodes = t[picked]   # every spanned non-root node, unless one is stranded
+            if cyclic or k < np.count_nonzero(span) - roots.size:
+                reached = is_root.copy()   # breadth-first from the roots against the rows
+                while True:
+                    grow = reached[head] & ~reached[tail]
+                    if not grow.any():
+                        break
+                    reached[tail[grow]] = True
+                stranded = np.flatnonzero(span & ~reached)
+                if stranded.size:
+                    first = stranded // n == stranded[0] // n
+                    raise RoutingInfeasibleError(stranded[first] % n)
+        if not cyclic:
+            break
+        ring = np.zeros(k + 2, dtype=bool)
+        ring[ends] = True
+        ring = np.flatnonzero(ring[:k])
+        # Label each cycle by its least member: doubling again, with the
+        # least id met so far along each member's walk.
+        members = t[picked[ring]]
+        label, nxt = members, np.searchsorted(members, h[picked[ring]])
+        for _ in range(bits):
+            label, nxt = np.minimum(label, label[nxt]), nxt[nxt]
+        is_label = label == members
+        supers = top + np.arange(np.count_nonzero(is_label))
+        level_tail = np.empty(tail.size, dtype=np.intp)
+        level_tail[pos] = t
+        levels.append((members, pos[picked[ring]], supers, level_tail))
+        lost = np.zeros(top)
+        lost[members] = x[picked[ring]]
+        new = np.arange(top)
+        new[members] = top - 1 + np.cumsum(is_label)[np.searchsorted(members, label)]
+        with np.errstate(invalid="ignore"):   # inf - inf out of a cycle of +inf picks
+            x = x - lost[t]
+        t, h = new[t], new[h]
+        keep = t != h
+        t, h, x, pos = t[keep], h[keep], x[keep], pos[keep]
+        top += supers.size
+        is_root = np.append(is_root, np.zeros(supers.size, dtype=bool))
+    choice = np.empty(top, dtype=np.intp)
+    choice[t[picked]] = pos[picked]
+    for members, picks, supers, level_tail in reversed(levels):
+        exits = choice[supers]
+        choice[members] = picks
+        choice[level_tail[exits]] = exits
+    return choice[nodes]
 
 
 def taeer_round(g: SnapshotGraph, terminals, root: int, plans) -> list:
@@ -448,74 +464,34 @@ def taeer_round(g: SnapshotGraph, terminals, root: int, plans) -> list:
     terminal or the graph's relay: the substitute graph, which merges the
     terminals' shortest paths to a terminal (`path_plans`),
     plus that terminal's uplink row when root is the relay. Each frame's
-    tree is an exact minimum spanning arborescence of its rows
-    (`_msa_rows`) with non-terminal leaves pruned away, and covers every
-    terminal.
+    tree is an exact minimum spanning arborescence of its rows with
+    non-terminal leaves pruned away, and covers every terminal.
 
-    The frames are solved together. `_msa_rows`'s first level runs on
-    all of them at once: every tail's pick by its tie rule, then a check,
-    by pointer doubling, that following the picks leads every node to the
-    root. A frame where it does not (a cycle, or a node with no out-row),
-    or with a NaN weight, is solved by `_msa_rows` itself, in frame order,
-    so the first frame with a node that cannot reach the root raises its
-    RoutingInfeasibleError. Pruning runs on all frames at once.
+    The frames are solved together: every plan's rows are relabelled onto
+    one id space, node v of frame u as u * n + v, and one call to the
+    arborescence core (`_msa`) solves every frame, level by level, raising
+    RoutingInfeasibleError for the first frame with a node that cannot
+    reach the root. Pruning then runs on all frames at once, and the kept
+    rows are split back into frames.
     """
     if root != g.geo_node and root not in terminals:
         raise ValueError("root must be a terminal or the graph's relay")
     n, count = g.num_nodes, len(plans)
     sizes = [len(p) for p in plans]
     rows = np.fromiter(chain.from_iterable(plans), dtype=np.intp, count=sum(sizes))
-    plan_ids = np.arange(count)
-    plan = np.repeat(plan_ids, sizes)   # each row's plan: its frame
-    src, dst = g.src[rows], g.dst[rows]
-    w = g.weights_j[plan, rows]
-    tail, head = plan * n + src, plan * n + dst   # node v of plan i is i * n + v
-    # Level 0: each (plan, tail)'s pick by `_msa_rows`'s tie rule. The
-    # stable sort, linear on sorted plans, puts a tail's rows together in
-    # row order.
-    order = np.argsort(tail, kind="stable")
-    group = np.ones(order.size, dtype=bool)
-    group[1:] = tail[order[1:]] != tail[order[:-1]]
-    starts = np.flatnonzero(group)
-    w_sorted = w[order]
-    least = np.minimum.reduceat(w_sorted, starts)
-    ties = np.flatnonzero(w_sorted == np.repeat(least, np.diff(starts, append=order.size)))
-    tie_group = np.cumsum(group)[ties]
-    picked = order[ties[np.diff(tie_group, prepend=0) != 0]]
-    picked = picked[src[picked] != root]
-    # Each pick's next pick, out of its head: k for the root and k + 1 for
-    # a head without an out-row. Doubling the steps leaves k where the
-    # picks lead to the root.
-    k = picked.size
-    at = np.full(count * n, k + 1)
-    at[tail[picked]] = np.arange(k)
-    at[plan_ids * n + root] = k
-    step = np.append(at[head[picked]], [k, k + 1])
-    for _ in range(n.bit_length()):
-        jump = step[step]
-        if (jump == step).all():
-            break
-        step = jump
-    # Plans with a head that has no out-row, a pick that does not reach the
-    # root, or a NaN weight (NaN does not compare as the sort orders it).
-    redo = np.flatnonzero(np.bincount(plan[at[head] > k], minlength=count)
-                          + np.bincount(plan[picked[step[:k] != k]], minlength=count)
-                          + np.bincount(plan[np.isnan(w)], minlength=count))
+    plan = np.repeat(np.arange(count), sizes)   # each row's plan: its frame
+    tail, head = plan * n + g.src[rows], plan * n + g.dst[rows]
+    roots = np.arange(count) * n + root
+    span = np.zeros(count * n, dtype=bool)
+    span[tail] = span[head] = span[roots] = True
     chosen = np.zeros(rows.size, dtype=bool)
-    chosen[picked] = True
-    bounds = np.cumsum([0] + sizes).tolist()
-    for i in redo.tolist():
-        part = slice(bounds[i], bounds[i + 1])
-        chosen[part] = False
-        ps, pd = src[part].tolist(), dst[part].tolist()
-        out_row = _msa_rows(ps, pd, w[part].tolist(), root, set(ps) | set(pd) | {root})
-        chosen[[bounds[i] + j for j in out_row.values()]] = True
+    chosen[_msa(tail, head, g.weights_j[plan, rows], roots, span, n)] = True
     # Prune non-terminal leaves (nodes nobody transmits to) to a fixpoint.
     # A terminal id that is no node is no row's tail.
     term = np.zeros(n, dtype=bool)
     ids = np.array(list(terminals), dtype=np.intp)
     term[ids[(ids >= 0) & (ids < n)]] = True
-    prunable = chosen & ~term[src]
+    prunable = chosen & ~term[g.src[rows]]
     while True:
         into = np.bincount(head[chosen], minlength=count * n)
         leaves = prunable & chosen & (into[tail] == 0)

@@ -112,19 +112,22 @@ def plans_cut_at(monkeypatch, slot, k):
 
 def chu_liu_edmonds(g, root, u=0, nodes=None):
     """Exact minimum spanning arborescence in data-flow orientation: the
-    package's arborescence core (`routing._msa_rows`) on a graph's rows.
+    package's arborescence core (`routing._msa`) on a graph's rows at
+    frame u, as one plan.
 
     Spans `nodes` (default: every node incident to an edge, plus the root).
     Raises RoutingInfeasibleError listing nodes that cannot reach the root.
     """
-    src, dst = g.src.tolist(), g.dst.tolist()
-    nodes = set(src) | set(dst) if nodes is None else {int(v) for v in nodes}
-    nodes.add(root)
-    eids = [e for e, (i, j) in enumerate(zip(src, dst)) if i in nodes and j in nodes]
-    src, dst = [src[e] for e in eids], [dst[e] for e in eids]
-    w = np.take(g.weights_j[u], eids).tolist()
-    picked = sorted(routing._msa_rows(src, dst, w, root, nodes).values())
-    return routing.Arborescence(g, u, root, tuple(eids[k] for k in picked))
+    span = np.zeros(g.num_nodes, dtype=bool)
+    if nodes is None:
+        span[g.src] = span[g.dst] = True
+    else:
+        span[[int(v) for v in nodes]] = True
+    span[root] = True
+    eids = np.flatnonzero(span[g.src] & span[g.dst])
+    picked = routing._msa(g.src[eids].astype(np.intp), g.dst[eids].astype(np.intp),
+                          g.weights_j[u, eids], np.array([root]), span, g.num_nodes)
+    return routing.Arborescence(g, u, root, tuple(np.sort(eids[picked]).tolist()))
 
 
 def routed_isl_links(cfg):

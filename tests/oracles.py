@@ -12,14 +12,16 @@ one stack. The pointing-loss density is the one `satagg.channel`'s
 docstring states; the quadratures integrate it to check the closed-form
 outage.
 
-One reference runs package code: `taeer`, the per-frame form of
-`routing.taeer_round`, which hands each frame to the package's one
-arborescence core (`routing._msa_rows`) and prunes leaves one at a time,
-where the round-level form solves the core's first level and the pruning
-for all frames at once. `paths_to_root` is the per-frame form of
-`routing.path_plans`' rows: Bellman-Ford distances, a walk per terminal
-and a dict breadth-first search for ties, where the package reads every
-frame's rows off one distance array.
+`_msa_rows` is the per-frame Chu-Liu/Edmonds on Python lists and dicts
+that contracts one cycle per level, where the package's core
+(`routing._msa`) solves every frame of a round at once and contracts
+every cycle of a level together; `taeer`, the per-frame form of
+`routing.taeer_round`, hands each frame to it and prunes leaves one at a
+time. `paths_to_root` is the per-frame form of `routing.path_plans`'
+rows: Bellman-Ford distances, a walk per terminal and a dict
+breadth-first search for ties, where the package reads every frame's
+rows off one distance array. `validate_tree` checks a tree's
+arborescence invariants.
 """
 import math
 from collections import Counter
@@ -29,7 +31,7 @@ import numpy as np
 from scipy import integrate
 
 from satagg import geometry
-from satagg.routing import Arborescence, RoutingInfeasibleError, _msa_rows
+from satagg.routing import Arborescence, RoutingInfeasibleError
 
 
 class OracleSizeLimitError(ValueError):
@@ -187,9 +189,79 @@ def exact_dst_oracle(g, terminals, root, u=0, max_nodes=12):
     return best
 
 
+def _msa_rows(src, dst, w, root, nodes) -> dict:
+    """{node: position k of its out-row} in an exact minimum spanning
+    arborescence of nodes (which hold root) toward root over the rows
+    src[k] -> dst[k] of weight w[k], (src, dst)-sorted and within nodes.
+
+    Chu-Liu/Edmonds in data-flow orientation. Each level picks every
+    non-root node's cheapest out-row, ties to the lower original
+    (head, tail) pair: a level lists its rows in that order for each tail,
+    which at level 0 is row order, and keeps the first of equal weights.
+    If following the picks leads every node to the root, they are optimal.
+    Otherwise the nodes that cannot reach the root raise
+    RoutingInfeasibleError; with none, the first cycle met scanning the
+    nodes in ascending order becomes a supernode with an id above every
+    node, and the next level solves the contracted rows, sorted by their
+    original (head, tail) pair: rows leaving the cycle lose their tail's
+    picked weight, rows entering it keep theirs, and rows inside it drop.
+    Expanding a level keeps every cycle node's pick except the tail of the
+    supernode's chosen exit row, which takes that row.
+    """
+    pos, tails, heads, levels = range(len(src)), src, dst, []
+    while True:
+        best = {}
+        for k, s in enumerate(tails):
+            if s not in best or w[k] < w[best[s]]:
+                best[s] = k
+        best.pop(root, None)
+        reaches = {root: True}   # False: on the walk in progress
+        for v in sorted(nodes):
+            walk = []
+            while v not in reaches and v in best:
+                reaches[v] = False
+                walk.append(v)
+                v = heads[best[v]]
+            if not reaches.get(v, False):
+                break
+            for x in walk:
+                reaches[x] = True
+        else:
+            break
+        if not levels:
+            into = {}
+            for i, j in zip(src, dst):
+                into.setdefault(j, []).append(i)
+            reach, stack = {root}, [root]
+            while stack:
+                for x in into.get(stack.pop(), ()):
+                    if x not in reach:
+                        reach.add(x)
+                        stack.append(x)
+            if nodes - reach:
+                raise RoutingInfeasibleError(nodes - reach)
+        cycle = set(walk[walk.index(v):])
+        c = max(nodes) + 1
+        keep = sorted((k for k, (i, j) in enumerate(zip(tails, heads))
+                       if i not in cycle or j not in cycle),
+                      key=lambda k: (dst[pos[k]], src[pos[k]]))
+        levels.append((c, keep, {v: best[v] for v in cycle}, tails))
+        w = [w[k] - w[best[tails[k]]] if tails[k] in cycle else w[k] for k in keep]
+        pos = [pos[k] for k in keep]
+        tails, heads = ([c if x[k] in cycle else x[k] for k in keep] for x in (tails, heads))
+        nodes = nodes - cycle | {c}
+    # Level positions map back through each level's kept rows.
+    for c, keep, picks, tails in reversed(levels):
+        k = keep[best.pop(c)]
+        best = {v: keep[p] for v, p in best.items()}
+        best.update(picks)
+        best[tails[k]] = k
+    return best
+
+
 def taeer(g, u, terminals, root, rows):
     """TAEER for one frame: the exact minimum spanning arborescence of the
-    sorted edge rows at frame u (`routing._msa_rows`), with non-terminal
+    sorted edge rows at frame u (`_msa_rows`), with non-terminal
     leaves pruned away one at a time to a fixpoint. `routing.taeer_round`
     must give, for every frame, the rows this gives, or raise the
     RoutingInfeasibleError this raises first in frame order."""
@@ -207,6 +279,33 @@ def taeer(g, u, terminals, root, rows):
         if not into[p] and p not in term and p in out_row:
             leaves.append(p)
     return Arborescence(g, u, root, tuple(rows[k] for k in sorted(out_row.values())))
+
+
+def validate_tree(tree, terminals=None) -> None:
+    """Raise AssertionError if the Arborescence tree violates an
+    arborescence invariant: the root transmits, a node has two out-rows,
+    a node does not reach the root, or (with terminals) a terminal is
+    missing or a leaf is not a terminal."""
+    out_edge = {}
+    for c, p in tree.edges:
+        assert c != tree.root, "root must not transmit"
+        assert c not in out_edge, f"node {c} has two outgoing edges"
+        out_edge[c] = p
+    for c in out_edge:
+        seen = set()
+        v = c
+        while v != tree.root:
+            assert v in out_edge, f"node {v} does not reach the root"
+            assert v not in seen, f"cycle through node {v}"
+            seen.add(v)
+            v = out_edge[v]
+    if terminals is not None:
+        term = set(terminals)
+        parents = set(out_edge.values())
+        nodes = {tree.root, *out_edge, *parents}
+        assert term <= nodes, "tree does not cover all terminals"
+        for v in nodes - parents - {tree.root}:
+            assert v in term, f"leaf {v} is not a terminal"
 
 
 @dataclass(frozen=True)

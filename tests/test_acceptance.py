@@ -24,6 +24,7 @@ from oracles import (
     pointing_loss_pdf,
     pointing_pdf_quadrature,
     pointing_pdf_quadrature_logspace,
+    validate_tree,
 )
 from satagg import channel, geometry, hierfl, routing, sim, topology
 from satagg.channel import LinkParams
@@ -56,7 +57,7 @@ def test_criterion_1_msa_exactness():
             continue
         assert oracle is not None
         assert arb.total_cost == pytest.approx(oracle, rel=1e-12, abs=1e-12)
-        arb.validate()
+        validate_tree(arb)
         solved += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
@@ -73,7 +74,7 @@ def test_criterion_2_heuristic_sandwich():
             rng, max_nodes=9, max_terminals=4, integer_weights=(k % 2 == 0))
         opt = exact_dst_oracle(g, terminals, root)
         arb = route(taeer, g, 0, terminals, root)
-        arb.validate(terminals)
+        validate_tree(arb, terminals)
         merged = route(routing.d_merge, g, 0, terminals, root)
         assert opt <= arb.total_cost + 1e-9
         assert arb.total_cost <= merged.total_cost + 1e-9
@@ -211,7 +212,7 @@ def test_criterion_6_scale_runtime():
     t0 = time.perf_counter()
     arb = route(taeer, g, 0, terminals, root)
     elapsed = time.perf_counter() - t0
-    arb.validate(terminals)
+    validate_tree(arb, terminals)
     assert elapsed < 1.0
     _report(6, f"800/20/1 frame with {len(terminals)} terminals solved in "
                f"{elapsed * 1e3:.1f}ms (< 1s)")

@@ -7,10 +7,12 @@ import pytest
 
 from oracles import (
     OracleSizeLimitError,
+    _msa_rows,
     bellman_ford,
     enumerate_min_arborescence,
     exact_dst_oracle,
     paths_to_root,
+    validate_tree,
 )
 from oracles import taeer as taeer_per_frame
 from satagg import config, routing, sim, topology
@@ -143,7 +145,7 @@ def assert_tight_tree(g, u, terminals, root, rows):
     dist = bellman_ford(g.num_nodes, reversed_edges, root)
     for r in rows:
         assert g.weights_j[u][r] + dist[g.dst[r]] == dist[g.src[r]], (u, r)
-    d_merge(g, u, terminals, root, rows).validate(terminals)
+    validate_tree(d_merge(g, u, terminals, root, rows), terminals)
 
 
 def planned_rows(g, terminals, root):
@@ -228,7 +230,7 @@ class TestShortestPathsToRoot:
         rows = paths_to_root(g, 0, [1, 2, 3], 3)
         assert rows == [1, 2]   # 2-1-3
         assert planned_rows(g, [1, 2, 3], 3) == [rows]
-        d_merge(g, 0, [1, 2, 3], 3, rows).validate([1, 2, 3])
+        validate_tree(d_merge(g, 0, [1, 2, 3], 3, rows), [1, 2, 3])
 
     def test_rounding_tie_follows_the_root_sums(self):
         # Both routes from 0 cost 0.9 in exact arithmetic. Summed from the
@@ -248,7 +250,7 @@ class TestShortestPathsToRoot:
         rows = paths_to_root(g, 0, [0, 2, 3, 4], 3)
         assert rows == [0, 2, 3, 4]
         assert planned_rows(g, [0, 2, 3, 4], 3) == [rows]
-        d_merge(g, 0, [0, 2, 3, 4], 3, rows).validate([0, 2, 3, 4])
+        validate_tree(d_merge(g, 0, [0, 2, 3, 4], 3, rows), [0, 2, 3, 4])
 
     def test_unreachable_terminals_listed(self):
         # The oracle lists the stranded terminals; the plans stop before
@@ -556,27 +558,36 @@ def prune_leaves(edges, terminals):
         edges = kept
 
 
-def count_contractions(monkeypatch):
-    """Patch the arborescence core to record each solve that contracts: its
-    answer is not the one-pass picks (every non-root node's cheapest
-    out-row, the first of equal weights). The core runs its levels in one
-    call, so a solve is the finest step seen from outside."""
-    calls = []
-    solve = routing._msa_rows
+def one_pass(tails, w, roots):
+    """{tail: k}: every tail's first row k of least weight w[k] (a NaN
+    first weight stays), roots left out."""
+    picks = {}
+    for k, s in enumerate(tails):
+        if s not in picks or w[k] < w[picks[s]]:
+            picks[s] = k
+    for r in roots:
+        picks.pop(r, None)
+    return picks
 
-    def counted(src, dst, w, root, nodes):
-        out = solve(src, dst, w, root, nodes)
-        picks = {}
-        for k, s in enumerate(src):
-            if s not in picks or w[k] < w[picks[s]]:
-                picks[s] = k
-        picks.pop(root, None)
-        if out != picks:
-            calls.append((src, dst, w, root, nodes))
+
+def count_contractions(monkeypatch):
+    """Patch the arborescence core to record each frame it solves whose
+    answer is not the one-pass picks (every non-root node's cheapest
+    out-row, the first of equal weights). The core runs its levels for
+    all frames in one call, so a frame is the finest step seen from
+    outside."""
+    frames = []
+    solve = routing._msa
+
+    def counted(tail, head, w, roots, span, n):
+        out = solve(tail, head, w, roots, span, n)
+        picks = one_pass(tail.tolist(), w.tolist(), roots.tolist())
+        differ = set(out.tolist()) ^ set(picks.values())
+        frames.extend(sorted({int(tail[k]) // n for k in differ}))
         return out
 
-    monkeypatch.setattr(routing, "_msa_rows", counted)
-    return calls
+    monkeypatch.setattr(routing, "_msa", counted)
+    return frames
 
 
 class TestSubstituteGraph:
@@ -619,7 +630,7 @@ class TestChuLiuEdmonds:
         arb = chu_liu_edmonds(g, 0)
         assert arb.edges == ((1, 0), (2, 1))
         assert arb.total_cost == 3.0
-        arb.validate()
+        validate_tree(arb)
 
     def test_cycle_contraction_instance(self):
         g = graph_of(3, [(1, 0, 10.0), (2, 1, 1.0), (1, 2, 1.0), (2, 0, 10.0)])
@@ -697,7 +708,7 @@ class TestChuLiuEdmonds:
                 except RoutingInfeasibleError:
                     assert oracle is None
                     continue
-                arb.validate()
+                validate_tree(arb)
                 assert oracle is not None
                 assert arb.total_cost == pytest.approx(oracle, rel=1e-12, abs=1e-12)
                 checked += 1
@@ -713,6 +724,69 @@ class TestChuLiuEdmonds:
         reach = reaches_root(n, edges, root)
         arbs = [chu_liu_edmonds(g, root, nodes=reach) for _ in range(3)]
         assert arbs[0].edges == arbs[1].edges == arbs[2].edges
+
+
+def random_frames(rng):
+    """A random multi-frame digraph for the arborescence core against the
+    per-frame reference, as (graph, root). Half are sparse graphs of 2-9
+    nodes, where nodes are often stranded; half are dense graphs of 5-30
+    nodes with integer or uniform weights and some +inf rows, where the
+    picks often hold several cycles at once."""
+    frames = int(rng.integers(1, 5))
+    if rng.random() < 0.5:
+        n, edges = random_digraph(rng, max_nodes=9, p=float(rng.uniform(0.15, 0.5)))
+    else:
+        n, edges = random_digraph(rng, max_nodes=30, p=float(rng.uniform(0.2, 0.6)),
+                                  min_nodes=5)
+    if rng.random() < 0.5:
+        w = rng.integers(1, 5, size=(frames, len(edges))).astype(float)
+    else:
+        w = rng.uniform(0.01, 10.0, size=(frames, len(edges)))
+    w[rng.random(w.shape) < 0.1] = np.inf
+    src, dst = ([e[i] for e in edges] for i in (0, 1))
+    return SnapshotGraph.from_arrays(n, src, dst, w), int(rng.integers(n))
+
+
+class TestMsaCore:
+    def test_matches_reference_on_random_frames(self):
+        # Every frame of a graph, each spanning every node with every row,
+        # is solved in one call to the core and gives the reference's
+        # {node: row} map, or the call raises the stranded list of the
+        # first frame whose reference raises.
+        rng = np.random.default_rng(2028)
+        solved = stranded = contracted = 0
+        while solved + stranded < 3000:
+            g, root = random_frames(rng)
+            n, e, count = g.num_nodes, g.num_edges, g.frame_count
+            src, dst = g.src.tolist(), g.dst.tolist()
+            want = []
+            for u in range(count):
+                try:
+                    want.append(_msa_rows(src, dst, g.weights_j[u].tolist(), root,
+                                          set(range(n))))
+                except RoutingInfeasibleError as exc:
+                    want.append(exc.stranded)
+            plan = np.repeat(np.arange(count), e)
+            tail = plan * n + np.tile(g.src, count)
+            head = plan * n + np.tile(g.dst, count)
+            roots = np.arange(count) * n + root
+            args = (tail, head, g.weights_j.ravel(), roots, np.ones(count * n, dtype=bool), n)
+            failed = [x for x in want if isinstance(x, list)]
+            if failed:
+                with pytest.raises(RoutingInfeasibleError) as exc:
+                    routing._msa(*args)
+                assert exc.value.stranded == failed[0]
+                stranded += 1
+                continue
+            picked = routing._msa(*args)
+            got = [{} for _ in range(count)]
+            for k in picked.tolist():
+                got[k // e][src[k % e]] = k % e
+            assert got == want
+            solved += count
+            contracted += sum(x != one_pass(src, w, [root])
+                              for x, w in zip(want, g.weights_j.tolist()))
+        assert stranded > 500 and solved > 1500 and contracted > 500
 
 
 def random_dst_instance(rng, max_nodes=9, max_terminals=4, integer_weights=False):
@@ -766,7 +840,7 @@ class TestTaeer:
         for _ in range(60):
             g, terminals, root = random_dst_instance(rng)
             arb = route(taeer, g, 0, terminals, root)
-            arb.validate(terminals)
+            validate_tree(arb, terminals)
             merged = route(d_merge, g, 0, terminals, root)
             opt = exact_dst_oracle(g, terminals, root)
             assert opt <= arb.total_cost + 1e-9
@@ -777,9 +851,9 @@ class TestTaeer:
         for _ in range(200):
             g, terminals, root = random_dst_instance(rng, integer_weights=True)
             arb = route(taeer, g, 0, terminals, root)
-            arb.validate(terminals)
+            validate_tree(arb, terminals)
             merged = route(d_merge, g, 0, terminals, root)
-            merged.validate(terminals)
+            validate_tree(merged, terminals)
             opt = exact_dst_oracle(g, terminals, root)
             assert opt <= arb.total_cost + 1e-9
             assert arb.total_cost <= merged.total_cost + 1e-9
@@ -830,7 +904,7 @@ class TestTaeer:
             assert arb.edges == tuple(kept)
             assert arb.edge_ids == tuple(ids)
             assert arb.total_cost == ordered_sum(g.weights_j[0][ids].tolist())
-            arb.validate(terminals)
+            validate_tree(arb, terminals)
             solved += 1
             pruned += len(kept) < len(msa.edges)
         assert solved > 300 and pruned > 200
@@ -914,11 +988,11 @@ class TestTaeerRound:
                                           "walker_star_800.cfg"])
     def test_matches_per_frame_reference_on_shipped_scenarios(self, scenario, monkeypatch):
         # Every frame of every round the shipped scenario routes, at its rho.
-        # Its plans are trees, so no frame is left to the per-frame core.
+        # Its plans are trees, so no frame contracts.
         cfg = config.build_scenario(config.read_config(str(SCENARIOS / scenario)))
+        contractions = count_contractions(monkeypatch)
         real = routing.taeer_round
         solved = []
-        monkeypatch.setattr(routing, "_msa_rows", None)
 
         def checked(g, terminals, root, plans):
             trees = real(g, terminals, root, plans)
@@ -929,6 +1003,7 @@ class TestTaeerRound:
         monkeypatch.setattr(routing, "taeer_round", checked)
         sim.run_scenario(replace(cfg, algorithms=("taeer",)))
         assert solved == [cfg.times.frames_per_slot] * cfg.rounds
+        assert contractions == []
 
     def test_no_plans_no_trees(self):
         g = graph_of(3, [(0, 1, 1.0)])
@@ -953,7 +1028,7 @@ class TestDMerge:
         for _ in range(1000):
             g, terminals, root = random_dst_instance(rng, max_nodes=10)
             merged = route(d_merge, g, 0, terminals, root)
-            merged.validate(terminals)
+            validate_tree(merged, terminals)
             assert route(taeer, g, 0, terminals, root).total_cost <= \
                 merged.total_cost + 1e-9
 
@@ -981,7 +1056,7 @@ class TestOrbitGreedy:
         assert res.root == snapshot.geo_node
         assert len(self.uplink_nodes(snapshot, res)) == 1
         assert len(res.edges) == 3  # the arc spans the terminals, plus the uplink
-        res.validate([3, 4, 5])
+        validate_tree(res, [3, 4, 5])
 
     def test_three_orbits_three_uplinks(self, snapshot):
         terminals = [2, 25, 47]  # orbits 0, 1, 2
@@ -1027,7 +1102,7 @@ class TestOrbitGreedy:
         rng, ref = np.random.default_rng(4), np.random.default_rng(4)
         for u in range(snapshot.frame_count):
             res = orbit_greedy(snapshot, u, plan, rng)
-            res.validate(terminals)
+            validate_tree(res, terminals)
             drawn = [uplink[int(ref.integers(len(arc)))] for arc, *_, uplink in plan]
             assert [e for (_, p), e in zip(res.edges, res.edge_ids)
                     if p == snapshot.geo_node] == drawn
@@ -1063,7 +1138,7 @@ def test_tree_derives_pairs_and_cost_from_its_rows(router, delta80_frame):
         return router(g, 0, terminals, g.geo_node, rows)
 
     tree = solve()
-    tree.validate(terminals)
+    validate_tree(tree, terminals)
     ids = list(tree.edge_ids)
     assert tree.edges == tuple(zip(g.src[ids].tolist(), g.dst[ids].tolist()))
     assert tree.total_cost == ordered_sum(g.weights_j[0][ids].tolist())

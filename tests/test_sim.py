@@ -9,7 +9,7 @@ import pytest
 
 from conftest import (SCENARIOS, force_method, make_scenario, plans_cut_at, routed_isl_links,
                       sweep_snr_threshold, taeer)
-from oracles import sample_attempts_per_edge
+from oracles import sample_attempts_per_edge, validate_tree
 from oracles import taeer as taeer_per_frame
 from satagg import channel, config, routing, sim, topology
 from satagg.geometry import ConfigError
@@ -314,7 +314,7 @@ def test_every_tree_is_rooted_at_the_relay(delta_spec, monkeypatch):
             assert isinstance(res, routing.Arborescence)
             assert res.frame == k % frames
             assert res.root == g.geo_node
-            res.validate(terminals)
+            validate_tree(res, terminals)
             ups = [c for c, p in res.edges if p == g.geo_node]
             if algorithm == "orbit_greedy":
                 assert g.node_orbit[ups].tolist() == sorted(

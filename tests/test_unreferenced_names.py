@@ -15,8 +15,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "satagg"
 # Public name -> why it stays although no package code references it.
 UNREFERENCED = {
     "Arborescence.total_cost": "the cost the sandwich tests compare",
-    "Arborescence.validate": "the tests' tree check; the benchmark tracer's only "
-                             "call to it hooks routing.taeer, which is gone",
     "SnapshotGraph.dropped_edges": "read by perfbench/tracing.py",
     "hierfl.tree_aggregate": "kept for ROADMAP item 5",
 }
