@@ -43,7 +43,7 @@ class LinkParams:
     """Transceiver constants; defaults follow the simulated optical system."""
 
     eta_s: float = 0.8              # optical efficiency of the transceiver
-    theta_t_rad: float = 0.1        # full transmit divergence angle
+    theta_t_rad: float = 0.1        # full transmit divergence; a config's follows its beamwidth
     d_r_m: float = 0.006            # receiver telescope diameter
     theta_0_rad: float = 0.01       # nominal pointing error
     theta_3db_rad: float = 0.1      # 3-dB beamwidth

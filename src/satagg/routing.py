@@ -310,15 +310,15 @@ def path_plans(g: SnapshotGraph, terminals, root: int) -> list:
     before the first frame with a terminal that cannot reach root.
 
     Every node's distance to root in every frame is found first, as one
-    (nodes x frames) array, and every frame's rows are then read off it at
-    once. Frame 0 is a cold heap search (`shortest_paths_to_root`). Its
-    tree's depth, the most rows on a node's path to root, picks how the
-    other frames are solved:
+    (nodes x frames) array that reads no terminal; the frames' rows up to
+    the stop are then read off it at once. Frame 0 is a cold heap search
+    (`shortest_paths_to_root`). Its tree's depth, the most rows on a
+    node's path to root, picks how the other frames are solved:
     - depth below the frame count: all of them together by array sweeps
       (`_sweep_distances`), one sweep per row of depth, each over every
       frame;
-    - otherwise: one heap search per frame up to the first that strands a
-      terminal, each starting from the previous frame's tree.
+    - otherwise: one heap search per frame, each starting from the
+      previous frame's tree.
     Both give the same distances. A sweep over all frames costs about one
     heap search of one frame on 80 satellites, and more on larger shells.
     The rule picked the faster method at every shell size and frame count
@@ -327,11 +327,7 @@ def path_plans(g: SnapshotGraph, terminals, root: int) -> list:
     """
     uplink = int(g.edge_rows(root, g.geo_node))
     terms = [t for t in sorted(set(terminals)) if t != root]
-    if not terms:
-        return [[uplink] for _ in range(g.frame_count)]
     dist, warm = shortest_paths_to_root(g, 0, root)
-    if (dist[terms] == math.inf).any():
-        return []
     if _tree_depth(g, warm) < g.frame_count:
         w = np.ascontiguousarray(g.weights_j[1:].T)   # (rows, frames)
         dist = np.column_stack((dist, _sweep_distances(g, root, w)))
@@ -340,8 +336,6 @@ def path_plans(g: SnapshotGraph, terminals, root: int) -> list:
         for u in range(1, g.frame_count):
             dist, warm = shortest_paths_to_root(g, u, root, warm)
             columns.append(dist)
-            if (dist[terms] == math.inf).any():
-                break
         dist = np.column_stack(columns)
     stranded = np.flatnonzero((dist[terms] == math.inf).any(axis=0))
     count = int(stranded[0]) if stranded.size else dist.shape[1]
@@ -519,8 +513,6 @@ def _minimal_ring_arc(slots, ring_size):
     """Shortest contiguous arc of the ring covering all given slots, as the
     ordered slot sequence. The largest inter-terminal gap is left out."""
     ks = sorted(set(slots))
-    if len(ks) == 1:
-        return ks
     gaps = []
     for a, b in zip(ks, ks[1:] + [ks[0] + ring_size]):
         gaps.append(b - a)
@@ -591,11 +583,9 @@ def orbit_greedy(g: SnapshotGraph, u: int, plan: tuple,
 
 
 def select_root(g: SnapshotGraph, terminals) -> int:
-    """The aggregation root: the terminal with the cheapest GEO uplink in
-    the first frame, ties to the lowest node id (the lowest terminal on a
-    graph without a relay)."""
+    """The aggregation root: the terminal with the cheapest uplink to g's
+    GEO relay, which g must have, in the first frame, ties to the lowest
+    node id."""
     terms = sorted(set(terminals))
-    if g.geo_node is None:
-        return terms[0]
     costs = g.weights_j[0][g.edge_rows(terms, g.geo_node)]
     return terms[int(np.argmin(costs))]

@@ -227,8 +227,6 @@ def _charge(rec: RoundRecord, graph: SnapshotGraph, trees, params: LinkParams,
     delivered are the LEO-LEO rows' sampled attempts and outcomes in the
     same order (None when outages are not sampled: one attempt each), and
     each row's retransmissions add its weight once per extra attempt."""
-    if not trees:
-        return
     sizes = [len(tree.edge_ids) for tree in trees]
     eids = np.fromiter(chain.from_iterable(tree.edge_ids for tree in trees),
                        dtype=np.intp, count=sum(sizes))

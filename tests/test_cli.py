@@ -553,6 +553,9 @@ def test_shipped_scenarios_parse(path):
 # Keys that a case of test_every_error_names_its_key sets besides its own:
 # the noise power is zero only when all three noise temperatures are.
 ALONGSIDE = {("link", "system_temp_k", "0"): {"solar_temp_k": "0", "cmb_temp_k": "0"}}
+# Words that a case's message must hold besides its key.
+WORDS = {("constellation", "num_orbits", "four"): "expected an integer",
+         ("link", "tx_power_max_w", "0.01"): "must be >= 0.0316"}
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -582,6 +585,12 @@ ALONGSIDE = {("link", "system_temp_k", "0"): {"solar_temp_k": "0", "cmb_temp_k":
     ("link", "payload_bits", "inf"),
     ("link", "tx_power_max_w", "inf"),
     ("link", "system_temp_k", "0"),         # with ALONGSIDE's: zero noise power
+    ("constellation", "pattern", "hex"),
+    ("constellation", "num_orbits", "four"),
+    ("training", "learning_rate", "0"),
+    ("link", "tx_power_max_w", "0.01"),     # below tx_power_min_w's 0.0316
+    ("clusters", "count", "0"),
+    ("clusters", "lat_band_deg", "95"),
 ])
 def test_every_error_names_its_key(tmp_path, capsys, monkeypatch, section, key, value):
     def routed(cfg):
@@ -599,7 +608,25 @@ def test_every_error_names_its_key(tmp_path, capsys, monkeypatch, section, key, 
     with open(bad, "w") as fh:
         values.write(fh)
     assert parse_and_dispatch(["train", "--config", str(bad)]) == 2
-    assert f"config field '{section}.{key}'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config field '{section}.{key}'" in err
+    assert WORDS.get((section, key, value), "") in err
+
+
+def test_malformed_file_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("rounds = 2\n[run\n")   # a key before any section
+    assert parse_and_dispatch(["train", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"config field '{bad}'" in err and "malformed config" in err
+
+
+def test_unknown_section_names_the_section(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(SMALL_CFG + "\n[bogus]\nrounds = 2\n")
+    assert parse_and_dispatch(["train", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'bogus'" in err and "unknown section" in err
 
 
 @pytest.mark.parametrize("text, column", [

@@ -481,8 +481,31 @@ class TestPathPlans:
         for method in ("sweeps", "heap"):
             force_method(monkeypatch, method)
             plans, ran, _ = solve_recorded(cut, terminals, root, monkeypatch)
-            assert ran == (method if k else "heap")
+            assert ran == method
             assert plans == full[:k]
+
+    @pytest.mark.parametrize("frames", [1, 25])
+    @pytest.mark.parametrize("method", ["sweeps", "heap"])
+    def test_root_only_round_plans_the_uplink_alone(self, method, frames, monkeypatch):
+        # No terminal but the root: every frame's plan is root's uplink row
+        # (a one-frame slot: forced sweeps run over no frame).
+        g, _, root = shipped_round0("walker_delta_80.cfg")
+        g = first_frames(g, frames)
+        force_method(monkeypatch, method)
+        plans, ran, _ = solve_recorded(g, [root], root, monkeypatch)
+        assert ran == method
+        assert plans == [[int(g.edge_rows(root, g.geo_node))]] * frames
+
+    @pytest.mark.parametrize("method", ["sweeps", "heap"])
+    def test_one_frame_slot_stranded_at_frame_0_plans_nothing(self, method, monkeypatch):
+        # Forced sweeps run over no frame here; the full slot is the k = 0
+        # case of test_search_raising_at_frame_k_keeps_the_plans_before.
+        g, terminals, root = shipped_round0("walker_delta_80.cfg")
+        cut = cut_off_from(first_frames(g, 1), min(t for t in terminals if t != root), 0)
+        force_method(monkeypatch, method)
+        plans, ran, _ = solve_recorded(cut, terminals, root, monkeypatch)
+        assert ran == method
+        assert plans == []
 
 
 class TestSweepPlans:
@@ -521,12 +544,11 @@ class TestSweepPlans:
                     g = cut_off_from(g, cut, int(rng.integers(1, frames)))
                 plans, ran, ties = solve_recorded(g, terminals, root, monkeypatch)
                 count = assert_plans_match_cold_search(g, terminals, root, plans)
-                # Only a round that strands a terminal at frame 0, or has no
-                # terminal but the root, is not swept.
-                if not plans or terminals == [root]:
-                    assert ran == "heap"
-                    continue
                 assert ran == method
+                # A round that strands a terminal at frame 0, or has no
+                # terminal but the root, is not counted.
+                if not plans or terminals == [root]:
+                    continue
                 solved += 1
                 tie_frames += ties
                 short += count < frames
@@ -1020,6 +1042,11 @@ class TestDMerge:
         g = graph_of(5, [(0, 2, 1.5), (2, 4, 1.0), (1, 3, 2.0), (3, 4, 1.0)])
         m = route(d_merge, g, 0, [0, 1, 4], 4)
         assert m.total_cost == pytest.approx(5.5)
+
+    def test_root_must_be_terminal(self):
+        g = graph_of(3, [(0, 1, 1.0)])
+        with pytest.raises(ValueError):
+            route(d_merge, g, 0, [0], 1)
 
     def test_dominance_over_taeer_ensemble(self):
         # The arborescence keeps at most one outgoing edge per substitute

@@ -409,6 +409,19 @@ class TestRunScenario:
             sum(r.total_energy_j for r in good) / len(good))
 
 
+@pytest.mark.parametrize("sampled", [False, True])
+def test_charging_no_trees_leaves_the_record_unchanged(delta_spec, sampled):
+    # A round whose plans stop at frame 0 charges no tree, with outages
+    # sampled (empty draws) or not.
+    cfg = make_scenario(delta_spec)
+    g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, 0.0,
+                                sim.scenario_tx_power(cfg))
+    zero = sim.RoundRecord(0, 0, "taeer", None, 0, 0.0, 0.0, 0.0, 0, 0, 0.0, 0, False)
+    rec = replace(zero)
+    sim._charge(rec, g, [], cfg.params, *(([], []) if sampled else ()))
+    assert rec == zero
+
+
 def test_slot_label_is_the_graphs_slot(delta_spec):
     # Rounds past the first period take the slot label of their graph.
     cfg = make_scenario(delta_spec, algorithms=("d_merge",), rounds=26)
