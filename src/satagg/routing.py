@@ -307,7 +307,8 @@ def path_plans(g: SnapshotGraph, terminals, root: int) -> list:
     """The path routers' plans of a round toward root, a terminal with a
     GEO uplink: per frame of g, the sorted rows of the terminals' shortest
     paths to root with root's uplink row (`_read_plans`). The plans stop
-    before the first frame with a terminal that cannot reach root.
+    before the first frame with a terminal that cannot reach root. Raises
+    ValueError when g has no GEO relay.
 
     Every node's distance to root in every frame is found first, as one
     (nodes x frames) array that reads no terminal; the frames' rows up to
@@ -325,7 +326,7 @@ def path_plans(g: SnapshotGraph, terminals, root: int) -> list:
     measured but 200 satellites, where the two were within 4% of each
     other (README, Performance).
     """
-    uplink = int(g.edge_rows(root, g.geo_node))
+    uplink = int(_uplink_rows(g, root))
     terms = [t for t in sorted(set(terminals)) if t != root]
     dist, warm = shortest_paths_to_root(g, 0, root)
     if _tree_depth(g, warm) < g.frame_count:
@@ -584,8 +585,16 @@ def orbit_greedy(g: SnapshotGraph, u: int, plan: tuple,
 
 def select_root(g: SnapshotGraph, terminals) -> int:
     """The aggregation root: the terminal with the cheapest uplink to g's
-    GEO relay, which g must have, in the first frame, ties to the lowest
-    node id."""
+    GEO relay in the first frame, ties to the lowest node id. Raises
+    ValueError when g has no relay."""
     terms = sorted(set(terminals))
-    costs = g.weights_j[0][g.edge_rows(terms, g.geo_node)]
+    costs = g.weights_j[0][_uplink_rows(g, terms)]
     return terms[int(np.argmin(costs))]
+
+
+def _uplink_rows(g: SnapshotGraph, nodes) -> np.ndarray:
+    """The rows of nodes' uplinks to g's GEO relay (see edge_rows); raises
+    ValueError when g has no relay."""
+    if g.geo_node is None:
+        raise ValueError("routing toward the uplink needs a graph with a GEO relay")
+    return g.edge_rows(nodes, g.geo_node)

@@ -92,14 +92,14 @@ class RoundRecord:
     algorithm: str
     root: int | None
     num_terminals: int
-    tree_energy_j: float        # one attempt per used LEO-LEO edge, all frames
-    retrans_energy_j: float
-    geo_energy_j: float
-    attempts: int
-    failures: int
-    analytic_outage_sum: float  # sum of per-edge-frame outage probabilities
-    edge_frames: int            # number of (edge, frame) transmissions
-    failed: bool
+    tree_energy_j: float = 0.0        # one attempt per used LEO-LEO edge, all frames
+    retrans_energy_j: float = 0.0
+    geo_energy_j: float = 0.0
+    attempts: int = 0
+    failures: int = 0
+    analytic_outage_sum: float = 0.0  # sum of per-edge-frame outage probabilities
+    edge_frames: int = 0              # number of (edge, frame) transmissions
+    failed: bool = False
 
     @property
     def total_energy_j(self) -> float:
@@ -161,7 +161,7 @@ def terminals_for_round(cfg: ScenarioConfig, t_abs: float) -> tuple[dict, list]:
 
 def sample_attempts(rng: np.random.Generator, gamma0, params: LinkParams,
                     max_attempts: int) -> tuple[list, list]:
-    """Transmission attempts for one frame's routed rows, in row order.
+    """Transmission attempts for routed rows given by their gamma0, in order.
 
     Each attempt draws a fresh pointing error theta = sigma_p*|z| and fails
     when the resulting pointing loss drops below the row's gamma0. Returns
@@ -199,34 +199,37 @@ def sample_attempts(rng: np.random.Generator, gamma0, params: LinkParams,
     return attempts, success
 
 
-def _frame_trees(algorithm: str, g: SnapshotGraph, terminals, plans,
-                 rng: np.random.Generator):
+def _round_trees(algorithm: str, g: SnapshotGraph, terminals, plans,
+                 rng: np.random.Generator) -> list:
     """One router's trees of a round, in frame order, rooted at g's GEO
     relay. The path routers solve one frame per plan in plans (the frame's
     path rows with the uplink satellite's uplink row), taeer all of them
-    in one call; orbit_greedy solves every frame of the slot, each when it
-    is asked for, drawing its arc roots from rng after the previous frame's
-    outage samples."""
+    in one call and d_merge one at a time; orbit_greedy solves every frame
+    of the slot, one at a time, drawing its arc roots from rng before any
+    outage is sampled."""
     if algorithm == "taeer":
         return routing.taeer_round(g, terminals, g.geo_node, plans)
     if algorithm == "d_merge":
-        return (routing.d_merge(g, u, terminals, g.geo_node, rows)
-                for u, rows in enumerate(plans))
+        return [routing.d_merge(g, u, terminals, g.geo_node, rows)
+                for u, rows in enumerate(plans)]
     if algorithm == "orbit_greedy":
         layout = routing.orbit_plan(g, terminals)
-        return (routing.orbit_greedy(g, u, layout, rng) for u in range(g.frame_count))
+        return [routing.orbit_greedy(g, u, layout, rng) for u in range(g.frame_count)]
     raise ValueError(f"unknown algorithm {algorithm}")
 
 
-def _charge(rec: RoundRecord, graph: SnapshotGraph, trees, params: LinkParams,
-            attempts=None, delivered=None) -> None:
+def _charge(rec: RoundRecord, graph: SnapshotGraph, trees, cfg: ScenarioConfig,
+            rng: np.random.Generator) -> None:
     """Add a round's trees, in frame order, to rec from graph's true
-    weights, in one gather of their rows. Uplink rows add to the GEO energy
-    one at a time; the LEO-LEO rows' weights and analytic outages are
-    summed left to right per frame, and the frame sums added. attempts and
-    delivered are the LEO-LEO rows' sampled attempts and outcomes in the
-    same order (None when outages are not sampled: one attempt each), and
-    each row's retransmissions add its weight once per extra attempt."""
+    weights, in one gather of their rows, and decide whether the round
+    failed. Uplink rows add to the GEO energy one at a time; the LEO-LEO
+    rows' weights and analytic outages are summed left to right per frame,
+    and the frame sums added. With outages on, the LEO-LEO rows are
+    sampled in one sample_attempts call from rng, in frame order and then
+    row order, and each row's retransmissions add its weight once per
+    extra attempt; otherwise each row takes one attempt. The round fails
+    when a frame is left unrouted, a row is not delivered, or the total
+    energy is not finite (an unusable link, weight +inf, was routed)."""
     sizes = [len(tree.edge_ids) for tree in trees]
     eids = np.fromiter(chain.from_iterable(tree.edge_ids for tree in trees),
                        dtype=np.intp, count=sum(sizes))
@@ -236,8 +239,8 @@ def _charge(rec: RoundRecord, graph: SnapshotGraph, trees, params: LinkParams,
     for x in w[~isl].tolist():
         rec.geo_energy_j += x
     w_tree = w[isl].tolist()
-    p_out = channel.outage_from_gamma0(graph.gamma0[frame[isl], eids[isl]],
-                                       params).tolist()
+    gamma0 = graph.gamma0[frame[isl], eids[isl]]
+    p_out = channel.outage_from_gamma0(gamma0, cfg.params).tolist()
     end = 0
     for size in np.bincount(np.repeat(np.arange(len(trees)), sizes)[isl],
                             minlength=len(trees)).tolist():
@@ -245,16 +248,19 @@ def _charge(rec: RoundRecord, graph: SnapshotGraph, trees, params: LinkParams,
         rec.tree_energy_j += ordered_sum(w_tree[start:end])
         rec.analytic_outage_sum += ordered_sum(p_out[start:end])
     rec.edge_frames += len(w_tree)
-    if attempts is None:
+    delivered = []
+    if cfg.outages_enabled:
+        attempts, delivered = sample_attempts(rng, gamma0.tolist(), cfg.params,
+                                              cfg.max_attempts)
+        k_sum = sum(attempts)
+        rec.attempts += k_sum
+        rec.failures += k_sum - delivered.count(True)
+        for k, w_e in zip(attempts, w_tree):
+            rec.retrans_energy_j += (k - 1) * w_e
+    else:
         rec.attempts += len(w_tree)
-        return
-    k_sum = sum(attempts)
-    rec.attempts += k_sum
-    rec.failures += k_sum - delivered.count(True)
-    for k, w_e in zip(attempts, w_tree):
-        rec.retrans_energy_j += (k - 1) * w_e
-    if not all(delivered):
-        rec.failed = True
+    rec.failed = (len(trees) < graph.frame_count or not all(delivered)
+                  or not math.isfinite(rec.total_energy_j))
 
 
 def _simulate(cfg: ScenarioConfig, algorithms) -> dict:
@@ -266,19 +272,20 @@ def _simulate(cfg: ScenarioConfig, algorithms) -> dict:
     satellite (routing.select_root; the path routers' record root) and
     builds the round's plans toward it before any router runs
     (routing.path_plans). The plans stop at the first frame with a
-    terminal that cannot reach the uplink satellite, and each path router
-    then fails the round with the frames before it charged. taeer solves
-    the round's plans in one call, d_merge one frame at a time;
-    orbit_greedy looks its ring arcs' rows up once per round
-    (routing.orbit_plan) and draws only its arc roots per frame. Routers
-    run on the rows of the energy graph (outage blending only re-weights
-    them), so their edge_ids index its true weights. Only a tree's
-    LEO-LEO rows are sampled for outage, in one sample_attempts call per
-    frame in row order, right after that frame's tree. The round's trees
-    are then charged in one pass (_charge), whose analytic outage is one
-    call per round and algorithm over the routed LEO-LEO rows, so a rho = 1
-    run evaluates no other row's. A round whose charged energy is not
-    finite needed an unusable link and is marked failed.
+    terminal that cannot reach the uplink satellite, so each path router
+    then leaves the frames from there on unrouted. taeer solves the
+    round's plans in one call, d_merge one frame at a time; orbit_greedy
+    looks its ring arcs' rows up once per round (routing.orbit_plan) and
+    draws only its arc roots per frame. Routers run on the rows of the
+    energy graph (outage blending only re-weights them), so their edge_ids
+    index its true weights.
+
+    Each (round, algorithm) is routed whole (_round_trees) and then
+    charged (_charge), which alone samples outages, sums the energies and
+    decides whether the round failed. A router that finds the round
+    infeasible routes no frame. The analytic outage is one call per round
+    and algorithm over the routed LEO-LEO rows, so a rho = 1 run evaluates
+    no other row's.
     """
     tx_power = scenario_tx_power(cfg)
     round_seeds = np.random.SeedSequence(cfg.rng_seed).spawn(2)[1].spawn(cfg.rounds)
@@ -295,7 +302,6 @@ def _simulate(cfg: ScenarioConfig, algorithms) -> dict:
         else:
             route_graph = graph
         _, terminals = terminals_for_round(cfg, t_abs)
-        geo = graph.geo_node
         root = None
         plans = []   # per frame, the sorted path rows with the uplink row
         if path_routed:
@@ -307,30 +313,12 @@ def _simulate(cfg: ScenarioConfig, algorithms) -> dict:
             rec = RoundRecord(round_index=t, slot_label=graph.slot_index,
                               algorithm=algorithm,
                               root=root if algorithm in path_routed else None,
-                              num_terminals=len(terminals), tree_energy_j=0.0,
-                              retrans_energy_j=0.0, geo_energy_j=0.0,
-                              attempts=0, failures=0, analytic_outage_sum=0.0,
-                              edge_frames=0, failed=False)
-            trees = []
-            attempts, delivered = ([], []) if cfg.outages_enabled else (None, None)
+                              num_terminals=len(terminals))
             try:
-                for tree in _frame_trees(algorithm, route_graph, terminals, plans, rng):
-                    trees.append(tree)
-                    if cfg.outages_enabled:
-                        eids = np.asarray(tree.edge_ids, dtype=np.intp)
-                        gamma0 = graph.gamma0[tree.frame][eids[graph.dst[eids] != geo]]
-                        ks, oks = sample_attempts(rng, gamma0.tolist(), cfg.params,
-                                                  cfg.max_attempts)
-                        attempts += ks
-                        delivered += oks
+                trees = _round_trees(algorithm, route_graph, terminals, plans, rng)
             except routing.RoutingInfeasibleError:
-                rec.failed = True
-            if algorithm in path_routed and len(plans) < graph.frame_count:
-                rec.failed = True
-            _charge(rec, graph, trees, cfg.params, attempts, delivered)
-            # An unusable link (weight +inf) on the tree or the uplink.
-            if not math.isfinite(rec.total_energy_j):
-                rec.failed = True
+                trees = []
+            _charge(rec, graph, trees, cfg, rng)
             records[algorithm].append(rec)
 
     out = {}

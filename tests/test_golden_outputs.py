@@ -61,11 +61,11 @@ DIGESTS = {
     "compare_rho1/rounds_taeer.csv":
         "11f628b7ec58ad90d0cb49650ed11cc3d7be9242f9d3535fc40c5bbe126a050a",
     "compare_rho0.1/comparison.json":
-        "429de1bef787de897ebe100fe57f7c71a1d8bdae5c95367fffe87ae977c9985f",
+        "1f9a2eecc4cdfbb13cc62cfd964660145e455e499a9164013b49d6c083f5a897",
     "compare_rho0.1/rounds_d_merge.csv":
         "1ea3d873c2596ba72ed8d86aa24076d67c04d511234dbaf2a413008ce7af2ec7",
     "compare_rho0.1/rounds_orbit_greedy.csv":
-        "41cc8eb572b0f87a80b0ede7cf3f2349f8a0e60822a90c634e2edfa718e4b621",
+        "12273ae04573bcea1401080f068654393493bc8b36658f975e66afa7bd816cc9",
     "compare_rho0.1/rounds_taeer.csv":
         "19a613314e169b33662901d97ce251283ad84e300432e398199273baaed3ca6b",
     "run/metrics.json":
@@ -87,11 +87,11 @@ DIGESTS = {
     "train_weighted/loss_trace.csv":
         "a53e5e9433a995db3ef6232b58ee8970bafaee79a93c60907ff2f57b2186f593",
     "compare_slot53.3/comparison.json":
-        "ecc8ab1c0d04b2c3df9977bdc23b7479a110fc4ad7cd808c9c256184fa996cef",
+        "0daf260aaa761a8d9d9a4e5ce9d957f9dbb5162b58d068b8beb02d9213fc740d",
     "compare_slot53.3/rounds_d_merge.csv":
         "ccbdcad1925d8d6a9ec0bd88c306c440ff0f6f0b3575308ce8829810f10cd503",
     "compare_slot53.3/rounds_orbit_greedy.csv":
-        "ae92bf4a74c34d18a5e0ee84cc2436ff7545f7bc0331a9eb44e50778814f20d5",
+        "86023e7e2a7a9bcd52e58dcf4c40f2bef6c1af09204702386d4fa30595fed3cc",
     "compare_slot53.3/rounds_taeer.csv":
         "58309c1386801c92836bcef06cf8700ce70c2825fa8403d66334dc09269410f5",
     "compare_star800/comparison.json":
@@ -132,4 +132,9 @@ def output_digests(tmp_path):
 
 
 def test_outputs_match_pinned_digests(tmp_path):
-    assert output_digests(tmp_path) == DIGESTS
+    got = output_digests(tmp_path)
+    changed = sorted(k for k in got.keys() & DIGESTS.keys() if got[k] != DIGESTS[k])
+    missing = sorted(DIGESTS.keys() - got.keys())
+    new = sorted(got.keys() - DIGESTS.keys())
+    assert not (changed or missing or new), \
+        f"changed: {changed}; missing: {missing}; new: {new}"

@@ -1145,6 +1145,17 @@ class TestOrbitGreedy:
             orbit_plan(g, [0])
 
 
+@pytest.mark.parametrize("call", [lambda g: select_root(g, [0, 1]),
+                                  lambda g: path_plans(g, [0, 1], 1)],
+                         ids=["select_root", "path_plans"])
+def test_uplink_search_names_the_missing_relay(call):
+    # A graph without a GEO relay has no uplink rows to read.
+    g = graph_of(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    assert g.geo_node is None
+    with pytest.raises(ValueError, match="GEO relay"):
+        call(g)
+
+
 @pytest.fixture(scope="module")
 def delta80_frame():
     """Frame 0 of round 0 of the shipped delta80 scenario as the simulator

@@ -142,17 +142,17 @@ PATHS_100DB_CAP2 = ([1605, 1710], [103, 84], [True, True],
 STREAM_PINS = {
     "default": ({}, {
         "taeer": PATHS_DEFAULT, "d_merge": PATHS_DEFAULT,
-        "orbit_greedy": ([1386, 1313], [11, 13], [False, False],
-                         ["51.49434908324149", "60.85696110716553"])}),
+        "orbit_greedy": ([1393, 1309], [18, 9], [False, False],
+                         ["84.26348266645816", "42.13173985364568"])}),
     "-100dB": ({("link", "snr_threshold_db"): "-100"}, {
         "taeer": PATHS_100DB, "d_merge": PATHS_100DB,
-        "orbit_greedy": ([1446, 1372], [71, 72], [False, False],
-                         ["332.37264344611935", "337.053927927221"])}),
+        "orbit_greedy": ([1437, 1354], [62, 54], [False, False],
+                         ["290.24087865164137", "252.79044586642058"])}),
     "-100dB-2-attempts": ({("link", "snr_threshold_db"): "-100",
                            ("run", "max_attempts"): "2"}, {
         "taeer": PATHS_100DB_CAP2, "d_merge": PATHS_100DB_CAP2,
-        "orbit_greedy": ([1439, 1357], [75, 64], [True, True],
-                         ["299.60349269948745", "266.8343659420988"])}),
+        "orbit_greedy": ([1434, 1354], [66, 58], [True, True],
+                         ["276.19697106719957", "252.790447064157"])}),
 }
 
 
@@ -183,8 +183,8 @@ SPLIT_DELTA_PATHS = (["5221.076903203491", "5339.260590877609"],
 ENERGY_SPLIT_PINS = {
     "walker_star_80.cfg": {
         "taeer": SPLIT_STAR_PATHS, "d_merge": SPLIT_STAR_PATHS,
-        "orbit_greedy": (["6436.79348583757", "6085.695660559216"],
-                         ["139139.04887302587", "141528.18240815488"], [1375, 1300])},
+        "orbit_greedy": (["6436.793481643466", "6085.695656998557"],
+                         ["140975.06024744926", "142151.65631129305"], [1375, 1300])},
     "walker_delta_80.cfg": {
         "taeer": SPLIT_DELTA_PATHS, "d_merge": SPLIT_DELTA_PATHS,
         "orbit_greedy": (["6298.830983052996", "6409.336851041053"],
@@ -410,16 +410,48 @@ class TestRunScenario:
 
 
 @pytest.mark.parametrize("sampled", [False, True])
-def test_charging_no_trees_leaves_the_record_unchanged(delta_spec, sampled):
-    # A round whose plans stop at frame 0 charges no tree, with outages
-    # sampled (empty draws) or not.
-    cfg = make_scenario(delta_spec)
+def test_charging_no_trees_adds_nothing_and_fails_the_round(delta_spec, sampled):
+    # A round whose plans stop at frame 0 (or whose router finds it
+    # infeasible) charges no tree, with outages sampled or not: every
+    # frame is unrouted, so the round fails, and the generator is not read.
+    cfg = make_scenario(delta_spec, rho=0.1 if sampled else 1.0)
     g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, 0.0,
                                 sim.scenario_tx_power(cfg))
-    zero = sim.RoundRecord(0, 0, "taeer", None, 0, 0.0, 0.0, 0.0, 0, 0, 0.0, 0, False)
-    rec = replace(zero)
-    sim._charge(rec, g, [], cfg.params, *(([], []) if sampled else ()))
-    assert rec == zero
+    rec = sim.RoundRecord(0, 0, "taeer", None, 0)
+    rng = np.random.default_rng(3)
+    sim._charge(rec, g, [], cfg, rng)
+    assert rec == sim.RoundRecord(0, 0, "taeer", None, 0, failed=True)
+    assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
+
+
+def test_orbit_greedy_trees_do_not_depend_on_rho():
+    # orbit_greedy draws every frame's arc roots before any outage draw,
+    # so outage sampling (rho < 1) changes its outages but not its trees.
+    values = config.read_config(str(SCENARIOS / "walker_star_80.cfg"))
+    values["run"]["rounds"] = "3"
+    cfg = replace(config.build_scenario(values), algorithms=("orbit_greedy",))
+    runs = [sim.run_scenario(replace(cfg, rho=rho)) for rho in (1.0, 0.1)]
+    got = [[(r.tree_energy_j, r.geo_energy_j, r.edge_frames) for r in m.records]
+           for m in runs]
+    assert len(got[0]) == 3
+    assert got[0] == got[1]
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.1])
+def test_one_outage_draw_per_round_and_algorithm(delta_spec, monkeypatch, rho):
+    # With outages on, each (round, algorithm) samples all its routed
+    # LEO-LEO rows in one call; at rho = 1 nothing is sampled.
+    real, sizes = sim.sample_attempts, []
+
+    def spy(rng, gamma0, params, max_attempts):
+        sizes.append(len(gamma0))
+        return real(rng, gamma0, params, max_attempts)
+
+    monkeypatch.setattr(sim, "sample_attempts", spy)
+    cfg = make_scenario(delta_spec, algorithms=sim.ALGORITHMS, rho=rho, rounds=2)
+    res = sim.compare_algorithms(cfg)
+    want = [res[a].records[t].edge_frames for t in range(cfg.rounds) for a in sim.ALGORITHMS]
+    assert sizes == (want if cfg.outages_enabled else [])
 
 
 def test_slot_label_is_the_graphs_slot(delta_spec):
