@@ -52,12 +52,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _scenario(args, values):
-    """The scenario of the config values, with the command's overrides."""
-    algos = getattr(args, "algorithms", None)
-    if algos is not None:
-        algos = tuple(a.strip() for a in algos.split(",") if a.strip())
-    return cfgmod.build_scenario(values, seed=args.seed, rho=getattr(args, "rho", None),
-                                 algorithms=algos)
+    """The scenario of the config values, with the command's overrides
+    written over them."""
+    for section, key, value in (("run", "seed", args.seed),
+                                ("algorithms", "rho", getattr(args, "rho", None)),
+                                ("algorithms", "names", getattr(args, "algorithms", None))):
+        if value is not None:
+            values[section][key] = str(value)
+    return cfgmod.build_scenario(values)
 
 
 def _out_path(args, name):

@@ -171,27 +171,29 @@ def load_clusters_csv(path: str) -> tuple:
 
 
 def build_clusters(cfg: dict, seed: int) -> tuple:
+    """The clusters of clusters.file, or else count clusters drawn from
+    seed. A drawing key set away from its default beside a file raises
+    ConfigError naming that key, since the file would override it."""
     path = cfg["clusters"]["file"].strip()
     if path:
+        for key in ("count", "lat_band_deg"):
+            if _parse(cfg, "clusters", key) != _DEFAULT["clusters", key]:
+                raise ConfigError(f"clusters.{key}", "is not used when clusters.file "
+                                                    "is set; remove one of the two")
         return load_clusters_csv(path)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
     return _call(random_clusters, cfg, rng=rng)
 
 
-def build_scenario(cfg: dict, seed: int | None = None, rho: float | None = None,
-                   algorithms: tuple | None = None) -> ScenarioConfig:
-    """Assemble a validated ScenarioConfig; CLI overrides win over the file."""
-    given = {name: value for name, value in (("rho", rho), ("algorithms", algorithms))
-             if value is not None}
-    if seed is None:
-        seed = _parse(cfg, "run", "seed")
+def build_scenario(cfg: dict) -> ScenarioConfig:
+    """Assemble a validated ScenarioConfig from the config values."""
+    seed = _parse(cfg, "run", "seed")
     spec = build_constellation(cfg)
     # No clusters can be drawn from a negative seed; ScenarioConfig rejects
     # the seed before it looks at the clusters.
     return _call(ScenarioConfig, cfg, spec=spec, params=build_link_params(cfg),
                  times=_call(_TIME, cfg, spec=spec),
-                 clusters=build_clusters(cfg, seed) if seed >= 0 else (),
-                 rng_seed=seed, **given)
+                 clusters=build_clusters(cfg, seed) if seed >= 0 else ())
 
 
 def build_training(cfg: dict) -> TrainingSettings:

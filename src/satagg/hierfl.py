@@ -144,7 +144,10 @@ def local_update(stack: DeviceStack, global_model: np.ndarray,
 def tree_aggregate(tree, deltas, weights, terminals) -> np.ndarray:
     """Weighted-sum reduction of device deltas along an aggregation tree.
 
-    Device d contributes weights[d] * deltas[d] at its serving node
+    tree is read through two attributes only: tree.root, the root node,
+    and tree.edges, the (child, parent) node pairs toward it. The routers
+    hand a round's trees on as (frame, rows) arrays; a caller views one
+    frame's rows as such a tree. Device d contributes weights[d] * deltas[d] at its serving node
     terminals[d]. Partial sums flow child -> parent; the root ends up
     holding sum_d weights[d] * deltas[d]. Devices are accumulated in device
     order and children in ascending node order, so the result is

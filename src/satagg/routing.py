@@ -1,5 +1,10 @@
 """Aggregation-tree routing: shortest paths, minimum spanning arborescence,
-and the three tree-building algorithms compared by the simulator.
+and the trees of the three algorithms compared by the simulator.
+
+A round's plans and trees are each one (frame, rows) pair of int arrays,
+every row with its frame, frame-major and ascending within a frame.
+`path_plans` returns the plans, which are d_merge's trees as they stand;
+`taeer_round` and `orbit_greedy` return their trees in the same form.
 
 All trees use data-flow orientation: an edge (child, parent) means the child
 transmits toward the root, so every non-root tree node has exactly one
@@ -28,12 +33,10 @@ shells (11-13 rows deep, 25 frames) take the sweeps; 800 satellites
 """
 import heapq
 import math
-from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
-from .topology import SnapshotGraph, ordered_sum
+from .topology import SnapshotGraph
 
 class RoutingInfeasibleError(RuntimeError):
     """A required node cannot reach the root through the graph."""
@@ -41,30 +44,6 @@ class RoutingInfeasibleError(RuntimeError):
     def __init__(self, stranded, what="node"):
         self.stranded = sorted(int(v) for v in stranded)
         super().__init__(f"{what}(s) cannot reach the root: {self.stranded}")
-
-
-@dataclass(frozen=True)
-class Arborescence:
-    """Rooted aggregation tree at frame `frame` of `graph`: the sorted edge
-    rows edge_ids, each (child, parent) toward the root. Two trees are equal
-    when their frame, root and rows are. The node pairs and the cost are
-    derived from the rows each time they are read."""
-
-    graph: SnapshotGraph = field(compare=False, repr=False)
-    frame: int
-    root: int
-    edge_ids: tuple
-
-    @property
-    def edges(self) -> tuple:
-        """The (child, parent) node pairs of the rows, in row order."""
-        rows = list(self.edge_ids)
-        return tuple(zip(self.graph.src[rows].tolist(), self.graph.dst[rows].tolist()))
-
-    @property
-    def total_cost(self) -> float:
-        """The rows' frame weights summed in row order."""
-        return ordered_sum(self.graph.weights_j[self.frame][list(self.edge_ids)].tolist())
 
 
 def shortest_path_csr(indptr, indices, weights, source, start=None):
@@ -264,10 +243,11 @@ def _fewest_hops(g: SnapshotGraph, tight: np.ndarray, root: int,
 
 
 def _read_plans(g: SnapshotGraph, w: np.ndarray, dist: np.ndarray, terms: list,
-                root: int, uplink: int) -> list:
-    """Per frame, the sorted rows of the terminals' shortest paths to root
-    with root's uplink row, read off dist, every node's distance to root
-    as a (nodes x frames) array, under the (rows x frames) weights w.
+                root: int, uplink: int) -> tuple:
+    """(frame, rows): every frame's rows of the terminals' shortest paths
+    to root with root's uplink row, frame-major and ascending within a
+    frame, read off dist, every node's distance to root as a (nodes x
+    frames) array, under the (rows x frames) weights w.
 
     A row is tight when w + dist[dst] == dist[src] in float. Each
     terminal's path follows one tight row out of every node by a fixed
@@ -298,17 +278,17 @@ def _read_plans(g: SnapshotGraph, w: np.ndarray, dist: np.ndarray, terms: list,
     f, v = np.nonzero(on.T)
     keys = np.concatenate((f * e + hop[v, f], np.arange(count) * e + uplink))
     keys.sort()
-    flat = (keys % e).tolist()
-    ends = np.cumsum(np.bincount(keys // e, minlength=count)).tolist()
-    return [flat[a:b] for a, b in zip([0] + ends, ends)]
+    return np.divmod(keys, e)
 
 
-def path_plans(g: SnapshotGraph, terminals, root: int) -> list:
+def path_plans(g: SnapshotGraph, terminals, root: int) -> tuple:
     """The path routers' plans of a round toward root, a terminal with a
-    GEO uplink: per frame of g, the sorted rows of the terminals' shortest
-    paths to root with root's uplink row (`_read_plans`). The plans stop
-    before the first frame with a terminal that cannot reach root. Raises
-    ValueError when g has no GEO relay.
+    GEO uplink, as one (frame, rows) pair of int arrays: every frame's rows
+    of the terminals' shortest paths to root with root's uplink row,
+    frame-major and ascending within a frame (`_read_plans`). Every planned
+    frame holds the uplink row, and the plans stop before the first frame
+    with a terminal that cannot reach root, so the planned frames are
+    0..frame[-1]. Raises ValueError when g has no GEO relay.
 
     Every node's distance to root in every frame is found first, as one
     (nodes x frames) array that reads no terminal; the frames' rows up to
@@ -451,36 +431,35 @@ def _msa(tail, head, w, roots, span, n) -> np.ndarray:
     return choice[nodes]
 
 
-def taeer_round(g: SnapshotGraph, terminals, root: int, plans) -> list:
-    """Topology-aware energy-efficient routing for a round: one tree per
-    frame, frame u's from plans[u].
+def taeer_round(g: SnapshotGraph, terminals, root: int, frame: np.ndarray,
+                rows: np.ndarray) -> tuple:
+    """Topology-aware energy-efficient routing for a round: the (frame,
+    rows) pair of every frame's tree, from the round's plans (frame, rows),
+    both frame-major and ascending within a frame.
 
-    Each plan is sorted edge rows leading every terminal to root, a
+    Each frame's plan is the rows leading every terminal to root, a
     terminal or the graph's relay: the substitute graph, which merges the
-    terminals' shortest paths to a terminal (`path_plans`),
-    plus that terminal's uplink row when root is the relay. Each frame's
-    tree is an exact minimum spanning arborescence of its rows with
-    non-terminal leaves pruned away, and covers every terminal.
+    terminals' shortest paths to a terminal (`path_plans`), plus that
+    terminal's uplink row when root is the relay. Each frame's tree is an
+    exact minimum spanning arborescence of its rows with non-terminal
+    leaves pruned away, and covers every terminal.
 
-    The frames are solved together: every plan's rows are relabelled onto
-    one id space, node v of frame u as u * n + v, and one call to the
-    arborescence core (`_msa`) solves every frame, level by level, raising
-    RoutingInfeasibleError for the first frame with a node that cannot
-    reach the root. Pruning then runs on all frames at once, and the kept
-    rows are split back into frames.
+    The frames are solved together: node v of frame u is id u * n + v, and
+    one call to the arborescence core (`_msa`) solves every frame 0..
+    frame[-1], level by level, raising RoutingInfeasibleError for the first
+    frame with a node that cannot reach the root. Pruning then runs on all
+    frames at once, and the kept rows keep their order.
     """
     if root != g.geo_node and root not in terminals:
         raise ValueError("root must be a terminal or the graph's relay")
-    n, count = g.num_nodes, len(plans)
-    sizes = [len(p) for p in plans]
-    rows = np.fromiter(chain.from_iterable(plans), dtype=np.intp, count=sum(sizes))
-    plan = np.repeat(np.arange(count), sizes)   # each row's plan: its frame
-    tail, head = plan * n + g.src[rows], plan * n + g.dst[rows]
+    n = g.num_nodes
+    count = int(frame[-1]) + 1 if frame.size else 0
+    tail, head = frame * n + g.src[rows], frame * n + g.dst[rows]
     roots = np.arange(count) * n + root
     span = np.zeros(count * n, dtype=bool)
     span[tail] = span[head] = span[roots] = True
     chosen = np.zeros(rows.size, dtype=bool)
-    chosen[_msa(tail, head, g.weights_j[plan, rows], roots, span, n)] = True
+    chosen[_msa(tail, head, g.weights_j[frame, rows], roots, span, n)] = True
     # Prune non-terminal leaves (nodes nobody transmits to) to a fixpoint.
     # A terminal id that is no node is no row's tail.
     term = np.zeros(n, dtype=bool)
@@ -493,21 +472,7 @@ def taeer_round(g: SnapshotGraph, terminals, root: int, plans) -> list:
         if not leaves.any():
             break
         chosen &= ~leaves
-    kept = rows[chosen].tolist()
-    ends = np.cumsum(np.bincount(plan[chosen], minlength=count)).tolist()
-    return [Arborescence(g, u, root, tuple(kept[a:b]))
-            for u, (a, b) in enumerate(zip([0] + ends, ends))]
-
-
-def d_merge(g: SnapshotGraph, u: int, terminals, root: int, rows) -> Arborescence:
-    """Baseline: union of the per-terminal shortest paths, deduplicated.
-
-    rows are sorted edge rows as one of taeer_round's plans, which are that
-    union already, and a tree.
-    """
-    if root != g.geo_node and root not in terminals:
-        raise ValueError("root must be a terminal or the graph's relay")
-    return Arborescence(g, u, root, tuple(rows))
+    return frame[chosen], rows[chosen]
 
 
 def _minimal_ring_arc(slots, ring_size):
@@ -531,11 +496,12 @@ def orbit_plan(g: SnapshotGraph, terminals) -> tuple:
     """orbit_greedy's layout for one round's terminals, the same in every
     frame of the round: the rows it may route on, looked up in one call.
 
-    One (arc, forward, backward, uplink) tuple per orbit holding
-    terminals, in ascending orbit order: arc is the orbit's minimal ring arc
-    as node ids, forward[i] and backward[i] are the rows of arc[i] ->
-    arc[i + 1] and arc[i + 1] -> arc[i], and uplink[i] is the row of arc[i]'s
-    GEO uplink.
+    (arcs, forward, backward, uplink): arcs holds the minimal ring arc, as
+    node ids, of every orbit holding terminals, in ascending orbit order.
+    The hops of all arcs are listed arc after arc, hop i of an arc going
+    from arc[i] to arc[i + 1]: forward holds each hop's row and backward
+    the row of its reverse. uplink holds the row of every arc node's GEO
+    uplink, arc after arc.
     """
     if g.node_orbit is None or g.geo_node is None:
         raise ValueError("orbit_greedy needs a constellation graph with a GEO node")
@@ -545,42 +511,41 @@ def orbit_plan(g: SnapshotGraph, terminals) -> tuple:
         by_orbit.setdefault(orbit_of[t], []).append(t)
     ring_size = max(slot_of[:g.geo_node]) + 1
 
-    arcs, src, dst = [], [], []
+    arcs = []
     for orbit in sorted(by_orbit):
         members = by_orbit[orbit]
         base = members[0] - slot_of[members[0]]
-        arc = [base + k for k in _minimal_ring_arc([slot_of[t] for t in members],
-                                                   ring_size)]
-        arcs.append(arc)
-        src += arc[:-1] + arc[1:] + arc
-        dst += arc[1:] + arc[:-1] + [g.geo_node] * len(arc)
-    rows = g.edge_rows(src, dst).tolist()
-    orbits, end = [], 0
-    for arc in arcs:
-        n = len(arc) - 1
-        start, end = end, end + 3 * n + 1
-        orbits.append((tuple(arc), tuple(rows[start:start + n]),
-                       tuple(rows[start + n:start + 2 * n]),
-                       tuple(rows[start + 2 * n:end])))
-    return tuple(orbits)
+        arcs.append(tuple(base + k for k in _minimal_ring_arc(
+            [slot_of[t] for t in members], ring_size)))
+    tails = [v for arc in arcs for v in arc[:-1]]
+    heads = [v for arc in arcs for v in arc[1:]]
+    nodes = [v for arc in arcs for v in arc]
+    rows = g.edge_rows(tails + heads + nodes, heads + tails + [g.geo_node] * len(nodes))
+    hops = len(tails)
+    return tuple(arcs), rows[:hops], rows[hops:2 * hops], rows[2 * hops:]
 
 
-def orbit_greedy(g: SnapshotGraph, u: int, plan: tuple,
-                 rng: np.random.Generator) -> Arborescence:
-    """Baseline using intra-orbit links only.
+def orbit_greedy(g: SnapshotGraph, terminals, rng: np.random.Generator) -> tuple:
+    """Baseline using intra-orbit links only: the (frame, rows) pair of
+    every frame's tree of the round, frame-major and ascending within a
+    frame.
 
     Each orbit holding terminals routes them along its minimal ring arc
-    (from plan, see orbit_plan) to a randomly chosen arc node, drawn per
-    orbit in ascending orbit order, which uplinks to the GEO relay. The
-    tree is rooted at the relay.
+    (orbit_plan) to a randomly chosen arc node, which uplinks to the GEO
+    relay: arc nodes before it send forward, the others backward. The arc
+    nodes are drawn frame by frame, in ascending orbit order within a
+    frame. Every tree is rooted at the relay.
     """
-    rows = []
-    for arc, forward, backward, uplink in plan:
-        k = int(rng.integers(len(arc)))
-        # Arc nodes before the root arc[k] send forward, the others backward.
-        rows += forward[:k] + backward[k:] + (uplink[k],)
-    rows.sort()
-    return Arborescence(g, u, g.geo_node, tuple(rows))
+    arcs, forward, backward, uplink = orbit_plan(g, terminals)
+    roots = np.array([[rng.integers(len(arc)) for arc in arcs]
+                      for _ in range(g.frame_count)], dtype=np.intp)
+    sizes = np.array([len(arc) for arc in arcs], dtype=np.intp)
+    first = np.cumsum(sizes) - sizes   # each arc's first node in uplink
+    arc = np.repeat(np.arange(sizes.size), sizes - 1)   # each hop's arc
+    place = np.arange(forward.size) - (first - np.arange(sizes.size))[arc]   # i of hop i
+    hops = np.where(place < roots[:, arc], forward, backward)
+    rows = np.sort(np.concatenate((hops, uplink[first + roots]), axis=1), axis=1)
+    return np.repeat(np.arange(g.frame_count), rows.shape[1]), rows.ravel()
 
 
 def select_root(g: SnapshotGraph, terminals) -> int:

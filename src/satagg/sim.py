@@ -13,7 +13,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -200,50 +199,46 @@ def sample_attempts(rng: np.random.Generator, gamma0, params: LinkParams,
 
 
 def _round_trees(algorithm: str, g: SnapshotGraph, terminals, plans,
-                 rng: np.random.Generator) -> list:
-    """One router's trees of a round, in frame order, rooted at g's GEO
-    relay. The path routers solve one frame per plan in plans (the frame's
-    path rows with the uplink satellite's uplink row), taeer all of them
-    in one call and d_merge one at a time; orbit_greedy solves every frame
-    of the slot, one at a time, drawing its arc roots from rng before any
-    outage is sampled."""
+                 rng: np.random.Generator) -> tuple:
+    """One router's trees of a round, rooted at g's GEO relay, as one
+    (frame, rows) pair of int arrays, frame-major and ascending within a
+    frame. The path routers route plans, the round's (frame, rows) path
+    plans (each frame's path rows with the uplink satellite's uplink row):
+    d_merge's trees are the plans, and taeer solves them in one call.
+    orbit_greedy routes every frame of the slot in one call, drawing its
+    arc roots from rng before any outage is sampled."""
     if algorithm == "taeer":
-        return routing.taeer_round(g, terminals, g.geo_node, plans)
+        return routing.taeer_round(g, terminals, g.geo_node, *plans)
     if algorithm == "d_merge":
-        return [routing.d_merge(g, u, terminals, g.geo_node, rows)
-                for u, rows in enumerate(plans)]
+        return plans
     if algorithm == "orbit_greedy":
-        layout = routing.orbit_plan(g, terminals)
-        return [routing.orbit_greedy(g, u, layout, rng) for u in range(g.frame_count)]
+        return routing.orbit_greedy(g, terminals, rng)
     raise ValueError(f"unknown algorithm {algorithm}")
 
 
-def _charge(rec: RoundRecord, graph: SnapshotGraph, trees, cfg: ScenarioConfig,
-            rng: np.random.Generator) -> None:
-    """Add a round's trees, in frame order, to rec from graph's true
-    weights, in one gather of their rows, and decide whether the round
-    failed. Uplink rows add to the GEO energy one at a time; the LEO-LEO
-    rows' weights and analytic outages are summed left to right per frame,
-    and the frame sums added. With outages on, the LEO-LEO rows are
-    sampled in one sample_attempts call from rng, in frame order and then
-    row order, and each row's retransmissions add its weight once per
-    extra attempt; otherwise each row takes one attempt. The round fails
-    when a frame is left unrouted, a row is not delivered, or the total
-    energy is not finite (an unusable link, weight +inf, was routed)."""
-    sizes = [len(tree.edge_ids) for tree in trees]
-    eids = np.fromiter(chain.from_iterable(tree.edge_ids for tree in trees),
-                       dtype=np.intp, count=sum(sizes))
-    frame = np.repeat(np.array([tree.frame for tree in trees], dtype=np.intp), sizes)
-    w = graph.weights_j[frame, eids]
-    isl = graph.dst[eids] != graph.geo_node
+def _charge(rec: RoundRecord, graph: SnapshotGraph, frame: np.ndarray, rows: np.ndarray,
+            cfg: ScenarioConfig, rng: np.random.Generator) -> None:
+    """Add a round's trees, the (frame, rows) pair of _round_trees, to rec
+    from graph's true weights, in one gather of their rows, and decide
+    whether the round failed. Every routed frame holds an uplink row, so
+    the routed frames are 0..frame[-1] (none for empty arrays). Uplink
+    rows add to the GEO energy one at a time; the LEO-LEO rows' weights
+    and analytic outages are summed left to right per frame, and the frame
+    sums added. With outages on, the LEO-LEO rows are sampled in one
+    sample_attempts call from rng, in frame order and then row order, and
+    each row's retransmissions add its weight once per extra attempt;
+    otherwise each row takes one attempt. The round fails when a frame is
+    left unrouted, a row is not delivered, or the total energy is not
+    finite (an unusable link, weight +inf, was routed)."""
+    w = graph.weights_j[frame, rows]
+    isl = graph.dst[rows] != graph.geo_node
     for x in w[~isl].tolist():
         rec.geo_energy_j += x
     w_tree = w[isl].tolist()
-    gamma0 = graph.gamma0[frame[isl], eids[isl]]
+    gamma0 = graph.gamma0[frame[isl], rows[isl]]
     p_out = channel.outage_from_gamma0(gamma0, cfg.params).tolist()
     end = 0
-    for size in np.bincount(np.repeat(np.arange(len(trees)), sizes)[isl],
-                            minlength=len(trees)).tolist():
+    for size in np.bincount(frame[isl]).tolist():
         start, end = end, end + size
         rec.tree_energy_j += ordered_sum(w_tree[start:end])
         rec.analytic_outage_sum += ordered_sum(p_out[start:end])
@@ -259,7 +254,8 @@ def _charge(rec: RoundRecord, graph: SnapshotGraph, trees, cfg: ScenarioConfig,
             rec.retrans_energy_j += (k - 1) * w_e
     else:
         rec.attempts += len(w_tree)
-    rec.failed = (len(trees) < graph.frame_count or not all(delivered)
+    routed = int(frame[-1]) + 1 if frame.size else 0
+    rec.failed = (routed < graph.frame_count or not all(delivered)
                   or not math.isfinite(rec.total_energy_j))
 
 
@@ -267,25 +263,25 @@ def _simulate(cfg: ScenarioConfig, algorithms) -> dict:
     """Shared driver; returns {algorithm: RunMetrics}.
 
     Every algorithm sees identical terminal sets and identical per-round rng
-    seeds, and every router returns a tree rooted at the GEO relay. When a
+    seeds, and every router returns trees rooted at the GEO relay. When a
     path router (taeer, d_merge) runs, each round picks one uplink
     satellite (routing.select_root; the path routers' record root) and
     builds the round's plans toward it before any router runs
-    (routing.path_plans). The plans stop at the first frame with a
-    terminal that cannot reach the uplink satellite, so each path router
-    then leaves the frames from there on unrouted. taeer solves the
-    round's plans in one call, d_merge one frame at a time; orbit_greedy
-    looks its ring arcs' rows up once per round (routing.orbit_plan) and
-    draws only its arc roots per frame. Routers run on the rows of the
-    energy graph (outage blending only re-weights them), so their edge_ids
-    index its true weights.
+    (routing.path_plans), as one (frame, rows) pair of arrays. The plans
+    stop at the first frame with a terminal that cannot reach the uplink
+    satellite, so each path router then leaves the frames from there on
+    unrouted. d_merge's trees are the plans, and taeer solves them in one
+    call; orbit_greedy routes the round in one call, looking its ring
+    arcs' rows up once (routing.orbit_plan) and drawing only its arc roots
+    per frame. Routers run on the rows of the energy graph (outage
+    blending only re-weights them), so their rows index its true weights.
 
     Each (round, algorithm) is routed whole (_round_trees) and then
     charged (_charge), which alone samples outages, sums the energies and
     decides whether the round failed. A router that finds the round
-    infeasible routes no frame. The analytic outage is one call per round
-    and algorithm over the routed LEO-LEO rows, so a rho = 1 run evaluates
-    no other row's.
+    infeasible routes no frame: its arrays are empty. The analytic outage
+    is one call per round and algorithm over the routed LEO-LEO rows, so a
+    rho = 1 run evaluates no other row's.
     """
     tx_power = scenario_tx_power(cfg)
     round_seeds = np.random.SeedSequence(cfg.rng_seed).spawn(2)[1].spawn(cfg.rounds)
@@ -303,7 +299,7 @@ def _simulate(cfg: ScenarioConfig, algorithms) -> dict:
             route_graph = graph
         _, terminals = terminals_for_round(cfg, t_abs)
         root = None
-        plans = []   # per frame, the sorted path rows with the uplink row
+        plans = None   # (frame, rows): every frame's path rows with the uplink row
         if path_routed:
             root = routing.select_root(graph, terminals)
             plans = routing.path_plans(route_graph, terminals, root)
@@ -315,10 +311,10 @@ def _simulate(cfg: ScenarioConfig, algorithms) -> dict:
                               root=root if algorithm in path_routed else None,
                               num_terminals=len(terminals))
             try:
-                trees = _round_trees(algorithm, route_graph, terminals, plans, rng)
+                frame, rows = _round_trees(algorithm, route_graph, terminals, plans, rng)
             except routing.RoutingInfeasibleError:
-                trees = []
-            _charge(rec, graph, trees, cfg, rng)
+                frame = rows = np.zeros(0, dtype=np.intp)
+            _charge(rec, graph, frame, rows, cfg, rng)
             records[algorithm].append(rec)
 
     out = {}

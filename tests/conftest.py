@@ -8,7 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # makes oracles importable
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
-from oracles import paths_to_root  # noqa: E402
+from oracles import Arborescence, frame_trees, paths_to_root  # noqa: E402
 from satagg import channel, geometry, routing, sim, topology
 
 
@@ -57,13 +57,22 @@ def random_digraph(rng, max_nodes=12, p=0.4, w_low=0.01, w_high=10.0,
 
 
 def taeer(g, u, terminals, root, rows):
-    """routing.taeer_round's tree at frame u, every earlier frame's plan
-    empty."""
-    return routing.taeer_round(g, terminals, root, [[]] * u + [rows])[u]
+    """routing.taeer_round's tree at frame u from the sorted plan rows of
+    frame u alone (every earlier frame has no row)."""
+    rows = np.asarray(rows, dtype=np.intp)
+    frame = np.full(rows.size, u, dtype=np.intp)
+    return frame_trees(g, root, *routing.taeer_round(g, terminals, root, frame, rows),
+                       count=u + 1)[u]
+
+
+def d_merge(g, u, terminals, root, rows):
+    """d_merge's tree at frame u: the frame's plan rows as they are, since
+    the simulator charges the path plans as d_merge's trees."""
+    return Arborescence(g, u, root, tuple(rows))
 
 
 def route(router, g, u, terminals, root):
-    """A path router (taeer above or d_merge) at frame u on that frame's
+    """A path router (taeer or d_merge above) at frame u on that frame's
     shortest-path rows toward root (`oracles.paths_to_root`, the rows
     `routing.path_plans` gives)."""
     return router(g, u, terminals, root, paths_to_root(g, u, terminals, root))
@@ -127,7 +136,7 @@ def chu_liu_edmonds(g, root, u=0, nodes=None):
     eids = np.flatnonzero(span[g.src] & span[g.dst])
     picked = routing._msa(g.src[eids].astype(np.intp), g.dst[eids].astype(np.intp),
                           g.weights_j[u, eids], np.array([root]), span, g.num_nodes)
-    return routing.Arborescence(g, u, root, tuple(np.sort(eids[picked]).tolist()))
+    return Arborescence(g, u, root, tuple(np.sort(eids[picked]).tolist()))
 
 
 def routed_isl_links(cfg):
@@ -141,9 +150,9 @@ def routed_isl_links(cfg):
     p_t, d_km = [], []
     solve = routing.taeer_round
 
-    def recording(g, terminals, root, plans):
-        trees = solve(g, terminals, root, plans)
-        for tree in trees:
+    def recording(g, terminals, root, frame, rows):
+        trees = solve(g, terminals, root, frame, rows)
+        for tree in frame_trees(g, root, *trees):
             eids = np.asarray(tree.edge_ids, dtype=np.intp)
             eids = eids[g.dst[eids] != g.geo_node]
             p_t.extend(tx_power[g.src[eids]])

@@ -22,16 +22,69 @@ rows: Bellman-Ford distances, a walk per terminal and a dict
 breadth-first search for ties, where the package reads every frame's
 rows off one distance array. `validate_tree` checks a tree's
 arborescence invariants.
+
+`Arborescence` is the per-frame view of a tree that the references return
+and `validate_tree` reads. The package hands a round's plans and trees on
+as one (frame, rows) pair of arrays, which `frame_rows` splits into one
+list of rows per frame and `frame_trees` into these views.
 """
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
 
 from satagg import geometry
-from satagg.routing import Arborescence, RoutingInfeasibleError
+from satagg.routing import RoutingInfeasibleError
+from satagg.topology import SnapshotGraph, ordered_sum
+
+
+@dataclass(frozen=True)
+class Arborescence:
+    """Rooted aggregation tree at frame `frame` of `graph`: the sorted edge
+    rows edge_ids, each (child, parent) toward the root. Two trees are equal
+    when their frame, root and rows are. The node pairs and the cost are
+    derived from the rows each time they are read."""
+
+    graph: SnapshotGraph = field(compare=False, repr=False)
+    frame: int
+    root: int
+    edge_ids: tuple
+
+    @property
+    def edges(self) -> tuple:
+        """The (child, parent) node pairs of the rows, in row order."""
+        rows = list(self.edge_ids)
+        return tuple(zip(self.graph.src[rows].tolist(), self.graph.dst[rows].tolist()))
+
+    @property
+    def total_cost(self) -> float:
+        """The rows' frame weights summed in row order."""
+        return ordered_sum(self.graph.weights_j[self.frame][list(self.edge_ids)].tolist())
+
+
+def frame_rows(frame, rows, count=None) -> list:
+    """A round's plans or trees, the (frame, rows) pair of int arrays that
+    the package hands on, as one list of rows per frame 0..count-1 (count:
+    frame[-1] + 1, or 0 for empty arrays). Asserts that the arrays are
+    frame-major with rows ascending within a frame."""
+    frame, rows = np.asarray(frame), np.asarray(rows)
+    assert frame.dtype.kind == rows.dtype.kind == "i" and frame.shape == rows.shape
+    assert frame.ndim == 1 and (frame >= 0).all() and (rows >= 0).all()
+    step = np.diff(frame)
+    assert ((step > 0) | ((step == 0) & (np.diff(rows) > 0))).all(), \
+        "not frame-major with rows ascending"
+    if count is None:
+        count = int(frame[-1]) + 1 if frame.size else 0
+    assert not frame.size or frame[-1] < count
+    return [rows[frame == u].tolist() for u in range(count)]
+
+
+def frame_trees(g, root, frame, rows, count=None) -> list:
+    """frame_rows' lists as one Arborescence of g toward root per frame."""
+    return [Arborescence(g, u, root, tuple(r))
+            for u, r in enumerate(frame_rows(frame, rows, count))]
 
 
 class OracleSizeLimitError(ValueError):

@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     TX_POWER_W,
     chu_liu_edmonds,
+    d_merge,
     from_edge_list,
     make_scenario,
     random_digraph,
@@ -75,7 +76,7 @@ def test_criterion_2_heuristic_sandwich():
         opt = exact_dst_oracle(g, terminals, root)
         arb = route(taeer, g, 0, terminals, root)
         validate_tree(arb, terminals)
-        merged = route(routing.d_merge, g, 0, terminals, root)
+        merged = route(d_merge, g, 0, terminals, root)
         assert opt <= arb.total_cost + 1e-9
         assert arb.total_cost <= merged.total_cost + 1e-9
     elapsed = time.perf_counter() - t0

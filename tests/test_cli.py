@@ -551,8 +551,13 @@ def test_shipped_scenarios_parse(path):
 
 
 # Keys that a case of test_every_error_names_its_key sets besides its own:
-# the noise power is zero only when all three noise temperatures are.
-ALONGSIDE = {("link", "system_temp_k", "0"): {"solar_temp_k": "0", "cmb_temp_k": "0"}}
+# the noise power is zero only when all three noise temperatures are, and a
+# drawing key is unused only beside a clusters file (ONE_CLUSTER, written in
+# the working directory), with the other drawing key at its default.
+ONE_CLUSTER = "one_cluster.csv"
+ALONGSIDE = {("link", "system_temp_k", "0"): {"solar_temp_k": "0", "cmb_temp_k": "0"},
+             ("clusters", "count", "12"): {"file": ONE_CLUSTER},
+             ("clusters", "lat_band_deg", "30"): {"file": ONE_CLUSTER, "count": "41"}}
 # Words that a case's message must hold besides its key.
 WORDS = {("constellation", "num_orbits", "four"): "expected an integer",
          ("link", "tx_power_max_w", "0.01"): "must be >= 0.0316"}
@@ -591,12 +596,16 @@ WORDS = {("constellation", "num_orbits", "four"): "expected an integer",
     ("link", "tx_power_max_w", "0.01"),     # below tx_power_min_w's 0.0316
     ("clusters", "count", "0"),
     ("clusters", "lat_band_deg", "95"),
+    ("clusters", "count", "12"),            # with ALONGSIDE's clusters file
+    ("clusters", "lat_band_deg", "30"),     # with ALONGSIDE's clusters file
 ])
 def test_every_error_names_its_key(tmp_path, capsys, monkeypatch, section, key, value):
     def routed(cfg):
         raise AssertionError("routed before the config was checked")
 
     monkeypatch.setattr(sim, "run_scenario", routed)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / ONE_CLUSTER).write_text(HEADER + "0,10.0,20.0,1.0\n")
     values = configparser.ConfigParser(interpolation=None)
     values.read_string(SMALL_CFG)
     if not values.has_section(section):
@@ -676,7 +685,8 @@ def test_clusters_csv_roundtrip(tmp_path):
                     "0,10.0,20.0,0.5\n1,-5.0,40.0,0.5\n")
     cfg = cfgmod.read_config(None)
     cfg["clusters"]["file"] = str(path)
-    scenario = cfgmod.build_scenario(cfg, seed=1)
+    cfg["run"]["seed"] = "1"
+    scenario = cfgmod.build_scenario(cfg)
     assert len(scenario.clusters) == 2
     assert scenario.clusters[0].lat_deg == 10.0
 

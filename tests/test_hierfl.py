@@ -5,10 +5,9 @@ import pytest
 
 import oracles
 from conftest import from_edge_list
-from oracles import centralized_gd
+from oracles import Arborescence, centralized_gd
 from satagg import hierfl
 from satagg.hierfl import DeviceStack, TrainingSettings
-from satagg.routing import Arborescence
 
 
 def one_device(a, b):

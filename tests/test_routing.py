@@ -11,14 +11,16 @@ from oracles import (
     bellman_ford,
     enumerate_min_arborescence,
     exact_dst_oracle,
+    frame_rows,
+    frame_trees,
     paths_to_root,
     validate_tree,
 )
+from oracles import Arborescence
 from oracles import taeer as taeer_per_frame
 from satagg import config, routing, sim, topology
 from satagg.routing import (
     RoutingInfeasibleError,
-    d_merge,
     orbit_greedy,
     orbit_plan,
     path_plans,
@@ -33,6 +35,7 @@ from conftest import (
     TX_POWER_W,
     chu_liu_edmonds,
     cut_off_from,
+    d_merge,
     from_edge_list,
     force_method,
     make_scenario,
@@ -156,7 +159,7 @@ def planned_rows(g, terminals, root):
         n + 1, np.append(g.src, root), np.append(g.dst, n),
         np.column_stack((g.weights_j, np.ones(g.frame_count))), geo_node=n)
     plans = []
-    for plan in path_plans(relayed, terminals, root):
+    for plan in frame_rows(*path_plans(relayed, terminals, root)):
         rows = [r for r in plan if relayed.dst[r] != n]
         plans.append(g.edge_rows(relayed.src[rows], relayed.dst[rows]).tolist())
     return plans
@@ -199,7 +202,7 @@ class TestShortestPathsToRoot:
             _, terminals = sim.terminals_for_round(cfg, t_abs)
             root = select_root(g, terminals)
             uplink = int(g.edge_rows(root, g.geo_node))
-            plans = path_plans(g, terminals, root)
+            plans = frame_rows(*path_plans(g, terminals, root))
             for u in (0, 12, 24):
                 rows = [r for r in plans[u] if r != uplink]
                 assert_tight_tree(g, u, terminals, root, rows)
@@ -373,12 +376,12 @@ def shipped_round0(scenario):
 
 
 def assert_plans_match_cold_search(g, terminals, root, plans=None):
-    """Each of path_plans' plans (or of the plans given) is the oracle's
-    rows of its frame with root's uplink row among them, sorted, and the
-    plans stop at the first frame where the oracle raises. Returns the
-    number of plans."""
+    """Each of path_plans' plans (or of the plans given, one list of rows
+    per frame) is the oracle's rows of its frame with root's uplink row
+    among them, sorted, and the plans stop at the first frame where the
+    oracle raises. Returns the number of plans."""
     if plans is None:
-        plans = path_plans(g, terminals, root)
+        plans = frame_rows(*path_plans(g, terminals, root))
     uplink = int(g.edge_rows(root, g.geo_node))
     for u in range(g.frame_count):
         try:
@@ -395,9 +398,10 @@ def assert_plans_match_cold_search(g, terminals, root, plans=None):
 
 
 def solve_recorded(g, terminals, root, monkeypatch):
-    """(plans, method, tie_frames): path_plans(g, terminals, root), how it
-    solved the frames after frame 0 ("sweeps" or "heap"), and how many
-    frames broke ties in batch (`routing._fewest_hops`)."""
+    """(plans, method, tie_frames): path_plans(g, terminals, root) as one
+    list of rows per frame (`oracles.frame_rows`), how it solved the frames
+    after frame 0 ("sweeps" or "heap"), and how many frames broke ties in
+    batch (`routing._fewest_hops`)."""
     calls = {"sweeps": 0, "tie_frames": 0}
     real_sweeps, real_ties = routing._sweep_distances, routing._fewest_hops
 
@@ -412,7 +416,7 @@ def solve_recorded(g, terminals, root, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(routing, "_sweep_distances", sweeps)
         mp.setattr(routing, "_fewest_hops", ties)
-        plans = path_plans(g, terminals, root)
+        plans = frame_rows(*path_plans(g, terminals, root))
     return plans, "sweeps" if calls["sweeps"] else "heap", calls["tie_frames"]
 
 
@@ -475,7 +479,7 @@ class TestPathPlans:
         # A terminal cut off from frame k on: the sweeps and the heap search
         # stop there alike.
         g, terminals, root = shipped_round0("walker_delta_80.cfg")
-        full = path_plans(g, terminals, root)
+        full = frame_rows(*path_plans(g, terminals, root))
         assert k < len(full)
         cut = cut_off_from(g, min(t for t in terminals if t != root), k)
         for method in ("sweeps", "heap"):
@@ -964,6 +968,13 @@ def random_round(rng):
     return g, terminals, root, plans
 
 
+def plan_arrays(plans):
+    """One sorted list of rows per frame as the (frame, rows) pair of int
+    arrays that routing.taeer_round takes."""
+    frame = np.repeat(np.arange(len(plans)), [len(p) for p in plans])
+    return frame, np.array([r for p in plans for r in p], dtype=np.intp)
+
+
 def per_frame(g, terminals, root, plans):
     """The reference's tree, or its stranded list, at each frame."""
     out = []
@@ -988,12 +999,13 @@ class TestTaeerRound:
             want = per_frame(g, terminals, root, plans)
             failed = [x for x in want if isinstance(x, list)]
             if not failed:
-                assert routing.taeer_round(g, terminals, root, plans) == want
+                got = routing.taeer_round(g, terminals, root, *plan_arrays(plans))
+                assert frame_trees(g, root, *got, count=len(plans)) == want
                 trees += len(want)
                 ties += any(len(set(w)) < len(w) for w in g.weights_j.tolist())
                 continue
             with pytest.raises(RoutingInfeasibleError) as exc:
-                routing.taeer_round(g, terminals, root, plans)
+                routing.taeer_round(g, terminals, root, *plan_arrays(plans))
             assert exc.value.stranded == failed[0]
             for u, (rows, x) in enumerate(zip(plans, want)):
                 if isinstance(x, list):
@@ -1016,10 +1028,11 @@ class TestTaeerRound:
         real = routing.taeer_round
         solved = []
 
-        def checked(g, terminals, root, plans):
-            trees = real(g, terminals, root, plans)
-            assert trees == per_frame(g, terminals, root, plans)
-            solved.append(len(trees))
+        def checked(g, terminals, root, frame, rows):
+            trees = real(g, terminals, root, frame, rows)
+            got = frame_trees(g, root, *trees)
+            assert got == per_frame(g, terminals, root, frame_rows(frame, rows))
+            solved.append(len(got))
             return trees
 
         monkeypatch.setattr(routing, "taeer_round", checked)
@@ -1029,7 +1042,8 @@ class TestTaeerRound:
 
     def test_no_plans_no_trees(self):
         g = graph_of(3, [(0, 1, 1.0)])
-        assert routing.taeer_round(g, [0, 1], 1, []) == []
+        none = np.zeros(0, dtype=np.intp)
+        assert frame_rows(*routing.taeer_round(g, [0, 1], 1, none, none)) == []
 
 
 class TestDMerge:
@@ -1042,11 +1056,6 @@ class TestDMerge:
         g = graph_of(5, [(0, 2, 1.5), (2, 4, 1.0), (1, 3, 2.0), (3, 4, 1.0)])
         m = route(d_merge, g, 0, [0, 1, 4], 4)
         assert m.total_cost == pytest.approx(5.5)
-
-    def test_root_must_be_terminal(self):
-        g = graph_of(3, [(0, 1, 1.0)])
-        with pytest.raises(ValueError):
-            route(d_merge, g, 0, [0], 1)
 
     def test_dominance_over_taeer_ensemble(self):
         # The arborescence keeps at most one outgoing edge per substitute
@@ -1072,7 +1081,9 @@ class TestOrbitGreedy:
 
     @staticmethod
     def greedy(g, u, terminals, rng):
-        return orbit_greedy(g, u, orbit_plan(g, terminals), rng)
+        """orbit_greedy's tree at frame u of the round, its arc roots drawn
+        from rng."""
+        return frame_trees(g, g.geo_node, *orbit_greedy(g, terminals, rng))[u]
 
     @staticmethod
     def uplink_nodes(g, res):
@@ -1110,27 +1121,28 @@ class TestOrbitGreedy:
 
     def test_plan_rows_are_the_arcs_links(self, snapshot):
         # Terminals in orbits 0 (across the seam), 1 (one node) and 3.
-        plan = orbit_plan(snapshot, [19, 1, 0, 25, 70, 66])
-        assert [arc for arc, *_ in plan] == [
-            (19, 0, 1), (25,), (66, 67, 68, 69, 70)]
-        src, dst = snapshot.src.tolist(), snapshot.dst.tolist()
-        for arc, forward, backward, uplink in plan:
-            pairs = list(zip(arc, arc[1:]))
-            assert [(src[e], dst[e]) for e in forward] == pairs
-            assert [(dst[e], src[e]) for e in backward] == pairs
-            assert [(src[e], dst[e]) for e in uplink] == [
-                (v, snapshot.geo_node) for v in arc]
+        arcs, forward, backward, uplink = orbit_plan(snapshot, [19, 1, 0, 25, 70, 66])
+        assert arcs == ((19, 0, 1), (25,), (66, 67, 68, 69, 70))
+        pairs = [pair for arc in arcs for pair in zip(arc, arc[1:])]
+        assert row_pairs(snapshot, forward) == pairs
+        assert row_pairs(snapshot, backward) == [(b, a) for a, b in pairs]
+        assert row_pairs(snapshot, uplink) == [
+            (v, snapshot.geo_node) for arc in arcs for v in arc]
 
     def test_one_plan_serves_every_frame(self, snapshot):
-        # A round's plan is built once; each frame draws only the arc roots,
-        # one per orbit in orbit order, and charges that frame's weights.
+        # A round's layout is looked up once; each frame draws only the arc
+        # roots, one per orbit in orbit order, frame after frame, and
+        # charges that frame's weights.
         terminals = [2, 5, 25, 47, 50]
-        plan = orbit_plan(snapshot, terminals)
-        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
-        for u in range(snapshot.frame_count):
-            res = orbit_greedy(snapshot, u, plan, rng)
+        arcs, *_, uplink = orbit_plan(snapshot, terminals)
+        first = np.cumsum([len(arc) for arc in arcs]) - [len(arc) for arc in arcs]
+        ref = np.random.default_rng(4)
+        trees = frame_trees(snapshot, snapshot.geo_node,
+                            *orbit_greedy(snapshot, terminals, np.random.default_rng(4)))
+        assert len(trees) == snapshot.frame_count
+        for u, res in enumerate(trees):
             validate_tree(res, terminals)
-            drawn = [uplink[int(ref.integers(len(arc)))] for arc, *_, uplink in plan]
+            drawn = [int(uplink[a + ref.integers(len(arc))]) for a, arc in zip(first, arcs)]
             assert [e for (_, p), e in zip(res.edges, res.edge_ids)
                     if p == snapshot.geo_node] == drawn
             assert list(res.edge_ids) == snapshot.edge_rows(
@@ -1162,7 +1174,7 @@ def delta80_frame():
     routes it: the graph, the terminals and the path routers' rows (the
     shortest paths to the uplink satellite, plus its uplink row)."""
     g, terminals, root = shipped_round0("walker_delta_80.cfg")
-    return g, terminals, path_plans(g, terminals, root)[0]
+    return g, terminals, frame_rows(*path_plans(g, terminals, root))[0]
 
 
 @pytest.mark.parametrize("router", [taeer, d_merge, orbit_greedy],
@@ -1172,7 +1184,8 @@ def test_tree_derives_pairs_and_cost_from_its_rows(router, delta80_frame):
 
     def solve():
         if router is orbit_greedy:
-            return orbit_greedy(g, 0, orbit_plan(g, terminals), np.random.default_rng(5))
+            rng = np.random.default_rng(5)
+            return frame_trees(g, g.geo_node, *orbit_greedy(g, terminals, rng))[0]
         return router(g, 0, terminals, g.geo_node, rows)
 
     tree = solve()
@@ -1181,7 +1194,7 @@ def test_tree_derives_pairs_and_cost_from_its_rows(router, delta80_frame):
     assert tree.edges == tuple(zip(g.src[ids].tolist(), g.dst[ids].tolist()))
     assert tree.total_cost == ordered_sum(g.weights_j[0][ids].tolist())
     assert solve() == tree
-    assert routing.Arborescence(g, 1, tree.root, tree.edge_ids) != tree
+    assert Arborescence(g, 1, tree.root, tree.edge_ids) != tree
 
 
 class TestExactDstOracle:

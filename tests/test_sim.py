@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import (SCENARIOS, force_method, make_scenario, plans_cut_at, routed_isl_links,
-                      sweep_snr_threshold, taeer)
-from oracles import sample_attempts_per_edge, validate_tree
+                      sweep_snr_threshold)
+from oracles import frame_rows, frame_trees, sample_attempts_per_edge, validate_tree
 from oracles import taeer as taeer_per_frame
 from satagg import channel, config, routing, sim, topology
 from satagg.geometry import ConfigError
@@ -224,14 +224,11 @@ def test_gamma0_array_equals_scalar_calls(star_spec):
         assert g.weights_j[u].tolist() == energy.tolist()
 
 
-def solve_frame(algorithm, g, u, terminals, plans, rng):
-    """One router's tree at frame u on the plan that _simulate would pass
-    it: plans are the round's path plans (routing.path_plans) toward the
-    path routers' uplink satellite."""
-    if algorithm == "orbit_greedy":
-        return routing.orbit_greedy(g, u, routing.orbit_plan(g, terminals), rng)
-    router = taeer if algorithm == "taeer" else routing.d_merge
-    return router(g, u, terminals, g.geo_node, plans[u])
+def round_trees(algorithm, g, terminals, plans, rng):
+    """One router's trees of a round, one per frame, as _simulate routes
+    them (sim._round_trees): plans are the round's path plans
+    (routing.path_plans) toward the path routers' uplink satellite."""
+    return frame_trees(g, g.geo_node, *sim._round_trees(algorithm, g, terminals, plans, rng))
 
 
 def test_routers_return_rows_of_the_energy_graph(star_spec):
@@ -245,9 +242,9 @@ def test_routers_return_rows_of_the_energy_graph(star_spec):
     _, terminals = sim.terminals_for_round(cfg, 0.0)
     plans = routing.path_plans(r, terminals, routing.select_root(g, terminals))
     for algorithm in sim.ALGORITHMS:
-        for u in range(g.frame_count):
-            result = solve_frame(algorithm, r, u, terminals, plans,
-                                 np.random.default_rng(u))
+        trees = round_trees(algorithm, r, terminals, plans, np.random.default_rng(0))
+        assert len(trees) == g.frame_count
+        for result in trees:
             assert result.edges
             rows = g.edge_rows([c for c, _ in result.edges],
                                [p for _, p in result.edges])
@@ -270,11 +267,13 @@ def test_router_costs_are_left_to_right_edge_sums(shell, rho, delta_spec, star_s
             g = topology.robust_weights(g, rho, cfg.params)
         _, terminals = sim.terminals_for_round(cfg, t_abs)
         plans = routing.path_plans(g, terminals, routing.select_root(g, terminals))
+        trees = {algorithm: round_trees(algorithm, g, terminals, plans,
+                                        np.random.default_rng(t))
+                 for algorithm in sim.ALGORITHMS}
         for u in (0, 12, 24):
             w = g.weights_j[u].tolist()
             for algorithm in sim.ALGORITHMS:
-                res = solve_frame(algorithm, g, u, terminals, plans,
-                                  np.random.default_rng(u))
+                res = trees[algorithm][u]
                 assert res.total_cost == left_to_right(
                     w[e] for e in res.edge_ids), algorithm
 
@@ -287,31 +286,25 @@ def test_every_tree_is_rooted_at_the_relay(delta_spec, monkeypatch):
     trees = {a: [] for a in sim.ALGORITHMS}
     round_terminals = []
 
-    def spy(algorithm, real):
-        def solve(g, *args):
-            res = real(g, *args)
-            trees[algorithm].extend((g, tree) for tree in
-                                    (res if algorithm == "taeer" else [res]))
-            return res
-        return solve
+    def spy(algorithm, g, terminals, plans, rng):
+        res = real_trees(algorithm, g, terminals, plans, rng)
+        trees[algorithm].extend((g, tree) for tree in frame_trees(g, g.geo_node, *res))
+        return res
 
     def terminals_spy(*args):
         mapping, terminals = real_terminals(*args)
         round_terminals.append(terminals)
         return mapping, terminals
 
-    real_terminals = sim.terminals_for_round
+    real_terminals, real_trees = sim.terminals_for_round, sim._round_trees
     monkeypatch.setattr(sim, "terminals_for_round", terminals_spy)
-    for algorithm, name in (("taeer", "taeer_round"), ("d_merge", "d_merge"),
-                            ("orbit_greedy", "orbit_greedy")):
-        monkeypatch.setattr(routing, name, spy(algorithm, getattr(routing, name)))
+    monkeypatch.setattr(sim, "_round_trees", spy)
     results = sim.compare_algorithms(cfg)
     frames = cfg.times.frames_per_slot
     for algorithm, m in results.items():
         assert len(trees[algorithm]) == frames * cfg.rounds
         for k, (g, res) in enumerate(trees[algorithm]):
             terminals = round_terminals[k // frames]
-            assert isinstance(res, routing.Arborescence)
             assert res.frame == k % frames
             assert res.root == g.geo_node
             validate_tree(res, terminals)
@@ -321,6 +314,32 @@ def test_every_tree_is_rooted_at_the_relay(delta_spec, monkeypatch):
                     set(g.node_orbit[terminals].tolist()))
             else:
                 assert ups == [m.records[k // frames].root]
+
+
+@pytest.mark.parametrize("scenario", sorted(p.name for p in SCENARIOS.glob("*.cfg")))
+def test_every_router_charges_every_frame_frame_major(scenario, monkeypatch):
+    # _charge counts a round's routed frames as frame[-1] + 1. That holds
+    # when every router's (frame, rows) arrays are frame-major, ascending
+    # within a frame, and hold an uplink row in every routed frame. On the
+    # shipped shells, at their rho, every router routes every frame.
+    values = config.read_config(str(SCENARIOS / scenario))
+    values["run"]["rounds"] = "2"
+    cfg = replace(config.build_scenario(values), algorithms=sim.ALGORITHMS)
+    charged = []
+    real = sim._charge
+
+    def spy(rec, graph, frame, rows, scenario_cfg, rng):
+        charged.append((rec.algorithm, graph, frame, rows))
+        real(rec, graph, frame, rows, scenario_cfg, rng)
+
+    monkeypatch.setattr(sim, "_charge", spy)
+    sim.compare_algorithms(cfg)
+    assert [a for a, *_ in charged] == list(sim.ALGORITHMS) * cfg.rounds
+    for algorithm, g, frame, rows in charged:
+        per_frame = frame_rows(frame, rows)   # asserts the order
+        assert len(per_frame) == g.frame_count, algorithm
+        for u, r in enumerate(per_frame):
+            assert (g.dst[r] == g.geo_node).any(), (algorithm, u)
 
 
 class TestRunScenario:
@@ -382,10 +401,10 @@ class TestRunScenario:
         real = routing.taeer_round
         state = {"round": 0}
 
-        def flaky(g, terminals, root, plans):
+        def flaky(g, terminals, root, frame, rows):
             if state["round"] == 1:
                 raise RoutingInfeasibleError([terminals[0]], what="terminal")
-            return real(g, terminals, root, plans)
+            return real(g, terminals, root, frame, rows)
 
         monkeypatch.setattr(routing, "taeer_round", flaky)
         cfg = make_scenario(delta_spec, rounds=3)
@@ -419,7 +438,8 @@ def test_charging_no_trees_adds_nothing_and_fails_the_round(delta_spec, sampled)
                                 sim.scenario_tx_power(cfg))
     rec = sim.RoundRecord(0, 0, "taeer", None, 0)
     rng = np.random.default_rng(3)
-    sim._charge(rec, g, [], cfg, rng)
+    none = np.zeros(0, dtype=np.intp)
+    sim._charge(rec, g, none, none, cfg, rng)
     assert rec == sim.RoundRecord(0, 0, "taeer", None, 0, failed=True)
     assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
 
@@ -491,7 +511,7 @@ class TestCompareAlgorithms:
 
         def counted(g, terminals, root):
             plans = real_plans(g, terminals, root)
-            calls.extend((u, root) for u in range(len(plans)))
+            calls.extend((u, root) for u in range(len(frame_rows(*plans))))
             return plans
 
         def selected(*args):
@@ -550,7 +570,7 @@ class TestCompareAlgorithms:
         g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, t_abs,
                                     sim.scenario_tx_power(cfg))
         _, terminals = sim.terminals_for_round(cfg, t_abs)
-        plans = routing.path_plans(g, terminals, routing.select_root(g, terminals))
+        plans = frame_rows(*routing.path_plans(g, terminals, routing.select_root(g, terminals)))
         for method in ("sweeps", "heap"):
             with monkeypatch.context() as mp:
                 force_method(mp, method)

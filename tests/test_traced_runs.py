@@ -2,7 +2,6 @@
 package's functions by name and read its objects from their hooks. Reads
 that pin `src/` include:
 
-- the `.edges` of every tree that `routing.d_merge` returns;
 - every graph's `dropped_edges` (from `topology.build_snapshot` and
   `topology.robust_weights`);
 - `sim.terminals_for_round(...)[1]`, the round's terminals.
@@ -25,9 +24,11 @@ from tracing import Tracer  # noqa: E402
 
 # Wrapped by the tracer, but moved to the tests (`nearest_in_orbit`,
 # `chu_liu_edmonds`, the per-frame `taeer`, which the package solves a round
-# at a time in `taeer_round`) or deleted from the package.
-ABSENT = ["geometry.nearest_in_orbit", "routing.taeer", "routing.dijkstra",
-          "routing.build_substitute_graph", "routing.chu_liu_edmonds"]
+# at a time in `taeer_round`) or deleted from the package (`d_merge`, whose
+# trees are the round's path plans).
+ABSENT = ["geometry.nearest_in_orbit", "routing.taeer", "routing.d_merge",
+          "routing.dijkstra", "routing.build_substitute_graph",
+          "routing.chu_liu_edmonds"]
 
 TRACED_CFG = """
 [constellation]
@@ -68,6 +69,6 @@ def test_traced_command_runs_clean(tmp_path, command, algorithms):
     assert tracer.errors == []
     assert sorted(tracer.records) == sorted(algorithms)
     assert all(len(recs) == 2 for recs in tracer.records.values())
-    # The tracer counts the frames of the routers called once per frame.
-    per_frame = [a for a in algorithms if a != "taeer"]
-    assert tracer.metrics()["sim.frames"][0] == 2 * 5 * len(per_frame)
+    # The tracer counts the calls of the routers it wraps: orbit_greedy
+    # alone is left, called once per round.
+    assert tracer.metrics()["sim.frames"][0] == 2 * ("orbit_greedy" in algorithms)

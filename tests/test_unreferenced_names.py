@@ -14,7 +14,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "satagg"
 
 # Public name -> why it stays although no package code references it.
 UNREFERENCED = {
-    "Arborescence.total_cost": "the cost the sandwich tests compare",
     "SnapshotGraph.dropped_edges": "read by perfbench/tracing.py",
     "hierfl.tree_aggregate": "kept for ROADMAP item 5",
 }
