@@ -171,30 +171,46 @@ def sample_attempts(rng: np.random.Generator, gamma0, params: LinkParams,
     unfinished row needs at least one more draw, the generator consumes
     exactly the normals, and leaves exactly the state, of drawing one at a
     time row after row.
+
+    A batch is handed out by segments: while each row takes one draw, the
+    rest of the batch is compared with the next rows' bounds on z^2 in one
+    array operation, up to its first failing draw; from there the row
+    takes draws one at a time until it ends, and the next row starts a new
+    segment. Outages are rare, so most rows end inside a segment.
     """
-    n = len(gamma0)
-    attempts, success = [1] * n, [True] * n
-    rows, limits = [], []   # the rows that draw, and their bound on z^2
+    g = np.asarray(gamma0, dtype=float)
+    attempts, success = [1] * g.size, [True] * g.size
+    capped = g >= 1.0
+    for row in np.flatnonzero(capped).tolist():
+        attempts[row] = max_attempts
+        success[row] = False
+    draws = ~capped & ~(g <= 0.0)
+    rows = np.flatnonzero(draws)   # the rows that draw
+    # Each row's bound on z^2, -math.log(g) / scale as the per-edge loop
+    # computes it (NaN for a NaN threshold, which no draw meets).
     scale = params.g0 * params.sigma_p_rad ** 2
-    for row, g in enumerate(gamma0):
-        if g >= 1.0:
-            attempts[row] = max_attempts
-            success[row] = False
-        elif not g <= 0.0:
-            rows.append(row)
-            limits.append(-math.log(g) / scale)
+    limits = -np.fromiter(map(math.log, g[draws].tolist()), float, rows.size) / scale
     pos, k = 0, 0   # the current row's place in rows, its draws so far
-    while pos < len(rows):
-        for z in rng.standard_normal(len(rows) - pos).tolist():
+    while pos < rows.size:
+        z = rng.standard_normal(rows.size - pos)
+        z2 = z * z
+        i = 0   # the next draw of the batch
+        while i < z2.size:
+            if k == 0:   # a segment: one draw for each of the next rows
+                ok = z2[i:] <= limits[pos:pos + z2.size - i]
+                run = int(ok.argmin())   # the first failing draw, if any
+                if ok[run]:
+                    run = ok.size
+                pos, i = pos + run, i + run
+                if i == z2.size:
+                    break
             k += 1
-            if z * z <= limits[pos]:
+            met = bool(z2[i] <= limits[pos])
+            i += 1
+            if met or k >= max_attempts:
                 attempts[rows[pos]] = k
-            elif k < max_attempts:
-                continue
-            else:   # also where the bound is NaN, which no draw meets
-                attempts[rows[pos]] = k
-                success[rows[pos]] = False
-            pos, k = pos + 1, 0
+                success[rows[pos]] = met
+                pos, k = pos + 1, 0
     return attempts, success
 
 
@@ -216,46 +232,64 @@ def _round_trees(algorithm: str, g: SnapshotGraph, terminals, plans,
     raise ValueError(f"unknown algorithm {algorithm}")
 
 
-def _charge(rec: RoundRecord, graph: SnapshotGraph, frame: np.ndarray, rows: np.ndarray,
-            cfg: ScenarioConfig, rng: np.random.Generator) -> None:
+def _charge(rec: RoundRecord, graph: SnapshotGraph, outage: np.ndarray | None,
+            frame: np.ndarray, rows: np.ndarray, cfg: ScenarioConfig,
+            rng: np.random.Generator) -> None:
     """Add a round's trees, the (frame, rows) pair of _round_trees, to rec
     from graph's true weights, in one gather of their rows, and decide
     whether the round failed. Every routed frame holds an uplink row, so
     the routed frames are 0..frame[-1] (none for empty arrays). Uplink
-    rows add to the GEO energy one at a time; the LEO-LEO rows' weights
-    and analytic outages are summed left to right per frame, and the frame
-    sums added. With outages on, the LEO-LEO rows are sampled in one
+    rows add to the GEO energy one at a time. The LEO-LEO rows' analytic
+    outages are gathered from outage, the slot's outage array
+    (topology.slot_outage), or evaluated for these rows alone where outage
+    is None (rho = 1). Their weights and outages are summed left to right
+    per frame, by a cumsum along a zero-padded (frames, rows) grid, and the
+    frame sums added. With outages on, the LEO-LEO rows are sampled in one
     sample_attempts call from rng, in frame order and then row order, and
-    each row's retransmissions add its weight once per extra attempt;
-    otherwise each row takes one attempt. The round fails when a frame is
-    left unrouted, a row is not delivered, or the total energy is not
-    finite (an unusable link, weight +inf, was routed)."""
+    each row adds (attempts - 1) * weight to the retransmission energy, in
+    row order; that is 0 for a row delivered at its first attempt unless
+    its weight is not finite (0 * inf is NaN), so only the other rows are
+    added. Otherwise each row takes one attempt. The round fails when a
+    frame is left unrouted, a row is not delivered, or the total energy is
+    not finite (an unusable link, weight +inf, was routed)."""
     w = graph.weights_j[frame, rows]
     isl = graph.dst[rows] != graph.geo_node
     for x in w[~isl].tolist():
         rec.geo_energy_j += x
-    w_tree = w[isl].tolist()
-    gamma0 = graph.gamma0[frame[isl], rows[isl]]
-    p_out = channel.outage_from_gamma0(gamma0, cfg.params).tolist()
-    end = 0
-    for size in np.bincount(frame[isl]).tolist():
-        start, end = end, end + size
-        rec.tree_energy_j += ordered_sum(w_tree[start:end])
-        rec.analytic_outage_sum += ordered_sum(p_out[start:end])
-    rec.edge_frames += len(w_tree)
-    delivered = []
-    if cfg.outages_enabled:
-        attempts, delivered = sample_attempts(rng, gamma0.tolist(), cfg.params,
-                                              cfg.max_attempts)
-        k_sum = sum(attempts)
-        rec.attempts += k_sum
-        rec.failures += k_sum - delivered.count(True)
-        for k, w_e in zip(attempts, w_tree):
-            rec.retrans_energy_j += (k - 1) * w_e
-    else:
-        rec.attempts += len(w_tree)
     routed = int(frame[-1]) + 1 if frame.size else 0
-    rec.failed = (routed < graph.frame_count or not all(delivered)
+    frame, rows, w = frame[isl], rows[isl], w[isl]   # the LEO-LEO rows from here on
+    gamma0 = graph.gamma0[frame, rows]
+    if outage is None:
+        p_out = channel.outage_from_gamma0(gamma0, cfg.params)
+    else:
+        p_out = outage[frame, rows]
+    # Frame u's rows fill grid[:, u, 1:] in order after a leading 0.
+    sizes = np.bincount(frame)
+    grid = np.zeros((2, sizes.size, sizes.max(initial=0) + 1))
+    col = np.arange(1, frame.size + 1) - (np.cumsum(sizes) - sizes)[frame]
+    grid[0, frame, col] = w
+    grid[1, frame, col] = p_out
+    tree_j, outage_sum = np.cumsum(grid, axis=2)[:, :, -1].tolist()
+    for x in tree_j:
+        rec.tree_energy_j += x
+    for x in outage_sum:
+        rec.analytic_outage_sum += x
+    rec.edge_frames += w.size
+    delivered = True
+    if cfg.outages_enabled:
+        attempts, success = sample_attempts(rng, gamma0, cfg.params,
+                                            cfg.max_attempts)
+        k = np.fromiter(attempts, np.intp, len(attempts))
+        k_sum = int(k.sum())
+        rec.attempts += k_sum
+        rec.failures += k_sum - success.count(True)
+        retried = np.flatnonzero((k != 1) | ~np.isfinite(w))
+        for k_e, w_e in zip(k[retried].tolist(), w[retried].tolist()):
+            rec.retrans_energy_j += (k_e - 1) * w_e
+        delivered = all(success)
+    else:
+        rec.attempts += w.size
+    rec.failed = (routed < graph.frame_count or not delivered
                   or not math.isfinite(rec.total_energy_j))
 
 
@@ -279,9 +313,12 @@ def _simulate(cfg: ScenarioConfig, algorithms) -> dict:
     Each (round, algorithm) is routed whole (_round_trees) and then
     charged (_charge), which alone samples outages, sums the energies and
     decides whether the round failed. A router that finds the round
-    infeasible routes no frame: its arrays are empty. The analytic outage
-    is one call per round and algorithm over the routed LEO-LEO rows, so a
-    rho = 1 run evaluates no other row's.
+    infeasible routes no frame: its arrays are empty. With outages on
+    (rho < 1), each round evaluates the slot's outage array once
+    (topology.slot_outage): robust_weights blends with it, and every
+    algorithm's charge gathers its routed rows from it. At rho = 1 the
+    analytic outage is one call per round and algorithm over the routed
+    LEO-LEO rows, so such a run evaluates no other row's.
     """
     tx_power = scenario_tx_power(cfg)
     round_seeds = np.random.SeedSequence(cfg.rng_seed).spawn(2)[1].spawn(cfg.rounds)
@@ -293,10 +330,10 @@ def _simulate(cfg: ScenarioConfig, algorithms) -> dict:
         t_abs = t * cfg.times.slot_len_s
         graph = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, t_abs,
                                         tx_power)
+        outage, route_graph = None, graph
         if cfg.outages_enabled:
-            route_graph = topology.robust_weights(graph, cfg.rho, cfg.params)
-        else:
-            route_graph = graph
+            outage = topology.slot_outage(graph, cfg.params)
+            route_graph = topology.robust_weights(graph, cfg.rho, outage)
         _, terminals = terminals_for_round(cfg, t_abs)
         root = None
         plans = None   # (frame, rows): every frame's path rows with the uplink row
@@ -314,7 +351,7 @@ def _simulate(cfg: ScenarioConfig, algorithms) -> dict:
                 frame, rows = _round_trees(algorithm, route_graph, terminals, plans, rng)
             except routing.RoutingInfeasibleError:
                 frame = rows = np.zeros(0, dtype=np.intp)
-            _charge(rec, graph, frame, rows, cfg, rng)
+            _charge(rec, graph, outage, frame, rows, cfg, rng)
             records[algorithm].append(rec)
 
     out = {}

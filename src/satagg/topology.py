@@ -247,29 +247,37 @@ def build_snapshot(spec: ConstellationSpec, params: LinkParams,
         node_orbit=orbit, node_slot=slot, geo_node=geo)
 
 
-def robust_weights(g: SnapshotGraph, rho: float, params: LinkParams) -> SnapshotGraph:
-    """Blend energy with the outage penalty of g's gamma0 under params:
-    rho*w + (1-rho)*ln(1/(1-P_out)).
+def slot_outage(g: SnapshotGraph, params: LinkParams) -> np.ndarray:
+    """Outage probability of every (frame, row) of g from its gamma0 under
+    params, evaluated once for the slot: robust_weights blends with it and
+    the simulator charges its routed rows from it. GEO uplink edges are
+    outage-exempt (the relay hop is charged deterministically and never
+    routed through): their outage is not evaluated and reads 0. A graph
+    without relay has every row evaluated."""
+    if g.geo_node is None:
+        return channel.outage_from_gamma0(g.gamma0, params)
+    isl = g.dst != g.geo_node
+    out = np.zeros_like(g.gamma0)
+    out[:, isl] = channel.outage_from_gamma0(g.gamma0[:, isl], params)
+    return out
+
+
+def robust_weights(g: SnapshotGraph, rho: float, outage: np.ndarray) -> SnapshotGraph:
+    """Blend energy with the outage penalty, rho*w + (1-rho)*ln(1/(1-P_out)),
+    where outage is g's (frames, edges) outage probability (slot_outage).
 
     The returned graph has g's rows. An ISL in certain outage (P_out = 1 in
     any frame) is unusable for the slot and weighs +inf in every frame, as
-    does every frame in which g's weight is already +inf. GEO uplink edges
-    are outage-exempt (the relay hop is charged deterministically and never
-    routed through): their outage is not evaluated, and their penalty is 0.
-    rho = 1 leaves the finite weights bit-identical.
+    does every frame in which g's weight is already +inf. An uplink's
+    outage of 0 gives it no penalty. rho = 1 leaves the finite weights
+    bit-identical.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
-    if g.geo_node is None:
-        out = channel.outage_from_gamma0(g.gamma0, params)
-    else:
-        isl = g.dst != g.geo_node
-        out = np.zeros_like(g.gamma0)
-        out[:, isl] = channel.outage_from_gamma0(g.gamma0[:, isl], params)
     # Unusable rows give inf/0 and 0*inf here; np.where replaces them.
     with np.errstate(divide="ignore", invalid="ignore"):
-        blended = rho * g.weights_j + (1.0 - rho) * np.log1p(out / (1.0 - out))
-    unusable = ~np.isfinite(g.weights_j) | np.any(out >= 1.0, axis=0)
+        blended = rho * g.weights_j + (1.0 - rho) * np.log1p(outage / (1.0 - outage))
+    unusable = ~np.isfinite(g.weights_j) | np.any(outage >= 1.0, axis=0)
     return replace(g, weights_j=np.where(unusable, np.inf, blended))
 
 

@@ -123,7 +123,7 @@ class TestShortestPathCsr:
         g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, 0.0,
                                     sim.scenario_tx_power(cfg))
         if rho < 1.0:
-            g = topology.robust_weights(g, rho, cfg.params)
+            g = topology.robust_weights(g, rho, topology.slot_outage(g, cfg.params))
         root = 3
         for u in (0, 12):
             dist, pred = shortest_path_csr(*g.frame_reverse_csr(u), root)
@@ -198,7 +198,7 @@ class TestShortestPathsToRoot:
             g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, t_abs,
                                         tx_power)
             if rho < 1.0:
-                g = topology.robust_weights(g, rho, cfg.params)
+                g = topology.robust_weights(g, rho, topology.slot_outage(g, cfg.params))
             _, terminals = sim.terminals_for_round(cfg, t_abs)
             root = select_root(g, terminals)
             uplink = int(g.edge_rows(root, g.geo_node))
@@ -308,7 +308,7 @@ class TestWarmStart:
             t_abs = t * cfg.times.slot_len_s
             g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, t_abs, tx_power)
             if rho < 1.0:
-                g = topology.robust_weights(g, rho, cfg.params)
+                g = topology.robust_weights(g, rho, topology.slot_outage(g, cfg.params))
             _, terminals = sim.terminals_for_round(cfg, t_abs)
             root = select_root(g, terminals)
             warm = assert_warm_equals_cold(g, root, monkeypatch)
@@ -371,7 +371,7 @@ def shipped_round0(scenario):
     _, terminals = sim.terminals_for_round(cfg, 0.0)
     root = select_root(g, terminals)
     if cfg.outages_enabled:
-        g = topology.robust_weights(g, cfg.rho, cfg.params)
+        g = topology.robust_weights(g, cfg.rho, topology.slot_outage(g, cfg.params))
     return g, terminals, root
 
 

@@ -126,6 +126,33 @@ class TestSampleAttempts:
         # Retransmissions happened, and rows ran out of attempts mid-frame.
         assert drawn > 5000 and capped > 50
 
+    @pytest.mark.parametrize("max_attempts", [1, 2, 100])
+    def test_equals_per_edge_draws_on_long_rounds(self, params, max_attempts):
+        # Rounds as long as a shipped star round's routed rows (500-3,000),
+        # at about the shell's 0.7% outage, so that one segment spans most
+        # of a long batch, with a few near-certain outages among them that
+        # run out of attempts mid-batch. The rounds go in as lists and as
+        # arrays, as the simulator passes them: equal results and an equal
+        # generator state after every round.
+        typical = gamma0_for_outage(0.007, params)
+        hopeless = gamma0_for_outage(0.999, params)
+        pick = np.random.default_rng(100 + max_attempts)
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        retried = capped = 0
+        for t in range(12):
+            n = int(pick.integers(500, 3001))
+            rows = (typical * pick.uniform(0.5, 1.5, n)).tolist()
+            for j in pick.choice(np.arange(1, n - 1), size=5, replace=False).tolist():
+                rows[j] = hopeless
+            want = [sample_attempts_per_edge(ref, g, params, max_attempts) for g in rows]
+            got = sample_attempts(rng, rows if t % 2 else np.array(rows), params, max_attempts)
+            assert got == ([k for k, _ in want], [ok for _, ok in want])
+            assert rng.bit_generator.state == ref.bit_generator.state
+            retried += sum(1 for k, ok in want if ok and k > 1)
+            capped += sum(1 for _, ok in want if not ok)
+        assert capped >= 12 * (5 if max_attempts < 100 else 3)
+        assert retried > 50 or max_attempts == 1
+
 
 # Exact per-round outage columns of compare-algorithms on the shipped
 # 80-satellite star (rho 0.1) over 2 rounds, as (attempts, failures, failed,
@@ -237,7 +264,7 @@ def test_routers_return_rows_of_the_energy_graph(star_spec):
     cfg = make_scenario(star_spec, rho=0.1, clusters=41, seed=42)
     g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, 0.0,
                                 sim.scenario_tx_power(cfg))
-    r = topology.robust_weights(g, cfg.rho, cfg.params)
+    r = topology.robust_weights(g, cfg.rho, topology.slot_outage(g, cfg.params))
     assert np.array_equal(r.src, g.src) and np.array_equal(r.dst, g.dst)
     _, terminals = sim.terminals_for_round(cfg, 0.0)
     plans = routing.path_plans(r, terminals, routing.select_root(g, terminals))
@@ -264,7 +291,7 @@ def test_router_costs_are_left_to_right_edge_sums(shell, rho, delta_spec, star_s
         t_abs = t * cfg.times.slot_len_s
         g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, t_abs, tx_power)
         if rho < 1.0:
-            g = topology.robust_weights(g, rho, cfg.params)
+            g = topology.robust_weights(g, rho, topology.slot_outage(g, cfg.params))
         _, terminals = sim.terminals_for_round(cfg, t_abs)
         plans = routing.path_plans(g, terminals, routing.select_root(g, terminals))
         trees = {algorithm: round_trees(algorithm, g, terminals, plans,
@@ -328,9 +355,9 @@ def test_every_router_charges_every_frame_frame_major(scenario, monkeypatch):
     charged = []
     real = sim._charge
 
-    def spy(rec, graph, frame, rows, scenario_cfg, rng):
+    def spy(rec, graph, outage, frame, rows, scenario_cfg, rng):
         charged.append((rec.algorithm, graph, frame, rows))
-        real(rec, graph, frame, rows, scenario_cfg, rng)
+        real(rec, graph, outage, frame, rows, scenario_cfg, rng)
 
     monkeypatch.setattr(sim, "_charge", spy)
     sim.compare_algorithms(cfg)
@@ -439,8 +466,37 @@ def test_charging_no_trees_adds_nothing_and_fails_the_round(delta_spec, sampled)
     rec = sim.RoundRecord(0, 0, "taeer", None, 0)
     rng = np.random.default_rng(3)
     none = np.zeros(0, dtype=np.intp)
-    sim._charge(rec, g, none, none, cfg, rng)
+    outage = topology.slot_outage(g, cfg.params) if sampled else None
+    sim._charge(rec, g, outage, none, none, cfg, rng)
     assert rec == sim.RoundRecord(0, 0, "taeer", None, 0, failed=True)
+    assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
+
+
+@pytest.mark.parametrize("gamma0, max_attempts, want", [
+    (0.0, 100, (1, 0, "nan", "nan")),     # first try: (1 - 1) * inf
+    (1.0, 100, (100, 100, "inf", "inf")),
+    (1.5, 100, (100, 100, "inf", "inf")),
+    (1.0, 1, (1, 1, "nan", "nan")),       # capped at its first try
+])
+def test_charge_of_a_routed_unusable_row(delta_spec, gamma0, max_attempts, want):
+    # One frame whose tree routes an ISL row of weight +inf before its
+    # uplink, charged at rho < 1. The round fails, as its energy is not
+    # finite; a retransmission energy of (attempts - 1) * inf is NaN where
+    # the row takes one attempt. Pinned as charged, field by field.
+    cfg = make_scenario(delta_spec, rho=0.1, max_attempts=max_attempts)
+    g = topology.SnapshotGraph.from_arrays(3, [0, 1], [1, 2], [[np.inf, 2.0]],
+                                           gamma0=[[gamma0, 0.0]], geo_node=2)
+    rec = sim.RoundRecord(0, 0, "taeer", None, 2)
+    rng = np.random.default_rng(3)
+    sim._charge(rec, g, topology.slot_outage(g, cfg.params), np.array([0, 0]),
+                np.array([0, 1]), cfg, rng)
+    attempts, failures, retrans, total = want
+    assert (rec.attempts, rec.failures, rec.edge_frames) == (attempts, failures, 1)
+    assert repr(rec.tree_energy_j) == "inf" and rec.geo_energy_j == 2.0
+    assert (repr(rec.retrans_energy_j), repr(rec.total_energy_j)) == (retrans, total)
+    assert rec.analytic_outage_sum == (0.0 if gamma0 == 0.0 else 1.0)
+    assert rec.failed
+    # Only a threshold strictly inside (0, 1) draws.
     assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
 
 
@@ -612,6 +668,47 @@ class TestCompareAlgorithms:
         # One batched call per (round, algorithm), over the routed rows only.
         assert len(sizes) == cfg.rounds * len(sim.ALGORITHMS)
         assert sum(sizes) == sum(r.edge_frames for m in res.values() for r in m.records)
+
+    @pytest.mark.parametrize("scenario", sorted(p.name for p in SCENARIOS.glob("*.cfg")))
+    def test_rho_below_one_evaluates_outage_once_per_slot(self, scenario, monkeypatch):
+        # The counterpart at rho < 1: one batched call per round over the
+        # slot's ISL rows of every frame (topology.slot_outage), none per
+        # (round, algorithm), and every record's analytic outage bit for
+        # bit the left-to-right sum of its routed rows' outages alone.
+        values = config.read_config(str(SCENARIOS / scenario))
+        values["algorithms"]["rho"] = "0.1"
+        values["run"]["rounds"] = "2"
+        if scenario == "walker_star_800.cfg":
+            values["run"]["rounds"] = "1"
+            values.setdefault("time", {})["frames_per_slot"] = "5"
+        cfg = replace(config.build_scenario(values), algorithms=sim.ALGORITHMS)
+        real_erf, real_charge = channel._erf, sim._charge
+        sizes, charged = [], []
+
+        def counted(x):
+            sizes.append(np.size(x))
+            return real_erf(x)
+
+        def spy(rec, graph, outage, frame, rows, scenario_cfg, rng):
+            real_charge(rec, graph, outage, frame, rows, scenario_cfg, rng)
+            charged.append((rec, graph, frame, rows))
+
+        with monkeypatch.context() as mp:
+            mp.setattr(channel, "_erf", counted)
+            mp.setattr(sim, "_charge", spy)
+            sim.compare_algorithms(cfg)
+        assert len(charged) == cfg.rounds * len(sim.ALGORITHMS)
+        slots = [g for _, g, *_ in charged[::len(sim.ALGORITHMS)]]
+        assert sizes == [g.frame_count * int(np.count_nonzero(g.dst != g.geo_node))
+                         for g in slots]
+        for rec, g, frame, rows in charged:
+            outage = 0.0
+            for u, r in enumerate(frame_rows(frame, rows)):
+                isl = [e for e in r if g.dst[e] != g.geo_node]
+                outage += left_to_right(channel.outage_from_gamma0(
+                    g.gamma0[u][isl], cfg.params).tolist())
+            assert rec.edge_frames > 0
+            assert rec.analytic_outage_sum == outage, rec.algorithm
 
     def test_orbit_greedy_much_more_expensive(self, delta_spec):
         cfg = make_scenario(delta_spec,

@@ -90,7 +90,7 @@ class TestEdgeRows:
         cfg = make_scenario(star_spec, rho=0.1, clusters=41, seed=42)
         g = topology.build_snapshot(cfg.spec, cfg.params, cfg.times, 0.0,
                                     sim.scenario_tx_power(cfg))
-        r = topology.robust_weights(g, cfg.rho, cfg.params)
+        r = topology.robust_weights(g, cfg.rho, topology.slot_outage(g, cfg.params))
         assert_edge_rows_match_dict(r)
 
     def test_every_edge_of_random_instances(self):
@@ -236,12 +236,12 @@ class TestBuildSnapshot:
 class TestRobustWeights:
     def test_rho_one_unchanged(self, delta_snapshot, params):
         g, _, _ = delta_snapshot
-        r = topology.robust_weights(g, 1.0, params)
+        r = topology.robust_weights(g, 1.0, topology.slot_outage(g, params))
         assert np.array_equal(r.weights_j, g.weights_j)
 
     def test_rho_zero_pure_log_survival(self, delta_snapshot, params):
         g, _, _ = delta_snapshot
-        r = topology.robust_weights(g, 0.0, params)
+        r = topology.robust_weights(g, 0.0, topology.slot_outage(g, params))
         isl = g.dst != g.geo_node
         # log(1/(1-p)) evaluated naively loses precision for small p; the
         # implementation uses the log1p form, so compare at 1e-9 relative.
@@ -263,7 +263,7 @@ class TestRobustWeights:
         with np.errstate(divide="ignore", invalid="ignore"):
             blended = rho * g.weights_j + (1.0 - rho) * np.log1p(out / (1.0 - out))
         unusable = ~np.isfinite(g.weights_j) | np.any(out >= 1.0, axis=0)
-        r = topology.robust_weights(g, rho, params)
+        r = topology.robust_weights(g, rho, topology.slot_outage(g, params))
         assert np.array_equal(r.weights_j, np.where(unusable, np.inf, blended))
         assert 0 < r.dropped_edges < r.num_edges
 
@@ -291,7 +291,7 @@ class TestRobustWeights:
             sizes.clear()
             with monkeypatch.context() as mp:
                 mp.setattr(channel, "_erf", counted)
-                r = topology.robust_weights(g, rho, cfg.params)
+                r = topology.robust_weights(g, rho, topology.slot_outage(g, cfg.params))
             assert sizes == [g.frame_count * int(np.count_nonzero(~uplink))]
             assert np.array_equal(r.weights_j, np.where(unusable, np.inf, blended))
 
@@ -307,21 +307,21 @@ class TestRobustWeights:
         with np.errstate(divide="ignore", invalid="ignore"):
             blended = rho * g.weights_j + (1.0 - rho) * np.log1p(out / (1.0 - out))
         unusable = ~np.isfinite(g.weights_j) | np.any(out >= 1.0, axis=0)
-        r = topology.robust_weights(g, rho, params)
+        r = topology.robust_weights(g, rho, topology.slot_outage(g, params))
         assert np.array_equal(r.weights_j, np.where(unusable, np.inf, blended))
         assert 0 < r.dropped_edges < r.num_edges
 
     def test_zero_outage_edge_scales_by_rho(self, params):
         g = from_edge_list(3, [(0, 1, 4.0), (1, 2, 2.0)])
-        r = topology.robust_weights(g, 0.25, params)
+        r = topology.robust_weights(g, 0.25, topology.slot_outage(g, params))
         assert r.weights_j[0].tolist() == [1.0, 0.5]
 
     def test_affine_in_rho(self, delta_snapshot, params):
         g, _, _ = delta_snapshot
-        r0 = topology.robust_weights(g, 0.0, params)
-        r1 = topology.robust_weights(g, 1.0, params)
+        r0 = topology.robust_weights(g, 0.0, topology.slot_outage(g, params))
+        r1 = topology.robust_weights(g, 1.0, topology.slot_outage(g, params))
         rho = 0.3
-        r = topology.robust_weights(g, rho, params)
+        r = topology.robust_weights(g, rho, topology.slot_outage(g, params))
         assert np.allclose(r.weights_j,
                            rho * r1.weights_j + (1 - rho) * r0.weights_j,
                            rtol=1e-12, atol=1e-300)
@@ -337,7 +337,7 @@ class TestRobustWeights:
         outage = channel.outage_from_gamma0(g.gamma0, params)
         assert outage[0, 1] == 1.0 and outage[0, 2] == 0.0
         assert np.all(outage[1] < 1.0)
-        r = topology.robust_weights(g, 0.5, params)
+        r = topology.robust_weights(g, 0.5, topology.slot_outage(g, params))
         assert r.dropped_edges == 1
         assert np.array_equal(r.src, g.src) and np.array_equal(r.dst, g.dst)
         assert np.all(r.weights_j[:, 1] == np.inf)
@@ -353,7 +353,7 @@ class TestRobustWeights:
         g = SnapshotGraph.from_arrays(3, np.array([0, 1]), np.array([1, 2]), w,
                                       gamma0=np.array([[1e-3, 1.0], [1e-3, 0.0]]))
         assert g.dropped_edges == 1
-        r = topology.robust_weights(g, rho, params)
+        r = topology.robust_weights(g, rho, topology.slot_outage(g, params))
         assert np.all(r.weights_j[:, 1] == np.inf)
         assert np.all(np.isfinite(r.weights_j[:, 0]))
         assert r.dropped_edges == 1
@@ -363,7 +363,7 @@ class TestRobustWeights:
         geo = g.dst == g.geo_node
         # weak transmitters
         assert np.any(channel.outage_from_gamma0(g.gamma0[:, geo], params) >= 1.0)
-        r = topology.robust_weights(g, 0.5, params)
+        r = topology.robust_weights(g, 0.5, topology.slot_outage(g, params))
         assert r.dropped_edges == 0
         assert r.num_edges == g.num_edges
         # exempt means penalty-free: blended weight is exactly rho * energy
@@ -372,14 +372,14 @@ class TestRobustWeights:
 
     def test_edge_subset_preserved(self, delta_snapshot, params):
         g, _, _ = delta_snapshot
-        r = topology.robust_weights(g, 0.5, params)
+        r = topology.robust_weights(g, 0.5, topology.slot_outage(g, params))
         orig = set(zip(g.src.tolist(), g.dst.tolist()))
         assert set(zip(r.src.tolist(), r.dst.tolist())) <= orig
 
     def test_rejects_bad_rho(self, delta_snapshot, params):
         g, _, _ = delta_snapshot
         with pytest.raises(ValueError):
-            topology.robust_weights(g, 1.5, params)
+            topology.robust_weights(g, 1.5, topology.slot_outage(g, params))
 
 
 @pytest.mark.parametrize("num_nodes", [9, 200, 300, 70_000])
